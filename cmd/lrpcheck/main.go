@@ -1,17 +1,16 @@
-// Command lrpcheck is the crash-consistency fuzzer: it runs a workload
+// Command lrpcheck is the crash-consistency checker: it runs a workload
 // under a chosen persistency mechanism with happens-before tracking on,
-// samples crash instants uniformly over the execution, and reports how
-// many leave the NVM in a state that violates Release Persistency (the
-// consistent-cut criterion for null recovery) or the weaker ARP-rule.
+// then crashes the machine at every durable-state boundary (each persist
+// completion, ±1 cycle). At each boundary it checks the consistent-cut
+// criterion for null recovery (Release Persistency) and the weaker
+// ARP-rule, and runs a hardened recovery walk over the reconstructed NVM
+// image.
 //
 // The paper's central claims fall out directly:
 //
-//	lrpcheck -mechanism LRP   # 0 RP violations, 0 ARP violations
-//	lrpcheck -mechanism ARP   # RP violations found, 0 ARP violations
+//	lrpcheck -mechanism LRP   # 0 RP violations, every recovery walk clean
+//	lrpcheck -mechanism ARP   # RP violations and dirty walks, 0 ARP violations
 //	lrpcheck -mechanism NOP   # both violated freely
-//
-// It also runs the structural recovery walker on the first violating
-// image to show what the corruption looks like to a recovery procedure.
 //
 // Beyond structural checks, -dlin records the run's abstract operation
 // history and verifies durable linearizability at every crash boundary:
@@ -22,8 +21,22 @@
 //	lrpcheck -dlin -mechanism LRP   # every boundary durably linearizable
 //	lrpcheck -dlin -mechanism ARP   # acked-but-lost operations reported
 //
-// -json replaces the narration with a machine-readable lrpsweep/v1
-// export of the sweep report on stdout (requires -exhaustive or -dlin).
+// The fault flags attach the fault-injection plane — torn lines,
+// transient NVM faults with retry/backoff, persist-engine stalls — so the
+// same sweep checks the claims against an adversarial NVM. Injection is
+// deterministic given the seeds: re-running a failing configuration
+// replays it cycle-for-cycle.
+//
+//	lrpcheck -mechanism LRP -faults        # everything on, must be clean
+//	lrpcheck -mechanism ARP -faults        # the gap, as quarantined nodes
+//	lrpcheck -mechanism LRP -tear-prob 1   # only tearing
+//
+// An RP-enforcing mechanism whose sweep is not consistent (an RP
+// violation, a dirty recovery walk or a durable-linearizability
+// violation at any boundary) exits 1. -json replaces the narration with a
+// machine-readable lrpsweep/v1 export of the sweep report on stdout (the
+// first RP-violating boundary rides along as a nested lrpcrash/v1
+// document).
 package main
 
 import (
@@ -37,28 +50,26 @@ import (
 
 func main() {
 	var (
-		mechName   = flag.String("mechanism", "LRP", "mechanism: "+strings.Join(lrp.MechanismNames(), "|"))
-		structure  = flag.String("structure", "linkedlist", "workload structure: "+strings.Join(lrp.WorkloadNames(), "|"))
-		threads    = flag.Int("threads", 4, "worker threads")
-		size       = flag.Int("size", 256, "initial structure size")
-		ops        = flag.Int("ops", 200, "operations per thread")
-		samples    = flag.Int("samples", 2000, "crash instants to sample")
-		seed       = flag.Uint64("seed", 7, "deterministic seed")
-		exhaustive = flag.Bool("exhaustive", false,
-			"crash at every persist-completion boundary (±1 cycle) instead of sampling, and run a recovery walk at each")
-		dlin = flag.Bool("dlin", false,
-			"record the abstract operation history and check durable linearizability at every boundary (implies -exhaustive)")
-		jsonOut  = flag.Bool("json", false, "machine-readable lrpsweep/v1 sweep export on stdout (requires -exhaustive or -dlin)")
-		parallel = flag.Int("parallel", 0, "worker goroutines for the exhaustive sweep (0: one per CPU, 1: serial; the report is identical at any count)")
+		mechName  = flag.String("mechanism", "LRP", "mechanism: "+strings.Join(lrp.MechanismNames(), "|"))
+		structure = flag.String("structure", "linkedlist", "workload structure: "+strings.Join(lrp.WorkloadNames(), "|"))
+		threads   = flag.Int("threads", 4, "worker threads")
+		size      = flag.Int("size", 256, "initial structure size")
+		ops       = flag.Int("ops", 200, "operations per thread")
+		seed      = flag.Uint64("seed", 7, "deterministic workload seed")
+		dlin      = flag.Bool("dlin", false, "record the abstract operation history and check durable linearizability at every boundary")
+		jsonOut   = flag.Bool("json", false, "machine-readable lrpsweep/v1 sweep export on stdout instead of the narration")
+		parallel  = flag.Int("parallel", 0, "worker goroutines for the boundary sweep (0: one per CPU, 1: serial; the report is identical at any count)")
+
+		faults    = flag.Bool("faults", false, "enable every fault injector at default rates")
+		faultSeed = flag.Uint64("fault-seed", 1, "deterministic fault-injection seed")
+		tearProb  = flag.Float64("tear-prob", 0, "probability an in-flight line is torn at a crash")
+		writeProb = flag.Float64("write-fault-prob", 0, "per-attempt NVM write rejection probability")
+		readProb  = flag.Float64("read-fault-prob", 0, "per-attempt NVM media read error probability")
+		stallProb = flag.Float64("stall-prob", 0, "per-run persist-engine stall probability")
+		stallMax  = flag.Int64("stall-max", 0, "max injected stall in cycles (0: default)")
 	)
 	flag.Parse()
 
-	if *dlin {
-		*exhaustive = true
-	}
-	if *jsonOut && !*exhaustive {
-		fail(fmt.Errorf("-json exports a sweep report; use it with -exhaustive or -dlin"))
-	}
 	k, err := lrp.ParseMechanism(*mechName)
 	if err != nil {
 		fail(err)
@@ -69,6 +80,18 @@ func main() {
 		cfg.Cores = 4
 	}
 	cfg.TrackHB = true
+	if *faults {
+		cfg.Faults = lrp.EnableAllFaults(*faultSeed)
+	} else {
+		cfg.Faults = lrp.FaultConfig{
+			Seed:           *faultSeed,
+			TearProb:       *tearProb,
+			WriteFaultProb: *writeProb,
+			ReadFaultProb:  *readProb,
+			StallProb:      *stallProb,
+			StallMax:       lrp.Time(*stallMax),
+		}
+	}
 	spec := lrp.Spec{
 		Structure:    *structure,
 		Threads:      *threads,
@@ -84,6 +107,11 @@ func main() {
 	}
 	say("running %s under %s (%d threads, %d elements, %d ops/thread)...\n",
 		*structure, k, *threads, *size, *ops)
+	if cfg.Faults.Enabled() {
+		say("faults: tear=%.2f write=%.2f read=%.2f stall=%.2f (seed %d)\n",
+			cfg.Faults.TearProb, cfg.Faults.WriteFaultProb, cfg.Faults.ReadFaultProb,
+			cfg.Faults.StallProb, cfg.Faults.Seed)
+	}
 	var (
 		m    *lrp.Machine
 		rec  lrp.Recoverable
@@ -97,82 +125,93 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-
-	var rpBad, arpBad int
-	var first *lrp.CrashReport
-	var sweep *lrp.SweepReport
-	if *exhaustive {
-		sweep, err = lrp.SweepCrash(m, lrp.SweepOpts{Rec: rec, Hist: hist, Workers: *parallel, Seed: *seed})
-		if err != nil {
-			fail(err)
-		}
-		rpBad, arpBad, first = sweep.RPBad, sweep.ARPBad, sweep.FirstRP
-		say("swept %d crash boundaries over %v of execution\n", sweep.Boundaries, m.Time())
-		say("  recovery walks: %d run, %d dirty (%d nodes quarantined)\n",
-			sweep.WalksRun, sweep.DirtyWalks, sweep.Quarantined)
-		if sweep.FirstDirty != nil {
-			say("  first dirty walk at t=%v: %v\n", sweep.FirstDirtyAt, sweep.FirstDirty)
-		}
-		if sweep.DLinChecked > 0 {
-			say("  durable linearizability: %d/%d boundaries clean\n",
-				sweep.DLinChecked-sweep.DLinBad, sweep.DLinChecked)
-		}
-	} else {
-		rpBad, arpBad, first, err = lrp.FuzzCrashes(m, *samples, *seed)
-		if err != nil {
-			fail(err)
-		}
-		say("sampled %d crash instants over %v of execution\n", *samples, m.Time())
+	sweep, err := lrp.SweepCrash(m, lrp.SweepOpts{Rec: rec, Hist: hist, Workers: *parallel, Seed: *seed})
+	if err != nil {
+		fail(err)
 	}
-	say("  RP  (consistent-cut) violations: %d\n", rpBad)
-	say("  ARP (one-sided rule) violations: %d\n", arpBad)
-	if first != nil && !*jsonOut {
-		fmt.Printf("\nfirst RP-violating crash: t=%v (%d/%d writes persisted)\n",
-			first.At, first.PersistedWrites, first.TotalWrites)
-		for i, v := range first.RPViolations {
-			if i == 3 {
-				fmt.Printf("  ... and %d more\n", len(first.RPViolations)-3)
-				break
-			}
-			fmt.Printf("  %v\n", v)
-		}
-	}
-	if sweep != nil && len(sweep.DLinViolations) > 0 && !*jsonOut {
-		fmt.Printf("\ndurable-linearizability violations (earliest %d of %d violating boundaries):\n",
-			len(sweep.DLinViolations), sweep.DLinBad)
-		for i, f := range sweep.DLinViolations {
-			if i == 3 {
-				fmt.Printf("  ... and %d more retained\n", len(sweep.DLinViolations)-3)
-				break
-			}
-			fmt.Printf("  %v\n", f)
-		}
-	}
+	msg, ok := verdict(k, sweep)
 	if *jsonOut {
 		if err := sweep.WriteJSON(os.Stdout); err != nil {
 			fail(err)
 		}
+	} else {
+		narrate(m, sweep)
+		fmt.Printf("\n%s\n", msg)
 	}
-	probed := "sampled crash"
-	if *exhaustive {
-		probed = "persist boundary"
-	}
-	bad := rpBad
-	if sweep != nil {
-		bad += sweep.DLinBad
-	}
-	switch {
-	case k.EnforcesRP() && bad == 0:
-		say("\n%s upholds Release Persistency: every %s leaves a consistent cut.\n", k, probed)
-	case k.EnforcesRP():
-		if !*jsonOut {
-			fmt.Printf("\nBUG: %s claims RP but violated it.\n", k)
-		}
+	if !ok {
 		os.Exit(1)
-	case bad > 0:
-		say("\n%s does not uphold Release Persistency: null recovery is unsafe (the paper's §3 argument).\n", k)
+	}
+}
+
+// narrate prints the sweep's tallies, its first violations and, when the
+// fault plane is attached, the fault machinery's counters.
+func narrate(m *lrp.Machine, sweep *lrp.SweepReport) {
+	fmt.Printf("swept %d crash boundaries over %v of execution\n", sweep.Boundaries, m.Time())
+	fmt.Printf("  recovery walks: %d run, %d dirty (%d nodes quarantined)\n",
+		sweep.WalksRun, sweep.DirtyWalks, sweep.Quarantined)
+	if sweep.DLinChecked > 0 {
+		fmt.Printf("  durable linearizability: %d/%d boundaries clean\n",
+			sweep.DLinChecked-sweep.DLinBad, sweep.DLinChecked)
+	}
+	fmt.Printf("  RP  (consistent-cut) violations: %d\n", sweep.RPBad)
+	fmt.Printf("  ARP (one-sided rule) violations: %d\n", sweep.ARPBad)
+
+	if first := sweep.FirstRP; first != nil {
+		fmt.Printf("\nfirst RP-violating crash: t=%v (%d/%d writes persisted)\n",
+			first.At, first.PersistedWrites, first.TotalWrites)
+		printFirst(first.RPViolations)
+	}
+	if sweep.FirstDirty != nil {
+		fmt.Printf("\nfirst dirty recovery walk at t=%v:\n  %v\n", sweep.FirstDirtyAt, sweep.FirstDirty)
+		printFirst(sweep.FirstDirty.Quarantined)
+	}
+	if len(sweep.DLinViolations) > 0 {
+		fmt.Printf("\ndurable-linearizability violations (earliest %d of %d violating boundaries):\n",
+			len(sweep.DLinViolations), sweep.DLinBad)
+		printFirst(sweep.DLinViolations)
+	}
+
+	p := m.Faults()
+	if p == nil {
+		return
+	}
+	nst, fst := m.NVM().Stats(), p.Stats()
+	fmt.Printf("\nfault machinery counters:\n")
+	fmt.Printf("  %-28s %d\n", "controller retries", nst.Retries)
+	fmt.Printf("  %-28s %d\n", "backoff cycles", nst.BackoffCycles)
+	fmt.Printf("  %-28s %d\n", "retry-budget giveups", nst.Giveups)
+	fmt.Printf("  %-28s %d\n", "torn lines applied", nst.TornApplied)
+	fmt.Printf("  %-28s %d\n", "injected write faults", fst.WriteFaults)
+	fmt.Printf("  %-28s %d\n", "injected read faults", fst.ReadFaults)
+	fmt.Printf("  %-28s %d (%d cycles)\n", "injected engine stalls", fst.Stalls, fst.StallCycles)
+}
+
+// printFirst prints the first three items of a finding list, one a line.
+func printFirst[T any](items []T) {
+	for i, it := range items {
+		if i == 3 {
+			fmt.Printf("  ... and %d more\n", len(items)-3)
+			return
+		}
+		fmt.Printf("  %v\n", it)
+	}
+}
+
+// verdict judges a sweep against the mechanism's claim. ok is false only
+// when an RP-enforcing mechanism's sweep is not Consistent: an RP
+// violation, a dirty recovery walk or a durable-linearizability violation
+// at any boundary. The known gaps of NOP and ARP are reported, not failed.
+func verdict(k lrp.Mechanism, sweep *lrp.SweepReport) (msg string, ok bool) {
+	switch {
+	case k.EnforcesRP() && sweep.Consistent():
+		return fmt.Sprintf("%s upholds Release Persistency: every persist boundary leaves a consistent cut that recovers cleanly.", k), true
+	case k.EnforcesRP():
+		return fmt.Sprintf("BUG: %s claims RP but the sweep found %d RP-violating boundaries, %d dirty walks and %d durably non-linearizable boundaries.",
+			k, sweep.RPBad, sweep.DirtyWalks, sweep.DLinBad), false
+	case !sweep.Consistent():
+		return fmt.Sprintf("%s does not uphold Release Persistency: null recovery is unsafe (the paper's §3 argument).", k), true
 	default:
-		say("\nno violations sampled — try more samples or a larger run.\n")
+		return "no violations at any boundary — try a larger run.", true
 	}
 }
 

@@ -12,11 +12,12 @@
 // The annotation goes on the range line or the line above it. Any map
 // range without one fails the check (CI runs `go run ./cmd/lrpvet`).
 //
-// Detection is per-file AST analysis without full type checking: a range
-// is flagged when its operand's name is declared as a map anywhere in
-// the same file (var/field/param declarations, make(map[...]), or map
-// composite literals). That covers the realistic regression — reading a
-// struct's own map field — without external tooling.
+// Detection is per-package AST analysis without full type checking: a
+// range is flagged when its operand's name is declared as a map anywhere
+// in the same package directory (var/field/param declarations,
+// make(map[...]), or map composite literals, in any non-test file). That
+// covers the realistic regression — ranging over a struct's map field,
+// possibly declared in a sibling file — without external tooling.
 package main
 
 import (
@@ -42,17 +43,13 @@ func main() {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == ".git" || name == "testdata" || name == "vendor" {
-				return filepath.SkipDir
-			}
+		if !d.IsDir() {
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+		if name := d.Name(); name == ".git" || name == "testdata" || name == "vendor" {
+			return filepath.SkipDir
 		}
-		sites, err := checkFile(path)
+		sites, err := checkDir(path)
 		if err != nil {
 			return err
 		}
@@ -72,15 +69,48 @@ func main() {
 	}
 }
 
-func checkFile(path string) ([]string, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+// checkDir checks the non-test Go files of one package directory, in
+// file-name order, against the map-typed names declared across all of
+// them.
+func checkDir(dir string) ([]string, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		return nil, err
 	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	var names []string
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+		names = append(names, path)
+	}
 
-	// Pass 1: every name this file declares with a map type.
+	// Pass 1: every name the package declares with a map type.
 	mapNames := map[string]bool{}
+	for _, f := range files {
+		collectMapNames(f, mapNames)
+	}
+	if len(mapNames) == 0 {
+		return nil, nil
+	}
+
+	// Pass 2: every unannotated range over one of those names.
+	var bad []string
+	for i, f := range files {
+		bad = append(bad, checkFile(fset, names[i], f, mapNames)...)
+	}
+	return bad, nil
+}
+
+// collectMapNames adds every name f declares with a map type.
+func collectMapNames(f *ast.File, mapNames map[string]bool) {
 	noteField := func(fl *ast.FieldList) {
 		if fl == nil {
 			return
@@ -122,10 +152,11 @@ func checkFile(path string) ([]string, error) {
 		}
 		return true
 	})
-	if len(mapNames) == 0 {
-		return nil, nil
-	}
+}
 
+// checkFile reports every range in f over a name in mapNames that carries
+// no annotation.
+func checkFile(fset *token.FileSet, path string, f *ast.File, mapNames map[string]bool) []string {
 	// Lines carrying an annotation (trailing or on their own).
 	annotated := map[int]bool{}
 	for _, cg := range f.Comments {
@@ -153,7 +184,7 @@ func checkFile(path string) ([]string, error) {
 		bad = append(bad, fmt.Sprintf("%s:%d: range over map %q without a %s annotation", path, line, name, marker))
 		return true
 	})
-	return bad, nil
+	return bad
 }
 
 // operandName returns the rightmost identifier of a range operand:

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"lrp/internal/dlin"
-	"lrp/internal/engine"
 	"lrp/internal/exp"
 	"lrp/internal/fault"
 	"lrp/internal/mm"
@@ -106,72 +105,6 @@ func CrashRecover(m *Machine, rec Recoverable, at Time) (*CrashReport, error) {
 	return rep, nil
 }
 
-// sampleInstants draws up to n distinct crash instants over [0, end],
-// always including the first and last persist-completion times. Uniform
-// sampling alone is biased: it can draw duplicates (inflating apparent
-// coverage) and essentially never lands on the final persist boundary,
-// the instant most likely to expose an unordered last write.
-func sampleInstants(m *Machine, n int, seed uint64) []Time {
-	end := crashHorizon(m)
-	seen := make(map[Time]bool, n)
-	out := make([]Time, 0, n)
-	add := func(t Time) {
-		if t >= 0 && t <= end && !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	if evs := m.NVM().Events(); len(evs) > 0 {
-		first, last := evs[0].Done, evs[0].Done
-		for _, e := range evs {
-			if e.Done < first {
-				first = e.Done
-			}
-			if e.Done > last {
-				last = e.Done
-			}
-		}
-		add(first)
-		add(last)
-	}
-	r := engine.NewRand(seed)
-	for tries := 0; len(out) < n && tries < 4*n+16; tries++ {
-		add(Time(r.Uint64n(uint64(end) + 1)))
-	}
-	return out
-}
-
-// FuzzCrashes samples up to n distinct crash instants over the machine's
-// execution — always probing the first and last persist boundaries — and
-// reports how many violate RP and how many violate the ARP-rule. It is
-// the tooling behind cmd/lrpcheck; SweepCrashBoundaries is the exhaustive
-// alternative.
-func FuzzCrashes(m *Machine, n int, seed uint64) (rpBad, arpBad int, firstRP *CrashReport, err error) {
-	tr := m.Tracker()
-	if tr == nil {
-		return 0, 0, nil, fmt.Errorf("lrp: crash analysis requires Config.TrackHB")
-	}
-	for _, at := range sampleInstants(m, n, seed) {
-		if v := tr.CheckCut(at, model.RP); len(v) > 0 {
-			rpBad++
-			if firstRP == nil {
-				firstRP, _ = Crash(m, at)
-			}
-		}
-		if v := tr.CheckCut(at, model.ARP); len(v) > 0 {
-			arpBad++
-		}
-	}
-	return rpBad, arpBad, firstRP, nil
-}
-
-// CrashBoundaries enumerates every instant at which the durable state can
-// change — each persist completion, one cycle either side of it — plus
-// the start and end of the execution, deduplicated and sorted. A crash
-// sweep over these instants provably covers every durable-state
-// transition: between consecutive persist completions the NVM image is
-// constant, so any violation or recovery failure visible at some instant
-// is visible at a boundary.
 // crashHorizon is the last instant worth crashing at: the end of core
 // execution or the last persist ack, whichever is later. Persist acks can
 // outlive m.Time() (a drain issues its final persists and the cores
@@ -187,6 +120,13 @@ func crashHorizon(m *Machine) Time {
 	return end
 }
 
+// CrashBoundaries enumerates every instant at which the durable state can
+// change — each persist completion, one cycle either side of it — plus
+// the start and end of the execution, deduplicated and sorted. A crash
+// sweep over these instants provably covers every durable-state
+// transition: between consecutive persist completions the NVM image is
+// constant, so any violation or recovery failure visible at some instant
+// is visible at a boundary.
 func CrashBoundaries(m *Machine) []Time {
 	end := crashHorizon(m)
 	seen := make(map[Time]bool)
@@ -243,7 +183,7 @@ func (f DLinFinding) String() string {
 // SweepReport aggregates an exhaustive crash-boundary sweep.
 type SweepReport struct {
 	// Mechanism and Seed identify the swept run (seed as passed through
-	// SweepOpts; zero when swept through the legacy entry points).
+	// SweepOpts).
 	Mechanism string
 	Seed      uint64
 	// Boundaries is the number of crash instants examined.
@@ -285,23 +225,6 @@ func (r *SweepReport) String() string {
 		s += fmt.Sprintf(", %d/%d boundaries durably linearizable", r.DLinChecked-r.DLinBad, r.DLinChecked)
 	}
 	return s
-}
-
-// SweepCrashBoundaries crashes the machine at every persist-completion
-// boundary (CrashBoundaries) and checks each durable state: the
-// consistent-cut criterion always, and — when rec is non-nil — a hardened
-// recovery walk over the reconstructed image. Images are advanced
-// incrementally through one cursor rather than rebuilt per instant, so
-// the sweep stays linear in persists + boundaries. The machine must have
-// been built with Config.TrackHB.
-func SweepCrashBoundaries(m *Machine, rec Recoverable) (*SweepReport, error) {
-	return SweepCrash(m, SweepOpts{Rec: rec, Workers: 1})
-}
-
-// SweepCrashBoundariesParallel is SweepCrashBoundaries sharded across
-// `workers` OS goroutines (0: one per CPU); see SweepOpts.Workers.
-func SweepCrashBoundariesParallel(m *Machine, rec Recoverable, workers int) (*SweepReport, error) {
-	return SweepCrash(m, SweepOpts{Rec: rec, Workers: workers})
 }
 
 // SweepOpts configures a crash-boundary sweep.

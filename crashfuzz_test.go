@@ -6,14 +6,14 @@ import (
 
 // TestCrashFuzzRPMechanisms is the repository's strongest end-to-end
 // property: for every log-free structure, under every RP-enforcing
-// mechanism, at hundreds of sampled crash instants, the durable image is
-// a consistent cut AND the structural recovery walker succeeds on it.
-// This is the paper's correctness claim executed literally.
+// mechanism, at every crash boundary, the durable image is a consistent
+// cut (satisfying the one-sided ARP-rule too) AND the structural recovery
+// walk over it is clean. This is the paper's correctness claim executed
+// literally.
 func TestCrashFuzzRPMechanisms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash fuzzing is expensive; skipped with -short")
 	}
-	const samples = 150
 	for _, structure := range Structures {
 		for _, mech := range []Mechanism{SB, BB, LRP} {
 			structure, mech := structure, mech
@@ -21,7 +21,7 @@ func TestCrashFuzzRPMechanisms(t *testing.T) {
 				cfg := DefaultConfig().WithMechanism(mech)
 				cfg.Cores = 4
 				cfg.TrackHB = true
-				_, m, err := RunWorkload(cfg, Spec{
+				_, m, rec, err := RunRecoverableWorkload(cfg, Spec{
 					Structure:    structure,
 					Threads:      4,
 					InitialSize:  96,
@@ -31,12 +31,15 @@ func TestCrashFuzzRPMechanisms(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rpBad, arpBad, first, err := FuzzCrashes(m, samples, 17)
+				sweep, err := SweepCrash(m, SweepOpts{Rec: rec})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rpBad != 0 || arpBad != 0 {
-					t.Fatalf("%d RP / %d ARP violations; first: %+v", rpBad, arpBad, first.RPViolations[0])
+				if sweep.RPBad != 0 {
+					t.Fatalf("%v; first: %+v", sweep, sweep.FirstRP.RPViolations[0])
+				}
+				if sweep.ARPBad != 0 || sweep.DirtyWalks != 0 {
+					t.Fatalf("%v; first dirty walk: %v", sweep, sweep.FirstDirty)
 				}
 			})
 		}
@@ -138,12 +141,12 @@ func TestCrashFuzzUncachedMode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rpBad, _, first, err := FuzzCrashes(m, 200, 23)
+			sweep, err := SweepCrash(m, SweepOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rpBad != 0 {
-				t.Fatalf("%d violations; first: %+v", rpBad, first.RPViolations[0])
+			if sweep.RPBad != 0 {
+				t.Fatalf("%v; first: %+v", sweep, sweep.FirstRP.RPViolations[0])
 			}
 		})
 	}

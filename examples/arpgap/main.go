@@ -8,7 +8,8 @@
 //
 // Part 1 runs the microprogram under ARP and LRP and scans every cycle
 // for a crash instant whose durable image has the link but not the node.
-// Part 2 fuzzes a real concurrent linked-list run the same way. Part 3
+// Part 2 crashes a real concurrent linked-list run at every durable-state
+// boundary. Part 3
 // asks what the gap means for the programmer: a durable-linearizability
 // sweep over a recorded operation history names the acknowledged insert
 // that a post-crash recovery would silently have lost.
@@ -74,7 +75,7 @@ func scanMicro(mech lrp.Mechanism) {
 	}
 }
 
-func fuzzList(mech lrp.Mechanism) {
+func sweepList(mech lrp.Mechanism) {
 	cfg := lrp.DefaultConfig().WithMechanism(mech)
 	cfg.Cores = 4
 	cfg.TrackHB = true
@@ -84,12 +85,12 @@ func fuzzList(mech lrp.Mechanism) {
 	if err != nil {
 		panic(err)
 	}
-	rpBad, arpBad, _, err := lrp.FuzzCrashes(m, 3000, 99)
+	sweep, err := lrp.SweepCrash(m, lrp.SweepOpts{Seed: 13})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("  %-4s %4d of 3000 crash instants violate RP (ARP-rule violations: %d)\n",
-		mech, rpBad, arpBad)
+	fmt.Printf("  %-4s %4d of %d crash boundaries violate RP (ARP-rule violations: %d)\n",
+		mech, sweep.RPBad, sweep.Boundaries, sweep.ARPBad)
 }
 
 // dlinSweep runs a history-instrumented linked-list workload under mech
@@ -130,9 +131,9 @@ func main() {
 	scanMicro(lrp.LRP)
 
 	fmt.Println()
-	fmt.Println("Part 2 — crash-fuzzing a concurrent log-free linked list")
-	fuzzList(lrp.ARP)
-	fuzzList(lrp.LRP)
+	fmt.Println("Part 2 — crashing a concurrent log-free linked list at every boundary")
+	sweepList(lrp.ARP)
+	sweepList(lrp.LRP)
 
 	fmt.Println()
 	fmt.Println("Part 3 — durable linearizability: the gap as a lost operation")

@@ -34,17 +34,17 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		rpBad, _, _, err := lrp.FuzzCrashes(m, 300, 21)
+		sweep, err := lrp.SweepCrash(m, lrp.SweepOpts{Seed: 9})
 		if err != nil {
 			panic(err)
 		}
 		safe := "yes"
 		note := ""
-		if rpBad > 0 {
+		if sweep.RPBad > 0 {
 			safe = "NO"
-			note = fmt.Sprintf("%d/300 crash points unrecoverable", rpBad)
+			note = fmt.Sprintf("%d/%d crash points unrecoverable", sweep.RPBad, sweep.Boundaries)
 		} else if !mech.EnforcesRP() {
-			note = "(no violation sampled, but no guarantee either)"
+			note = "(no violation in this run, but no guarantee either)"
 		}
 		fmt.Printf("%-5s %12v %10d %13.1f%% %12s %s\n",
 			mech, res.ExecTime, res.Sys.Persists, res.CriticalWritebackPct(), safe, note)

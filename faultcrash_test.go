@@ -36,7 +36,7 @@ func TestFaultSweepRPMechanisms(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sweep, err := SweepCrashBoundaries(m, rec)
+				sweep, err := SweepCrash(m, SweepOpts{Rec: rec, Workers: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -66,7 +66,7 @@ func TestFaultSweepFindsARPGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := SweepCrashBoundaries(m, rec)
+	sweep, err := SweepCrash(m, SweepOpts{Rec: rec, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestFaultSweepFindsNOPGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := SweepCrashBoundaries(m, rec)
+	sweep, err := SweepCrash(m, SweepOpts{Rec: rec, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sweep, err := SweepCrashBoundaries(m, rec)
+		sweep, err := SweepCrash(m, SweepOpts{Rec: rec, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,46 +158,6 @@ func TestFaultSeedChangesExecution(t *testing.T) {
 	}
 	if len(times) == 1 {
 		t.Fatal("four fault seeds produced identical execution times")
-	}
-}
-
-// TestSampleInstantsUnbiased: the FuzzCrashes sampler must not draw
-// duplicate instants and must always include the first and last persist
-// completion times (the boundaries uniform sampling essentially never
-// hits).
-func TestSampleInstantsUnbiased(t *testing.T) {
-	cfg := DefaultConfig().WithMechanism(LRP)
-	cfg.Cores = 4
-	cfg.TrackHB = true
-	spec := faultSpec
-	spec.Structure = "linkedlist"
-	_, m, err := RunWorkload(cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := sampleInstants(m, 100, 17)
-	seen := map[Time]bool{}
-	for _, at := range samples {
-		if seen[at] {
-			t.Fatalf("duplicate sample %v", at)
-		}
-		seen[at] = true
-	}
-	evs := m.NVM().Events()
-	if len(evs) == 0 {
-		t.Fatal("no persist events logged")
-	}
-	first, last := evs[0].Done, evs[0].Done
-	for _, e := range evs {
-		if e.Done < first {
-			first = e.Done
-		}
-		if e.Done > last {
-			last = e.Done
-		}
-	}
-	if !seen[first] || !seen[last] {
-		t.Fatalf("samples missed the first (%v) or last (%v) persist boundary", first, last)
 	}
 }
 

@@ -32,12 +32,6 @@ func (s *Store) Recover(img *mm.Memory) *recovery.Report {
 	return rep
 }
 
-// RecoverStrict implements workload.Recoverable: nil iff the hardened
-// walk recovered everything with nothing quarantined or abandoned.
-func (s *Store) RecoverStrict(img *mm.Memory) error {
-	return s.Recover(img).Err()
-}
-
 const (
 	ptrMask = ^uint64(3)
 	markBit = 1

@@ -188,7 +188,7 @@ func Compare(old, new *BenchFile, opts CompareOpts) *CompareReport {
 			rep.Drift = append(rep.Drift, k)
 			continue
 		}
-		for _, m := range opts.Metrics {
+		for _, m := range opts.Metrics { // maprange:ok — a []string; Cell.Metrics is the map of that name
 			od, ook := oc.Metrics[m]
 			nd, nok := nc.Metrics[m]
 			if !ook || !nok {

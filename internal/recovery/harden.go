@@ -2,16 +2,19 @@ package recovery
 
 import (
 	"fmt"
+	"slices"
 
 	"lrp/internal/isa"
 	"lrp/internal/mm"
 )
 
-// Report is the outcome of a hardened recovery walk. Where the strict
-// Walk* functions abort on the first structural violation, the Report*
-// variants quarantine the offending node and recover everything else they
-// can reach — what a production recovery procedure must do when the image
-// was left by a faulty NVM rather than an idealized one.
+// Report is the outcome of a hardened recovery walk. Rather than abort on
+// the first structural violation, the Report* walkers quarantine the
+// offending node and recover everything else they can reach — what a
+// production recovery procedure must do when the image was left by a
+// faulty NVM rather than an idealized one. Err gives the strict verdict:
+// each walker checks in a fixed order, so the first quarantined violation
+// is the one an aborting walk would have stopped at.
 type Report struct {
 	// Structure names the walked structure.
 	Structure string
@@ -116,35 +119,47 @@ func corruptReason(structure string, node isa.Addr, key, val uint64) string {
 	return "unknown violation"
 }
 
-// ReportList is the hardened WalkList: it never fails, returning what was
-// recoverable plus the quarantine set.
+// ReportList walks a lock-free sorted linked list from head (the head
+// pointer cell; layout [key, val, next]). It never fails, returning what
+// was recoverable plus the quarantine set.
 func ReportList(img *mm.Memory, head isa.Addr) *Report {
 	rep := &Report{Structure: "linkedlist"}
 	rep.Set = reportChain(img, rep, head, 0)
 	return rep
 }
 
-// ReportHashMap is the hardened WalkHashMap: corrupt buckets are
-// quarantined individually; healthy buckets recover in full.
+// ReportHashMap walks a lock-free hash table: buckets is the bucket array
+// base, nbuckets its length, and bucketOf must map a key to its bucket
+// index (the table's hash). Corrupt buckets are quarantined individually;
+// healthy buckets recover in full.
 func ReportHashMap(img *mm.Memory, buckets isa.Addr, nbuckets uint64, bucketOf func(uint64) uint64) *Report {
 	rep := &Report{Structure: "hashmap", Set: &SetState{Members: map[uint64]uint64{}}}
 	for b := uint64(0); b < nbuckets; b++ {
 		cell := buckets + isa.Addr(b*BucketStride)
 		sub := reportChain(img, rep, cell, 0)
-		for k, v := range sub.Members {
+		var misplaced []uint64
+		for k, v := range sub.Members { // maprange:ok — misplaced keys are sorted below; the merge is keyed
 			if bucketOf(k) != b {
-				rep.quarantine(cell, fmt.Sprintf("key %d found in bucket %d, hashes to %d", k, b, bucketOf(k)))
+				misplaced = append(misplaced, k)
 				continue
 			}
 			rep.Set.Members[k] = v
+		}
+		// Quarantine in ascending key order, which is chain order, so the
+		// report does not depend on map iteration order.
+		slices.Sort(misplaced)
+		for _, k := range misplaced {
+			rep.quarantine(cell, fmt.Sprintf("key %d found in bucket %d, hashes to %d", k, b, bucketOf(k)))
 		}
 		rep.Set.Nodes += sub.Nodes
 	}
 	return rep
 }
 
-// ReportBST is the hardened WalkBST: a corrupt node prunes its subtree
-// into the quarantine set; the rest of the tree recovers.
+// ReportBST walks a lock-free external BST from its root cell (layout
+// [key, val, left, right]; leaves have zero children; sentinel is the
+// sentinel key). A corrupt node prunes its subtree into the quarantine
+// set; the rest of the tree recovers.
 func ReportBST(img *mm.Memory, root isa.Addr, sentinel uint64) *Report {
 	rep := &Report{Structure: "bstree", Set: &SetState{Members: map[uint64]uint64{}}}
 	rootPtr := clean(img.Read(root))
@@ -204,9 +219,14 @@ func ReportBST(img *mm.Memory, root isa.Addr, sentinel uint64) *Report {
 	return rep
 }
 
-// ReportSkipList is the hardened WalkSkipList: membership is defined by
-// the bottom level alone (index levels are rebuilt by null recovery), so
-// only the bottom level is walked.
+// ReportSkipList walks a lock-free skip list from its head tower (layout
+// [key, val, height, next...]; maxHeight is the tower height). Only the
+// bottom level is walked: it alone defines membership. The index levels
+// carry plain (volatile) annotations, so a crash image may hold index
+// links whose bottom-level counterparts never persisted — Release
+// Persistency does not order them — and null recovery rebuilds the index
+// from the bottom level. WalkSkipListIndex checks the index levels too,
+// for images known to be complete.
 func ReportSkipList(img *mm.Memory, head isa.Addr, maxHeight int) *Report {
 	rep := &Report{Structure: "skiplist"}
 	st := &SetState{Members: map[uint64]uint64{}}
@@ -251,9 +271,10 @@ func ReportSkipList(img *mm.Memory, head isa.Addr, maxHeight int) *Report {
 	return rep
 }
 
-// ReportQueue is the hardened WalkQueue: a corrupt node truncates the
-// recovered value sequence there (a queue's order is its content, so
-// nothing beyond an untrusted link can be kept).
+// ReportQueue walks a Michael–Scott queue from its head and tail cells
+// (layout [val, next]; the head points at the dummy node). A corrupt
+// node truncates the recovered value sequence there (a queue's order is
+// its content, so nothing beyond an untrusted link can be kept).
 func ReportQueue(img *mm.Memory, head, tail isa.Addr) *Report {
 	rep := &Report{Structure: "queue", Queue: &QueueState{}}
 	hp := clean(img.Read(head))

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 // faulty NVM can leave: pointer cycles, nodes linked before their
 // initialization persisted (zero key), torn lines (value fails the
 // integrity convention), truncated images and garbage pointers. Every
-// walker — strict and hardened — must diagnose them without panicking or
-// looping.
+// walker must diagnose them without panicking or looping, and Err must
+// name the first violation in walk order.
 
 // listNode writes a [key, val, next] list node at addr.
 func listNode(img *mm.Memory, addr isa.Addr, key, val, next uint64) {
@@ -63,13 +64,12 @@ func TestListPointerCycleBounded(t *testing.T) {
 	img.Write(n2+16, uint64(n1)) // n2.next -> n1: cycle
 	// The sortedness check catches the revisit of n1 (key 5 after 9)
 	// before the step bound can: every list cycle revisits a key.
-	_, err := WalkList(img, listHead)
-	wantCorruption(t, err, "key order violated")
-
-	// The hardened walk skips order violations and keeps going, so the
-	// cycle runs until the step bound truncates it.
 	tightSteps(t, 100)
 	rep := ReportList(img, listHead)
+	wantCorruption(t, rep.Err(), "key order violated")
+
+	// The walk skips order violations and keeps going, so the cycle runs
+	// until the step bound truncates it.
 	if rep.Clean() || rep.Abandoned != 1 {
 		t.Fatalf("hardened walk did not truncate the cycle: %v", rep)
 	}
@@ -90,10 +90,8 @@ func TestQueuePointerCycleBounded(t *testing.T) {
 	img.Write(n2+0, 8)
 	img.Write(n2+8, uint64(n1)) // n2.next -> n1: cycle with valid values
 	tightSteps(t, 100)
-	_, err := WalkQueue(img, head, tail)
-	wantCorruption(t, err, "step bound")
-
 	rep := ReportQueue(img, head, tail)
+	wantCorruption(t, rep.Err(), "step bound")
 	if rep.Clean() || rep.Abandoned != 1 {
 		t.Fatalf("hardened queue walk did not truncate the cycle: %v", rep)
 	}
@@ -105,10 +103,8 @@ func TestZeroKeyNode(t *testing.T) {
 	n3 := isa.Addr(0x3000)
 	// n3 was linked in but its initialization never persisted.
 	img.Write(n1+16, uint64(n3))
-	_, err := WalkList(img, listHead)
-	wantCorruption(t, err, "uninitialized key")
-
 	rep := ReportList(img, listHead)
+	wantCorruption(t, rep.Err(), "uninitialized key")
 	if rep.Clean() {
 		t.Fatal("hardened walk reported a clean image")
 	}
@@ -127,10 +123,8 @@ func TestTornLineNode(t *testing.T) {
 	n1, n2 := healthyList(img)
 	// n2's line tore: the key word persisted, the value word did not.
 	img.Write(n2+8, 0)
-	_, err := WalkList(img, listHead)
-	wantCorruption(t, err, "integrity convention")
-
 	rep := ReportList(img, listHead)
+	wantCorruption(t, rep.Err(), "integrity convention")
 	if rep.Clean() || len(rep.Quarantined) != 1 || rep.Quarantined[0].Node != n2 {
 		t.Fatalf("torn node not quarantined: %v", rep)
 	}
@@ -146,10 +140,8 @@ func TestTruncatedImage(t *testing.T) {
 	img := mm.NewMemory()
 	n1, _ := healthyList(img)
 	img.Write(n1+16, uint64(isa.Addr(0x7000))) // beyond the written image
-	_, err := WalkList(img, listHead)
-	wantCorruption(t, err, "uninitialized key")
-
 	rep := ReportList(img, listHead)
+	wantCorruption(t, rep.Err(), "uninitialized key")
 	if rep.Clean() {
 		t.Fatal("hardened walk reported a truncated image clean")
 	}
@@ -164,10 +156,8 @@ func TestMisalignedPointerDoesNotPanic(t *testing.T) {
 	// Garbage pointer with bit 2 set: clean() strips only the mark bits,
 	// so an unguarded walker would fault the image read.
 	img.Write(n1+16, uint64(0x3004))
-	_, err := WalkList(img, listHead)
-	wantCorruption(t, err, "misaligned")
-
 	rep := ReportList(img, listHead)
+	wantCorruption(t, rep.Err(), "misaligned")
 	if rep.Clean() || rep.Abandoned != 1 {
 		t.Fatalf("misaligned pointer not quarantined: %v", rep)
 	}
@@ -189,13 +179,10 @@ func TestBSTCorruptions(t *testing.T) {
 		node(img, in, 10, 0, uint64(leaf), uint64(in)) // right child is itself
 		node(img, leaf, 5, DefaultVal(5), 0, 0)
 		img.Write(root, uint64(in))
-		if _, err := WalkBST(img, root, sentinel); err == nil {
-			t.Fatal("cycle accepted")
-		}
 		rep := ReportBST(img, root, sentinel)
-		if rep.Clean() {
-			t.Fatal("hardened walk reported cycle clean")
-		}
+		// Re-entering the subtree through the cycle routes the leaf out of
+		// its bounds before the step bound can trip.
+		wantCorruption(t, rep.Err(), "escapes route bounds")
 		if rep.Set.Members[5] != DefaultVal(5) {
 			t.Fatal("healthy leaf lost")
 		}
@@ -206,9 +193,8 @@ func TestBSTCorruptions(t *testing.T) {
 		node(img, in, 10, 0, uint64(leaf), 0) // right link never persisted
 		node(img, leaf, 5, DefaultVal(5), 0, 0)
 		img.Write(root, uint64(in))
-		_, err := WalkBST(img, root, sentinel)
-		wantCorruption(t, err, "missing child")
 		rep := ReportBST(img, root, sentinel)
+		wantCorruption(t, rep.Err(), "missing child")
 		if rep.Clean() || rep.Abandoned != 1 {
 			t.Fatalf("missing child not quarantined: %v", rep)
 		}
@@ -218,16 +204,46 @@ func TestBSTCorruptions(t *testing.T) {
 func TestHardenedMatchesStrictOnHealthyImage(t *testing.T) {
 	img := mm.NewMemory()
 	healthyList(img)
-	st, err := WalkList(img, listHead)
-	if err != nil {
-		t.Fatalf("strict walk failed on healthy image: %v", err)
-	}
 	rep := ReportList(img, listHead)
 	if !rep.Clean() || rep.Err() != nil {
 		t.Fatalf("hardened walk not clean on healthy image: %v", rep)
 	}
-	checkMembers(t, rep.Set, st.Members)
-	if rep.Set.Nodes != st.Nodes {
-		t.Fatalf("node counts differ: %d vs %d", rep.Set.Nodes, st.Nodes)
+	checkMembers(t, rep.Set, map[uint64]uint64{5: DefaultVal(5), 9: DefaultVal(9)})
+	if rep.Set.Nodes != 2 {
+		t.Fatalf("walk counted %d nodes, want 2", rep.Set.Nodes)
+	}
+}
+
+// TestHashMapMisplacedKeysQuarantinedInKeyOrder: a bucket chain whose
+// keys all hash elsewhere is quarantined key by key in ascending order
+// (chain order), so the report and its Err are reproducible.
+func TestHashMapMisplacedKeysQuarantinedInKeyOrder(t *testing.T) {
+	img := mm.NewMemory()
+	buckets := isa.Addr(0x100)
+	const n = 16
+	for i := 0; i < n; i++ {
+		key := uint64(i + 1)
+		node := isa.Addr(0x1000 + 0x100*i)
+		var next uint64
+		if i+1 < n {
+			next = uint64(node + 0x100)
+		}
+		listNode(img, node, key, DefaultVal(key), next)
+	}
+	img.Write(buckets, 0x1000)                   // bucket 0 holds every key...
+	bucketOf := func(uint64) uint64 { return 1 } // ...but they all hash to bucket 1
+	// Repeat the walk: a map-order dependence shows up on some run.
+	for run := 0; run < 4; run++ {
+		rep := ReportHashMap(img, buckets, 2, bucketOf)
+		if len(rep.Quarantined) != n || len(rep.Set.Members) != 0 {
+			t.Fatalf("want %d misplaced keys quarantined, got %v", n, rep)
+		}
+		for i, c := range rep.Quarantined {
+			want := fmt.Sprintf("key %d found in bucket 0, hashes to 1", i+1)
+			if c.Reason != want || c.Node != buckets {
+				t.Fatalf("run %d: quarantine[%d] = %v, want %q", run, i, c, want)
+			}
+		}
+		wantCorruption(t, rep.Err(), "key 1 found in bucket 0")
 	}
 }

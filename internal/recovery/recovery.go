@@ -5,8 +5,8 @@
 //
 // When the run enforced Release Persistency (SB, BB, LRP), the image is a
 // consistent cut and every walk succeeds — that is the paper's
-// correctness claim, and the crash-fuzzing tests exercise it at thousands
-// of crash instants. Under ARP or NOP, a walk can encounter a node whose
+// correctness claim, and the crash sweeps exercise it at every crash
+// boundary. Under ARP or NOP, a walk can encounter a node whose
 // linking pointer persisted before its contents: a reachable node with a
 // zero key or a value that fails the integrity convention. The walkers
 // report those as corruption instead of crashing, which is exactly what a
@@ -68,155 +68,26 @@ func checkNode(structure string, node isa.Addr, key, val uint64) error {
 	return nil
 }
 
-// WalkList recovers a lock-free sorted linked list from head (the head
-// pointer cell). Layout: [key, val, next].
-func WalkList(img *mm.Memory, head isa.Addr) (*SetState, error) {
-	return walkChain(img, "linkedlist", head, 0)
-}
-
-// walkChain walks one sorted list; lower bounds the first key
-// (exclusive), supporting per-bucket checks.
-func walkChain(img *mm.Memory, structure string, headCell isa.Addr, lower uint64) (*SetState, error) {
-	st := &SetState{Members: map[uint64]uint64{}}
-	prev := lower
-	ptr := img.Read(headCell)
-	for steps := 0; ; steps++ {
-		if steps > maxSteps {
-			return nil, Corruption{structure, headCell, "walk exceeded step bound (cycle?)"}
-		}
-		node := isa.Addr(clean(ptr))
-		if node == 0 {
-			return st, nil
-		}
-		if !node.Aligned() {
-			// clean strips only the mark/flag bits; a garbage pointer with
-			// bit 2 set would fault the word-addressed image reads.
-			return nil, Corruption{structure, node, "misaligned node pointer"}
-		}
-		key := img.Read(node + 0)
-		val := img.Read(node + 8)
-		next := img.Read(node + 16)
-		if err := checkNode(structure, node, key, val); err != nil {
-			return nil, err
-		}
-		if key <= prev {
-			return nil, Corruption{structure, node,
-				fmt.Sprintf("key order violated: %d after %d", key, prev)}
-		}
-		prev = key
-		st.Nodes++
-		if next&markBit == 0 {
-			st.Members[key] = val
-		}
-		ptr = next
-	}
-}
-
 // BucketStride is the byte distance between bucket head cells (they are
 // padded to a line each; see lfds.HashMap).
 const BucketStride = isa.LineSize
 
-// WalkHashMap recovers a lock-free hash table: buckets is the bucket
-// array base, nbuckets its length, and bucketOf must map a key to its
-// bucket index (the table's hash).
-func WalkHashMap(img *mm.Memory, buckets isa.Addr, nbuckets uint64, bucketOf func(uint64) uint64) (*SetState, error) {
-	st := &SetState{Members: map[uint64]uint64{}}
-	for b := uint64(0); b < nbuckets; b++ {
-		cell := buckets + isa.Addr(b*BucketStride)
-		sub, err := walkChain(img, "hashmap", cell, 0)
-		if err != nil {
-			return nil, err
-		}
-		for k, v := range sub.Members { // maprange:ok — merge into a keyed map is order-independent
-			if bucketOf(k) != b {
-				return nil, Corruption{"hashmap", cell,
-					fmt.Sprintf("key %d found in bucket %d, hashes to %d", k, b, bucketOf(k))}
-			}
-			st.Members[k] = v
-		}
-		st.Nodes += sub.Nodes
-	}
-	return st, nil
-}
-
-// WalkBST recovers a lock-free external BST from its root cell. Layout:
-// [key, val, left, right]; leaves have zero children; sentinel is the
-// given sentinel key.
-func WalkBST(img *mm.Memory, root isa.Addr, sentinel uint64) (*SetState, error) {
-	st := &SetState{Members: map[uint64]uint64{}}
-	rootPtr := clean(img.Read(root))
-	if rootPtr == 0 {
-		return st, nil // pre-initialization crash: empty tree
-	}
-	steps := 0
-	var walk func(node isa.Addr, lo, hi uint64) error
-	walk = func(node isa.Addr, lo, hi uint64) error {
-		steps++
-		if steps > maxSteps {
-			return Corruption{"bstree", node, "walk exceeded step bound (cycle?)"}
-		}
-		if !node.Aligned() {
-			return Corruption{"bstree", node, "misaligned node pointer"}
-		}
-		key := img.Read(node + 0)
-		left := clean(img.Read(node + 16))
-		right := clean(img.Read(node + 24))
-		if key == 0 {
-			return Corruption{"bstree", node, "reachable node with uninitialized key"}
-		}
-		if key < lo || key > hi {
-			return Corruption{"bstree", node,
-				fmt.Sprintf("key %d escapes route bounds [%d,%d]", key, lo, hi)}
-		}
-		if left == 0 && right == 0 {
-			// Leaf.
-			st.Nodes++
-			if key == sentinel {
-				return nil
-			}
-			val := img.Read(node + 8)
-			if err := checkNode("bstree", node, key, val); err != nil {
-				return err
-			}
-			st.Members[key] = val
-			return nil
-		}
-		if left == 0 || right == 0 {
-			return Corruption{"bstree", node, "internal node with a missing child"}
-		}
-		st.Nodes++
-		// External BST routing: left subtree < key, right subtree >= key.
-		if err := walk(isa.Addr(left), lo, key-1); err != nil {
-			return err
-		}
-		return walk(isa.Addr(right), key, hi)
-	}
-	if err := walk(isa.Addr(rootPtr), 1, sentinel); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// WalkSkipList recovers a lock-free skip list from its head tower.
-// Layout: [key, val, height, next...]; maxHeight is the tower height.
-//
-// Only the bottom level is validated: the index levels carry plain
-// (volatile) annotations, so a crash image may hold index links whose
-// bottom-level counterparts never persisted — Release Persistency does
-// not order them. Null recovery rebuilds the index from the recovered
-// bottom level; WalkSkipListIndex offers the strict whole-structure
-// check for images known to be complete (clean shutdown).
-func WalkSkipList(img *mm.Memory, head isa.Addr, maxHeight int) (*SetState, error) {
-	st, _, err := walkSkipBottom(img, head)
-	return st, err
-}
-
-// WalkSkipListIndex validates the bottom level and every index level
-// (sortedness, height bounds, bottom membership of live index nodes).
+// WalkSkipListIndex is the whole-structure check for images known to be
+// complete (clean shutdown): ReportSkipList validates the bottom level,
+// then every index level must be a sorted subsequence of it (height
+// bounds, bottom membership of live index nodes). Crash images get
+// ReportSkipList alone, since their index levels may legitimately run
+// ahead of the bottom level.
 func WalkSkipListIndex(img *mm.Memory, head isa.Addr, maxHeight int) (*SetState, error) {
-	st, bottomKeys, err := walkSkipBottom(img, head)
-	if err != nil {
+	rep := ReportSkipList(img, head, maxHeight)
+	if err := rep.Err(); err != nil {
 		return nil, err
+	}
+	// The bottom level just walked clean, so collecting its keys needs
+	// no guards.
+	bottomKeys := make(map[uint64]bool, rep.Set.Nodes)
+	for ptr := clean(img.Read(head)); ptr != 0; ptr = clean(img.Read(isa.Addr(ptr) + 24)) {
+		bottomKeys[img.Read(isa.Addr(ptr))] = true
 	}
 	// Index levels must be sorted subsequences of the bottom level.
 	var prev uint64
@@ -258,50 +129,7 @@ func WalkSkipListIndex(img *mm.Memory, head isa.Addr, maxHeight int) (*SetState,
 			ptr = img.Read(node + isa.Addr(24+level*8))
 		}
 	}
-	return st, nil
-}
-
-// walkSkipBottom walks and validates the bottom level, which alone
-// defines membership.
-func walkSkipBottom(img *mm.Memory, head isa.Addr) (*SetState, map[uint64]bool, error) {
-	st := &SetState{Members: map[uint64]uint64{}}
-	bottomKeys := map[uint64]bool{}
-	prev := uint64(0)
-	ptr := img.Read(head) // level-0 cell
-	for steps := 0; ; steps++ {
-		if steps > maxSteps {
-			return nil, nil, Corruption{"skiplist", head, "walk exceeded step bound (cycle?)"}
-		}
-		node := isa.Addr(clean(ptr))
-		if node == 0 {
-			break
-		}
-		if !node.Aligned() {
-			return nil, nil, Corruption{"skiplist", node, "misaligned node pointer"}
-		}
-		key := img.Read(node + 0)
-		val := img.Read(node + 8)
-		height := img.Read(node + 16)
-		next := img.Read(node + 24)
-		if err := checkNode("skiplist", node, key, val); err != nil {
-			return nil, nil, err
-		}
-		if height == 0 {
-			return nil, nil, Corruption{"skiplist", node, "height 0"}
-		}
-		if key <= prev {
-			return nil, nil, Corruption{"skiplist", node,
-				fmt.Sprintf("bottom-level order violated: %d after %d", key, prev)}
-		}
-		prev = key
-		st.Nodes++
-		bottomKeys[key] = true
-		if next&markBit == 0 {
-			st.Members[key] = val
-		}
-		ptr = next
-	}
-	return st, bottomKeys, nil
+	return rep.Set, nil
 }
 
 // QueueState is the recovered logical content of the MS queue.
@@ -309,53 +137,4 @@ type QueueState struct {
 	// Values are the queued values from head to tail.
 	Values []uint64
 	Nodes  int
-}
-
-// WalkQueue recovers a Michael–Scott queue from its head and tail cells.
-// Layout: [val, next]; the head points at the dummy node.
-func WalkQueue(img *mm.Memory, head, tail isa.Addr) (*QueueState, error) {
-	st := &QueueState{}
-	hp := clean(img.Read(head))
-	tp := clean(img.Read(tail))
-	if hp == 0 {
-		if tp != 0 {
-			return nil, Corruption{"queue", head, "tail persisted before head"}
-		}
-		return st, nil // pre-initialization crash
-	}
-	// Skip the dummy, then collect values.
-	ptr := hp
-	sawTail := tp == 0
-	for steps := 0; ; steps++ {
-		if steps > maxSteps {
-			return nil, Corruption{"queue", head, "walk exceeded step bound (cycle?)"}
-		}
-		node := isa.Addr(ptr)
-		if !node.Aligned() {
-			return nil, Corruption{"queue", node, "misaligned node pointer"}
-		}
-		if ptr == tp {
-			sawTail = true
-		}
-		next := clean(img.Read(node + 8))
-		st.Nodes++
-		if next == 0 {
-			break
-		}
-		if !isa.Addr(next).Aligned() {
-			return nil, Corruption{"queue", isa.Addr(next), "misaligned node pointer"}
-		}
-		val := img.Read(isa.Addr(next) + 0)
-		if val == 0 {
-			return nil, Corruption{"queue", isa.Addr(next), "reachable node with uninitialized value"}
-		}
-		st.Values = append(st.Values, val)
-		ptr = next
-	}
-	if !sawTail {
-		// The tail pointer must land on a reachable node (it may lag the
-		// last node by at most the unswung links, but never escape).
-		return nil, Corruption{"queue", tail, "tail points outside the reachable chain"}
-	}
-	return st, nil
 }

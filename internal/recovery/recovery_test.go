@@ -42,6 +42,15 @@ func populate(s *memsys.System, set lfds.Set) map[uint64]uint64 {
 	return want
 }
 
+// recovered fails the test unless rep is clean and returns its contents.
+func recovered(t *testing.T, rep *Report) *SetState {
+	t.Helper()
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rep.Set
+}
+
 func checkMembers(t *testing.T, got *SetState, want map[uint64]uint64) {
 	t.Helper()
 	if len(got.Members) != len(want) {
@@ -60,11 +69,7 @@ func TestWalkListCleanShutdown(t *testing.T) {
 	want := populate(s, l)
 	s.Drain()
 	img := s.NVM().FinalImage(nil)
-	st, err := WalkList(img, l.Head())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMembers(t, st, want)
+	checkMembers(t, recovered(t, ReportList(img, l.Head())), want)
 }
 
 func TestWalkHashMapCleanShutdown(t *testing.T) {
@@ -74,11 +79,7 @@ func TestWalkHashMapCleanShutdown(t *testing.T) {
 	s.Drain()
 	img := s.NVM().FinalImage(nil)
 	base, n := h.Buckets()
-	st, err := WalkHashMap(img, base, n, h.BucketOf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMembers(t, st, want)
+	checkMembers(t, recovered(t, ReportHashMap(img, base, n, h.BucketOf)), want)
 }
 
 func TestWalkBSTCleanShutdown(t *testing.T) {
@@ -88,11 +89,7 @@ func TestWalkBSTCleanShutdown(t *testing.T) {
 	want := populate(s, b)
 	s.Drain()
 	img := s.NVM().FinalImage(nil)
-	st, err := WalkBST(img, b.Root(), lfds.BSTSentinel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMembers(t, st, want)
+	checkMembers(t, recovered(t, ReportBST(img, b.Root(), lfds.BSTSentinel)), want)
 }
 
 func TestWalkSkipListCleanShutdown(t *testing.T) {
@@ -107,11 +104,7 @@ func TestWalkSkipListCleanShutdown(t *testing.T) {
 	}
 	checkMembers(t, st, want)
 	// The bottom-only walker recovers the same membership.
-	st2, err := WalkSkipList(img, sl.Head(), lfds.MaxHeight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMembers(t, st2, want)
+	checkMembers(t, recovered(t, ReportSkipList(img, sl.Head(), lfds.MaxHeight)), want)
 }
 
 func TestWalkQueueCleanShutdown(t *testing.T) {
@@ -130,10 +123,11 @@ func TestWalkQueueCleanShutdown(t *testing.T) {
 	s.Drain()
 	img := s.NVM().FinalImage(nil)
 	head, tail := q.Anchors()
-	st, err := WalkQueue(img, head, tail)
-	if err != nil {
+	rep := ReportQueue(img, head, tail)
+	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
+	st := rep.Queue
 	if len(st.Values) != 18 {
 		t.Fatalf("recovered %d values, want 18", len(st.Values))
 	}
@@ -152,17 +146,13 @@ func TestWalkListDetectsGarbageNode(t *testing.T) {
 	node := isa.Addr(0x2000)
 	img.Write(head, uint64(node))
 	// Node linked but never initialized: the ARP failure mode.
-	if _, err := WalkList(img, head); err == nil {
-		t.Fatal("expected corruption for uninitialized node")
-	}
+	wantCorruption(t, ReportList(img, head).Err(), "uninitialized key")
 	// Now a bad value.
 	img.Write(node+0, 5)
 	img.Write(node+8, 99) // not DefaultVal(5)
-	if _, err := WalkList(img, head); err == nil {
-		t.Fatal("expected corruption for value mismatch")
-	}
+	wantCorruption(t, ReportList(img, head).Err(), "integrity convention")
 	img.Write(node+8, DefaultVal(5))
-	if _, err := WalkList(img, head); err != nil {
+	if err := ReportList(img, head).Err(); err != nil {
 		t.Fatalf("clean node rejected: %v", err)
 	}
 }
@@ -177,9 +167,7 @@ func TestWalkListDetectsOrderViolation(t *testing.T) {
 	img.Write(n1+16, uint64(n2))
 	img.Write(n2+0, 4) // out of order
 	img.Write(n2+8, DefaultVal(4))
-	if _, err := WalkList(img, head); err == nil {
-		t.Fatal("expected order violation")
-	}
+	wantCorruption(t, ReportList(img, head).Err(), "key order violated")
 }
 
 func TestWalkListDetectsCycle(t *testing.T) {
@@ -190,9 +178,7 @@ func TestWalkListDetectsCycle(t *testing.T) {
 	img.Write(n1+0, 1)
 	img.Write(n1+8, DefaultVal(1))
 	img.Write(n1+16, uint64(n1)) // self loop — also an order violation
-	if _, err := WalkList(img, head); err == nil {
-		t.Fatal("expected cycle/order detection")
-	}
+	wantCorruption(t, ReportList(img, head).Err(), "key order violated")
 }
 
 func TestWalkHashMapDetectsWrongBucket(t *testing.T) {
@@ -203,9 +189,7 @@ func TestWalkHashMapDetectsWrongBucket(t *testing.T) {
 	img.Write(node+0, 7)
 	img.Write(node+8, DefaultVal(7))
 	bucketOf := func(k uint64) uint64 { return 1 } // everything hashes to 1
-	if _, err := WalkHashMap(img, buckets, 2, bucketOf); err == nil {
-		t.Fatal("expected wrong-bucket detection")
-	}
+	wantCorruption(t, ReportHashMap(img, buckets, 2, bucketOf).Err(), "found in bucket 0, hashes to 1")
 }
 
 func TestWalkBSTDetectsMissingChild(t *testing.T) {
@@ -220,9 +204,7 @@ func TestWalkBSTDetectsMissingChild(t *testing.T) {
 	// persisted before it was linked.
 	img.Write(leaf+0, 5)
 	img.Write(leaf+8, DefaultVal(5))
-	if _, err := WalkBST(img, root, lfds.BSTSentinel); err == nil {
-		t.Fatal("expected missing-child detection")
-	}
+	wantCorruption(t, ReportBST(img, root, lfds.BSTSentinel).Err(), "missing child")
 }
 
 func TestWalkBSTDetectsRouteEscape(t *testing.T) {
@@ -238,16 +220,14 @@ func TestWalkBSTDetectsRouteEscape(t *testing.T) {
 	img.Write(l+8, DefaultVal(15))
 	img.Write(r+0, 20)
 	img.Write(r+8, DefaultVal(20))
-	if _, err := WalkBST(img, root, lfds.BSTSentinel); err == nil {
-		t.Fatal("expected route-bound detection")
-	}
+	wantCorruption(t, ReportBST(img, root, lfds.BSTSentinel).Err(), "escapes route bounds")
 }
 
 func TestWalkBSTEmptyImage(t *testing.T) {
 	img := mm.NewMemory()
-	st, err := WalkBST(img, 0x1000, lfds.BSTSentinel)
-	if err != nil || len(st.Members) != 0 {
-		t.Fatalf("empty image: %v %v", st, err)
+	rep := ReportBST(img, 0x1000, lfds.BSTSentinel)
+	if err := rep.Err(); err != nil || len(rep.Set.Members) != 0 {
+		t.Fatalf("empty image: %v %v", rep, err)
 	}
 }
 
@@ -260,11 +240,10 @@ func TestWalkSkipListDetectsPhantomIndexNode(t *testing.T) {
 	img.Write(node+0, 5)
 	img.Write(node+8, DefaultVal(5))
 	img.Write(node+16, 2) // height 2
-	if _, err := WalkSkipListIndex(img, head, lfds.MaxHeight); err == nil {
-		t.Fatal("expected phantom index node detection")
-	}
+	_, err := WalkSkipListIndex(img, head, lfds.MaxHeight)
+	wantCorruption(t, err, "not on the bottom level")
 	// The crash-image walker ignores the (volatile) index.
-	if _, err := WalkSkipList(img, head, lfds.MaxHeight); err != nil {
+	if err := ReportSkipList(img, head, lfds.MaxHeight).Err(); err != nil {
 		t.Fatalf("bottom-only walker should accept: %v", err)
 	}
 }
@@ -278,9 +257,8 @@ func TestWalkSkipListDetectsHeightLie(t *testing.T) {
 	img.Write(node+0, 5)
 	img.Write(node+8, DefaultVal(5))
 	img.Write(node+16, 1) // height 1, yet reachable at level 1
-	if _, err := WalkSkipListIndex(img, head, lfds.MaxHeight); err == nil {
-		t.Fatal("expected height violation detection")
-	}
+	_, err := WalkSkipListIndex(img, head, lfds.MaxHeight)
+	wantCorruption(t, err, "reachable at level 1")
 }
 
 func TestWalkQueueDetectsUninitializedNode(t *testing.T) {
@@ -290,25 +268,21 @@ func TestWalkQueueDetectsUninitializedNode(t *testing.T) {
 	img.Write(head, uint64(dummy))
 	img.Write(tail, uint64(dummy))
 	img.Write(dummy+8, uint64(n1)) // linked but val never persisted
-	if _, err := WalkQueue(img, head, tail); err == nil {
-		t.Fatal("expected uninitialized-node detection")
-	}
+	wantCorruption(t, ReportQueue(img, head, tail).Err(), "uninitialized value")
 }
 
 func TestWalkQueueTailBeforeHead(t *testing.T) {
 	img := mm.NewMemory()
 	head, tail := isa.Addr(0x1000), isa.Addr(0x1008)
 	img.Write(tail, uint64(0x2000))
-	if _, err := WalkQueue(img, head, tail); err == nil {
-		t.Fatal("expected tail-before-head detection")
-	}
+	wantCorruption(t, ReportQueue(img, head, tail).Err(), "tail persisted before head")
 }
 
 func TestWalkQueueEmptyImage(t *testing.T) {
 	img := mm.NewMemory()
-	st, err := WalkQueue(img, 0x1000, 0x1008)
-	if err != nil || len(st.Values) != 0 {
-		t.Fatalf("empty image: %v %v", st, err)
+	rep := ReportQueue(img, 0x1000, 0x1008)
+	if err := rep.Err(); err != nil || len(rep.Queue.Values) != 0 {
+		t.Fatalf("empty image: %v %v", rep, err)
 	}
 }
 
@@ -318,9 +292,7 @@ func TestWalkQueueUnreachableTail(t *testing.T) {
 	dummy := isa.Addr(0x2000)
 	img.Write(head, uint64(dummy))
 	img.Write(tail, uint64(0x9000)) // points nowhere in the chain
-	if _, err := WalkQueue(img, head, tail); err == nil {
-		t.Fatal("expected unreachable-tail detection")
-	}
+	wantCorruption(t, ReportQueue(img, head, tail).Err(), "tail points outside")
 }
 
 func TestCorruptionError(t *testing.T) {

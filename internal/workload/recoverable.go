@@ -14,10 +14,8 @@ type Recoverable interface {
 	Structure() string
 	// Recover performs the hardened null-recovery walk over img:
 	// corrupt nodes are quarantined into the report, never panicking.
+	// Its Err is the strict verdict: nil iff the image recovered in full.
 	Recover(img *mm.Memory) *recovery.Report
-	// RecoverStrict performs the strict walk, failing on the first
-	// structural violation (nil error: the image recovered in full).
-	RecoverStrict(img *mm.Memory) error
 }
 
 type recoverableSet struct {
@@ -42,24 +40,6 @@ func (r recoverableSet) Recover(img *mm.Memory) *recovery.Report {
 	panic("workload: unknown set structure")
 }
 
-func (r recoverableSet) RecoverStrict(img *mm.Memory) error {
-	var err error
-	switch s := r.set.(type) {
-	case *lfds.LinkedList:
-		_, err = recovery.WalkList(img, s.Head())
-	case *lfds.HashMap:
-		base, n := s.Buckets()
-		_, err = recovery.WalkHashMap(img, base, n, s.BucketOf)
-	case *lfds.BST:
-		_, err = recovery.WalkBST(img, s.Root(), lfds.BSTSentinel)
-	case *lfds.SkipList:
-		_, err = recovery.WalkSkipList(img, s.Head(), lfds.MaxHeight)
-	default:
-		panic("workload: unknown set structure")
-	}
-	return err
-}
-
 type recoverableQueue struct {
 	q *lfds.Queue
 }
@@ -69,10 +49,4 @@ func (r recoverableQueue) Structure() string { return "queue" }
 func (r recoverableQueue) Recover(img *mm.Memory) *recovery.Report {
 	head, tail := r.q.Anchors()
 	return recovery.ReportQueue(img, head, tail)
-}
-
-func (r recoverableQueue) RecoverStrict(img *mm.Memory) error {
-	head, tail := r.q.Anchors()
-	_, err := recovery.WalkQueue(img, head, tail)
-	return err
 }

@@ -187,29 +187,46 @@ func DefaultVal(key uint64) uint64 { return recovery.DefaultVal(key) }
 
 // --- null recovery ----------------------------------------------------------
 
+// Each Recover* walks one structure in a durable image and returns its
+// recovered contents, or the first structural violation as a
+// recovery.Corruption (with nil contents). They are the strict face of
+// the hardened walks behind CrashRecover and SweepCrash: a walk that
+// quarantined or abandoned anything fails.
+
 // RecoverList walks a linked list in a durable image.
 func RecoverList(img *Image, l *lfds.LinkedList) (*Recovered, error) {
-	return recovery.WalkList(img, l.Head())
+	return recoveredSet(recovery.ReportList(img, l.Head()))
 }
 
 // RecoverHashMap walks a hash map in a durable image.
 func RecoverHashMap(img *Image, h *lfds.HashMap) (*Recovered, error) {
 	base, n := h.Buckets()
-	return recovery.WalkHashMap(img, base, n, h.BucketOf)
+	return recoveredSet(recovery.ReportHashMap(img, base, n, h.BucketOf))
 }
 
 // RecoverBST walks a BST in a durable image.
 func RecoverBST(img *Image, b *lfds.BST) (*Recovered, error) {
-	return recovery.WalkBST(img, b.Root(), lfds.BSTSentinel)
+	return recoveredSet(recovery.ReportBST(img, b.Root(), lfds.BSTSentinel))
 }
 
-// RecoverSkipList walks a skip list in a durable image.
+// RecoverSkipList walks a skip list's bottom level in a durable image.
 func RecoverSkipList(img *Image, s *lfds.SkipList) (*Recovered, error) {
-	return recovery.WalkSkipList(img, s.Head(), lfds.MaxHeight)
+	return recoveredSet(recovery.ReportSkipList(img, s.Head(), lfds.MaxHeight))
 }
 
 // RecoverQueue walks an MS queue in a durable image.
 func RecoverQueue(img *Image, q *lfds.Queue) (*RecoveredQueue, error) {
 	head, tail := q.Anchors()
-	return recovery.WalkQueue(img, head, tail)
+	rep := recovery.ReportQueue(img, head, tail)
+	if err := rep.Err(); err != nil {
+		return nil, err
+	}
+	return rep.Queue, nil
+}
+
+func recoveredSet(rep *RecoveryReport) (*Recovered, error) {
+	if err := rep.Err(); err != nil {
+		return nil, err
+	}
+	return rep.Set, nil
 }

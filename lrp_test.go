@@ -49,13 +49,13 @@ func TestCrashRequiresTracking(t *testing.T) {
 	if _, err := Crash(m, 0); err == nil {
 		t.Fatal("expected error without TrackHB")
 	}
-	if _, _, _, err := FuzzCrashes(m, 1, 1); err == nil {
+	if _, err := SweepCrash(m, SweepOpts{}); err == nil {
 		t.Fatal("expected error without TrackHB")
 	}
 }
 
 func TestFuzzCrashesARPGap(t *testing.T) {
-	// Under ARP, crash fuzzing finds RP violations but no ARP-rule
+	// Under ARP, the crash sweep finds RP violations but no ARP-rule
 	// violations; under LRP, neither.
 	run := func(k Mechanism) (int, int) {
 		_, m, err := RunWorkload(tinyConfig(k), Spec{
@@ -64,14 +64,14 @@ func TestFuzzCrashesARPGap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, arp, first, err := FuzzCrashes(m, 400, 11)
+		sweep, err := SweepCrash(m, SweepOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rp > 0 && first == nil {
+		if sweep.RPBad > 0 && sweep.FirstRP == nil {
 			t.Fatal("missing first violation report")
 		}
-		return rp, arp
+		return sweep.RPBad, sweep.ARPBad
 	}
 	rp, arp := run(ARP)
 	if rp == 0 {

@@ -172,7 +172,7 @@ func FaultReport(o ExperimentOpts) (*Table, error) {
 		if err != nil {
 			return faultRow{}, fmt.Errorf("%s/%s: %w", structure, k, err)
 		}
-		sweep, err := SweepCrashBoundaries(m, rec)
+		sweep, err := SweepCrash(m, SweepOpts{Rec: rec, Workers: 1})
 		if err != nil {
 			return faultRow{}, fmt.Errorf("%s/%s: %w", structure, k, err)
 		}

@@ -122,7 +122,7 @@ func sweepKey(r *SweepReport) string {
 func TestParallelSweepDeterministic(t *testing.T) {
 	for _, k := range []Mechanism{ARP, LRP} {
 		m, rec := sweepMachine(t, k)
-		serial, err := SweepCrashBoundaries(m, rec)
+		serial, err := SweepCrash(m, SweepOpts{Rec: rec, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestParallelSweepDeterministic(t *testing.T) {
 		}
 		want := sweepKey(serial)
 		for _, w := range []int{2, 8} {
-			got, err := SweepCrashBoundariesParallel(m, rec, w)
+			got, err := SweepCrash(m, SweepOpts{Rec: rec, Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,7 +6,7 @@ import (
 )
 
 // Schema tags of the machine-readable crash-analysis exports
-// (lrpcrash -json, lrpcheck -json). Bump on any incompatible change so
+// (lrpcheck -json). Bump on any incompatible change so
 // downstream tooling fails loudly, mirroring obs.MetricsSchema.
 const (
 	// CrashSchema tags a single-instant CrashReport export.
