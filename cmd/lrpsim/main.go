@@ -18,6 +18,14 @@
 //
 //	lrpsim -run hashmap -mechanism LRP -threads 16 -size 16384 -ops 100
 //
+// The kv service workload takes its knobs on flags and, after the run
+// summary, prints the service metrics (per-op throughput, miss rates,
+// latency quantiles, per-tenant load):
+//
+//	lrpsim -run kv [-tenants 4] [-keys 0] [-skew zipfian] [-theta 990]
+//	       [-hotkeypct 10] [-hotoppct 90] [-mix 50,30,5,10,5]
+//	       [-minval 1] [-maxval 8] [-scanlen 8]
+//
 // Trace capture & replay (TRACES.md; cmd/lrptrace is the full toolchain):
 //
 //	-record FILE    with -run: record the run's memory-op trace to FILE
@@ -44,6 +52,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"strconv"
 	"strings"
 
 	"lrp"
@@ -70,6 +79,17 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "with -metrics: machine-readable registry export on stdout")
 		perfOn     = flag.Bool("perf", false, "with -run: attach the host-side phase profiler and print its report")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on ADDR (e.g. localhost:6060)")
+
+		tenants = flag.Int("tenants", 4, "tenant (shard) count")
+		keys    = flag.Int("keys", 0, "keys per tenant (0: size/tenants)")
+		skew    = flag.String("skew", "zipfian", "key popularity: uniform|zipfian|hotspot")
+		theta   = flag.Int("theta", 990, "zipfian theta in thousandths (1..999)")
+		hotKey  = flag.Int("hotkeypct", 10, "hotspot: hot fraction of the key space, percent")
+		hotOp   = flag.Int("hotoppct", 90, "hotspot: request fraction sent to the hot keys, percent")
+		mix     = flag.String("mix", "", "op mix get,set,del,cas,scan in percent (default 50,30,5,10,5)")
+		minVal  = flag.Int("minval", 1, "minimum value payload in 8-byte words")
+		maxVal  = flag.Int("maxval", 8, "maximum value payload in 8-byte words")
+		scanLen = flag.Int("scanlen", 8, "maximum keys visited per scan")
 	)
 	flag.Parse()
 
@@ -109,7 +129,18 @@ func main() {
 			fail(err)
 		}
 	case *run != "":
-		if err := runOne(*run, *mechanism, *threads, *cores, *ops, *size, *seed, *uncached, *tracePath, *recordPath, *metrics, *jsonOut, *perfOn); err != nil {
+		kv := lrp.KVParams{
+			Tenants: *tenants, KeysPerTenant: *keys, Skew: *skew, ThetaMilli: *theta,
+			HotKeyPct: *hotKey, HotOpPct: *hotOp,
+			MinValWords: *minVal, MaxValWords: *maxVal, ScanLen: *scanLen,
+		}
+		if *mix != "" {
+			var err error
+			if kv.GetPct, kv.SetPct, kv.DelPct, kv.CASPct, kv.ScanPct, err = parseMix(*mix); err != nil {
+				fail(err)
+			}
+		}
+		if err := runOne(*run, *mechanism, *threads, *cores, *ops, *size, *seed, kv, *uncached, *tracePath, *recordPath, *metrics, *jsonOut, *perfOn); err != nil {
 			fail(err)
 		}
 	case *experiment != "":
@@ -263,7 +294,21 @@ func replayTrace(path, mechName string, mechSet, metrics, jsonOut bool) error {
 	return nil
 }
 
-func runOne(structure, mechName string, threads, cores, ops, size int, seed uint64, uncached bool, tracePath, recordPath string, metrics, jsonOut, perfOn bool) error {
+func parseMix(s string) (g, st, d, ca, sc int, err error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != 5 {
+		return 0, 0, 0, 0, 0, fmt.Errorf("-mix wants 5 comma-separated percentages, got %q", s)
+	}
+	vals := make([]int, 5)
+	for i, p := range parts {
+		if vals[i], err = strconv.Atoi(strings.TrimSpace(p)); err != nil {
+			return 0, 0, 0, 0, 0, fmt.Errorf("-mix: %w", err)
+		}
+	}
+	return vals[0], vals[1], vals[2], vals[3], vals[4], nil
+}
+
+func runOne(structure, mechName string, threads, cores, ops, size int, seed uint64, kv lrp.KVParams, uncached bool, tracePath, recordPath string, metrics, jsonOut, perfOn bool) error {
 	k, err := lrp.ParseMechanism(mechName)
 	if err != nil {
 		return err
@@ -285,7 +330,8 @@ func runOne(structure, mechName string, threads, cores, ops, size int, seed uint
 	if size == 0 {
 		size = 4096
 	}
-	if metrics || tracePath != "" {
+	if metrics || tracePath != "" || structure == "kv" {
+		// kv always attaches one: its service metrics land in the registry.
 		cfg.Obs = lrp.NewObserver(cfg, tracePath != "", 0)
 	}
 	var prof *perf.Profiler
@@ -301,6 +347,9 @@ func runOne(structure, mechName string, threads, cores, ops, size int, seed uint
 		InitialSize:  size,
 		OpsPerThread: ops,
 		Seed:         seed,
+	}
+	if structure == "kv" {
+		spec.KV = kv
 	}
 	var res *lrp.Result
 	var m *lrp.Machine
@@ -348,6 +397,9 @@ func runOne(structure, mechName string, threads, cores, ops, size int, seed uint
 		fmt.Printf("downgrades      %d (I2 blocks: %d)\n", res.Sys.Downgrades, res.Sys.I2Stalls)
 		fmt.Printf("stall cycles    %d\n", res.Sys.StallCycles)
 		fmt.Printf("NVM traffic     %d bytes persisted, %d line reads\n", res.NVM.BytesPersisted, res.NVM.Reads)
+		if structure == "kv" {
+			printKVService(m, spec.KV.Normalized(size))
+		}
 		if prof != nil {
 			fmt.Println()
 			fmt.Println(prof.Report())
@@ -378,4 +430,37 @@ func runOne(structure, mechName string, threads, cores, ops, size int, seed uint
 		fmt.Printf("trace written to %s (load in Perfetto or chrome://tracing)\n", tracePath)
 	}
 	return nil
+}
+
+// printKVService prints the kv service's shape and the service metrics
+// its runner published to the obs registry.
+func printKVService(m *lrp.Machine, np lrp.KVParams) {
+	fmt.Printf("kv service      %d tenants x %d keys, %s skew, mix get%d/set%d/del%d/cas%d/scan%d\n",
+		np.Tenants, np.KeysPerTenant, np.Skew,
+		np.GetPct, np.SetPct, np.DelPct, np.CASPct, np.ScanPct)
+	reg := m.Observer().Registry()
+	fmt.Println()
+	fmt.Println("service metrics (measured window, simulated cycles):")
+	for _, op := range []string{"get", "set", "del", "cas", "scan"} {
+		n := reg.SumCounters("kv/ops/" + op)
+		if n == 0 {
+			continue
+		}
+		miss := reg.SumCounters("kv/miss/" + op)
+		lat := reg.MergeHistograms("kv/lat/" + op)
+		fmt.Printf("  %-5s %7d ops  %5.1f%% miss  lat p50=%-6d p99=%-6d mean=%.0f\n",
+			op, n, 100*float64(miss)/float64(n),
+			lat.Quantile(0.5), lat.Quantile(0.99), lat.Mean())
+	}
+	fmt.Printf("  scan keys read  %d\n", reg.SumCounters("kv/scan/keys"))
+	var loads []string
+	total := float64(0)
+	for t := 0; t < np.Tenants; t++ {
+		total += float64(reg.SumCounters(fmt.Sprintf("kv/tenant%d/ops", t)))
+	}
+	for t := 0; t < np.Tenants; t++ {
+		n := reg.SumCounters(fmt.Sprintf("kv/tenant%d/ops", t))
+		loads = append(loads, fmt.Sprintf("t%d=%.1f%%", t, 100*float64(n)/total))
+	}
+	fmt.Printf("  tenant load     %s\n", strings.Join(loads, " "))
 }

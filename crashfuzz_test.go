@@ -47,8 +47,10 @@ func TestCrashFuzzRPMechanisms(t *testing.T) {
 }
 
 // TestCrashFuzzRecoveryWalks verifies null recovery structurally: at
-// sampled crash instants under LRP, the per-structure walkers accept the
-// durable image (no garbage nodes, no broken invariants).
+// every crash boundary under LRP the durable image is a consistent cut,
+// and the per-structure walkers accept it (no garbage nodes, no broken
+// invariants). One NVM cursor advances through the boundaries, as in
+// SweepCrash.
 func TestCrashFuzzRecoveryWalks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash fuzzing is expensive; skipped with -short")
@@ -93,30 +95,31 @@ func TestCrashFuzzRecoveryWalks(t *testing.T) {
 		}
 	}
 	m.Run(progs)
-	end := m.Time()
-	for i := Time(1); i <= 40; i++ {
-		crash := end * i / 40
-		rep, err := Crash(m, crash)
-		if err != nil {
-			t.Fatal(err)
+	sweep, err := SweepCrash(m, SweepOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sweep.RPBad != 0 {
+		t.Fatalf("%v; first: %v", sweep, sweep.FirstRP.RPViolations[0])
+	}
+	t.Logf("%d crash boundaries", sweep.Boundaries)
+	cur := m.NVM().NewCursor(nil)
+	for _, at := range CrashBoundaries(m) {
+		img := cur.AdvanceTo(at)
+		if _, err := RecoverList(img, list); err != nil {
+			t.Fatalf("crash@%v: list: %v", at, err)
 		}
-		if !rep.ConsistentCut() {
-			t.Fatalf("crash@%v: inconsistent cut: %v", crash, rep.RPViolations[0])
+		if _, err := RecoverHashMap(img, h); err != nil {
+			t.Fatalf("crash@%v: hashmap: %v", at, err)
 		}
-		if _, err := RecoverList(rep.Image, list); err != nil {
-			t.Fatalf("crash@%v: list: %v", crash, err)
+		if _, err := RecoverBST(img, b); err != nil {
+			t.Fatalf("crash@%v: bst: %v", at, err)
 		}
-		if _, err := RecoverHashMap(rep.Image, h); err != nil {
-			t.Fatalf("crash@%v: hashmap: %v", crash, err)
+		if _, err := RecoverSkipList(img, sl); err != nil {
+			t.Fatalf("crash@%v: skiplist: %v", at, err)
 		}
-		if _, err := RecoverBST(rep.Image, b); err != nil {
-			t.Fatalf("crash@%v: bst: %v", crash, err)
-		}
-		if _, err := RecoverSkipList(rep.Image, sl); err != nil {
-			t.Fatalf("crash@%v: skiplist: %v", crash, err)
-		}
-		if _, err := RecoverQueue(rep.Image, q); err != nil {
-			t.Fatalf("crash@%v: queue: %v", crash, err)
+		if _, err := RecoverQueue(img, q); err != nil {
+			t.Fatalf("crash@%v: queue: %v", at, err)
 		}
 	}
 }

@@ -10,14 +10,13 @@
 // surviving a crash must be explained by a prefix of some linearization
 // of the recorded operation history, closed under happens-before.
 //
-// The checker consumes an operation History recorded by the workload
-// harness (or reconstructed from a trace): one Op per data-structure
-// call, carrying its invocation/response times, its abstract semantics
-// (kind, key, value, outcome), and the happens-before stamp of its
-// linearization-point write. Because every linearization point in
-// internal/lfds is a single release CAS, the linearized prefix durable
-// at a crash instant t is exactly {op : PersistedAt(op.Lin) <= t}, and
-// three checks pin the property:
+// The checker consumes an operation History that a Builder assembles
+// from a live run or from a trace: one Op per data-structure call,
+// carrying its abstract semantics (kind, key, value, outcome) and the
+// happens-before stamp of its linearization-point write. Because every
+// linearization point in internal/lfds is a single release CAS, the
+// linearized prefix durable at a crash instant t is exactly
+// {op : PersistedAt(op.Lin) <= t}, and three checks pin the property:
 //
 //   - closure: the durable prefix must be closed under happens-before
 //     between linearization writes (a violation is a Reordered op);
@@ -119,10 +118,6 @@ type Op struct {
 	OK bool
 	// Ret is the returned value (dequeue's popped value).
 	Ret uint64
-	// Invoke and Respond bracket the call in simulated time. They are
-	// zero for histories reconstructed from traces (the trace stream
-	// orders records without timestamping them).
-	Invoke, Respond engine.Time
 	// Lin is the happens-before stamp of the operation's linearization-
 	// point write (the release CAS). It is zero for read-only ops and for
 	// the rare mutating paths with no single linearizing write (a BST

@@ -10,7 +10,8 @@ package engine
 // lexicographic (clock, tid) order is a single integer compare and a
 // sift step moves one word instead of two parallel slots — the heap is
 // hot enough on park-heavy grids that halving its memory traffic is
-// visible in the bench grid. A tid→slot index keeps Remove O(log n).
+// visible in the bench grid. A tid→slot index guards Push against
+// enrolling a thread twice.
 //
 // All storage is retained across Reset, so a Leaderboard embedded in a
 // long-lived machine allocates only on first use (and when the core
@@ -80,23 +81,6 @@ func (lb *Leaderboard) PopMin() (tid int, clock Time) {
 		lb.down(0)
 	}
 	return int(t), Time(k >> tidBits)
-}
-
-// Remove unenrolls thread tid wherever it sits in the heap. A no-op when
-// the tid is not enrolled.
-func (lb *Leaderboard) Remove(tid int) {
-	i := lb.slot[tid]
-	if i == -1 {
-		return
-	}
-	last := len(lb.keys) - 1
-	lb.swap(int(i), last)
-	lb.keys = lb.keys[:last]
-	lb.slot[tid] = -1
-	if int(i) < last {
-		lb.down(int(i))
-		lb.up(int(i))
-	}
 }
 
 func (lb *Leaderboard) swap(i, j int) {

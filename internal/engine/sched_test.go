@@ -44,26 +44,6 @@ func TestLeaderboardOrdering(t *testing.T) {
 	}
 }
 
-func TestLeaderboardRemove(t *testing.T) {
-	var lb Leaderboard
-	lb.Reset(4)
-	for tid, c := range []Time{40, 20, 30, 10} {
-		lb.Push(tid, c)
-	}
-	lb.Remove(3) // current minimum
-	lb.Remove(0) // interior entry
-	lb.Remove(0) // not enrolled: no-op
-	if lb.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", lb.Len())
-	}
-	if tid, c := lb.PopMin(); tid != 1 || c != 20 {
-		t.Fatalf("PopMin = (%d, %v), want (1, 20cy)", tid, c)
-	}
-	if tid, c := lb.PopMin(); tid != 2 || c != 30 {
-		t.Fatalf("PopMin = (%d, %v), want (2, 30cy)", tid, c)
-	}
-}
-
 func TestLeaderboardResetReuses(t *testing.T) {
 	var lb Leaderboard
 	lb.Reset(4)
@@ -94,12 +74,6 @@ func TestLeaderboardRandomized(t *testing.T) {
 			c := Time(r.Intn(16)) // dense range forces ties
 			lb.Push(tid, c)
 			live[tid] = c
-		}
-		// Random removals.
-		for i := 0; i < 16; i++ {
-			tid := r.Intn(n)
-			lb.Remove(tid)
-			delete(live, tid)
 		}
 		var prev Time = -1
 		prevTid := -1

@@ -23,15 +23,14 @@ func init() {
 	})
 }
 
-// runner executes one kv run: it owns the store, the optional history,
-// and the host-side service stats (op counts, miss counts, simulated
-// latencies) published to the obs registry after the window. Worker
+// runner executes one kv run: it owns the store and the host-side
+// service stats (op counts, miss counts, simulated latencies) published
+// to the obs registry after the window. Worker
 // programs are scheduler coroutines on one host thread, so its fields
 // need no locking — channel handoffs order every access.
 type runner struct {
 	st *Store
 	p  workload.KVParams
-	h  *dlin.History
 
 	valSeq    []uint64 // per-thread value-id sequence
 	measuring bool     // inside the measured window (not warm-up)
@@ -43,7 +42,7 @@ type runner struct {
 	scanKeys  uint64 // live keys returned across all scans
 }
 
-func run(sys *memsys.System, spec workload.Spec, h *dlin.History) (*workload.Result, workload.Recoverable, error) {
+func run(sys *memsys.System, spec workload.Spec) (*workload.Result, workload.Recoverable, error) {
 	p := spec.KV.Normalized(spec.InitialSize)
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
@@ -51,7 +50,7 @@ func run(sys *memsys.System, spec workload.Spec, h *dlin.History) (*workload.Res
 	st := New(sys, p)
 	g := NewGen(p, spec.Seed)
 	r := &runner{
-		st: st, p: p, h: h,
+		st: st, p: p,
 		valSeq:    make([]uint64, spec.Threads),
 		tenantOps: make([]uint64, p.Tenants),
 	}
@@ -159,108 +158,61 @@ func (r *runner) exec(c *memsys.Ctx, rq Request) {
 	}
 }
 
+// The do* methods bracket each request with Ctx.OpBegin/OpEnd in the
+// dlin encoding, for the machine's history capture.
+
 func (r *runner) doGet(c *memsys.Ctx, rq Request) {
-	gk := globalKey(rq.Tenant, rq.Key)
 	inv := c.Now()
-	if r.h != nil {
-		c.OpBegin(uint8(dlin.OpGet), gk, 0)
-	}
+	c.OpBegin(uint8(dlin.OpGet), globalKey(rq.Tenant, rq.Key), 0)
 	id, ok := r.st.Get(c, rq.Tenant, rq.Key)
-	if r.h != nil {
-		lin, seq := c.OpEnd(ok, id)
-		r.h.Ops = append(r.h.Ops, dlin.Op{
-			Tid: c.ThreadID(), Kind: dlin.OpGet, Key: gk, OK: ok, Ret: id,
-			Invoke: inv, Respond: c.Now(), Lin: lin, LinSeq: seq,
-		})
-	}
+	c.OpEnd(ok, id)
 	r.note(rq, ok, c.Now()-inv)
 }
 
 func (r *runner) doSet(c *memsys.Ctx, rq Request) {
-	gk := globalKey(rq.Tenant, rq.Key)
 	id := r.nextVal(c.ThreadID())
 	inv := c.Now()
-	if r.h != nil {
-		c.OpBegin(uint8(dlin.OpSet), gk, id)
-	}
+	c.OpBegin(uint8(dlin.OpSet), globalKey(rq.Tenant, rq.Key), id)
 	r.st.Set(c, rq.Tenant, rq.Key, id, rq.ValWords)
-	if r.h != nil {
-		lin, seq := c.OpEnd(true, 0)
-		r.h.Ops = append(r.h.Ops, dlin.Op{
-			Tid: c.ThreadID(), Kind: dlin.OpSet, Key: gk, Val: id, OK: true,
-			Invoke: inv, Respond: c.Now(), Lin: lin, LinSeq: seq,
-		})
-	}
+	c.OpEnd(true, 0)
 	r.note(rq, true, c.Now()-inv)
 }
 
 func (r *runner) doDel(c *memsys.Ctx, rq Request) {
-	gk := globalKey(rq.Tenant, rq.Key)
 	inv := c.Now()
-	if r.h != nil {
-		c.OpBegin(uint8(dlin.OpDelete), gk, 0)
-	}
+	c.OpBegin(uint8(dlin.OpDelete), globalKey(rq.Tenant, rq.Key), 0)
 	ok := r.st.Delete(c, rq.Tenant, rq.Key)
-	if r.h != nil {
-		lin, seq := c.OpEnd(ok, 0)
-		r.h.Ops = append(r.h.Ops, dlin.Op{
-			Tid: c.ThreadID(), Kind: dlin.OpDelete, Key: gk, OK: ok,
-			Invoke: inv, Respond: c.Now(), Lin: lin, LinSeq: seq,
-		})
-	}
+	c.OpEnd(ok, 0)
 	r.note(rq, ok, c.Now()-inv)
 }
 
 // doCAS is memcached's compare-and-swap: observe the key's current
 // value, then install a fresh record iff it has not changed. OpBegin
 // comes after the observation — the expected value is an output of the
-// read, and the history (and trace) carries it in the begin record's
-// value slot.
+// read, and the begin carries it in its value slot; the end returns the
+// new value id (dlin.Builder maps them to Op.Exp and Op.Val).
 func (r *runner) doCAS(c *memsys.Ctx, rq Request) {
 	gk := globalKey(rq.Tenant, rq.Key)
 	inv := c.Now()
 	cell, cur, exp, live := r.st.Read(c, rq.Tenant, rq.Key)
 	if !live {
-		if r.h != nil {
-			c.OpBegin(uint8(dlin.OpCAS), gk, 0)
-			lin, seq := c.OpEnd(false, 0)
-			r.h.Ops = append(r.h.Ops, dlin.Op{
-				Tid: c.ThreadID(), Kind: dlin.OpCAS, Key: gk, OK: false,
-				Invoke: inv, Respond: c.Now(), Lin: lin, LinSeq: seq,
-			})
-		}
+		c.OpBegin(uint8(dlin.OpCAS), gk, 0)
+		c.OpEnd(false, 0)
 		r.note(rq, false, c.Now()-inv)
 		return
 	}
 	id := r.nextVal(c.ThreadID())
-	if r.h != nil {
-		c.OpBegin(uint8(dlin.OpCAS), gk, exp)
-	}
+	c.OpBegin(uint8(dlin.OpCAS), gk, exp)
 	ok := r.st.Swap(c, cell, cur, rq.Tenant, rq.Key, id, rq.ValWords)
-	if r.h != nil {
-		lin, seq := c.OpEnd(ok, id)
-		r.h.Ops = append(r.h.Ops, dlin.Op{
-			Tid: c.ThreadID(), Kind: dlin.OpCAS, Key: gk, Exp: exp, Val: id, OK: ok, Ret: id,
-			Invoke: inv, Respond: c.Now(), Lin: lin, LinSeq: seq,
-		})
-	}
+	c.OpEnd(ok, id)
 	r.note(rq, ok, c.Now()-inv)
 }
 
 func (r *runner) doScan(c *memsys.Ctx, rq Request) {
-	gk := globalKey(rq.Tenant, rq.Key)
 	inv := c.Now()
-	if r.h != nil {
-		c.OpBegin(uint8(dlin.OpScan), gk, 0)
-	}
+	c.OpBegin(uint8(dlin.OpScan), globalKey(rq.Tenant, rq.Key), 0)
 	n := r.st.Scan(c, rq.Tenant, rq.Key, r.p.ScanLen)
-	if r.h != nil {
-		lin, seq := c.OpEnd(n > 0, uint64(n))
-		r.h.Ops = append(r.h.Ops, dlin.Op{
-			Tid: c.ThreadID(), Kind: dlin.OpScan, Key: gk, OK: n > 0, Ret: uint64(n),
-			Invoke: inv, Respond: c.Now(), Lin: lin, LinSeq: seq,
-		})
-	}
+	c.OpEnd(n > 0, uint64(n))
 	if r.measuring {
 		r.scanKeys += uint64(n)
 	}

@@ -3,7 +3,6 @@ package memsys
 import (
 	"lrp/internal/engine"
 	"lrp/internal/isa"
-	"lrp/internal/model"
 	"lrp/internal/perf"
 )
 
@@ -116,46 +115,30 @@ func (c *Ctx) CAS(a isa.Addr, expected, val uint64, order isa.Ordering) (uint64,
 // the data-structure operation in progress. The lfds implementations
 // call it immediately after each successful linearizing CAS, before any
 // helping or cleanup write can displace the stamp. It costs no simulated
-// cycles; the captured stamp is read back through OpEnd, and an attached
-// operation recorder sees it as part of the trace's history channel.
+// cycles, and returns at once unless the run captures its history.
 func (c *Ctx) Linearize() {
 	s := c.sys
-	th := s.threads[c.tid]
-	th.opLin = th.lastStamp
-	th.opLinSeq = s.performSeq
-	if th.opOpen && s.opRec != nil {
-		s.opRec.RecordOpLin(c.tid)
+	for _, h := range s.hist {
+		h.RecordOpLin(c.tid, s.threads[c.tid].lastStamp, s.performSeq)
 	}
 }
 
 // OpBegin marks the invocation of an abstract data-structure operation
 // on this thread (kind/key/val use the dlin encoding). The workload
-// harness brackets each structure call with OpBegin/OpEnd when it is
-// building an operation history; unbracketed runs never reach the
-// recorder's history channel, so plain recordings are byte-identical.
+// harness brackets every structure call with OpBegin/OpEnd; both cost no
+// simulated cycles and return at once unless the run captures its
+// history, so uncaptured runs and plain recordings never see them.
 func (c *Ctx) OpBegin(kind uint8, key, val uint64) {
-	s := c.sys
-	th := s.threads[c.tid]
-	th.opOpen = true
-	th.opLin = model.Stamp{}
-	th.opLinSeq = 0
-	if s.opRec != nil {
-		s.opRec.RecordOpBegin(c.tid, kind, key, val)
+	for _, h := range c.sys.hist {
+		h.RecordOpBegin(c.tid, kind, key, val)
 	}
 }
 
-// OpEnd marks the operation's response, reporting its outcome, and
-// returns the linearization stamp Linearize captured since OpBegin
-// (zero when the operation never linearized) together with the global
-// perform-order index of that linearizing write.
-func (c *Ctx) OpEnd(ok bool, ret uint64) (model.Stamp, uint64) {
-	s := c.sys
-	th := s.threads[c.tid]
-	th.opOpen = false
-	if s.opRec != nil {
-		s.opRec.RecordOpEnd(c.tid, ok, ret)
+// OpEnd marks the operation's response, reporting its outcome.
+func (c *Ctx) OpEnd(ok bool, ret uint64) {
+	for _, h := range c.sys.hist {
+		h.RecordOpEnd(c.tid, ok, ret)
 	}
-	return th.opLin, th.opLinSeq
 }
 
 // Barrier executes an explicit full persist barrier.

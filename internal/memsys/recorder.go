@@ -5,6 +5,7 @@ import (
 
 	"lrp/internal/engine"
 	"lrp/internal/isa"
+	"lrp/internal/model"
 	"lrp/internal/perf"
 )
 
@@ -33,12 +34,12 @@ type Recorder interface {
 	RecordMark(id uint8)
 }
 
-// OpRecorder is the optional operation-history channel of a Recorder: a
-// recorder that also implements it receives the workload's abstract
-// data-structure operations (invocation, linearization point, response
-// with outcome) interleaved with the memory-op stream. The trace writer
-// implements it so recorded traces carry the history durable-
-// linearizability checking needs; plain recorders ignore it.
+// OpRecorder receives a run's abstract data-structure operations
+// (invocation, linearization point, response with outcome) interleaved
+// with the memory-op stream, while the run captures its history
+// (System.CaptureHistory). dlin.Builder implements it to assemble the
+// history; a Recorder that also implements it — the trace writer — gets
+// the same events, so the trace carries the history too.
 //
 // The callbacks fire between memory operations while the scheduler holds
 // the machine single-threaded, under the same rules as Recorder's.
@@ -49,10 +50,22 @@ type OpRecorder interface {
 	RecordOpBegin(tid int, kind uint8, key, val uint64)
 	// RecordOpLin marks the thread's most recent write — necessarily the
 	// memory op recorded immediately before — as the operation's
-	// linearization point.
-	RecordOpLin(tid int)
+	// linearization point: lin is its happens-before stamp (zero without
+	// a tracker) and linSeq its global perform-order index.
+	RecordOpLin(tid int, lin model.Stamp, linSeq uint64)
 	// RecordOpEnd marks the operation's response with its outcome.
 	RecordOpEnd(tid int, ok bool, ret uint64)
+}
+
+// CaptureHistory starts the run's history capture: from now on every
+// OpBegin, Linearize and OpEnd goes to h, and to the attached recorder
+// too when it implements OpRecorder (the trace writer's op-history
+// channel).
+func (s *System) CaptureHistory(h OpRecorder) {
+	s.hist = []OpRecorder{h}
+	if or, ok := s.rec.(OpRecorder); ok {
+		s.hist = append(s.hist, or)
+	}
 }
 
 // Phase-marker ids emitted by the workload harness. Replay uses them to

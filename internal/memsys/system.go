@@ -70,13 +70,9 @@ type thread struct {
 	recWork engine.Time
 
 	// lastStamp is the happens-before stamp of the thread's most recent
-	// write (zero without a tracker). Ctx.Linearize snapshots it into
-	// opLin/opLinSeq to mark an operation's linearization point; opOpen
-	// tracks whether an instrumented operation is in progress.
+	// write (zero without a tracker); Ctx.Linearize reports it as an
+	// operation's linearization point.
 	lastStamp model.Stamp
-	opLin     model.Stamp
-	opLinSeq  uint64
-	opOpen    bool
 
 	// Persistency bookkeeping shared by all mechanisms; mechanism-private
 	// state lives inside the mech.Mechanism implementations.
@@ -145,10 +141,13 @@ type System struct {
 	obs *obs.Observer
 
 	// rec receives the memory-op stream at perform points; nil when the
-	// machine is not being recorded. opRec is rec's optional operation-
-	// history channel (type-asserted once at New).
-	rec   Recorder
-	opRec OpRecorder
+	// machine is not being recorded.
+	rec Recorder
+
+	// hist receives the operation history while a run captures one
+	// (CaptureHistory): the capturing OpRecorder, then rec's op-history
+	// channel when rec has one. Empty otherwise.
+	hist []OpRecorder
 
 	// performSeq counts perform calls: a total order over all memory
 	// operations in the scheduler's global virtual-time order, used to
@@ -179,9 +178,6 @@ func New(cfg Config) (*System, error) {
 		obs:         cfg.Obs,
 		rec:         cfg.Rec,
 		perf:        cfg.Perf,
-	}
-	if or, ok := cfg.Rec.(OpRecorder); ok {
-		s.opRec = or
 	}
 	if cfg.TrackHB {
 		s.tracker = model.NewTracker(cfg.Cores)

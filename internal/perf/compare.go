@@ -96,14 +96,14 @@ const (
 
 // CompareRow is one (cell, metric) comparison.
 type CompareRow struct {
-	Cell   string  `json:"cell"`
-	Metric string  `json:"metric"`
+	Cell   string `json:"cell"`
+	Metric string `json:"metric"`
 	// Old/New are the point estimates the verdict compared: the best
 	// (minimum) rep for time-derived metrics, the median otherwise
 	// (see timeEst).
-	Old float64 `json:"old"`
-	New float64 `json:"new"`
-	Delta  float64 `json:"delta"` // (new-old)/old, raw
+	Old   float64 `json:"old"`
+	New   float64 `json:"new"`
+	Delta float64 `json:"delta"` // (new-old)/old, raw
 	// CalDelta is the delta after dividing the grid-wide host-speed
 	// ratio out of the new value; equals Delta when calibration did not
 	// apply (count metric, too few cells, or NoCalibrate). The verdict

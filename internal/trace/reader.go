@@ -56,24 +56,13 @@ type Reader struct {
 	embedded *EmbeddedResult
 	done     bool
 
-	// Op-history reconstruction. wseq counts each thread's dynamic
-	// writes (stores and successful CASes) so a recOpLin record can be
-	// rebuilt into the same model.Stamp a TrackHB replay of this trace
-	// assigns to that write; open holds each thread's in-flight abstract
-	// operation between its begin and end records.
-	hist *dlin.History
+	// Op-history reconstruction. hist assembles the op-history records
+	// into a History. wseq counts each thread's dynamic writes (stores
+	// and successful CASes) so a recOpLin record can be rebuilt into the
+	// same model.Stamp a TrackHB replay of this trace assigns to that
+	// write.
+	hist *dlin.Builder
 	wseq []uint64
-	open []histOpen
-}
-
-// histOpen is one thread's in-flight abstract operation.
-type histOpen struct {
-	active bool
-	kind   dlin.Kind
-	key    uint64
-	val    uint64
-	lin    model.Stamp
-	linSeq uint64
 }
 
 // NewReader validates the file framing and header and positions the
@@ -117,7 +106,7 @@ func NewReader(src io.Reader) (*Reader, error) {
 		tr:   teeByteReader{r: bufio.NewReader(zr)},
 		last: make([]int64, h.Config.Cores),
 		wseq: make([]uint64, h.Config.Cores),
-		open: make([]histOpen, h.Config.Cores),
+		hist: dlin.NewBuilder(h.Spec.Structure, h.Config.Cores),
 	}, nil
 }
 
@@ -139,14 +128,27 @@ func (r *Reader) Ops() uint64 { return r.ops }
 func (r *Reader) Records() uint64 { return r.recs }
 
 // History returns the abstract operation history carried by the trace,
-// nil when it was recorded without history instrumentation. Complete
-// once the stream has been fully read. Linearization stamps are rebuilt
+// nil when it was recorded without history capture. Call it once the
+// stream has been fully read. Linearization stamps are rebuilt
 // positionally — Stamp{tid, k} is thread tid's k-th dynamic write — which
 // is exactly the stamp a Config.TrackHB replay of this trace assigns, so
 // the history checks directly against the replay machine's tracker.
-// Invocation and response times are not carried by the trace and read as
-// zero.
-func (r *Reader) History() *dlin.History { return r.hist }
+func (r *Reader) History() *dlin.History {
+	// Every op-history record belongs to an operation, so a trace with
+	// any has at least one.
+	if h, err := r.hist.Finish(); err == nil && len(h.Ops) > 0 {
+		return h
+	}
+	return nil
+}
+
+// histErr reports the builder's protocol error as a trace error.
+func (r *Reader) histErr() error {
+	if err := r.hist.Err(); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	return nil
+}
 
 func (r *Reader) uvarint() (uint64, error) {
 	v, err := binary.ReadUvarint(&r.tr)
@@ -341,14 +343,8 @@ func (r *Reader) decodeOpBegin() error {
 	if err != nil {
 		return err
 	}
-	if r.open[tid].active {
-		return fmt.Errorf("trace: thread %d begins an operation inside an open one", tid)
-	}
-	if r.hist == nil {
-		r.hist = &dlin.History{Structure: r.h.Spec.Structure}
-	}
-	r.open[tid] = histOpen{active: true, kind: kind, key: key, val: val}
-	return nil
+	r.hist.RecordOpBegin(tid, kb, key, val)
+	return r.histErr()
 }
 
 func (r *Reader) decodeOpLin() error {
@@ -356,15 +352,13 @@ func (r *Reader) decodeOpLin() error {
 	if err != nil {
 		return err
 	}
-	o := &r.open[tid]
-	if !o.active {
-		return fmt.Errorf("trace: thread %d linearizes with no open operation", tid)
+	r.hist.RecordOpLin(tid, model.Stamp{Tid: tid, Seq: r.wseq[tid]}, r.ops)
+	if err := r.histErr(); err != nil {
+		return err
 	}
 	if r.wseq[tid] == 0 {
 		return fmt.Errorf("trace: thread %d linearizes before its first write", tid)
 	}
-	o.lin = model.Stamp{Tid: tid, Seq: r.wseq[tid]}
-	o.linSeq = r.ops
 	return nil
 }
 
@@ -384,23 +378,8 @@ func (r *Reader) decodeOpEnd() error {
 	if err != nil {
 		return err
 	}
-	o := &r.open[tid]
-	if !o.active {
-		return fmt.Errorf("trace: thread %d ends an operation it never began", tid)
-	}
-	op := dlin.Op{
-		Tid: tid, Kind: o.kind, Key: o.key, Val: o.val,
-		OK: okb == 1, Ret: ret, Lin: o.lin, LinSeq: o.linSeq,
-	}
-	if o.kind == dlin.OpCAS {
-		// A CAS begin record carries the observed expected value in the
-		// value slot and the end record's ret is the new value installed
-		// (see the kv runner): remap them to the Op's Exp/Val fields.
-		op.Exp, op.Val = o.val, ret
-	}
-	r.hist.Ops = append(r.hist.Ops, op)
-	*o = histOpen{}
-	return nil
+	r.hist.RecordOpEnd(tid, okb == 1, ret)
+	return r.histErr()
 }
 
 func (r *Reader) decodeResult() error {
@@ -465,10 +444,8 @@ func (r *Reader) decodeEnd() error {
 	if want := binary.LittleEndian.Uint32(cb[:]); want != r.crc {
 		return fmt.Errorf("trace: stream checksum %08x, want %08x", r.crc, want)
 	}
-	for tid := range r.open {
-		if r.open[tid].active {
-			return fmt.Errorf("trace: thread %d has an unfinished op-history operation at end of stream", tid)
-		}
+	if _, err := r.hist.Finish(); err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
 	// The end record must be the last: a clean gzip EOF must follow
 	// (this also forces the gzip footer checks to run).

@@ -15,38 +15,21 @@ import (
 // themselves against it. Returns the live result and the capture
 // summary.
 func Record(cfg memsys.Config, spec workload.Spec, dst io.Writer) (*workload.Result, *memsys.System, Summary, error) {
-	if cfg.Rec != nil {
-		return nil, nil, Summary{}, fmt.Errorf("trace: config already carries a recorder")
-	}
-	if cfg.Faults.Enabled() {
-		return nil, nil, Summary{}, fmt.Errorf("trace: fault injection cannot be recorded (traces capture the fault-free op stream)")
-	}
-	w, err := NewWriter(dst, HeaderFor(cfg, spec))
-	if err != nil {
-		return nil, nil, Summary{}, err
-	}
-	w.SetObserver(cfg.Obs)
-	cfg.Rec = w
-	res, sys, err := workload.Run(cfg, spec)
-	if err != nil {
-		return nil, nil, Summary{}, err
-	}
-	sys.FlushRecorder()
-	w.SetResult(EmbedResult(res))
-	if err := w.Close(); err != nil {
-		return nil, nil, Summary{}, err
-	}
-	return res, sys, w.Summary(), nil
+	res, sys, _, _, sum, err := recordRun(cfg, spec, dst, false)
+	return res, sys, sum, err
 }
 
 // RecordHistory is Record plus abstract-operation history capture: the
-// workload runs through the history-instrumented wrappers, the trace
-// gains footer-class op-history records, and the live run's Recoverable
-// handle and history come back alongside the usual outputs. The op
-// stream — and so the checksum — is identical to what Record captures
-// for the same (cfg, spec): op-history records ride outside the
+// trace gains footer-class op-history records, and the live run's
+// Recoverable handle and history come back alongside the usual outputs.
+// The op stream — and so the checksum — is identical to what Record
+// captures for the same (cfg, spec): op-history records ride outside the
 // checksummed stream.
 func RecordHistory(cfg memsys.Config, spec workload.Spec, dst io.Writer) (*workload.Result, *memsys.System, workload.Recoverable, *dlin.History, Summary, error) {
+	return recordRun(cfg, spec, dst, true)
+}
+
+func recordRun(cfg memsys.Config, spec workload.Spec, dst io.Writer, hist bool) (*workload.Result, *memsys.System, workload.Recoverable, *dlin.History, Summary, error) {
 	fail := func(err error) (*workload.Result, *memsys.System, workload.Recoverable, *dlin.History, Summary, error) {
 		return nil, nil, nil, nil, Summary{}, err
 	}
@@ -62,7 +45,17 @@ func RecordHistory(cfg memsys.Config, spec workload.Spec, dst io.Writer) (*workl
 	}
 	w.SetObserver(cfg.Obs)
 	cfg.Rec = w
-	res, sys, rec, h, err := workload.RunRecoverableHist(cfg, spec)
+	var (
+		res *workload.Result
+		sys *memsys.System
+		rec workload.Recoverable
+		h   *dlin.History
+	)
+	if hist {
+		res, sys, rec, h, err = workload.RunRecoverableHist(cfg, spec)
+	} else {
+		res, sys, rec, err = workload.RunRecoverable(cfg, spec)
+	}
 	if err != nil {
 		return fail(err)
 	}

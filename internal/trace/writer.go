@@ -9,6 +9,7 @@ import (
 
 	"lrp/internal/engine"
 	"lrp/internal/isa"
+	"lrp/internal/model"
 	"lrp/internal/obs"
 )
 
@@ -188,7 +189,7 @@ func (w *Writer) RecordMark(id uint8) {
 // RecordOpBegin implements memsys.OpRecorder: an abstract data-structure
 // operation opens on thread tid. Op-history records are footer-class —
 // excluded from the stream checksum and record count — so recording with
-// history instrumentation does not change the trace's op-stream identity.
+// history capture does not change the trace's op-stream identity.
 func (w *Writer) RecordOpBegin(tid int, kind uint8, key, val uint64) {
 	w.buf = append(w.buf, recOpBegin)
 	w.buf = binary.AppendUvarint(w.buf, uint64(tid))
@@ -199,10 +200,10 @@ func (w *Writer) RecordOpBegin(tid int, kind uint8, key, val uint64) {
 }
 
 // RecordOpLin implements memsys.OpRecorder: the operation open on tid
-// linearized at the thread's most recent write. The stamp itself is not
-// stored; its stream position (immediately after the linearizing op
-// record) lets the reader rebuild it by counting tid's writes.
-func (w *Writer) RecordOpLin(tid int) {
+// linearized at the thread's most recent write. The stamp and sequence
+// number are not stored; the record's stream position (immediately after
+// the linearizing op record) lets the reader rebuild both.
+func (w *Writer) RecordOpLin(tid int, _ model.Stamp, _ uint64) {
 	w.buf = append(w.buf, recOpLin)
 	w.buf = binary.AppendUvarint(w.buf, uint64(tid))
 	w.flushFooter()

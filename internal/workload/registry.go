@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"lrp/internal/dlin"
 	"lrp/internal/lfds"
 	"lrp/internal/memsys"
 )
@@ -21,9 +20,9 @@ type Kind struct {
 	Summary string
 	// Run executes the workload on a fresh machine. The harness has
 	// already validated spec and checked spec.Threads against the core
-	// count. A non-nil h asks for operation-history capture; the
-	// instrumentation must add no simulated cycles.
-	Run func(sys *memsys.System, spec Spec, h *dlin.History) (*Result, Recoverable, error)
+	// count. Run brackets every structure call with Ctx.OpBegin/OpEnd
+	// (dlin encoding), so a run that captures its history records it.
+	Run func(sys *memsys.System, spec Spec) (*Result, Recoverable, error)
 	// Anchors rebuilds a Recoverable handle on a machine whose run is
 	// driven externally (trace replay): pure static-arena allocation,
 	// no stores.

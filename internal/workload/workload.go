@@ -137,39 +137,49 @@ func Run(cfg memsys.Config, spec Spec) (*Result, *memsys.System, error) {
 // RunRecoverable is Run plus a Recoverable handle bound to the run's
 // structure anchors, for crash-image recovery walks after the fact.
 func RunRecoverable(cfg memsys.Config, spec Spec) (*Result, *memsys.System, Recoverable, error) {
-	return runRecoverable(cfg, spec, nil)
+	res, sys, rec, _, err := runRecoverable(cfg, spec, false)
+	return res, sys, rec, err
 }
 
-// RunRecoverableHist is RunRecoverable plus a recorded operation history:
+// RunRecoverableHist is RunRecoverable plus a captured operation history:
 // every structure call (warm-up fill included) is logged with its
-// abstract semantics, invocation/response times, and linearization
-// stamp, for durable-linearizability checking over crash boundaries. The
-// instrumentation adds no simulated cycles, so the Result is identical
-// to RunRecoverable's.
+// abstract semantics and linearization stamp, for durable-
+// linearizability checking over crash boundaries. The capture adds no
+// simulated cycles, so the Result is identical to RunRecoverable's.
 func RunRecoverableHist(cfg memsys.Config, spec Spec) (*Result, *memsys.System, Recoverable, *dlin.History, error) {
-	h := &dlin.History{Structure: spec.Structure}
-	res, sys, rec, err := runRecoverable(cfg, spec, h)
-	return res, sys, rec, h, err
+	return runRecoverable(cfg, spec, true)
 }
 
-func runRecoverable(cfg memsys.Config, spec Spec, h *dlin.History) (*Result, *memsys.System, Recoverable, error) {
+func runRecoverable(cfg memsys.Config, spec Spec, capture bool) (*Result, *memsys.System, Recoverable, *dlin.History, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	if spec.Threads > cfg.Cores {
-		return nil, nil, nil, fmt.Errorf("workload: %d threads exceed %d cores", spec.Threads, cfg.Cores)
+		return nil, nil, nil, nil, fmt.Errorf("workload: %d threads exceed %d cores", spec.Threads, cfg.Cores)
 	}
 	sys, err := memsys.New(cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
+	}
+	var b *dlin.Builder
+	if capture {
+		b = dlin.NewBuilder(spec.Structure, cfg.Cores)
+		sys.CaptureHistory(b)
 	}
 
 	k, err := ParseKind(spec.Structure)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
-	res, rec, err := k.Run(sys, spec, h)
-	return res, sys, rec, err
+	res, rec, err := k.Run(sys, spec)
+	if err != nil || b == nil {
+		return res, sys, rec, nil, err
+	}
+	h, err := b.Finish()
+	if err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("workload: op history: %w", err)
+	}
+	return res, sys, rec, h, nil
 }
 
 // newSet allocates a set structure's anchors without running any
@@ -220,12 +230,11 @@ func AnchorsFor(sys *memsys.System, spec Spec) (Recoverable, error) {
 	return k.Anchors(sys, spec)
 }
 
-func runSet(sys *memsys.System, spec Spec, h *dlin.History) (*Result, Recoverable, error) {
-	built := buildSet(sys, spec)
-	var set lfds.Set = built
-	if h != nil {
-		set = &histSet{set: built, h: h}
-	}
+// runSet drives a set structure. Every structure call is bracketed with
+// Ctx.OpBegin/OpEnd in the dlin encoding, for the machine's history
+// capture.
+func runSet(sys *memsys.System, spec Spec) (*Result, Recoverable, error) {
+	set := buildSet(sys, spec)
 	kr := spec.keyRange()
 
 	// Warm-up fill: every even key, split across the workers, so the
@@ -248,7 +257,9 @@ func runSet(sys *memsys.System, spec Spec, h *dlin.History) (*Result, Recoverabl
 				keys[j], keys[o] = keys[o], keys[j]
 			}
 			for _, k := range keys {
-				set.Insert(c, k, recovery.DefaultVal(k))
+				v := recovery.DefaultVal(k)
+				c.OpBegin(uint8(dlin.OpInsert), k, v)
+				c.OpEnd(set.Insert(c, k, v), 0)
 			}
 		}
 	}
@@ -270,11 +281,15 @@ func runSet(sys *memsys.System, spec Spec, h *dlin.History) (*Result, Recoverabl
 				key := r.Uint64n(kr) + 1
 				switch {
 				case spec.ReadPct > 0 && r.Intn(100) < spec.ReadPct:
-					set.Contains(c, key)
+					c.OpBegin(uint8(dlin.OpContains), key, 0)
+					c.OpEnd(set.Contains(c, key), 0)
 				case r.Bool():
-					set.Insert(c, key, recovery.DefaultVal(key))
+					v := recovery.DefaultVal(key)
+					c.OpBegin(uint8(dlin.OpInsert), key, v)
+					c.OpEnd(set.Insert(c, key, v), 0)
 				default:
-					set.Delete(c, key)
+					c.OpBegin(uint8(dlin.OpDelete), key, 0)
+					c.OpEnd(set.Delete(c, key), 0)
 				}
 			}
 		}
@@ -283,17 +298,23 @@ func runSet(sys *memsys.System, spec Spec, h *dlin.History) (*Result, Recoverabl
 	sys.Mark(memsys.MarkWindowEnd)
 
 	return Collect(spec, sys, start, end, sysBefore, nvmBefore),
-		recoverableSet{name: spec.Structure, set: built}, nil
+		recoverableSet{name: spec.Structure, set: set}, nil
 }
 
-func runQueue(sys *memsys.System, spec Spec, h *dlin.History) (*Result, Recoverable, error) {
+// runQueue drives the MS queue, bracketing its calls like runSet.
+func runQueue(sys *memsys.System, spec Spec) (*Result, Recoverable, error) {
 	q := lfds.NewQueue(sys)
 	sys.RunOne(func(c *memsys.Ctx) { q.Init(c) })
 
-	hq := &histQueue{q: q, h: h}
-	enqueue, dequeue := q.Enqueue, q.Dequeue
-	if h != nil {
-		enqueue, dequeue = hq.enqueue, hq.dequeue
+	enqueue := func(c *memsys.Ctx, v uint64) {
+		c.OpBegin(uint8(dlin.OpEnqueue), 0, v)
+		q.Enqueue(c, v)
+		c.OpEnd(true, 0)
+	}
+	dequeue := func(c *memsys.Ctx) {
+		c.OpBegin(uint8(dlin.OpDequeue), 0, 0)
+		v, ok := q.Dequeue(c)
+		c.OpEnd(ok, v)
 	}
 
 	// Warm-up: fill InitialSize elements from thread 0.

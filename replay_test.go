@@ -16,6 +16,7 @@ import (
 	"sort"
 	"testing"
 
+	"lrp/internal/dlin"
 	"lrp/internal/exp"
 	"lrp/internal/trace"
 )
@@ -189,15 +190,24 @@ func TestReplayComparisonDeterministic(t *testing.T) {
 }
 
 // TestTraceHistoryRoundTrip: the trace is a complete durable-
-// linearizability witness. Record a history-instrumented run, replay the
-// trace with tracking on in a fresh process-equivalent (no state from
-// the recording machine), and the replayed history must match the live
-// one op for op; a recovery handle rebuilt from the spec alone must then
-// support a full dlin sweep over the replay machine, as clean as the
-// live run's.
+// linearizability witness, for every registered workload. Record a
+// history-capturing run, replay the trace with tracking on in a fresh
+// process-equivalent (no state from the recording machine), and the
+// replayed history must equal the live one op for op, whole Op values
+// included (kv's CAS Exp/Val remap among them); a recovery handle
+// rebuilt from the spec alone must then support a full dlin sweep over
+// the replay machine, as clean as the live run's.
 func TestTraceHistoryRoundTrip(t *testing.T) {
+	for _, structure := range WorkloadNames() {
+		t.Run(structure, func(t *testing.T) {
+			testTraceHistoryRoundTrip(t, structure)
+		})
+	}
+}
+
+func testTraceHistoryRoundTrip(t *testing.T, structure string) {
 	cfg := tinyConfig(LRP)
-	spec := Spec{Structure: "hashmap", Threads: 2, InitialSize: 32, OpsPerThread: 20, Seed: 5}
+	spec := Spec{Structure: structure, Threads: 2, InitialSize: 32, OpsPerThread: 20, Seed: 5}
 	var buf bytes.Buffer
 	live, m, rec, hist, sum, err := RecordTraceHist(cfg, spec, &buf)
 	if err != nil {
@@ -208,6 +218,15 @@ func TestTraceHistoryRoundTrip(t *testing.T) {
 	}
 	if hist.Updates() == 0 {
 		t.Fatal("live history recorded no updates")
+	}
+	if structure == "kv" {
+		swapped := false
+		for _, o := range hist.Ops {
+			swapped = swapped || (o.Kind == dlin.OpCAS && o.OK && o.Exp != 0 && o.Val != 0)
+		}
+		if !swapped {
+			t.Fatal("kv history holds no successful CAS to pin the Exp/Val remap")
+		}
 	}
 
 	// The live machine sweeps clean (baseline for the replay comparison).
@@ -224,7 +243,7 @@ func TestTraceHistoryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rp.History == nil {
-		t.Fatal("replay of a history-instrumented trace carries no history")
+		t.Fatal("replay of a history-capturing trace carries no history")
 	}
 	if got, want := len(rp.History.Ops), len(hist.Ops); got != want {
 		t.Fatalf("replayed history has %d ops, live %d", got, want)
@@ -233,9 +252,7 @@ func TestTraceHistoryRoundTrip(t *testing.T) {
 		t.Fatalf("replayed history structure %q, live %q", rp.History.Structure, hist.Structure)
 	}
 	for i, o := range rp.History.Ops {
-		l := hist.Ops[i]
-		if o.Tid != l.Tid || o.Kind != l.Kind || o.Key != l.Key || o.Val != l.Val ||
-			o.OK != l.OK || o.Ret != l.Ret || o.Lin != l.Lin || o.LinSeq != l.LinSeq {
+		if l := hist.Ops[i]; o != l {
 			t.Fatalf("history op %d differs after the trace round trip:\n got %+v\nwant %+v", i, o, l)
 		}
 	}
