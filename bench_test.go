@@ -343,3 +343,42 @@ func BenchmarkCrashCheck(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSweepCrashKV times the exhaustive crash sweep the way the
+// end-to-end sweep-kv workload runs it: one kv run per mechanism (LRP,
+// ARP, eADR; 4 threads, 16 cores, 512 keys, 100 ops per thread), swept
+// serially with a recovery walk and a durable-linearizability check at
+// every boundary. The runs are set up outside the timer.
+func BenchmarkSweepCrashKV(b *testing.B) {
+	type run struct {
+		m    *Machine
+		rec  Recoverable
+		hist *OpHistory
+	}
+	var runs []run
+	for _, mech := range []Mechanism{LRP, ARP, EADR} {
+		cfg := DefaultConfig().WithMechanism(mech)
+		cfg.Cores = 16
+		cfg.TrackHB = true
+		_, m, rec, h, err := RunRecoverableWorkloadHist(cfg, Spec{
+			Structure: "kv", Threads: 4, InitialSize: 512, OpsPerThread: 100, Seed: benchSeed,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		runs = append(runs, run{m, rec, h})
+	}
+	bounds := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range runs {
+			rep, err := SweepCrash(r.m, SweepOpts{Rec: r.rec, Hist: r.hist, Workers: 1, Seed: benchSeed})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bounds += rep.Boundaries
+		}
+	}
+	b.ReportMetric(float64(bounds)/b.Elapsed().Seconds(), "boundaries/s")
+}

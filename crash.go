@@ -277,6 +277,9 @@ func SweepCrash(m *Machine, o SweepOpts) (*SweepReport, error) {
 			return nil, fmt.Errorf("lrp: mech=%s seed=%d: %w", mech, o.Seed, err)
 		}
 	}
+	// Both cut schedules are built once and shared read-only by every
+	// worker: each boundary's consistency verdict is then a lookup.
+	rp, arp := tr.CutSchedule(model.RP), tr.CutSchedule(model.ARP)
 	workers := o.Workers
 	// The sweep's host time is attributed from the caller's goroutine as
 	// one crash-phase region (worker goroutines never touch the
@@ -302,7 +305,7 @@ func SweepCrash(m *Machine, o SweepOpts) (*SweepReport, error) {
 		}
 	}
 	chunks, _ := exp.Map(context.Background(), workers, len(ranges), func(i int) (sweepChunk, error) {
-		return sweepRange(m, rec, ck, bounds, ranges[i][0], ranges[i][1]), nil
+		return sweepRange(m, rec, ck, rp, arp, bounds, ranges[i][0], ranges[i][1]), nil
 	})
 
 	firstRP, firstDirty := -1, -1
@@ -359,8 +362,7 @@ type sweepChunk struct {
 	dlinViol                          []DLinFinding
 }
 
-func sweepRange(m *Machine, rec Recoverable, ck *dlin.Checker, bounds []Time, lo, hi int) sweepChunk {
-	tr := m.Tracker()
+func sweepRange(m *Machine, rec Recoverable, ck *dlin.Checker, rp, arp *model.CutSchedule, bounds []Time, lo, hi int) sweepChunk {
 	c := sweepChunk{firstRP: -1, firstDirty: -1}
 	// Each worker owns a private Pass over the shared checker: boundary
 	// ranges are ascending, so the Pass's replayed-prefix cache behaves
@@ -384,13 +386,13 @@ func sweepRange(m *Machine, rec Recoverable, ck *dlin.Checker, bounds []Time, lo
 	}
 	for i := lo; i < hi; i++ {
 		at := bounds[i]
-		if v := tr.CheckCut(at, model.RP); len(v) > 0 {
+		if rp.Bad(at) {
 			c.rpBad++
 			if c.firstRP < 0 {
 				c.firstRP = i
 			}
 		}
-		if v := tr.CheckCut(at, model.ARP); len(v) > 0 {
+		if arp.Bad(at) {
 			c.arpBad++
 		}
 		if rec == nil {

@@ -2,6 +2,7 @@ package dlin
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lrp/internal/engine"
@@ -121,6 +122,7 @@ type Pass struct {
 	set       map[uint64]uint64
 	queue     []uint64
 	replayBad []Violation // replay-order inconsistencies of the cached prefix
+	keys      []uint64    // compareSet's reused key buffer
 }
 
 // inPrefix reports whether update i is in the cached durable prefix.
@@ -262,7 +264,7 @@ func (p *Pass) compareSet(at engine.Time, rep *recovery.Report) []Violation {
 	if rep.Set != nil {
 		got = rep.Set.Members
 	}
-	var keys []uint64
+	keys := p.keys[:0]
 	for k := range p.set { // maprange:ok — keys are sorted below before any output
 		keys = append(keys, k)
 	}
@@ -271,7 +273,8 @@ func (p *Pass) compareSet(at engine.Time, rep *recovery.Report) []Violation {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+	slices.Sort(keys)
+	p.keys = keys
 	c := p.c
 	var out []Violation
 	for _, k := range keys {

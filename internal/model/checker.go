@@ -53,7 +53,9 @@ func (v Violation) String() string {
 // a consistent cut under the given semantics. It returns all violations
 // found (nil means the cut is consistent). The check is exact for the
 // paper's RC model: it reports a violation iff some persisted write has
-// an unpersisted happens-before predecessor.
+// an unpersisted happens-before predecessor. Crash sweeps ask only
+// whether the cut is consistent and use CutSchedule, which answers that
+// for every instant at once; CheckCut is its test oracle.
 func (tr *Tracker) CheckCut(crash engine.Time, sem Semantics) []Violation {
 	n := len(tr.threads)
 	persisted := func(tid int, seq uint64) bool {
@@ -152,17 +154,21 @@ func (tr *Tracker) PersistedCount(crash engine.Time) (persisted, total uint64) {
 // chain) and the structure is safe for concurrent readers.
 type HBNeed struct {
 	tr *Tracker
-	// maxTo[t][s] is the latest persist time among thread t's writes
-	// 1..s (maxTo[t][0] = 0); argTo[t][s] the seq achieving it.
+	pm prefixMax
+}
+
+// prefixMax is the per-thread running maximum of persist times that both
+// HBNeed and CutSchedule answer from: maxTo[t][s] is the latest persist
+// time among thread t's writes 1..s (maxTo[t][0] = 0), and argTo[t][s]
+// the seq achieving it.
+type prefixMax struct {
 	maxTo [][]engine.Time
 	argTo [][]uint64
 }
 
-// NewHBNeed builds the prefix-maximum snapshot. Call it once per sweep,
-// after the run completes (persist times are final).
-func (tr *Tracker) NewHBNeed() *HBNeed {
-	h := &HBNeed{
-		tr:    tr,
+// prefixMax snapshots the running maxima. Persist times must be final.
+func (tr *Tracker) prefixMax() prefixMax {
+	pm := prefixMax{
 		maxTo: make([][]engine.Time, len(tr.threads)),
 		argTo: make([][]uint64, len(tr.threads)),
 	}
@@ -176,9 +182,15 @@ func (tr *Tracker) NewHBNeed() *HBNeed {
 				m[s], a[s] = p, s
 			}
 		}
-		h.maxTo[t], h.argTo[t] = m, a
+		pm.maxTo[t], pm.argTo[t] = m, a
 	}
-	return h
+	return pm
+}
+
+// NewHBNeed builds the prefix-maximum snapshot. Call it once per sweep,
+// after the run completes (persist times are final).
+func (tr *Tracker) NewHBNeed() *HBNeed {
+	return &HBNeed{tr: tr, pm: tr.prefixMax()}
 }
 
 // Of returns the latest persist time among w's happens-before
@@ -193,8 +205,8 @@ func (h *HBNeed) Of(w Stamp) (engine.Time, Stamp) {
 	var best engine.Time
 	var at Stamp
 	prefix := func(t int, upTo uint64) {
-		if upTo > 0 && h.maxTo[t][upTo] > best {
-			best, at = h.maxTo[t][upTo], Stamp{t, h.argTo[t][upTo]}
+		if upTo > 0 && h.pm.maxTo[t][upTo] > best {
+			best, at = h.pm.maxTo[t][upTo], Stamp{t, h.pm.argTo[t][upTo]}
 		}
 	}
 	if rec.relIdx != 0 {
