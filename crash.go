@@ -25,8 +25,8 @@ type (
 	// RecoveryReport is the outcome of a hardened recovery walk: what
 	// was recovered, what was quarantined, what was lost.
 	RecoveryReport = recovery.Report
-	// Recoverable ties a workload run's structure anchors to the
-	// recovery walkers (returned by RunRecoverableWorkload).
+	// Recoverable is a workload run's structure, bound to its anchors,
+	// that walks a crash image itself (returned by RunRecoverableWorkload).
 	Recoverable = workload.Recoverable
 )
 

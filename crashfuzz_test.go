@@ -106,20 +106,10 @@ func TestCrashFuzzRecoveryWalks(t *testing.T) {
 	cur := m.NVM().NewCursor(nil)
 	for _, at := range CrashBoundaries(m) {
 		img := cur.AdvanceTo(at)
-		if _, err := RecoverList(img, list); err != nil {
-			t.Fatalf("crash@%v: list: %v", at, err)
-		}
-		if _, err := RecoverHashMap(img, h); err != nil {
-			t.Fatalf("crash@%v: hashmap: %v", at, err)
-		}
-		if _, err := RecoverBST(img, b); err != nil {
-			t.Fatalf("crash@%v: bst: %v", at, err)
-		}
-		if _, err := RecoverSkipList(img, sl); err != nil {
-			t.Fatalf("crash@%v: skiplist: %v", at, err)
-		}
-		if _, err := RecoverQueue(img, q); err != nil {
-			t.Fatalf("crash@%v: queue: %v", at, err)
+		for _, rec := range []Recoverable{list, h, b, sl, q} {
+			if err := rec.Recover(img).Err(); err != nil {
+				t.Fatalf("crash@%v: %s: %v", at, rec.Name(), err)
+			}
 		}
 	}
 }

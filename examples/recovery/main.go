@@ -52,17 +52,17 @@ func main() {
 	fmt.Printf("consistent cut: %v\n", rep.ConsistentCut())
 
 	// Null recovery: walk the raw durable image.
-	rec, err := lrp.RecoverBST(rep.Image, index)
-	if err != nil {
+	rec := index.Recover(rep.Image)
+	if err := rec.Err(); err != nil {
 		fmt.Println("recovery failed:", err)
 		return
 	}
-	fmt.Printf("recovered %d intact keys; every one passes the value-integrity check\n", len(rec.Members))
+	fmt.Printf("recovered %d intact keys; every one passes the value-integrity check\n", len(rec.Set.Members))
 
 	// The recovered set is a prefix-consistent snapshot: a key is present
 	// iff its insert's linearization (the linking CAS) had persisted.
 	lo, hi := 0, 0
-	for k := range rec.Members {
+	for k := range rec.Set.Members {
 		if k < 1000 {
 			lo++
 		} else {

@@ -180,7 +180,7 @@ func TestCrashRecoverAttachesReport(t *testing.T) {
 	if !rep.Recovery.Clean() {
 		t.Fatalf("LRP crash image did not recover cleanly: %v", rep.Recovery)
 	}
-	if rec.Structure() != "queue" {
-		t.Fatalf("recoverable names %q", rec.Structure())
+	if rec.Name() != "queue" {
+		t.Fatalf("recoverable names %q", rec.Name())
 	}
 }

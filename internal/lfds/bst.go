@@ -1,8 +1,12 @@
 package lfds
 
 import (
+	"fmt"
+
 	"lrp/internal/isa"
 	"lrp/internal/memsys"
+	"lrp/internal/mm"
+	"lrp/internal/recovery"
 )
 
 // BST node layout (words): 0 = key, 1 = val, 2 = left, 3 = right.
@@ -200,5 +204,62 @@ func (b *BST) Contains(c *memsys.Ctx, key uint64) bool {
 	return c.Load(addr(rec.leaf)+bstKey) == key
 }
 
-// Root exposes the root cell for the recovery walker.
+// Root exposes the root cell.
 func (b *BST) Root() isa.Addr { return b.root }
+
+// Recover implements Set: the hardened null-recovery walk of the tree in
+// a crash image. A corrupt node prunes its subtree into the quarantine
+// set; the rest of the tree recovers.
+func (b *BST) Recover(img *mm.Memory) *recovery.Report {
+	rep := recovery.NewSetReport(b.Name())
+	rootPtr := clearPtr(img.Read(b.root))
+	if rootPtr == 0 {
+		return rep
+	}
+	steps := 0
+	var walk func(node isa.Addr, lo, hi uint64)
+	walk = func(node isa.Addr, lo, hi uint64) {
+		steps++
+		if steps > WalkStepBound {
+			rep.Abandon(node, "walk exceeded step bound (cycle?)")
+			return
+		}
+		if !node.Aligned() {
+			rep.Abandon(node, "misaligned node pointer")
+			return
+		}
+		key := img.Read(node + bstKey)
+		left := clearPtr(img.Read(node + bstLeft))
+		right := clearPtr(img.Read(node + bstRight))
+		if key == 0 {
+			rep.Abandon(node, "reachable node with uninitialized key")
+			return
+		}
+		if key < lo || key > hi {
+			rep.Abandon(node, fmt.Sprintf("key %d escapes route bounds [%d,%d]", key, lo, hi))
+			return
+		}
+		if left == 0 && right == 0 {
+			rep.Set.Nodes++
+			if key == BSTSentinel {
+				return
+			}
+			val := img.Read(node + bstVal)
+			if why := violation(key, val); why != "" {
+				rep.Quarantine(node, why)
+				return
+			}
+			rep.Set.Members[key] = val
+			return
+		}
+		if left == 0 || right == 0 {
+			rep.Abandon(node, "internal node with a missing child")
+			return
+		}
+		rep.Set.Nodes++
+		walk(isa.Addr(left), lo, key-1)
+		walk(isa.Addr(right), key, hi)
+	}
+	walk(isa.Addr(rootPtr), 1, BSTSentinel)
+	return rep
+}

@@ -1,8 +1,12 @@
 package lfds
 
 import (
+	"fmt"
+
 	"lrp/internal/isa"
 	"lrp/internal/memsys"
+	"lrp/internal/mm"
+	"lrp/internal/recovery"
 )
 
 // HashMap is Michael's lock-free hash table (SPAA'02): a fixed array of
@@ -40,8 +44,11 @@ func (h *HashMap) hash(key uint64) uint64 {
 }
 
 func (h *HashMap) bucket(key uint64) sortedList {
-	return sortedList{head: h.buckets + isa.Addr(h.hash(key)*BucketStride)}
+	return sortedList{head: h.cell(h.hash(key))}
 }
+
+// cell is the address of bucket b's head cell.
+func (h *HashMap) cell(b uint64) isa.Addr { return h.buckets + isa.Addr(b*BucketStride) }
 
 // Name implements Set.
 func (h *HashMap) Name() string { return "hashmap" }
@@ -85,8 +92,30 @@ func (h *HashMap) InsertNode(c *memsys.Ctx, key, val uint64) (node uint64, inser
 // NodeValCell returns the address of a list/bucket node's value word.
 func NodeValCell(node uint64) isa.Addr { return addr(node) + nodeVal }
 
-// Buckets exposes the bucket array base and count for recovery.
+// Buckets exposes the bucket array base and count.
 func (h *HashMap) Buckets() (isa.Addr, uint64) { return h.buckets, h.nbuckets }
 
-// BucketOf exposes the bucket index a key hashes to (recovery checking).
+// BucketOf exposes the bucket index a key hashes to.
 func (h *HashMap) BucketOf(key uint64) uint64 { return h.hash(key) }
+
+// Bucket is a recovery cursor over bucket b's chain in a crash image.
+func (h *HashMap) Bucket(img *mm.Memory, rep *recovery.Report, b uint64) Chain {
+	return newChain(img, rep, h.cell(b), nodeNext, "")
+}
+
+// Recover implements Set: the hardened null-recovery walk of the table
+// in a crash image. Corrupt buckets are quarantined individually;
+// healthy buckets recover in full.
+func (h *HashMap) Recover(img *mm.Memory) *recovery.Report {
+	rep := recovery.NewSetReport(h.Name())
+	var misplaced []uint64
+	for b := uint64(0); b < h.nbuckets; b++ {
+		misplaced = recoverSorted(img, rep, h.cell(b), h, b, misplaced[:0])
+		// A key in the wrong bucket is quarantined at the bucket cell,
+		// after the bucket's other findings and in key order.
+		for _, k := range misplaced {
+			rep.Quarantine(h.cell(b), fmt.Sprintf("key %d found in bucket %d, hashes to %d", k, b, h.hash(k)))
+		}
+	}
+	return rep
+}

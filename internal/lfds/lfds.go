@@ -10,7 +10,11 @@
 // deletion) is a release; node-initialization stores are plain. With
 // those annotations, Release Persistency guarantees that a crash leaves a
 // consistent cut in NVM, so the structures recover with no logging at all
-// (null recovery) — see package recovery for the post-crash walkers.
+// (null recovery). Each structure's Recover is that walk, written next to
+// the node layout it reads: it rebuilds the contents from a crash image
+// into a recovery.Report, quarantining what it cannot trust. The chain
+// walks (list, hash-map buckets, skip-list levels — and the kv store's
+// indexes, through Chain) share one guarded cursor.
 //
 // Memory management: nodes come from the owning thread's arena and are
 // never reused (no ABA); deleted nodes are unlinked but not reclaimed,
@@ -21,6 +25,8 @@ package lfds
 import (
 	"lrp/internal/isa"
 	"lrp/internal/memsys"
+	"lrp/internal/mm"
+	"lrp/internal/recovery"
 )
 
 // Set is the common interface of the keyed structures (list, hash map,
@@ -36,6 +42,10 @@ type Set interface {
 	Delete(c *memsys.Ctx, key uint64) bool
 	// Contains reports whether key is present.
 	Contains(c *memsys.Ctx, key uint64) bool
+	// Recover performs the hardened null-recovery walk of the structure
+	// in a crash image: corrupt nodes are quarantined into the report,
+	// never panicking. Its Err is the strict verdict.
+	Recover(img *mm.Memory) *recovery.Report
 }
 
 // Pointer mark bits. Node addresses are cache-line aligned, so the low

@@ -1,8 +1,12 @@
 package lfds
 
 import (
+	"fmt"
+
 	"lrp/internal/isa"
 	"lrp/internal/memsys"
+	"lrp/internal/mm"
+	"lrp/internal/recovery"
 )
 
 // List node layout (words): 0 = key, 1 = val, 2 = next (low bit = mark).
@@ -181,5 +185,44 @@ func (l *LinkedList) Delete(c *memsys.Ctx, key uint64) bool { return l.list.dele
 // Contains implements Set.
 func (l *LinkedList) Contains(c *memsys.Ctx, key uint64) bool { return l.list.contains(c, key) }
 
-// Head exposes the head cell address for the recovery walker.
+// Head exposes the head cell address.
 func (l *LinkedList) Head() isa.Addr { return l.list.head }
+
+// Recover implements Set: the hardened null-recovery walk of the list in
+// a crash image.
+func (l *LinkedList) Recover(img *mm.Memory) *recovery.Report {
+	rep := recovery.NewSetReport(l.Name())
+	recoverSorted(img, rep, l.list.head, nil, 0, nil)
+	return rep
+}
+
+// recoverSorted walks the sorted chain off headCell into rep.Set. A node
+// that breaks the value convention or the key order is quarantined and
+// the walk goes on through its link (junk targets are caught by the
+// cursor's guards). For bucket b of hash map h (nil for the list), the
+// chain's live keys that hash elsewhere are appended to misplaced, in
+// chain order — which is key order — instead of being recovered.
+func recoverSorted(img *mm.Memory, rep *recovery.Report, headCell isa.Addr, h *HashMap, b uint64, misplaced []uint64) []uint64 {
+	prev := uint64(0)
+	c := newChain(img, rep, headCell, nodeNext, "")
+	for c.Next() {
+		if why := violation(c.Key, c.Val); why != "" {
+			rep.Quarantine(c.Node, why)
+			continue
+		}
+		if c.Key <= prev {
+			rep.Quarantine(c.Node, fmt.Sprintf("key order violated: %d after %d", c.Key, prev))
+			continue
+		}
+		prev = c.Key
+		rep.Set.Nodes++
+		switch {
+		case c.Marked():
+		case h != nil && h.hash(c.Key) != b:
+			misplaced = append(misplaced, c.Key)
+		default:
+			rep.Set.Members[c.Key] = c.Val
+		}
+	}
+	return misplaced
+}

@@ -3,6 +3,8 @@ package lfds
 import (
 	"lrp/internal/isa"
 	"lrp/internal/memsys"
+	"lrp/internal/mm"
+	"lrp/internal/recovery"
 )
 
 // Queue node layout (words): 0 = val, 1 = next.
@@ -90,5 +92,57 @@ func (q *Queue) Dequeue(c *memsys.Ctx) (val uint64, ok bool) {
 	}
 }
 
-// Anchors exposes the head and tail cells for the recovery walker.
+// Anchors exposes the head and tail cells.
 func (q *Queue) Anchors() (head, tail isa.Addr) { return q.head, q.tail }
+
+// Recover is the hardened null-recovery walk of the queue in a crash
+// image, from the dummy node the head points at. A corrupt node
+// truncates the recovered value sequence there: a queue's order is its
+// content, so nothing beyond an untrusted link can be kept.
+func (q *Queue) Recover(img *mm.Memory) *recovery.Report {
+	rep := &recovery.Report{Structure: q.Name(), Queue: &recovery.QueueState{}}
+	hp := clearPtr(img.Read(q.head))
+	tp := clearPtr(img.Read(q.tail))
+	if hp == 0 {
+		if tp != 0 {
+			rep.Quarantine(q.head, "tail persisted before head")
+		}
+		return rep
+	}
+	ptr := hp
+	sawTail := tp == 0
+	for steps := 0; ; steps++ {
+		if steps > WalkStepBound {
+			rep.Abandon(q.head, "walk exceeded step bound (cycle?)")
+			return rep
+		}
+		node := isa.Addr(ptr)
+		if !node.Aligned() {
+			rep.Abandon(node, "misaligned node pointer")
+			return rep
+		}
+		if ptr == tp {
+			sawTail = true
+		}
+		next := addr(img.Read(node + qNext))
+		rep.Queue.Nodes++
+		if next == 0 {
+			break
+		}
+		if !next.Aligned() {
+			rep.Abandon(next, "misaligned node pointer")
+			return rep
+		}
+		val := img.Read(next + qVal)
+		if val == 0 {
+			rep.Abandon(next, "reachable node with uninitialized value")
+			return rep
+		}
+		rep.Queue.Values = append(rep.Queue.Values, val)
+		ptr = uint64(next)
+	}
+	if !sawTail {
+		rep.Quarantine(q.tail, "tail points outside the reachable chain")
+	}
+	return rep
+}

@@ -1,8 +1,12 @@
 package lfds
 
 import (
+	"fmt"
+
 	"lrp/internal/isa"
 	"lrp/internal/memsys"
+	"lrp/internal/mm"
+	"lrp/internal/recovery"
 )
 
 // MaxHeight is the skip list's tallest tower.
@@ -254,5 +258,84 @@ func (s *SkipList) Scan(c *memsys.Ctx, from uint64, max int, visit func(key, val
 	return visited
 }
 
-// Head exposes the head tower base for the recovery walker.
+// Head exposes the head tower base.
 func (s *SkipList) Head() isa.Addr { return s.head }
+
+// Level is a recovery cursor over one level of the list in a crash
+// image; noun names the chain in its guard findings ("" for the skip
+// list itself).
+func (s *SkipList) Level(img *mm.Memory, rep *recovery.Report, level int, noun string) Chain {
+	return newChain(img, rep, s.headCell(level), slNext(level), noun)
+}
+
+// Recover implements Set: the hardened null-recovery walk of the list in
+// a crash image. Only the bottom level is walked: it alone defines
+// membership. The index levels carry plain (volatile) annotations, so a
+// crash image may hold index links whose bottom-level counterparts never
+// persisted — Release Persistency does not order them — and null
+// recovery rebuilds the index from the bottom level. WalkIndex checks
+// the index levels too, for images known to be complete.
+func (s *SkipList) Recover(img *mm.Memory) *recovery.Report {
+	rep := recovery.NewSetReport(s.Name())
+	prev := uint64(0)
+	c := s.Level(img, rep, 0, "")
+	for c.Next() {
+		switch why := violation(c.Key, c.Val); {
+		case why != "":
+			rep.Quarantine(c.Node, why)
+		case c.Height() == 0:
+			rep.Quarantine(c.Node, "height 0")
+		case c.Key <= prev:
+			rep.Quarantine(c.Node, fmt.Sprintf("bottom-level order violated: %d after %d", c.Key, prev))
+		default:
+			prev = c.Key
+			rep.Set.Nodes++
+			if !c.Marked() {
+				rep.Set.Members[c.Key] = c.Val
+			}
+		}
+	}
+	return rep
+}
+
+// WalkIndex is the whole-structure check for images known to be
+// complete (clean shutdown): Recover must be clean, then every index
+// level must be a sorted subsequence of the bottom level (height bounds,
+// bottom membership of live index nodes). It returns the first
+// violation as a recovery.Corruption.
+func (s *SkipList) WalkIndex(img *mm.Memory) (*recovery.SetState, error) {
+	rep := s.Recover(img)
+	if err := rep.Err(); err != nil {
+		return nil, err
+	}
+	bottom := make(map[uint64]bool, rep.Set.Nodes)
+	c := s.Level(img, rep, 0, "")
+	for c.Next() {
+		bottom[c.Key] = true
+	}
+	idx := &recovery.Report{Structure: s.Name()}
+	for level := 1; level < MaxHeight && idx.Clean(); level++ {
+		prev := uint64(0)
+		c := s.Level(img, idx, level, "index ")
+		for idx.Clean() && c.Next() {
+			switch {
+			case !bottom[c.Key] && !isMarked(img.Read(c.Node+slNext0)):
+				// A live index node must exist on the bottom level. A
+				// *marked* one may linger: index linking races with
+				// deletion, and the loser is unlinked lazily by later
+				// traversals — legitimate in the crash image too.
+				idx.Quarantine(c.Node, fmt.Sprintf("level-%d node key %d not on the bottom level", level, c.Key))
+			case c.Height() <= uint64(level):
+				idx.Quarantine(c.Node, fmt.Sprintf("node of height %d reachable at level %d", c.Height(), level))
+			case c.Key <= prev:
+				idx.Quarantine(c.Node, fmt.Sprintf("level-%d order violated: %d after %d", level, c.Key, prev))
+			default:
+				prev = c.Key
+			}
+		}
+	}
+	if err := idx.Err(); err != nil {
+		return nil, err
+	}
+	return rep.Set, nil
+}

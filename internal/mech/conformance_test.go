@@ -124,12 +124,12 @@ func TestDrainConformance(t *testing.T) {
 			m.Drain()
 			horizon := m.Time() + 1<<20
 			check := func(name string, img *mm.Memory) {
-				rec, err := lrp.RecoverList(img, l)
-				if err != nil {
+				rec := l.Recover(img)
+				if err := rec.Err(); err != nil {
 					t.Fatalf("%s image: %v", name, err)
 				}
-				if len(rec.Members) != 20 {
-					t.Fatalf("%s image: recovered %d/20 members after drain", name, len(rec.Members))
+				if len(rec.Set.Members) != 20 {
+					t.Fatalf("%s image: recovered %d/20 members after drain", name, len(rec.Set.Members))
 				}
 			}
 			check("crash", m.CrashImageAt(horizon))

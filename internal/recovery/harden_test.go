@@ -1,4 +1,4 @@
-package recovery
+package recovery_test
 
 import (
 	"fmt"
@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"lrp/internal/isa"
+	"lrp/internal/lfds"
 	"lrp/internal/mm"
+	"lrp/internal/recovery"
 )
 
 // Images below are built by hand, word by word, to model the damage a
@@ -23,16 +25,15 @@ func listNode(img *mm.Memory, addr isa.Addr, key, val, next uint64) {
 	img.Write(addr+16, next)
 }
 
-const listHead = isa.Addr(0x100)
-
-// healthyList builds head -> n1(5) -> n2(9) -> nil and returns the node
-// addresses.
-func healthyList(img *mm.Memory) (n1, n2 isa.Addr) {
-	n1, n2 = isa.Addr(0x1000), isa.Addr(0x2000)
-	img.Write(listHead, uint64(n1))
-	listNode(img, n1, 5, DefaultVal(5), uint64(n2))
-	listNode(img, n2, 9, DefaultVal(9), 0)
-	return n1, n2
+// healthyList builds head -> n1(5) -> n2(9) -> nil and returns the list
+// and the node addresses.
+func healthyList(t *testing.T, img *mm.Memory) (l *lfds.LinkedList, n1, n2 isa.Addr) {
+	l = lfds.NewLinkedList(sys(t))
+	n1, n2 = isa.Addr(0x2000), isa.Addr(0x3000)
+	img.Write(l.Head(), uint64(n1))
+	listNode(img, n1, 5, recovery.DefaultVal(5), uint64(n2))
+	listNode(img, n2, 9, recovery.DefaultVal(9), 0)
+	return l, n1, n2
 }
 
 func wantCorruption(t *testing.T, err error, substr string) {
@@ -40,7 +41,7 @@ func wantCorruption(t *testing.T, err error, substr string) {
 	if err == nil {
 		t.Fatalf("walk accepted a corrupt image (want %q)", substr)
 	}
-	c, ok := err.(Corruption)
+	c, ok := err.(recovery.Corruption)
 	if !ok {
 		t.Fatalf("error %v is not a Corruption", err)
 	}
@@ -53,19 +54,19 @@ func wantCorruption(t *testing.T, err error, substr string) {
 // cycle tests assert the bound without walking millions of steps.
 func tightSteps(t *testing.T, n int) {
 	t.Helper()
-	old := maxSteps
-	maxSteps = n
-	t.Cleanup(func() { maxSteps = old })
+	old := lfds.WalkStepBound
+	lfds.WalkStepBound = n
+	t.Cleanup(func() { lfds.WalkStepBound = old })
 }
 
 func TestListPointerCycleBounded(t *testing.T) {
 	img := mm.NewMemory()
-	n1, n2 := healthyList(img)
+	l, n1, n2 := healthyList(t, img)
 	img.Write(n2+16, uint64(n1)) // n2.next -> n1: cycle
 	// The sortedness check catches the revisit of n1 (key 5 after 9)
 	// before the step bound can: every list cycle revisits a key.
 	tightSteps(t, 100)
-	rep := ReportList(img, listHead)
+	rep := l.Recover(img)
 	wantCorruption(t, rep.Err(), "key order violated")
 
 	// The walk skips order violations and keeps going, so the cycle runs
@@ -80,8 +81,9 @@ func TestListPointerCycleBounded(t *testing.T) {
 
 func TestQueuePointerCycleBounded(t *testing.T) {
 	img := mm.NewMemory()
-	head, tail := isa.Addr(0x100), isa.Addr(0x140)
-	d, n1, n2 := isa.Addr(0x1000), isa.Addr(0x2000), isa.Addr(0x3000)
+	q := lfds.NewQueue(sys(t))
+	head, tail := q.Anchors()
+	d, n1, n2 := isa.Addr(0x2000), isa.Addr(0x3000), isa.Addr(0x4000)
 	img.Write(head, uint64(d))
 	img.Write(tail, uint64(n2))
 	img.Write(d+8, uint64(n1))
@@ -90,7 +92,7 @@ func TestQueuePointerCycleBounded(t *testing.T) {
 	img.Write(n2+0, 8)
 	img.Write(n2+8, uint64(n1)) // n2.next -> n1: cycle with valid values
 	tightSteps(t, 100)
-	rep := ReportQueue(img, head, tail)
+	rep := q.Recover(img)
 	wantCorruption(t, rep.Err(), "step bound")
 	if rep.Clean() || rep.Abandoned != 1 {
 		t.Fatalf("hardened queue walk did not truncate the cycle: %v", rep)
@@ -99,11 +101,11 @@ func TestQueuePointerCycleBounded(t *testing.T) {
 
 func TestZeroKeyNode(t *testing.T) {
 	img := mm.NewMemory()
-	n1, _ := healthyList(img)
-	n3 := isa.Addr(0x3000)
+	l, n1, _ := healthyList(t, img)
+	n3 := isa.Addr(0x4000)
 	// n3 was linked in but its initialization never persisted.
 	img.Write(n1+16, uint64(n3))
-	rep := ReportList(img, listHead)
+	rep := l.Recover(img)
 	wantCorruption(t, rep.Err(), "uninitialized key")
 	if rep.Clean() {
 		t.Fatal("hardened walk reported a clean image")
@@ -113,50 +115,49 @@ func TestZeroKeyNode(t *testing.T) {
 	}
 	// The walk continues past the quarantined node (its next is nil
 	// here): n1 must still be recovered.
-	if rep.Set.Members[5] != DefaultVal(5) {
+	if rep.Set.Members[5] != recovery.DefaultVal(5) {
 		t.Fatal("healthy prefix lost")
 	}
 }
 
 func TestTornLineNode(t *testing.T) {
 	img := mm.NewMemory()
-	n1, n2 := healthyList(img)
+	l, _, n2 := healthyList(t, img)
 	// n2's line tore: the key word persisted, the value word did not.
 	img.Write(n2+8, 0)
-	rep := ReportList(img, listHead)
+	rep := l.Recover(img)
 	wantCorruption(t, rep.Err(), "integrity convention")
 	if rep.Clean() || len(rep.Quarantined) != 1 || rep.Quarantined[0].Node != n2 {
 		t.Fatalf("torn node not quarantined: %v", rep)
 	}
-	if rep.Set.Members[5] != DefaultVal(5) {
+	if rep.Set.Members[5] != recovery.DefaultVal(5) {
 		t.Fatal("healthy node lost with the torn one")
 	}
-	_ = n1
 }
 
 func TestTruncatedImage(t *testing.T) {
 	// The image ends (reads as zero) where a node should be: the link
 	// persisted, the pointed-to page never did.
 	img := mm.NewMemory()
-	n1, _ := healthyList(img)
+	l, n1, _ := healthyList(t, img)
 	img.Write(n1+16, uint64(isa.Addr(0x7000))) // beyond the written image
-	rep := ReportList(img, listHead)
+	rep := l.Recover(img)
 	wantCorruption(t, rep.Err(), "uninitialized key")
 	if rep.Clean() {
 		t.Fatal("hardened walk reported a truncated image clean")
 	}
-	if rep.Set.Members[5] != DefaultVal(5) {
+	if rep.Set.Members[5] != recovery.DefaultVal(5) {
 		t.Fatal("healthy prefix lost")
 	}
 }
 
 func TestMisalignedPointerDoesNotPanic(t *testing.T) {
 	img := mm.NewMemory()
-	n1, _ := healthyList(img)
-	// Garbage pointer with bit 2 set: clean() strips only the mark bits,
-	// so an unguarded walker would fault the image read.
-	img.Write(n1+16, uint64(0x3004))
-	rep := ReportList(img, listHead)
+	l, n1, _ := healthyList(t, img)
+	// Garbage pointer with bit 2 set: stripping the mark bits leaves it
+	// misaligned, so an unguarded walker would fault the image read.
+	img.Write(n1+16, uint64(0x5004))
+	rep := l.Recover(img)
 	wantCorruption(t, rep.Err(), "misaligned")
 	if rep.Clean() || rep.Abandoned != 1 {
 		t.Fatalf("misaligned pointer not quarantined: %v", rep)
@@ -164,8 +165,6 @@ func TestMisalignedPointerDoesNotPanic(t *testing.T) {
 }
 
 func TestBSTCorruptions(t *testing.T) {
-	const sentinel = ^uint64(0) >> 1
-	root := isa.Addr(0x100)
 	node := func(img *mm.Memory, a isa.Addr, key, val, left, right uint64) {
 		img.Write(a+0, key)
 		img.Write(a+8, val)
@@ -175,25 +174,27 @@ func TestBSTCorruptions(t *testing.T) {
 	t.Run("cycle", func(t *testing.T) {
 		tightSteps(t, 100) // the BST walk recurses per step
 		img := mm.NewMemory()
-		in, leaf := isa.Addr(0x1000), isa.Addr(0x2000)
+		b := lfds.NewBST(sys(t))
+		in, leaf := isa.Addr(0x2000), isa.Addr(0x3000)
 		node(img, in, 10, 0, uint64(leaf), uint64(in)) // right child is itself
-		node(img, leaf, 5, DefaultVal(5), 0, 0)
-		img.Write(root, uint64(in))
-		rep := ReportBST(img, root, sentinel)
+		node(img, leaf, 5, recovery.DefaultVal(5), 0, 0)
+		img.Write(b.Root(), uint64(in))
+		rep := b.Recover(img)
 		// Re-entering the subtree through the cycle routes the leaf out of
 		// its bounds before the step bound can trip.
 		wantCorruption(t, rep.Err(), "escapes route bounds")
-		if rep.Set.Members[5] != DefaultVal(5) {
+		if rep.Set.Members[5] != recovery.DefaultVal(5) {
 			t.Fatal("healthy leaf lost")
 		}
 	})
 	t.Run("missing-child", func(t *testing.T) {
 		img := mm.NewMemory()
-		in, leaf := isa.Addr(0x1000), isa.Addr(0x2000)
+		b := lfds.NewBST(sys(t))
+		in, leaf := isa.Addr(0x2000), isa.Addr(0x3000)
 		node(img, in, 10, 0, uint64(leaf), 0) // right link never persisted
-		node(img, leaf, 5, DefaultVal(5), 0, 0)
-		img.Write(root, uint64(in))
-		rep := ReportBST(img, root, sentinel)
+		node(img, leaf, 5, recovery.DefaultVal(5), 0, 0)
+		img.Write(b.Root(), uint64(in))
+		rep := b.Recover(img)
 		wantCorruption(t, rep.Err(), "missing child")
 		if rep.Clean() || rep.Abandoned != 1 {
 			t.Fatalf("missing child not quarantined: %v", rep)
@@ -203,12 +204,12 @@ func TestBSTCorruptions(t *testing.T) {
 
 func TestHardenedMatchesStrictOnHealthyImage(t *testing.T) {
 	img := mm.NewMemory()
-	healthyList(img)
-	rep := ReportList(img, listHead)
+	l, _, _ := healthyList(t, img)
+	rep := l.Recover(img)
 	if !rep.Clean() || rep.Err() != nil {
 		t.Fatalf("hardened walk not clean on healthy image: %v", rep)
 	}
-	checkMembers(t, rep.Set, map[uint64]uint64{5: DefaultVal(5), 9: DefaultVal(9)})
+	checkMembers(t, rep.Set, map[uint64]uint64{5: recovery.DefaultVal(5), 9: recovery.DefaultVal(9)})
 	if rep.Set.Nodes != 2 {
 		t.Fatalf("walk counted %d nodes, want 2", rep.Set.Nodes)
 	}
@@ -219,31 +220,36 @@ func TestHardenedMatchesStrictOnHealthyImage(t *testing.T) {
 // (chain order), so the report and its Err are reproducible.
 func TestHashMapMisplacedKeysQuarantinedInKeyOrder(t *testing.T) {
 	img := mm.NewMemory()
-	buckets := isa.Addr(0x100)
-	const n = 16
-	for i := 0; i < n; i++ {
-		key := uint64(i + 1)
-		node := isa.Addr(0x1000 + 0x100*i)
+	h := lfds.NewHashMap(sys(t), 2)
+	buckets, _ := h.Buckets()
+	// Bucket 0 holds every key, but they all hash to bucket 1.
+	var keys []uint64
+	for k := uint64(1); len(keys) < 16; k++ {
+		if h.BucketOf(k) == 1 {
+			keys = append(keys, k)
+		}
+	}
+	for i, key := range keys {
+		node := isa.Addr(0x2000 + 0x100*i)
 		var next uint64
-		if i+1 < n {
+		if i+1 < len(keys) {
 			next = uint64(node + 0x100)
 		}
-		listNode(img, node, key, DefaultVal(key), next)
+		listNode(img, node, key, recovery.DefaultVal(key), next)
 	}
-	img.Write(buckets, 0x1000)                   // bucket 0 holds every key...
-	bucketOf := func(uint64) uint64 { return 1 } // ...but they all hash to bucket 1
-	// Repeat the walk: a map-order dependence shows up on some run.
+	img.Write(buckets, 0x2000)
+	// Repeat the walk: an iteration-order dependence shows up on some run.
 	for run := 0; run < 4; run++ {
-		rep := ReportHashMap(img, buckets, 2, bucketOf)
-		if len(rep.Quarantined) != n || len(rep.Set.Members) != 0 {
-			t.Fatalf("want %d misplaced keys quarantined, got %v", n, rep)
+		rep := h.Recover(img)
+		if len(rep.Quarantined) != len(keys) || len(rep.Set.Members) != 0 {
+			t.Fatalf("want %d misplaced keys quarantined, got %v", len(keys), rep)
 		}
 		for i, c := range rep.Quarantined {
-			want := fmt.Sprintf("key %d found in bucket 0, hashes to 1", i+1)
+			want := fmt.Sprintf("key %d found in bucket 0, hashes to 1", keys[i])
 			if c.Reason != want || c.Node != buckets {
 				t.Fatalf("run %d: quarantine[%d] = %v, want %q", run, i, c, want)
 			}
 		}
-		wantCorruption(t, rep.Err(), "key 1 found in bucket 0")
+		wantCorruption(t, rep.Err(), fmt.Sprintf("key %d found in bucket 0", keys[0]))
 	}
 }

@@ -1,7 +1,8 @@
-// Package recovery implements null recovery (Izraelevitz & Scott) for the
-// five log-free data structures: given only the durable NVM image left by
-// a (simulated) crash, it walks each structure, validates its structural
-// invariants, and rebuilds its logical contents.
+// Package recovery holds the report types of null recovery (Izraelevitz
+// & Scott): what a walk over the durable NVM image left by a (simulated)
+// crash recovered, and what it had to quarantine. The walks themselves
+// live with the layouts they read — each log-free structure's Recover in
+// package lfds, the kv store's in package kv.
 //
 // When the run enforced Release Persistency (SB, BB, LRP), the image is a
 // consistent cut and every walk succeeds — that is the paper's
@@ -17,18 +18,12 @@ import (
 	"fmt"
 
 	"lrp/internal/isa"
-	"lrp/internal/mm"
 )
 
 // DefaultVal is the value-integrity convention the workloads use: the
 // value stored with key k is always 2k+1 (odd, nonzero). A reachable node
 // violating it was linked before its initialization persisted.
 func DefaultVal(key uint64) uint64 { return key*2 + 1 }
-
-// maxSteps bounds every walk so a corrupted image with a pointer cycle
-// terminates with an error instead of looping. It is a variable only so
-// tests can exercise the bound without walking millions of steps.
-var maxSteps = 1 << 22
 
 // Corruption describes one structural violation found in a crash image.
 type Corruption struct {
@@ -49,92 +44,82 @@ type SetState struct {
 	Nodes int
 }
 
-const (
-	ptrMask = ^uint64(3)
-	markBit = 1
-)
-
-func clean(p uint64) uint64 { return p & ptrMask }
-
-// checkNode validates the key/value convention for a reachable node.
-func checkNode(structure string, node isa.Addr, key, val uint64) error {
-	if key == 0 {
-		return Corruption{structure, node, "reachable node with uninitialized key"}
-	}
-	if val != DefaultVal(key) {
-		return Corruption{structure, node,
-			fmt.Sprintf("value %d fails integrity convention for key %d (want %d)", val, key, DefaultVal(key))}
-	}
-	return nil
-}
-
-// BucketStride is the byte distance between bucket head cells (they are
-// padded to a line each; see lfds.HashMap).
-const BucketStride = isa.LineSize
-
-// WalkSkipListIndex is the whole-structure check for images known to be
-// complete (clean shutdown): ReportSkipList validates the bottom level,
-// then every index level must be a sorted subsequence of it (height
-// bounds, bottom membership of live index nodes). Crash images get
-// ReportSkipList alone, since their index levels may legitimately run
-// ahead of the bottom level.
-func WalkSkipListIndex(img *mm.Memory, head isa.Addr, maxHeight int) (*SetState, error) {
-	rep := ReportSkipList(img, head, maxHeight)
-	if err := rep.Err(); err != nil {
-		return nil, err
-	}
-	// The bottom level just walked clean, so collecting its keys needs
-	// no guards.
-	bottomKeys := make(map[uint64]bool, rep.Set.Nodes)
-	for ptr := clean(img.Read(head)); ptr != 0; ptr = clean(img.Read(isa.Addr(ptr) + 24)) {
-		bottomKeys[img.Read(isa.Addr(ptr))] = true
-	}
-	// Index levels must be sorted subsequences of the bottom level.
-	var prev uint64
-	var ptr uint64
-	for level := 1; level < maxHeight; level++ {
-		prev = 0
-		ptr = img.Read(head + isa.Addr(level*8))
-		for steps := 0; ; steps++ {
-			if steps > maxSteps {
-				return nil, Corruption{"skiplist", head, "index walk exceeded step bound"}
-			}
-			node := isa.Addr(clean(ptr))
-			if node == 0 {
-				break
-			}
-			if !node.Aligned() {
-				return nil, Corruption{"skiplist", node, "misaligned node pointer"}
-			}
-			key := img.Read(node + 0)
-			height := img.Read(node + 16)
-			deleted := img.Read(node+24)&markBit != 0
-			if !bottomKeys[key] && !deleted {
-				// A live index node must exist on the bottom level. A
-				// *marked* one may linger: index linking races with
-				// deletion, and the loser is unlinked lazily by later
-				// traversals — legitimate in the crash image too.
-				return nil, Corruption{"skiplist", node,
-					fmt.Sprintf("level-%d node key %d not on the bottom level", level, key)}
-			}
-			if height <= uint64(level) {
-				return nil, Corruption{"skiplist", node,
-					fmt.Sprintf("node of height %d reachable at level %d", height, level)}
-			}
-			if key <= prev {
-				return nil, Corruption{"skiplist", node,
-					fmt.Sprintf("level-%d order violated: %d after %d", level, key, prev)}
-			}
-			prev = key
-			ptr = img.Read(node + isa.Addr(24+level*8))
-		}
-	}
-	return rep.Set, nil
-}
-
 // QueueState is the recovered logical content of the MS queue.
 type QueueState struct {
 	// Values are the queued values from head to tail.
 	Values []uint64
 	Nodes  int
+}
+
+// Report is the outcome of a hardened recovery walk. Rather than abort on
+// the first structural violation, a walk quarantines the offending node
+// and recovers everything else it can reach — what a production recovery
+// procedure must do when the image was left by a faulty NVM rather than
+// an idealized one. Err gives the strict verdict: each walk checks in a
+// fixed order, so the first quarantined violation is the one an aborting
+// walk would have stopped at.
+type Report struct {
+	// Structure names the walked structure.
+	Structure string
+	// Set holds the recovered contents of a keyed structure (list,
+	// hashmap, BST, skip list, kv store); Queue those of the MS queue.
+	// Exactly one is non-nil.
+	Set   *SetState
+	Queue *QueueState
+	// Quarantined lists the nodes excluded from the recovered contents,
+	// with the violation that condemned each.
+	Quarantined []Corruption
+	// Abandoned counts walks (chains, subtrees) truncated at a node whose
+	// links could not be trusted: an unknown suffix of the structure was
+	// lost beyond them.
+	Abandoned int
+}
+
+// NewSetReport starts the report of a keyed structure's walk.
+func NewSetReport(structure string) *Report {
+	return &Report{Structure: structure, Set: &SetState{Members: map[uint64]uint64{}}}
+}
+
+// Quarantine records that node was excluded from the recovered contents
+// for reason.
+func (r *Report) Quarantine(node isa.Addr, reason string) {
+	r.Quarantined = append(r.Quarantined, Corruption{r.Structure, node, reason})
+}
+
+// Abandon quarantines node for reason and counts the walk truncated
+// there: nothing beyond node can be trusted.
+func (r *Report) Abandon(node isa.Addr, reason string) {
+	r.Quarantine(node, reason)
+	r.Abandoned++
+}
+
+// Clean reports whether the walk recovered the full structure: nothing
+// quarantined, nothing abandoned. Under SB/BB/LRP every crash image —
+// torn lines included — must produce a clean report; that is the paper's
+// consistency claim under the hardened fault model.
+func (r *Report) Clean() bool {
+	return len(r.Quarantined) == 0 && r.Abandoned == 0
+}
+
+// Err returns nil for a clean report, else the first quarantined
+// violation (or a summary error when only truncation occurred).
+func (r *Report) Err() error {
+	if r.Clean() {
+		return nil
+	}
+	if len(r.Quarantined) > 0 {
+		return r.Quarantined[0]
+	}
+	return fmt.Errorf("recovery(%s): %d walk(s) abandoned", r.Structure, r.Abandoned)
+}
+
+func (r *Report) String() string {
+	n := 0
+	if r.Set != nil {
+		n = r.Set.Nodes
+	} else if r.Queue != nil {
+		n = r.Queue.Nodes
+	}
+	return fmt.Sprintf("recovery(%s): %d nodes recovered, %d quarantined, %d walks abandoned",
+		r.Structure, n, len(r.Quarantined), r.Abandoned)
 }

@@ -1,4 +1,4 @@
-package recovery
+package recovery_test
 
 import (
 	"testing"
@@ -8,7 +8,13 @@ import (
 	"lrp/internal/memsys"
 	"lrp/internal/mm"
 	"lrp/internal/persist"
+	"lrp/internal/recovery"
 )
+
+// The walks under test are the structures' own Recover methods (package
+// lfds); these tests drive them through the report types defined here.
+// Hand-made images write their nodes at 0x2000 and up, clear of the
+// anchors a fresh machine places at the start of its static region.
 
 func sys(t *testing.T) *memsys.System {
 	t.Helper()
@@ -21,7 +27,7 @@ func populate(s *memsys.System, set lfds.Set) map[uint64]uint64 {
 	s.Run([]memsys.Program{
 		func(c *memsys.Ctx) {
 			for k := uint64(1); k <= 30; k++ {
-				set.Insert(c, k, DefaultVal(k))
+				set.Insert(c, k, recovery.DefaultVal(k))
 			}
 			for k := uint64(2); k <= 30; k += 3 {
 				set.Delete(c, k)
@@ -29,7 +35,7 @@ func populate(s *memsys.System, set lfds.Set) map[uint64]uint64 {
 		},
 		func(c *memsys.Ctx) {
 			for k := uint64(31); k <= 60; k++ {
-				set.Insert(c, k, DefaultVal(k))
+				set.Insert(c, k, recovery.DefaultVal(k))
 			}
 		},
 	})
@@ -37,13 +43,13 @@ func populate(s *memsys.System, set lfds.Set) map[uint64]uint64 {
 		if k <= 30 && k%3 == 2 {
 			continue
 		}
-		want[k] = DefaultVal(k)
+		want[k] = recovery.DefaultVal(k)
 	}
 	return want
 }
 
 // recovered fails the test unless rep is clean and returns its contents.
-func recovered(t *testing.T, rep *Report) *SetState {
+func recovered(t *testing.T, rep *recovery.Report) *recovery.SetState {
 	t.Helper()
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
@@ -51,7 +57,7 @@ func recovered(t *testing.T, rep *Report) *SetState {
 	return rep.Set
 }
 
-func checkMembers(t *testing.T, got *SetState, want map[uint64]uint64) {
+func checkMembers(t *testing.T, got *recovery.SetState, want map[uint64]uint64) {
 	t.Helper()
 	if len(got.Members) != len(want) {
 		t.Fatalf("recovered %d members, want %d", len(got.Members), len(want))
@@ -69,7 +75,7 @@ func TestWalkListCleanShutdown(t *testing.T) {
 	want := populate(s, l)
 	s.Drain()
 	img := s.NVM().FinalImage(nil)
-	checkMembers(t, recovered(t, ReportList(img, l.Head())), want)
+	checkMembers(t, recovered(t, l.Recover(img)), want)
 }
 
 func TestWalkHashMapCleanShutdown(t *testing.T) {
@@ -78,8 +84,7 @@ func TestWalkHashMapCleanShutdown(t *testing.T) {
 	want := populate(s, h)
 	s.Drain()
 	img := s.NVM().FinalImage(nil)
-	base, n := h.Buckets()
-	checkMembers(t, recovered(t, ReportHashMap(img, base, n, h.BucketOf)), want)
+	checkMembers(t, recovered(t, h.Recover(img)), want)
 }
 
 func TestWalkBSTCleanShutdown(t *testing.T) {
@@ -89,7 +94,7 @@ func TestWalkBSTCleanShutdown(t *testing.T) {
 	want := populate(s, b)
 	s.Drain()
 	img := s.NVM().FinalImage(nil)
-	checkMembers(t, recovered(t, ReportBST(img, b.Root(), lfds.BSTSentinel)), want)
+	checkMembers(t, recovered(t, b.Recover(img)), want)
 }
 
 func TestWalkSkipListCleanShutdown(t *testing.T) {
@@ -98,13 +103,13 @@ func TestWalkSkipListCleanShutdown(t *testing.T) {
 	want := populate(s, sl)
 	s.Drain()
 	img := s.NVM().FinalImage(nil)
-	st, err := WalkSkipListIndex(img, sl.Head(), lfds.MaxHeight)
+	st, err := sl.WalkIndex(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkMembers(t, st, want)
 	// The bottom-only walker recovers the same membership.
-	checkMembers(t, recovered(t, ReportSkipList(img, sl.Head(), lfds.MaxHeight)), want)
+	checkMembers(t, recovered(t, sl.Recover(img)), want)
 }
 
 func TestWalkQueueCleanShutdown(t *testing.T) {
@@ -122,8 +127,7 @@ func TestWalkQueueCleanShutdown(t *testing.T) {
 	})
 	s.Drain()
 	img := s.NVM().FinalImage(nil)
-	head, tail := q.Anchors()
-	rep := ReportQueue(img, head, tail)
+	rep := q.Recover(img)
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,90 +146,91 @@ func TestWalkQueueCleanShutdown(t *testing.T) {
 
 func TestWalkListDetectsGarbageNode(t *testing.T) {
 	img := mm.NewMemory()
-	head := isa.Addr(0x1000)
+	l := lfds.NewLinkedList(sys(t))
 	node := isa.Addr(0x2000)
-	img.Write(head, uint64(node))
+	img.Write(l.Head(), uint64(node))
 	// Node linked but never initialized: the ARP failure mode.
-	wantCorruption(t, ReportList(img, head).Err(), "uninitialized key")
+	wantCorruption(t, l.Recover(img).Err(), "uninitialized key")
 	// Now a bad value.
 	img.Write(node+0, 5)
 	img.Write(node+8, 99) // not DefaultVal(5)
-	wantCorruption(t, ReportList(img, head).Err(), "integrity convention")
-	img.Write(node+8, DefaultVal(5))
-	if err := ReportList(img, head).Err(); err != nil {
+	wantCorruption(t, l.Recover(img).Err(), "integrity convention")
+	img.Write(node+8, recovery.DefaultVal(5))
+	if err := l.Recover(img).Err(); err != nil {
 		t.Fatalf("clean node rejected: %v", err)
 	}
 }
 
 func TestWalkListDetectsOrderViolation(t *testing.T) {
 	img := mm.NewMemory()
-	head := isa.Addr(0x1000)
+	l := lfds.NewLinkedList(sys(t))
 	n1, n2 := isa.Addr(0x2000), isa.Addr(0x3000)
-	img.Write(head, uint64(n1))
+	img.Write(l.Head(), uint64(n1))
 	img.Write(n1+0, 9)
-	img.Write(n1+8, DefaultVal(9))
+	img.Write(n1+8, recovery.DefaultVal(9))
 	img.Write(n1+16, uint64(n2))
 	img.Write(n2+0, 4) // out of order
-	img.Write(n2+8, DefaultVal(4))
-	wantCorruption(t, ReportList(img, head).Err(), "key order violated")
+	img.Write(n2+8, recovery.DefaultVal(4))
+	wantCorruption(t, l.Recover(img).Err(), "key order violated")
 }
 
 func TestWalkListDetectsCycle(t *testing.T) {
 	img := mm.NewMemory()
-	head := isa.Addr(0x1000)
+	l := lfds.NewLinkedList(sys(t))
 	n1 := isa.Addr(0x2000)
-	img.Write(head, uint64(n1))
+	img.Write(l.Head(), uint64(n1))
 	img.Write(n1+0, 1)
-	img.Write(n1+8, DefaultVal(1))
+	img.Write(n1+8, recovery.DefaultVal(1))
 	img.Write(n1+16, uint64(n1)) // self loop — also an order violation
-	wantCorruption(t, ReportList(img, head).Err(), "key order violated")
+	tightSteps(t, 100)
+	wantCorruption(t, l.Recover(img).Err(), "key order violated")
 }
 
 func TestWalkHashMapDetectsWrongBucket(t *testing.T) {
 	img := mm.NewMemory()
-	buckets := isa.Addr(0x1000)
+	h := lfds.NewHashMap(sys(t), 2)
+	buckets, _ := h.Buckets()
 	node := isa.Addr(0x2000)
 	img.Write(buckets, uint64(node)) // bucket 0
-	img.Write(node+0, 7)
-	img.Write(node+8, DefaultVal(7))
-	bucketOf := func(k uint64) uint64 { return 1 } // everything hashes to 1
-	wantCorruption(t, ReportHashMap(img, buckets, 2, bucketOf).Err(), "found in bucket 0, hashes to 1")
+	img.Write(node+0, 7)             // hashes to bucket 1
+	img.Write(node+8, recovery.DefaultVal(7))
+	wantCorruption(t, h.Recover(img).Err(), "found in bucket 0, hashes to 1")
 }
 
 func TestWalkBSTDetectsMissingChild(t *testing.T) {
 	img := mm.NewMemory()
-	root := isa.Addr(0x1000)
+	b := lfds.NewBST(sys(t))
 	internal := isa.Addr(0x2000)
 	leaf := isa.Addr(0x3000)
-	img.Write(root, uint64(internal))
+	img.Write(b.Root(), uint64(internal))
 	img.Write(internal+0, 10)
 	img.Write(internal+16, uint64(leaf))
 	// right child missing: the internal node's writes only partially
 	// persisted before it was linked.
 	img.Write(leaf+0, 5)
-	img.Write(leaf+8, DefaultVal(5))
-	wantCorruption(t, ReportBST(img, root, lfds.BSTSentinel).Err(), "missing child")
+	img.Write(leaf+8, recovery.DefaultVal(5))
+	wantCorruption(t, b.Recover(img).Err(), "missing child")
 }
 
 func TestWalkBSTDetectsRouteEscape(t *testing.T) {
 	img := mm.NewMemory()
-	root := isa.Addr(0x1000)
+	b := lfds.NewBST(sys(t))
 	internal := isa.Addr(0x2000)
 	l, r := isa.Addr(0x3000), isa.Addr(0x4000)
-	img.Write(root, uint64(internal))
+	img.Write(b.Root(), uint64(internal))
 	img.Write(internal+0, 10)
 	img.Write(internal+16, uint64(l))
 	img.Write(internal+24, uint64(r))
 	img.Write(l+0, 15) // should be < 10
-	img.Write(l+8, DefaultVal(15))
+	img.Write(l+8, recovery.DefaultVal(15))
 	img.Write(r+0, 20)
-	img.Write(r+8, DefaultVal(20))
-	wantCorruption(t, ReportBST(img, root, lfds.BSTSentinel).Err(), "escapes route bounds")
+	img.Write(r+8, recovery.DefaultVal(20))
+	wantCorruption(t, b.Recover(img).Err(), "escapes route bounds")
 }
 
 func TestWalkBSTEmptyImage(t *testing.T) {
 	img := mm.NewMemory()
-	rep := ReportBST(img, 0x1000, lfds.BSTSentinel)
+	rep := lfds.NewBST(sys(t)).Recover(img)
 	if err := rep.Err(); err != nil || len(rep.Set.Members) != 0 {
 		t.Fatalf("empty image: %v %v", rep, err)
 	}
@@ -233,54 +238,58 @@ func TestWalkBSTEmptyImage(t *testing.T) {
 
 func TestWalkSkipListDetectsPhantomIndexNode(t *testing.T) {
 	img := mm.NewMemory()
-	head := isa.Addr(0x1000) // 16-level tower
+	sl := lfds.NewSkipList(sys(t))
+	head := sl.Head() // 16-level tower
 	node := isa.Addr(0x2000)
 	// Node linked at level 1 but not level 0.
 	img.Write(head+8, uint64(node))
 	img.Write(node+0, 5)
-	img.Write(node+8, DefaultVal(5))
+	img.Write(node+8, recovery.DefaultVal(5))
 	img.Write(node+16, 2) // height 2
-	_, err := WalkSkipListIndex(img, head, lfds.MaxHeight)
+	_, err := sl.WalkIndex(img)
 	wantCorruption(t, err, "not on the bottom level")
 	// The crash-image walker ignores the (volatile) index.
-	if err := ReportSkipList(img, head, lfds.MaxHeight).Err(); err != nil {
+	if err := sl.Recover(img).Err(); err != nil {
 		t.Fatalf("bottom-only walker should accept: %v", err)
 	}
 }
 
 func TestWalkSkipListDetectsHeightLie(t *testing.T) {
 	img := mm.NewMemory()
-	head := isa.Addr(0x1000)
+	sl := lfds.NewSkipList(sys(t))
+	head := sl.Head()
 	node := isa.Addr(0x2000)
 	img.Write(head, uint64(node))
 	img.Write(head+8, uint64(node))
 	img.Write(node+0, 5)
-	img.Write(node+8, DefaultVal(5))
+	img.Write(node+8, recovery.DefaultVal(5))
 	img.Write(node+16, 1) // height 1, yet reachable at level 1
-	_, err := WalkSkipListIndex(img, head, lfds.MaxHeight)
+	_, err := sl.WalkIndex(img)
 	wantCorruption(t, err, "reachable at level 1")
 }
 
 func TestWalkQueueDetectsUninitializedNode(t *testing.T) {
 	img := mm.NewMemory()
-	head, tail := isa.Addr(0x1000), isa.Addr(0x1008)
+	q := lfds.NewQueue(sys(t))
+	head, tail := q.Anchors()
 	dummy, n1 := isa.Addr(0x2000), isa.Addr(0x3000)
 	img.Write(head, uint64(dummy))
 	img.Write(tail, uint64(dummy))
 	img.Write(dummy+8, uint64(n1)) // linked but val never persisted
-	wantCorruption(t, ReportQueue(img, head, tail).Err(), "uninitialized value")
+	wantCorruption(t, q.Recover(img).Err(), "uninitialized value")
 }
 
 func TestWalkQueueTailBeforeHead(t *testing.T) {
 	img := mm.NewMemory()
-	head, tail := isa.Addr(0x1000), isa.Addr(0x1008)
+	q := lfds.NewQueue(sys(t))
+	_, tail := q.Anchors()
 	img.Write(tail, uint64(0x2000))
-	wantCorruption(t, ReportQueue(img, head, tail).Err(), "tail persisted before head")
+	wantCorruption(t, q.Recover(img).Err(), "tail persisted before head")
 }
 
 func TestWalkQueueEmptyImage(t *testing.T) {
 	img := mm.NewMemory()
-	rep := ReportQueue(img, 0x1000, 0x1008)
+	rep := lfds.NewQueue(sys(t)).Recover(img)
 	if err := rep.Err(); err != nil || len(rep.Queue.Values) != 0 {
 		t.Fatalf("empty image: %v %v", rep, err)
 	}
@@ -288,15 +297,16 @@ func TestWalkQueueEmptyImage(t *testing.T) {
 
 func TestWalkQueueUnreachableTail(t *testing.T) {
 	img := mm.NewMemory()
-	head, tail := isa.Addr(0x1000), isa.Addr(0x1008)
+	q := lfds.NewQueue(sys(t))
+	head, tail := q.Anchors()
 	dummy := isa.Addr(0x2000)
 	img.Write(head, uint64(dummy))
 	img.Write(tail, uint64(0x9000)) // points nowhere in the chain
-	wantCorruption(t, ReportQueue(img, head, tail).Err(), "tail points outside")
+	wantCorruption(t, q.Recover(img).Err(), "tail points outside")
 }
 
 func TestCorruptionError(t *testing.T) {
-	c := Corruption{"linkedlist", 0x2000, "boom"}
+	c := recovery.Corruption{Structure: "linkedlist", Node: 0x2000, Reason: "boom"}
 	if c.Error() == "" {
 		t.Fatal("empty error")
 	}

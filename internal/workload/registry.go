@@ -6,7 +6,22 @@ import (
 
 	"lrp/internal/lfds"
 	"lrp/internal/memsys"
+	"lrp/internal/mm"
+	"lrp/internal/recovery"
 )
+
+// Recoverable is a finished run's structure, bound to its anchors, as
+// crash tooling sees it: it can walk any reconstructed image without
+// knowing which structure the workload built. The five log-free
+// structures of package lfds and the kv store implement it.
+type Recoverable interface {
+	// Name names the walked structure (one of Names).
+	Name() string
+	// Recover performs the hardened null-recovery walk over img:
+	// corrupt nodes are quarantined into the report, never panicking.
+	// Its Err is the strict verdict: nil iff the image recovered in full.
+	Recover(img *mm.Memory) *recovery.Report
+}
 
 // Kind is one registered workload: the five paper structures plus any
 // service-shaped workload (e.g. the kv store) that layers on top of
@@ -104,7 +119,7 @@ func init() {
 			Summary: summary,
 			Run:     runSet,
 			Anchors: func(sys *memsys.System, spec Spec) (Recoverable, error) {
-				return recoverableSet{name: spec.Structure, set: newSet(sys, spec)}, nil
+				return newSet(sys, spec), nil
 			},
 		}
 	}
@@ -117,7 +132,7 @@ func init() {
 		Summary: "Michael-Scott queue, 1:1 enqueue/dequeue",
 		Run:     runQueue,
 		Anchors: func(sys *memsys.System, spec Spec) (Recoverable, error) {
-			return recoverableQueue{q: lfds.NewQueue(sys)}, nil
+			return lfds.NewQueue(sys), nil
 		},
 	})
 }

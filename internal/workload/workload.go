@@ -297,8 +297,7 @@ func runSet(sys *memsys.System, spec Spec) (*Result, Recoverable, error) {
 	end := sys.Run(work)
 	sys.Mark(memsys.MarkWindowEnd)
 
-	return Collect(spec, sys, start, end, sysBefore, nvmBefore),
-		recoverableSet{name: spec.Structure, set: set}, nil
+	return Collect(spec, sys, start, end, sysBefore, nvmBefore), set, nil
 }
 
 // runQueue drives the MS queue, bracketing its calls like runSet.
@@ -350,8 +349,7 @@ func runQueue(sys *memsys.System, spec Spec) (*Result, Recoverable, error) {
 	end := sys.Run(work)
 	sys.Mark(memsys.MarkWindowEnd)
 
-	return Collect(spec, sys, start, end, sysBefore, nvmBefore),
-		recoverableQueue{q: q}, nil
+	return Collect(spec, sys, start, end, sysBefore, nvmBefore), q, nil
 }
 
 // Collect assembles a Result from a measured window's boundary

@@ -67,10 +67,6 @@ type (
 	Violation = model.Violation
 	// Set is the common interface of the keyed log-free structures.
 	Set = lfds.Set
-	// Recovered is the logical content rebuilt by null recovery.
-	Recovered = recovery.SetState
-	// RecoveredQueue is the recovered MS-queue content.
-	RecoveredQueue = recovery.QueueState
 	// Image is a durable (or architectural) memory image.
 	Image = mm.Memory
 	// Table is a formatted result table.
@@ -182,51 +178,5 @@ func NewSkipList(m *Machine) *lfds.SkipList { return lfds.NewSkipList(m) }
 func NewQueue(m *Machine) *lfds.Queue { return lfds.NewQueue(m) }
 
 // DefaultVal is the value-integrity convention: the value stored with
-// key k is 2k+1; recovery walkers verify it.
+// key k is 2k+1; every structure's Recover verifies it.
 func DefaultVal(key uint64) uint64 { return recovery.DefaultVal(key) }
-
-// --- null recovery ----------------------------------------------------------
-
-// Each Recover* walks one structure in a durable image and returns its
-// recovered contents, or the first structural violation as a
-// recovery.Corruption (with nil contents). They are the strict face of
-// the hardened walks behind CrashRecover and SweepCrash: a walk that
-// quarantined or abandoned anything fails.
-
-// RecoverList walks a linked list in a durable image.
-func RecoverList(img *Image, l *lfds.LinkedList) (*Recovered, error) {
-	return recoveredSet(recovery.ReportList(img, l.Head()))
-}
-
-// RecoverHashMap walks a hash map in a durable image.
-func RecoverHashMap(img *Image, h *lfds.HashMap) (*Recovered, error) {
-	base, n := h.Buckets()
-	return recoveredSet(recovery.ReportHashMap(img, base, n, h.BucketOf))
-}
-
-// RecoverBST walks a BST in a durable image.
-func RecoverBST(img *Image, b *lfds.BST) (*Recovered, error) {
-	return recoveredSet(recovery.ReportBST(img, b.Root(), lfds.BSTSentinel))
-}
-
-// RecoverSkipList walks a skip list's bottom level in a durable image.
-func RecoverSkipList(img *Image, s *lfds.SkipList) (*Recovered, error) {
-	return recoveredSet(recovery.ReportSkipList(img, s.Head(), lfds.MaxHeight))
-}
-
-// RecoverQueue walks an MS queue in a durable image.
-func RecoverQueue(img *Image, q *lfds.Queue) (*RecoveredQueue, error) {
-	head, tail := q.Anchors()
-	rep := recovery.ReportQueue(img, head, tail)
-	if err := rep.Err(); err != nil {
-		return nil, err
-	}
-	return rep.Queue, nil
-}
-
-func recoveredSet(rep *RecoveryReport) (*Recovered, error) {
-	if err := rep.Err(); err != nil {
-		return nil, err
-	}
-	return rep.Set, nil
-}

@@ -100,10 +100,11 @@ func TestPublicRecoveryRoundTrip(t *testing.T) {
 		l.Delete(c, 7)
 	}})
 	m.Drain()
-	rec, err := RecoverList(m.NVM().FinalImage(nil), l)
-	if err != nil {
+	rep := l.Recover(m.NVM().FinalImage(nil))
+	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
+	rec := rep.Set
 	if len(rec.Members) != 19 || rec.Members[8] != DefaultVal(8) {
 		t.Fatalf("recovered %d members", len(rec.Members))
 	}
@@ -134,17 +135,13 @@ func TestPublicRecoveryAllStructures(t *testing.T) {
 	})
 	m.Drain()
 	img := m.NVM().FinalImage(nil)
-	if rec, err := RecoverHashMap(img, h); err != nil || len(rec.Members) != 10 {
-		t.Fatalf("hashmap: %v %v", rec, err)
+	for _, s := range []Set{h, b, sl} {
+		if rep := s.Recover(img); rep.Err() != nil || len(rep.Set.Members) != 10 {
+			t.Fatalf("%s: %v %v", s.Name(), rep, rep.Err())
+		}
 	}
-	if rec, err := RecoverBST(img, b); err != nil || len(rec.Members) != 10 {
-		t.Fatalf("bst: %v %v", rec, err)
-	}
-	if rec, err := RecoverSkipList(img, sl); err != nil || len(rec.Members) != 10 {
-		t.Fatalf("skiplist: %v %v", rec, err)
-	}
-	if rec, err := RecoverQueue(img, q); err != nil || len(rec.Values) != 10 {
-		t.Fatalf("queue: %v %v", rec, err)
+	if rep := q.Recover(img); rep.Err() != nil || len(rep.Queue.Values) != 10 {
+		t.Fatalf("queue: %v %v", rep, rep.Err())
 	}
 }
 
