@@ -2,8 +2,10 @@ package lrp
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -32,11 +34,60 @@ func TestGoldenExperimentAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment matrix; skipped in -short mode")
 	}
-	path := filepath.Join("testdata", "golden", "experiment_all.txt")
 	got, err := ExperimentAll(goldenOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "experiment_all.txt", got)
+}
+
+// extraOpts is the parameter set of experiment_extra.txt: small enough
+// that the exhaustive crash sweeps stay quick, with every registered
+// mechanism (Mechs nil) so eADR's mechanism-held crash image is pinned.
+var extraOpts = ExperimentOpts{
+	Threads:   2,
+	Ops:       10,
+	SizeScale: 0.02,
+	Seed:      7,
+	SeedSet:   true,
+	Parallel:  2,
+}
+
+// TestGoldenExperimentExtra pins the tables outside `-experiment all`
+// byte-for-byte against testdata/golden/experiment_extra.txt: the KV
+// service grid, the fault-injection and durable-linearizability crash
+// sweeps, and the metrics report. Regenerate deliberately with
+//
+//	go test -run TestGoldenExperimentExtra -update-golden .
+func TestGoldenExperimentExtra(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive crash sweeps; skipped in -short mode")
+	}
+	// A failing cell is pinned too: the table renders its healthy rows
+	// and the joined cell errors follow it.
+	var b strings.Builder
+	add := func(s string, err error) {
+		b.WriteString(s)
+		if err != nil {
+			fmt.Fprintf(&b, "error: %v\n", err)
+		}
+	}
+	for _, g := range []func(ExperimentOpts) (*Table, error){KVGrid, FaultReport, DLinReport} {
+		tab, err := g(extraOpts)
+		if tab == nil {
+			t.Fatal(err)
+		}
+		add(tab.Format()+"\n", err)
+	}
+	add(MetricsReport(extraOpts))
+	checkGolden(t, "experiment_extra.txt", b.String())
+}
+
+// checkGolden compares got with testdata/golden/name, or rewrites the
+// file under -update-golden.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
