@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -146,38 +147,6 @@ func cmdRecord(args []string) error {
 	return nil
 }
 
-// replayOnce replays raw under k, optionally re-recording into reOut.
-func replayOnce(raw []byte, k lrp.Mechanism, set bool, metrics bool, reOut *bytes.Buffer) (*lrp.Replayed, *trace.Writer, error) {
-	o := lrp.ReplayOpts{Mechanism: k, MechanismSet: set}
-	var w *trace.Writer
-	if reOut != nil {
-		in, err := trace.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			return nil, nil, err
-		}
-		h := in.Header()
-		mech := h.Mechanism
-		if set {
-			mech = k
-		}
-		h.Mechanism = mech
-		h.Config = h.MachineConfig(mech)
-		if w, err = trace.NewWriter(reOut, h); err != nil {
-			return nil, nil, err
-		}
-		o.Rec = w
-	}
-	if metrics {
-		in, err := trace.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			return nil, nil, err
-		}
-		o.Obs = lrp.NewObserver(in.Header().MachineConfig(k), false, 0)
-	}
-	rp, err := lrp.ReplayTrace(bytes.NewReader(raw), o)
-	return rp, w, err
-}
-
 func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	var (
@@ -211,11 +180,21 @@ func cmdReplay(args []string) error {
 		}
 		set = true
 	}
-	var reBuf *bytes.Buffer
-	if *out != "" {
-		reBuf = &bytes.Buffer{}
+	o := lrp.ReplayOpts{Mechanism: k, MechanismSet: set}
+	if *metrics {
+		in, err := trace.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			return err
+		}
+		o.Obs = lrp.NewObserver(in.Header().MachineConfig(k), false, 0)
 	}
-	rp, w, err := replayOnce(raw, k, set, *metrics, reBuf)
+	var re bytes.Buffer
+	var rp *lrp.Replayed
+	if *out != "" {
+		rp, err = trace.Rerecord(raw, o, &re)
+	} else {
+		rp, err = lrp.ReplayTrace(bytes.NewReader(raw), o)
+	}
 	if err != nil {
 		return err
 	}
@@ -237,18 +216,11 @@ func cmdReplay(args []string) error {
 		}
 		fmt.Println("verify          replay reproduces the recorded window byte-for-byte")
 	}
-	if w != nil {
-		w.SetResult(trace.EmbedResult(rp.Result))
-		if err := w.Close(); err != nil {
+	if *out != "" {
+		if err := os.WriteFile(*out, re.Bytes(), 0o644); err != nil {
 			return err
 		}
-		if got := w.Summary().Checksum; got != rp.Checksum {
-			return fmt.Errorf("replay: re-recorded op stream diverged (checksum %08x, source %08x)", got, rp.Checksum)
-		}
-		if err := os.WriteFile(*out, reBuf.Bytes(), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("re-recorded     %s (checksum %08x, matches source)\n", *out, w.Summary().Checksum)
+		fmt.Printf("re-recorded     %s (checksum %08x, matches source)\n", *out, rp.Checksum)
 	}
 	if *metrics {
 		fmt.Println()
@@ -265,17 +237,9 @@ func replayAll(raw []byte, verify bool) error {
 		"mechanism", "exec time", "vs NOP", "persists", "crit%", "stalls", "checksum")
 	var base float64
 	for _, k := range lrp.Mechanisms() {
-		var re bytes.Buffer
-		rp, w, err := replayOnce(raw, k, true, false, &re)
+		rp, err := trace.Rerecord(raw, lrp.ReplayOpts{Mechanism: k, MechanismSet: true}, io.Discard)
 		if err != nil {
 			return fmt.Errorf("under %s: %w", k, err)
-		}
-		w.SetResult(trace.EmbedResult(rp.Result))
-		if err := w.Close(); err != nil {
-			return err
-		}
-		if got := w.Summary().Checksum; got != rp.Checksum {
-			return fmt.Errorf("under %s: op stream changed (checksum %08x, source %08x)", k, got, rp.Checksum)
 		}
 		if rp.Result == nil {
 			return fmt.Errorf("under %s: trace has no measured window", k)

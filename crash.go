@@ -1,7 +1,6 @@
 package lrp
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -304,7 +303,7 @@ func SweepCrash(m *Machine, o SweepOpts) (*SweepReport, error) {
 			ranges = append(ranges, [2]int{lo, hi})
 		}
 	}
-	chunks, _ := exp.Map(context.Background(), workers, len(ranges), func(i int) (sweepChunk, error) {
+	chunks, _ := exp.Map(workers, len(ranges), func(i int) (sweepChunk, error) {
 		return sweepRange(m, rec, ck, rp, arp, bounds, ranges[i][0], ranges[i][1]), nil
 	})
 

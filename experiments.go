@@ -1,8 +1,8 @@
 package lrp
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"lrp/internal/exp"
@@ -40,60 +40,32 @@ type ExperimentOpts struct {
 	Mechs []Mechanism
 }
 
-func (o ExperimentOpts) wants(k Mechanism) bool {
-	if len(o.Mechs) == 0 {
-		return true
-	}
-	for _, m := range o.Mechs {
-		if m == k {
-			return true
-		}
-	}
-	return false
-}
-
-// rpKinds is the NOP baseline followed by every requested RP-enforcing
-// mechanism, in registry order: the column set of the normalized-time
-// comparisons (Fig5/Fig7, read-mix ablation).
-func (o ExperimentOpts) rpKinds() []Mechanism {
-	ks := []Mechanism{NOP}
-	for _, k := range Mechanisms() {
-		if k.EnforcesRP() && o.wants(k) {
-			ks = append(ks, k)
-		}
-	}
-	return ks
-}
-
-// headlineKinds is the requested headline mechanisms (registry order):
-// the columns of the head-to-head figures (Fig6).
-func (o ExperimentOpts) headlineKinds() []Mechanism {
+// kinds is every requested mechanism (Mechs; nil: all registered) that
+// keep accepts, in registry order.
+func (o ExperimentOpts) kinds(keep func(Mechanism) bool) []Mechanism {
 	var ks []Mechanism
 	for _, k := range Mechanisms() {
-		if k.Headline() && o.wants(k) {
+		if keep(k) && (len(o.Mechs) == 0 || slices.Contains(o.Mechs, k)) {
 			ks = append(ks, k)
 		}
 	}
 	return ks
 }
 
-// overheadKinds is the NOP baseline plus the headline mechanisms: the
-// cell groups of the overhead-over-volatile sweeps (Fig8, size study).
+// rpKinds is the NOP baseline followed by the requested RP-enforcing
+// mechanisms: the columns of the normalized-time comparisons.
+func (o ExperimentOpts) rpKinds() []Mechanism {
+	return append([]Mechanism{NOP}, o.kinds(Mechanism.EnforcesRP)...)
+}
+
+// overheadKinds is the NOP baseline followed by the requested headline
+// mechanisms: the columns of the overhead-over-volatile sweeps.
 func (o ExperimentOpts) overheadKinds() []Mechanism {
-	return append([]Mechanism{NOP}, o.headlineKinds()...)
+	return append([]Mechanism{NOP}, o.kinds(Mechanism.Headline)...)
 }
 
-// replayKinds is NOP (the recording mechanism) followed by every other
-// requested mechanism: the replay-comparison columns.
-func (o ExperimentOpts) replayKinds() []Mechanism {
-	ks := []Mechanism{NOP}
-	for _, k := range Mechanisms() {
-		if k != NOP && o.wants(k) {
-			ks = append(ks, k)
-		}
-	}
-	return ks
-}
+// nonBaseline keeps every mechanism that persists anything.
+func nonBaseline(k Mechanism) bool { return !k.Baseline() }
 
 func kindNames(ks []Mechanism) []string {
 	names := make([]string, len(ks))
@@ -168,10 +140,30 @@ func (o ExperimentOpts) config(k Mechanism, uncached bool) Config {
 	return cfg
 }
 
-// cell is one independent simulation of an experiment matrix: a machine
-// configuration plus a workload spec. Cells share nothing — each run
-// builds a private machine — so a matrix can execute on any number of
-// workers without changing its results.
+// grid runs an experiment matrix of len(rows) × width independent
+// cells on the pool (workers as in exp.Workers) and appends to t, in
+// matrix order, one row per matrix row whose cells all succeeded: the
+// row's labels followed by render(its cells' results). A failing cell
+// never aborts the matrix; the returned error joins every failure.
+func grid[T any](workers int, t *Table, rows [][]string, width int,
+	run func(row, col int) (T, error), render func([]T) []string) error {
+	ok := make([]bool, len(rows)*width)
+	rs, err := exp.Map(workers, len(ok), func(i int) (T, error) {
+		v, err := run(i/width, i%width)
+		ok[i] = err == nil
+		return v, err
+	})
+	for r, label := range rows {
+		if !slices.Contains(ok[r*width:(r+1)*width], false) {
+			t.AddRow(append(slices.Clone(label), render(rs[r*width:(r+1)*width])...)...)
+		}
+	}
+	return err
+}
+
+// cell is one workload run of an experiment matrix: a machine
+// configuration plus a workload spec, labelled for error reports. Cells
+// share nothing — each run builds a private machine.
 type cell struct {
 	label string
 	cfg   Config
@@ -186,72 +178,60 @@ func (o ExperimentOpts) cellOf(k Mechanism, structure string, uncached bool) cel
 	}
 }
 
-// runCells executes every cell across `workers` pool workers (0: one per
-// CPU) and returns results in cell order. A failing cell does not abort
-// the matrix: its slot is nil, every other cell still runs, and the
-// returned error joins each failure labeled with its cell.
-func runCells(workers int, cells []cell) ([]*Result, error) {
-	return exp.Map(context.Background(), workers, len(cells), func(i int) (*Result, error) {
-		res, _, err := RunWorkload(cells[i].cfg, cells[i].spec)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", cells[i].label, err)
-		}
-		return res, nil
-	})
+// run executes the cell's workload; an error carries the cell's label.
+func (c cell) run() (*Result, error) {
+	res, _, err := RunWorkload(c.cfg, c.spec)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", c.label, err)
+	}
+	return res, nil
 }
 
-// complete reports whether every result of a row's cell group is present
-// (a nil entry means that cell failed and the row cannot be rendered).
-func complete(rs []*Result) bool {
-	for _, r := range rs {
-		if r == nil {
-			return false
-		}
-	}
-	return true
+// workloadGrid is grid over workload cells, cellAt describing each.
+func (o ExperimentOpts) workloadGrid(t *Table, rows [][]string, width int,
+	cellAt func(row, col int) cell, render func([]*Result) []string) error {
+	return grid(o.Parallel, t, rows, width, func(r, c int) (*Result, error) {
+		return cellAt(r, c).run()
+	}, render)
 }
 
-// runAll executes one structure under each requested mechanism, sharded
-// across the configured workers. Every cell runs even when another
-// fails: the returned map holds each successful cell's result and the
-// error joins the failures, labeled with their (structure, mechanism).
-func (o ExperimentOpts) runAll(structure string, uncached bool, ks ...Mechanism) (map[Mechanism]*Result, error) {
-	cells := make([]cell, len(ks))
-	for i, k := range ks {
-		cells[i] = o.cellOf(k, structure, uncached)
+// ratios renders each cell's execution time over the row's first
+// (baseline) cell.
+func ratios(rs []*Result) []string {
+	base := float64(rs[0].ExecTime)
+	cols := make([]string, 0, len(rs)-1)
+	for _, r := range rs[1:] {
+		cols = append(cols, stats.Ratio(float64(r.ExecTime)/base))
 	}
-	rs, err := runCells(o.Parallel, cells)
-	out := make(map[Mechanism]*Result, len(ks))
-	for i, k := range ks {
-		if rs[i] != nil {
-			out[k] = rs[i]
-		}
+	return cols
+}
+
+// overheads renders each cell's execution-time overhead over the row's
+// first (baseline) cell, in percent.
+func overheads(rs []*Result) []string {
+	base := float64(rs[0].ExecTime)
+	cols := make([]string, 0, len(rs)-1)
+	for _, r := range rs[1:] {
+		cols = append(cols, stats.Pct(100*(float64(r.ExecTime)-base)/base))
 	}
-	return out, err
+	return cols
+}
+
+// labels makes one single-column row label per name.
+func labels(names []string) [][]string {
+	rows := make([][]string, len(names))
+	for i, n := range names {
+		rows[i] = []string{n}
+	}
+	return rows
 }
 
 func normalizedTable(title string, o ExperimentOpts, uncached bool) (*Table, error) {
 	ks := o.rpKinds()
-	cells := make([]cell, 0, len(Structures)*len(ks))
-	for _, structure := range Structures {
-		for _, k := range ks {
-			cells = append(cells, o.cellOf(k, structure, uncached))
-		}
-	}
-	rs, err := runCells(o.Parallel, cells)
 	t := stats.NewTable(title, append([]string{"workload"}, kindNames(ks[1:])...)...)
-	for si, structure := range Structures {
-		row := rs[si*len(ks) : (si+1)*len(ks)]
-		if !complete(row) {
-			continue
-		}
-		base := float64(row[0].ExecTime)
-		cols := make([]string, 0, len(ks)-1)
-		for _, r := range row[1:] {
-			cols = append(cols, stats.Ratio(float64(r.ExecTime)/base))
-		}
-		t.AddRow(append([]string{structure}, cols...)...)
-	}
+	err := o.workloadGrid(t, labels(Structures), len(ks), func(r, c int) cell {
+		return o.cellOf(ks[c], Structures[r], uncached)
+	}, ratios)
 	t.AddNote("execution time normalized to NOP (volatile); lower is better")
 	t.AddNote("threads=%d ops/thread=%d sizes=%v seed=%d", o.Threads, o.Ops, sizesNote(o), o.Seed)
 	return t, err
@@ -283,27 +263,18 @@ func Fig7(o ExperimentOpts) (*Table, error) {
 // critical path of execution, BB versus LRP.
 func Fig6(o ExperimentOpts) (*Table, error) {
 	o = o.withDefaults()
-	ks := o.headlineKinds()
-	cells := make([]cell, 0, len(Structures)*len(ks))
-	for _, structure := range Structures {
-		for _, k := range ks {
-			cells = append(cells, o.cellOf(k, structure, false))
-		}
-	}
-	rs, err := runCells(o.Parallel, cells)
+	ks := o.kinds(Mechanism.Headline)
 	t := stats.NewTable("Figure 6: % of write-backs in the critical path",
 		append([]string{"workload"}, kindNames(ks)...)...)
-	for si, structure := range Structures {
-		row := rs[si*len(ks) : (si+1)*len(ks)]
-		if !complete(row) {
-			continue
-		}
-		cols := make([]string, 0, len(ks))
-		for _, r := range row {
+	err := o.workloadGrid(t, labels(Structures), len(ks), func(r, c int) cell {
+		return o.cellOf(ks[c], Structures[r], false)
+	}, func(rs []*Result) []string {
+		cols := make([]string, 0, len(rs))
+		for _, r := range rs {
 			cols = append(cols, stats.Pct(r.CriticalWritebackPct()))
 		}
-		t.AddRow(append([]string{structure}, cols...)...)
-	}
+		return cols
+	})
 	t.AddNote("lower is better; threads=%d ops/thread=%d", o.Threads, o.Ops)
 	return t, err
 }
@@ -317,42 +288,22 @@ func Fig8(o ExperimentOpts, threadCounts ...int) (*Table, error) {
 		threadCounts = []int{1, 8, 16, 32}
 	}
 	ks := o.overheadKinds()
-	type rowKey struct {
-		structure string
-		threads   int
-	}
-	var rows []rowKey
-	var cells []cell
+	var rows [][]string
 	for _, structure := range Structures {
 		for _, n := range threadCounts {
-			oo := o
-			oo.Threads = n
-			if oo.Cores < n {
-				oo.Cores = n
-			}
-			rows = append(rows, rowKey{structure, n})
-			for _, k := range ks {
-				c := oo.cellOf(k, structure, false)
-				c.label = fmt.Sprintf("%s/%s t=%d", structure, k, n)
-				cells = append(cells, c)
-			}
+			rows = append(rows, []string{structure, fmt.Sprintf("%d", n)})
 		}
 	}
-	rs, err := runCells(o.Parallel, cells)
 	t := stats.NewTable("Figure 8: persistency overhead vs thread count",
 		append([]string{"workload", "threads"}, kindNames(ks[1:])...)...)
-	for ri, rk := range rows {
-		row := rs[ri*len(ks) : (ri+1)*len(ks)]
-		if !complete(row) {
-			continue
-		}
-		base := float64(row[0].ExecTime)
-		cols := make([]string, 0, len(ks)-1)
-		for _, r := range row[1:] {
-			cols = append(cols, stats.Pct(100*(float64(r.ExecTime)-base)/base))
-		}
-		t.AddRow(append([]string{rk.structure, fmt.Sprintf("%d", rk.threads)}, cols...)...)
-	}
+	err := o.workloadGrid(t, rows, len(ks), func(r, c int) cell {
+		oo := o
+		oo.Threads = threadCounts[r%len(threadCounts)]
+		oo.Cores = max(oo.Cores, oo.Threads)
+		cl := oo.cellOf(ks[c], rows[r][0], false)
+		cl.label = fmt.Sprintf("%s/%s t=%s", rows[r][0], ks[c], rows[r][1])
+		return cl
+	}, overheads)
 	t.AddNote("%% execution-time overhead over NOP; lower is better")
 	return t, err
 }
@@ -366,39 +317,23 @@ func SizeSensitivity(o ExperimentOpts, scales ...float64) (*Table, error) {
 		scales = []float64{0.25, 1, 4}
 	}
 	ks := o.overheadKinds()
-	type rowKey struct {
-		structure string
-		size      int
-	}
-	var rows []rowKey
-	var cells []cell
+	var rows [][]string
 	for _, structure := range []string{"hashmap", "bstree", "skiplist"} {
 		for _, sc := range scales {
 			oo := o
 			oo.SizeScale = sc
-			rows = append(rows, rowKey{structure, oo.size(structure)})
-			for _, k := range ks {
-				c := oo.cellOf(k, structure, false)
-				c.label = fmt.Sprintf("%s/%s n=%d", structure, k, oo.size(structure))
-				cells = append(cells, c)
-			}
+			rows = append(rows, []string{structure, fmt.Sprintf("%d", oo.size(structure))})
 		}
 	}
-	rs, err := runCells(o.Parallel, cells)
 	t := stats.NewTable("Size sensitivity: persistency overhead vs structure size",
 		append([]string{"workload", "size"}, kindNames(ks[1:])...)...)
-	for ri, rk := range rows {
-		row := rs[ri*len(ks) : (ri+1)*len(ks)]
-		if !complete(row) {
-			continue
-		}
-		base := float64(row[0].ExecTime)
-		cols := make([]string, 0, len(ks)-1)
-		for _, r := range row[1:] {
-			cols = append(cols, stats.Pct(100*(float64(r.ExecTime)-base)/base))
-		}
-		t.AddRow(append([]string{rk.structure, fmt.Sprintf("%d", rk.size)}, cols...)...)
-	}
+	err := o.workloadGrid(t, rows, len(ks), func(r, c int) cell {
+		oo := o
+		oo.SizeScale = scales[r%len(scales)]
+		cl := oo.cellOf(ks[c], rows[r][0], false)
+		cl.label = fmt.Sprintf("%s/%s n=%s", rows[r][0], ks[c], rows[r][1])
+		return cl
+	}, overheads)
 	t.AddNote("the paper reports no significant size dependence (§6.4)")
 	return t, err
 }
@@ -425,7 +360,7 @@ func AblationRET(o ExperimentOpts, watermarks ...int) (*Table, error) {
 			cells = append(cells, c)
 		}
 	}
-	rs, err := runCells(o.Parallel, cells)
+	rs, err := exp.Map(o.Parallel, len(cells), func(i int) (*Result, error) { return cells[i].run() })
 	t := stats.NewTable("Ablation: RET drain watermark (LRP)",
 		"workload", "watermark", "time vs NOP", "I2 blocks", "critical %")
 	for si, structure := range structures {
@@ -457,30 +392,18 @@ func AblationReadMix(o ExperimentOpts, readPcts ...int) (*Table, error) {
 		readPcts = []int{0, 50, 90}
 	}
 	ks := o.rpKinds()
-	var cells []cell
+	var rows [][]string
 	for _, rp := range readPcts {
-		for _, k := range ks {
-			c := o.cellOf(k, "hashmap", false)
-			c.spec.ReadPct = rp
-			c.label = fmt.Sprintf("hashmap/%s reads=%d%%", k, rp)
-			cells = append(cells, c)
-		}
+		rows = append(rows, []string{fmt.Sprintf("%d%%", rp)})
 	}
-	rs, err := runCells(o.Parallel, cells)
 	t := stats.NewTable("Ablation: read-intensity (hashmap)",
 		append([]string{"reads"}, kindNames(ks[1:])...)...)
-	for ri, rp := range readPcts {
-		row := rs[ri*len(ks) : (ri+1)*len(ks)]
-		if !complete(row) {
-			continue
-		}
-		base := float64(row[0].ExecTime)
-		cols := make([]string, 0, len(ks)-1)
-		for _, r := range row[1:] {
-			cols = append(cols, stats.Ratio(float64(r.ExecTime)/base))
-		}
-		t.AddRow(append([]string{fmt.Sprintf("%d%%", rp)}, cols...)...)
-	}
+	err := o.workloadGrid(t, rows, len(ks), func(r, c int) cell {
+		cl := o.cellOf(ks[c], "hashmap", false)
+		cl.spec.ReadPct = readPcts[r]
+		cl.label = fmt.Sprintf("hashmap/%s reads=%d%%", ks[c], readPcts[r])
+		return cl
+	}, ratios)
 	return t, err
 }
 

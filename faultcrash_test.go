@@ -184,3 +184,19 @@ func TestCrashRecoverAttachesReport(t *testing.T) {
 		t.Fatalf("recoverable names %q", rec.Name())
 	}
 }
+
+// TestSweepCellSeed: the crash-sweep tables tag their sweeps with the
+// experiment seed, so a failing cell's report names the seed that
+// reproduces it.
+func TestSweepCellSeed(t *testing.T) {
+	o := ExperimentOpts{Threads: 2, Ops: 10, SizeScale: 0.02, Seed: 7, SeedSet: true}.withDefaults()
+	for _, faults := range []bool{true, false} {
+		r, err := o.sweepCell("hashmap", ARP, faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.sweep.Seed != 7 {
+			t.Fatalf("faults=%v: sweep tagged seed=%d, want 7: %v", faults, r.sweep.Seed, r.sweep)
+		}
+	}
+}

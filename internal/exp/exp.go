@@ -9,7 +9,6 @@
 package exp
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -44,11 +43,9 @@ func (e *CellError) Unwrap() error { return e.Err }
 // returned error joins each failure as a *CellError (errors.Join; nil
 // when every cell succeeded).
 //
-// Cancelling ctx stops workers from claiming further cells; cells
-// already running complete, and the joined error includes the context's
-// error. Cells are claimed from a shared counter, so scheduling order is
+// Cells are claimed from a shared counter, so scheduling order is
 // nondeterministic — fn must not depend on execution order, only on i.
-func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
+func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if n == 0 {
 		return out, nil
@@ -67,7 +64,7 @@ func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) 
 			defer wg.Done()
 			for {
 				i := int(next.Add(1))
-				if i >= n || ctx.Err() != nil {
+				if i >= n {
 					return
 				}
 				v, err := fn(i)
@@ -80,8 +77,5 @@ func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) 
 		}()
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		errs = append(errs, err)
-	}
 	return out, errors.Join(errs...)
 }

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -23,7 +22,7 @@ func TestWorkers(t *testing.T) {
 
 func TestMapOrderIndependent(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
-		out, err := Map(context.Background(), workers, 50, func(i int) (int, error) {
+		out, err := Map(workers, 50, func(i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -41,7 +40,7 @@ func TestMapOrderIndependent(t *testing.T) {
 }
 
 func TestMapZeroCells(t *testing.T) {
-	out, err := Map(context.Background(), 4, 0, func(i int) (int, error) {
+	out, err := Map(4, 0, func(i int) (int, error) {
 		t.Fatal("fn called for empty job list")
 		return 0, nil
 	})
@@ -52,7 +51,7 @@ func TestMapZeroCells(t *testing.T) {
 
 func TestMapErrorCellsStillRunOthers(t *testing.T) {
 	var ran atomic.Int64
-	out, err := Map(context.Background(), 4, 10, func(i int) (string, error) {
+	out, err := Map(4, 10, func(i int) (string, error) {
 		ran.Add(1)
 		if i%3 == 0 {
 			return "", fmt.Errorf("boom %d", i)
@@ -87,7 +86,7 @@ func TestMapErrorCellsStillRunOthers(t *testing.T) {
 
 func TestMapCellErrorUnwraps(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	_, err := Map(context.Background(), 2, 3, func(i int) (int, error) {
+	_, err := Map(2, 3, func(i int) (int, error) {
 		if i == 1 {
 			return 0, sentinel
 		}
@@ -95,27 +94,6 @@ func TestMapCellErrorUnwraps(t *testing.T) {
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("joined error does not unwrap to the cell's cause: %v", err)
-	}
-}
-
-func TestMapCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	out, err := Map(ctx, 1, 100, func(i int) (int, error) {
-		if ran.Add(1) == 3 {
-			cancel()
-		}
-		return i, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled in joined error, got %v", err)
-	}
-	if n := ran.Load(); n >= 100 {
-		t.Fatalf("cancellation did not stop dispatch (%d cells ran)", n)
-	}
-	// Completed cells keep their results even under cancellation.
-	if out[0] != 0 {
-		t.Fatalf("out[0] = %d", out[0])
 	}
 }
 

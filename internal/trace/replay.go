@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"time"
@@ -167,6 +168,42 @@ func Replay(src io.Reader, o ReplayOpts) (*Replayed, error) {
 		o.Obs.TraceReplayed(out.Ops, rate)
 	}
 	return out, nil
+}
+
+// Rerecord replays the trace in raw under o and re-records the replay
+// into dst: the source header under the replay mechanism, the op
+// stream, and the replayed window as the embedded result. The op stream
+// does not depend on the mechanism, so the re-recorded checksum must
+// equal the source's; a mismatch is an error. o.Rec is replaced.
+func Rerecord(raw []byte, o ReplayOpts, dst io.Writer) (*Replayed, error) {
+	r, err := NewReader(bytes.NewReader(raw))
+	if err != nil {
+		return nil, err
+	}
+	h := r.Header()
+	if o.MechanismSet {
+		h.Mechanism = o.Mechanism
+	}
+	h.Config = h.MachineConfig(h.Mechanism)
+	w, err := NewWriter(dst, h)
+	if err != nil {
+		return nil, err
+	}
+	o.Rec = w
+	rp, err := Replay(bytes.NewReader(raw), o)
+	if err != nil {
+		return nil, err
+	}
+	if rp.Result != nil {
+		w.SetResult(EmbedResult(rp.Result))
+	}
+	if err := w.Close(); err != nil {
+		return nil, err
+	}
+	if got := w.Summary().Checksum; got != rp.Checksum {
+		return nil, fmt.Errorf("trace: re-recorded op stream changed (checksum %08x, source %08x)", got, rp.Checksum)
+	}
+	return rp, nil
 }
 
 // VerifyEmbedded checks that the replay reproduced the recording run's

@@ -44,42 +44,22 @@ func KVGrid(o ExperimentOpts) (*Table, error) {
 	ks := o.rpKinds()
 	ladder := kvThreadLadder(o.Threads)
 
-	type rowKey struct {
-		skew    string
-		threads int
-	}
-	var rows []rowKey
+	var rows [][]string
 	for _, skew := range workload.KVSkews {
 		for _, th := range ladder {
-			rows = append(rows, rowKey{skew, th})
+			rows = append(rows, []string{skew, fmt.Sprintf("%d", th)})
 		}
 	}
-	cells := make([]cell, 0, len(rows)*len(ks))
-	for _, r := range rows {
-		for _, k := range ks {
-			cells = append(cells, cell{
-				label: fmt.Sprintf("kv/%s/t%d/%s", r.skew, r.threads, k),
-				cfg:   o.config(k, false),
-				spec:  o.kvSpec(r.skew, r.threads),
-			})
-		}
-	}
-	rs, err := runCells(o.Parallel, cells)
-
 	t := stats.NewTable("KV service: execution time normalized to No-Persistency",
 		append([]string{"skew", "threads"}, kindNames(ks[1:])...)...)
-	for ri, r := range rows {
-		row := rs[ri*len(ks) : (ri+1)*len(ks)]
-		if !complete(row) {
-			continue
+	err := o.workloadGrid(t, rows, len(ks), func(r, c int) cell {
+		skew, th := workload.KVSkews[r/len(ladder)], ladder[r%len(ladder)]
+		return cell{
+			label: fmt.Sprintf("kv/%s/t%d/%s", skew, th, ks[c]),
+			cfg:   o.config(ks[c], false),
+			spec:  o.kvSpec(skew, th),
 		}
-		base := float64(row[0].ExecTime)
-		cols := make([]string, 0, len(ks)-1)
-		for _, res := range row[1:] {
-			cols = append(cols, stats.Ratio(float64(res.ExecTime)/base))
-		}
-		t.AddRow(append([]string{r.skew, fmt.Sprintf("%d", r.threads)}, cols...)...)
-	}
+	}, ratios)
 	t.AddNote("execution time normalized to NOP (volatile); lower is better")
 	p := KVParams{}.Normalized(o.size("kv"))
 	t.AddNote("tenants=%d keys/tenant=%d mix=get%d/set%d/del%d/cas%d/scan%d ops/thread=%d seed=%d",

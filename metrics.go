@@ -1,12 +1,10 @@
 package lrp
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
 
-	"lrp/internal/exp"
 	"lrp/internal/obs"
 	"lrp/internal/stats"
 )
@@ -67,67 +65,152 @@ func FormatHistogram(title string, s obs.HistSnapshot) string {
 // persists off the critical path, RET occupancy well under capacity).
 func MetricsReport(o ExperimentOpts) (string, error) {
 	o = o.withDefaults()
+	ks := o.kinds(Mechanism.EnforcesRP)
 	t := stats.NewTable("Metrics: per-mechanism machine counters",
 		"workload", "mech", "persists", "crit%", "p50 lat", "p99 lat",
 		"stall cyc/op", "scans", "ret drains", "p99 occ")
-	var lrpLat, lrpOcc, lrpRes obs.HistSnapshot
-	for _, structure := range Structures {
-		for _, k := range o.rpKinds()[1:] {
-			cfg := o.config(k, false)
-			cfg.Obs = NewObserver(cfg, false, 0)
-			res, m, err := RunWorkload(cfg, o.spec(structure))
-			if err != nil {
-				return "", fmt.Errorf("%s/%s: %w", structure, k, err)
-			}
-			reg := m.Observer().Registry()
-			lat := reg.MergeHistograms("persist/latency/")
-			occ := reg.MergeHistograms("ret/occupancy/")
-			scans := reg.MergeHistograms("engine/scan_len/")
-			persists := reg.SumCounters("persist/issued/")
-			crit := reg.SumCounters("persist/critical/")
-			var critPct float64
-			if persists > 0 {
-				critPct = 100 * float64(crit) / float64(persists)
-			}
-			var stallPerOp float64
-			if res.Ops > 0 {
-				stallPerOp = float64(res.Sys.StallCycles) / float64(res.Ops)
-			}
-			t.AddRow(structure, k.String(),
-				stats.Count(persists),
-				stats.Pct(critPct),
-				stats.Count(lat.Quantile(0.5)),
-				stats.Count(lat.Quantile(0.99)),
-				fmt.Sprintf("%.1f", stallPerOp),
-				stats.Count(uint64(scans.Count)),
-				stats.Count(reg.SumCounters("ret/watermark_flushes/")),
-				stats.Count(occ.Quantile(0.99)))
-			if k == LRP {
-				lrpLat.Merge(lat)
-				lrpOcc.Merge(occ)
-				lrpRes.Merge(reg.MergeHistograms("ret/residency/"))
-			}
-		}
+	type metricsCell struct {
+		cols []string
+		lrp  []obs.HistSnapshot // LRP cells: latency, occupancy, residency
 	}
+	var lrpHists [3]obs.HistSnapshot
+	err := grid(o.Parallel, t, cellRows(ks), 1, func(r, _ int) (metricsCell, error) {
+		structure, k := Structures[r/len(ks)], ks[r%len(ks)]
+		cfg := o.config(k, false)
+		cfg.Obs = NewObserver(cfg, false, 0)
+		res, m, err := RunWorkload(cfg, o.spec(structure))
+		if err != nil {
+			return metricsCell{}, fmt.Errorf("%s/%s: %w", structure, k, err)
+		}
+		reg := m.Observer().Registry()
+		lat := reg.MergeHistograms("persist/latency/")
+		occ := reg.MergeHistograms("ret/occupancy/")
+		scans := reg.MergeHistograms("engine/scan_len/")
+		persists := reg.SumCounters("persist/issued/")
+		crit := reg.SumCounters("persist/critical/")
+		var critPct float64
+		if persists > 0 {
+			critPct = 100 * float64(crit) / float64(persists)
+		}
+		var stallPerOp float64
+		if res.Ops > 0 {
+			stallPerOp = float64(res.Sys.StallCycles) / float64(res.Ops)
+		}
+		c := metricsCell{cols: []string{
+			stats.Count(persists),
+			stats.Pct(critPct),
+			stats.Count(lat.Quantile(0.5)),
+			stats.Count(lat.Quantile(0.99)),
+			fmt.Sprintf("%.1f", stallPerOp),
+			stats.Count(uint64(scans.Count)),
+			stats.Count(reg.SumCounters("ret/watermark_flushes/")),
+			stats.Count(occ.Quantile(0.99)),
+		}}
+		if k == LRP {
+			c.lrp = []obs.HistSnapshot{lat, occ, reg.MergeHistograms("ret/residency/")}
+		}
+		return c, nil
+	}, func(c []metricsCell) []string {
+		// Rows render in table order, so the merge order is fixed.
+		for i, h := range c[0].lrp {
+			lrpHists[i].Merge(h)
+		}
+		return c[0].cols
+	})
 	t.AddNote("latencies and occupancies from the metrics registry (cycles; log-bucketed, quantiles are bucket upper edges)")
 	t.AddNote("threads=%d ops/thread=%d seed=%d", o.Threads, o.Ops, o.Seed)
 
 	var b strings.Builder
 	b.WriteString(t.Format())
-	for _, h := range []struct {
-		title string
-		snap  obs.HistSnapshot
-	}{
-		{"LRP persist latency, issue→ack (cycles)", lrpLat},
-		{"LRP RET occupancy at insert (entries)", lrpOcc},
-		{"LRP RET residency, insert→squash (cycles)", lrpRes},
+	for i, title := range []string{
+		"LRP persist latency, issue→ack (cycles)",
+		"LRP RET occupancy at insert (entries)",
+		"LRP RET residency, insert→squash (cycles)",
 	} {
-		if s := FormatHistogram(h.title, h.snap); s != "" {
+		if s := FormatHistogram(title, lrpHists[i]); s != "" {
 			b.WriteByte('\n')
 			b.WriteString(s)
 		}
 	}
-	return b.String(), nil
+	return b.String(), err
+}
+
+// cellRows labels one table row per (structure, mechanism) cell,
+// structure-major: the row set of the per-cell tables.
+func cellRows(ks []Mechanism) [][]string {
+	var rows [][]string
+	for _, structure := range Structures {
+		for _, k := range ks {
+			rows = append(rows, []string{structure, k.String()})
+		}
+	}
+	return rows
+}
+
+// sweepRun is one swept cell of the crash-sweep tables: the run's
+// machine, its operation history (nil for a fault sweep) and its sweep.
+type sweepRun struct {
+	m     *Machine
+	h     *OpHistory
+	sweep *SweepReport
+}
+
+// sweepCell runs structure under k with happens-before tracking and
+// sweeps every crash boundary of the run serially. A fault sweep turns
+// on the full fault plane (seeded by o.Seed) and an Observer; otherwise
+// the run captures its operation history and the sweep checks durable
+// linearizability too. An RP-enforcing mechanism must sweep Consistent.
+func (o ExperimentOpts) sweepCell(structure string, k Mechanism, faults bool) (sweepRun, error) {
+	cfg := o.config(k, false)
+	cfg.TrackHB = true
+	var r sweepRun
+	var rec Recoverable
+	var err error
+	if faults {
+		cfg.Faults = EnableAllFaults(o.Seed)
+		cfg.Obs = NewObserver(cfg, false, 0)
+		_, r.m, rec, err = RunRecoverableWorkload(cfg, o.spec(structure))
+	} else {
+		_, r.m, rec, r.h, err = RunRecoverableWorkloadHist(cfg, o.spec(structure))
+	}
+	if err == nil {
+		r.sweep, err = SweepCrash(r.m, SweepOpts{Rec: rec, Hist: r.h, Workers: 1, Seed: o.Seed})
+	}
+	if err == nil && k.EnforcesRP() && !r.sweep.Consistent() {
+		err = fmt.Errorf("%v", r.sweep)
+		if r.sweep.FirstDLin != nil {
+			err = fmt.Errorf("%w\nfirst: %v", err, r.sweep.FirstDLin)
+		}
+	}
+	if err != nil {
+		return sweepRun{}, fmt.Errorf("%s/%s: %w", structure, k, err)
+	}
+	return r, nil
+}
+
+// sweepGrid renders one row of t per sweep cell — every structure under
+// every requested non-baseline mechanism — with cols computed inside the
+// cell while its machine is live. The cells already saturate the pool,
+// and a private serial sweep keeps each cell's fault counters identical
+// to a standalone run. It returns the rendered rows' sweeps in order.
+func (o ExperimentOpts) sweepGrid(t *Table, faults bool, cols func(sweepRun) []string) ([]*SweepReport, error) {
+	ks := o.kinds(nonBaseline)
+	type sweepRow struct {
+		sweep *SweepReport
+		cols  []string
+	}
+	var sweeps []*SweepReport
+	err := grid(o.Parallel, t, cellRows(ks), 1, func(r, _ int) (sweepRow, error) {
+		run, err := o.sweepCell(Structures[r/len(ks)], ks[r%len(ks)], faults)
+		if err != nil {
+			return sweepRow{}, err
+		}
+		return sweepRow{run.sweep, cols(run)}, nil
+	}, func(c []sweepRow) []string {
+		sweeps = append(sweeps, c[0].sweep)
+		return c[0].cols
+	})
+	return sweeps, err
 }
 
 // FaultReport runs every workload under every non-baseline mechanism with
@@ -139,72 +222,22 @@ func MetricsReport(o ExperimentOpts) (string, error) {
 // counts show the paper's §3 gap surviving into the fault model.
 func FaultReport(o ExperimentOpts) (*Table, error) {
 	o = o.withDefaults()
-	var ks []Mechanism
-	for _, k := range Mechanisms() {
-		if !k.Baseline() && o.wants(k) {
-			ks = append(ks, k)
-		}
-	}
-	type faultCell struct {
-		structure string
-		mech      Mechanism
-	}
-	type faultRow struct {
-		sweep                          *SweepReport
-		retries, giveups, torn, stalls uint64
-	}
-	var cells []faultCell
-	for _, structure := range Structures {
-		for _, k := range ks {
-			cells = append(cells, faultCell{structure, k})
-		}
-	}
-	// Each cell runs its workload, then sweeps its own machine serially —
-	// the cells themselves already saturate the pool, and a private sweep
-	// keeps each cell's fault counters identical to a standalone run.
-	rows, err := exp.Map(context.Background(), o.Parallel, len(cells), func(i int) (faultRow, error) {
-		structure, k := cells[i].structure, cells[i].mech
-		cfg := o.config(k, false)
-		cfg.TrackHB = true
-		cfg.Faults = EnableAllFaults(o.Seed)
-		cfg.Obs = NewObserver(cfg, false, 0)
-		_, m, rec, err := RunRecoverableWorkload(cfg, o.spec(structure))
-		if err != nil {
-			return faultRow{}, fmt.Errorf("%s/%s: %w", structure, k, err)
-		}
-		sweep, err := SweepCrash(m, SweepOpts{Rec: rec, Workers: 1})
-		if err != nil {
-			return faultRow{}, fmt.Errorf("%s/%s: %w", structure, k, err)
-		}
-		if k.EnforcesRP() && !sweep.Consistent() {
-			return faultRow{}, fmt.Errorf("%s/%s: %v", structure, k, sweep)
-		}
-		nst := m.NVM().Stats()
-		fst := m.Faults().Stats()
-		return faultRow{
-			sweep:   sweep,
-			retries: nst.Retries, giveups: nst.Giveups,
-			torn: nst.TornApplied, stalls: fst.Stalls,
-		}, nil
-	})
 	t := stats.NewTable("Fault injection: exhaustive crash-boundary sweeps (all injectors on)",
 		"workload", "mech", "boundaries", "RP bad", "dirty walks", "quarantined",
 		"retries", "giveups", "torn", "stalls")
-	for i, c := range cells {
-		r := rows[i]
-		if r.sweep == nil {
-			continue
-		}
-		t.AddRow(c.structure, c.mech.String(),
+	_, err := o.sweepGrid(t, true, func(r sweepRun) []string {
+		nst := r.m.NVM().Stats()
+		return []string{
 			stats.Count(uint64(r.sweep.Boundaries)),
 			stats.Count(uint64(r.sweep.RPBad)),
 			stats.Count(uint64(r.sweep.DirtyWalks)),
 			stats.Count(uint64(r.sweep.Quarantined)),
-			stats.Count(r.retries),
-			stats.Count(r.giveups),
-			stats.Count(r.torn),
-			stats.Count(r.stalls))
-	}
+			stats.Count(nst.Retries),
+			stats.Count(nst.Giveups),
+			stats.Count(nst.TornApplied),
+			stats.Count(r.m.Faults().Stats().Stalls),
+		}
+	})
 	t.AddNote("every boundary of every RP-mechanism run verified: consistent cut + clean recovery walk")
 	t.AddNote("fault rates: tear=0.5 write=0.05 read=0.05 stall=0.1, seed=%d (deterministic)", o.Seed)
 	return t, err
@@ -219,65 +252,22 @@ func FaultReport(o ExperimentOpts) (*Table, error) {
 // operations (examples/arpgap narrates one).
 func DLinReport(o ExperimentOpts) (*Table, error) {
 	o = o.withDefaults()
-	var ks []Mechanism
-	for _, k := range Mechanisms() {
-		if !k.Baseline() && o.wants(k) {
-			ks = append(ks, k)
-		}
-	}
-	type dlinCell struct {
-		structure string
-		mech      Mechanism
-	}
-	var cells []dlinCell
-	for _, structure := range Structures {
-		for _, k := range ks {
-			cells = append(cells, dlinCell{structure, k})
-		}
-	}
-	type dlinRow struct {
-		sweep   *SweepReport
-		updates int
-	}
-	// Like FaultReport, each cell sweeps its own machine serially: the
-	// cell matrix already saturates the pool.
-	rows, err := exp.Map(context.Background(), o.Parallel, len(cells), func(i int) (dlinRow, error) {
-		structure, k := cells[i].structure, cells[i].mech
-		cfg := o.config(k, false)
-		cfg.TrackHB = true
-		_, m, rec, h, err := RunRecoverableWorkloadHist(cfg, o.spec(structure))
-		if err != nil {
-			return dlinRow{}, fmt.Errorf("%s/%s: %w", structure, k, err)
-		}
-		sweep, err := SweepCrash(m, SweepOpts{Rec: rec, Hist: h, Workers: 1, Seed: o.Seed})
-		if err != nil {
-			return dlinRow{}, fmt.Errorf("%s/%s: %w", structure, k, err)
-		}
-		if k.EnforcesRP() && !sweep.Consistent() {
-			return dlinRow{}, fmt.Errorf("%s/%s: %v\nfirst: %v", structure, k, sweep, sweep.FirstDLin)
-		}
-		return dlinRow{sweep: sweep, updates: h.Updates()}, nil
-	})
 	t := stats.NewTable("Durable linearizability: exhaustive crash-boundary sweeps",
 		"workload", "mech", "boundaries", "checked", "violating", "updates")
-	var firstGap *DLinFinding
-	for i, c := range cells {
-		r := rows[i].sweep
-		if r == nil {
-			continue
+	sweeps, err := o.sweepGrid(t, false, func(r sweepRun) []string {
+		return []string{
+			stats.Count(uint64(r.sweep.Boundaries)),
+			stats.Count(uint64(r.sweep.DLinChecked)),
+			stats.Count(uint64(r.sweep.DLinBad)),
+			stats.Count(uint64(r.h.Updates())),
 		}
-		t.AddRow(c.structure, c.mech.String(),
-			stats.Count(uint64(r.Boundaries)),
-			stats.Count(uint64(r.DLinChecked)),
-			stats.Count(uint64(r.DLinBad)),
-			stats.Count(uint64(rows[i].updates)))
-		if firstGap == nil && r.FirstDLin != nil {
-			firstGap = r.FirstDLin
-		}
-	}
+	})
 	t.AddNote("every boundary of every RP-mechanism run verified durably linearizable")
-	if firstGap != nil {
-		t.AddNote("gap witness: %v", firstGap)
+	for _, s := range sweeps {
+		if s.FirstDLin != nil {
+			t.AddNote("gap witness: %v", s.FirstDLin)
+			break
+		}
 	}
 	t.AddNote("threads=%d ops/thread=%d seed=%d (deterministic)", o.Threads, o.Ops, o.Seed)
 	return t, err

@@ -7,9 +7,13 @@ package lrp
 // shared-machine sweep path.
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"lrp/internal/stats"
 )
 
 func parallelOpts(workers int) ExperimentOpts {
@@ -56,29 +60,69 @@ func TestParallelFig5Deterministic(t *testing.T) {
 	}
 }
 
-// TestParallelTablesDeterministic covers the remaining parallelized
-// generators at a 2-vs-1 worker comparison (Fig5 gets the full sweep
-// above; these confirm the per-generator cell flattening keeps row order).
+// TestParallelTablesDeterministic covers every other grid-built
+// generator at 1, 2 and 8 workers (Fig5 has its own test above): each
+// must render byte-identically, so the grid keeps row order whatever
+// order the cells finish in.
 func TestParallelTablesDeterministic(t *testing.T) {
-	gens := map[string]func(ExperimentOpts) (*Table, error){
-		"fig6": Fig6,
-		"fig8": func(o ExperimentOpts) (*Table, error) { return Fig8(o, 1, 2) },
-		"size": func(o ExperimentOpts) (*Table, error) { return SizeSensitivity(o, 0.01, 0.02) },
-		"ret":  func(o ExperimentOpts) (*Table, error) { return AblationRET(o, 2, 8) },
-		"mix":  func(o ExperimentOpts) (*Table, error) { return AblationReadMix(o, 0, 90) },
+	table := func(g func(ExperimentOpts) (*Table, error)) func(ExperimentOpts) (string, error) {
+		return func(o ExperimentOpts) (string, error) {
+			tab, err := g(o)
+			return tab.Format(), err
+		}
+	}
+	gens := map[string]func(ExperimentOpts) (string, error){
+		"fig6": table(Fig6),
+		"fig8": table(func(o ExperimentOpts) (*Table, error) { return Fig8(o, 1, 2) }),
+		"size": table(func(o ExperimentOpts) (*Table, error) { return SizeSensitivity(o, 0.01, 0.02) }),
+		"ret":  table(func(o ExperimentOpts) (*Table, error) { return AblationRET(o, 2, 8) }),
+		"mix":  table(func(o ExperimentOpts) (*Table, error) { return AblationReadMix(o, 0, 90) }),
+		"kv": table(func(o ExperimentOpts) (*Table, error) {
+			o.Threads, o.Cores = 4, 4
+			return KVGrid(o)
+		}),
+		"replay":  table(ReplayComparison),
+		"faults":  table(FaultReport),
+		"dlin":    table(DLinReport),
+		"metrics": MetricsReport,
 	}
 	for name, g := range gens {
-		serial, err := g(parallelOpts(1))
+		want, err := g(parallelOpts(1))
 		if err != nil {
 			t.Fatalf("%s serial: %v", name, err)
 		}
-		par, err := g(parallelOpts(8))
-		if err != nil {
-			t.Fatalf("%s parallel: %v", name, err)
+		for _, w := range []int{2, 8} {
+			got, err := g(parallelOpts(w))
+			if err != nil {
+				t.Fatalf("%s at %d workers: %v", name, w, err)
+			}
+			if got != want {
+				t.Errorf("%s differs at %d workers:\n--- serial ---\n%s\n--- %d workers ---\n%s",
+					name, w, want, w, got)
+			}
 		}
-		if serial.Format() != par.Format() {
-			t.Errorf("%s differs between 1 and 8 workers:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				name, serial.Format(), par.Format())
+	}
+}
+
+// TestGridDropsOnlyFailedRows: one failing cell costs exactly its own
+// row; every other row still renders, in matrix order, and the joined
+// error names the failing cell.
+func TestGridDropsOnlyFailedRows(t *testing.T) {
+	for _, w := range []int{1, 3} {
+		tab := stats.NewTable("grid", "row", "a", "b")
+		err := grid(w, tab, labels([]string{"r0", "r1", "r2", "r3"}), 2,
+			func(r, c int) (string, error) {
+				if r == 2 && c == 1 {
+					return "", errors.New("r2/b failed")
+				}
+				return fmt.Sprintf("%d.%d", r, c), nil
+			}, func(vs []string) []string { return vs })
+		if err == nil || !strings.Contains(err.Error(), "cell 5: r2/b failed") {
+			t.Fatalf("workers=%d: error does not name the failing cell: %v", w, err)
+		}
+		want := [][]string{{"r0", "0.0", "0.1"}, {"r1", "1.0", "1.1"}, {"r3", "3.0", "3.1"}}
+		if !reflect.DeepEqual(tab.Rows, want) {
+			t.Fatalf("workers=%d: rows %v, want %v", w, tab.Rows, want)
 		}
 	}
 }
@@ -174,41 +218,6 @@ func TestParallelPartialFailure(t *testing.T) {
 		t.Fatalf("error blames healthy cells: %v", msg)
 	}
 
-	// Same contract through runAll's map-shaped path.
-	o := parallelOpts(2).withDefaults()
-	o.Threads = 128
-	rs, err := o.runAll("hashmap", false, NOP, LRP)
-	if err == nil || len(rs) != 0 {
-		t.Fatalf("runAll: err=%v results=%d", err, len(rs))
-	}
-	if !strings.Contains(err.Error(), "hashmap/NOP") || !strings.Contains(err.Error(), "hashmap/LRP") {
-		t.Fatalf("runAll error unlabeled: %v", err)
-	}
-}
-
-// TestParallelKVGridDeterministic asserts the kv acceptance guarantee:
-// the KV service grid (skew × threads × mechanism) renders
-// byte-identically at worker counts 1, 2 and 8.
-func TestParallelKVGridDeterministic(t *testing.T) {
-	o := parallelOpts(1)
-	o.Threads = 4
-	o.Cores = 4
-	ref, err := KVGrid(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Format()
-	for _, w := range []int{2, 8} {
-		o.Parallel = w
-		tab, err := KVGrid(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := tab.Format(); got != want {
-			t.Errorf("KVGrid differs at %d workers:\n--- serial ---\n%s\n--- %d workers ---\n%s",
-				w, want, w, got)
-		}
-	}
 }
 
 // BenchmarkFig5Parallel measures the worker-pool speedup on the Fig5

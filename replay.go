@@ -2,7 +2,6 @@ package lrp
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 
@@ -81,87 +80,41 @@ func DiffTraces(a, b io.Reader) error {
 // op-stream checksum asserted against the source trace.
 func ReplayComparison(o ExperimentOpts) (*Table, error) {
 	o = o.withDefaults()
-	ks := o.replayKinds()
+	ks := append([]Mechanism{NOP}, o.kinds(nonBaseline)...)
 
 	// Record every structure once, in parallel: the traces are the row
 	// inputs, held in memory (a few MB at experiment scale).
-	traces, err := exp.Map(context.Background(), o.Parallel, len(Structures),
-		func(i int) ([]byte, error) {
-			cfg := o.config(NOP, false)
-			spec := o.spec(Structures[i])
-			var buf bytes.Buffer
-			if _, _, _, err := trace.Record(cfg, spec, &buf); err != nil {
-				return nil, fmt.Errorf("record %s: %w", Structures[i], err)
-			}
-			return buf.Bytes(), nil
-		})
+	traces, err := exp.Map(o.Parallel, len(Structures), func(i int) ([]byte, error) {
+		var buf bytes.Buffer
+		if _, _, _, err := trace.Record(o.config(NOP, false), o.spec(Structures[i]), &buf); err != nil {
+			return nil, fmt.Errorf("record %s: %w", Structures[i], err)
+		}
+		return buf.Bytes(), nil
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	// Replay matrix: structure × mechanism, each cell an independent
 	// machine fed from its row's shared trace bytes.
-	type cellKey struct {
-		si, ki int
-	}
-	var cells []cellKey
-	for si := range Structures {
-		for ki := range ks {
-			cells = append(cells, cellKey{si, ki})
-		}
-	}
-	reps, err := exp.Map(context.Background(), o.Parallel, len(cells),
-		func(i int) (*Replayed, error) {
-			c := cells[i]
-			raw := traces[c.si]
-			var re bytes.Buffer
-			w, werr := trace.NewWriter(&re, trace.HeaderFor(
-				o.config(ks[c.ki], false), o.spec(Structures[c.si])))
-			if werr != nil {
-				return nil, werr
-			}
-			rp, rerr := trace.Replay(bytes.NewReader(raw), ReplayOpts{
-				Mechanism: ks[c.ki], MechanismSet: true, Rec: w,
-			})
-			if rerr != nil {
-				return nil, fmt.Errorf("replay %s under %s: %w", Structures[c.si], ks[c.ki], rerr)
-			}
-			if cerr := w.Close(); cerr != nil {
-				return nil, cerr
-			}
-			if got := w.Summary().Checksum; got != rp.Checksum {
-				return nil, fmt.Errorf("replay %s under %s: op stream changed (checksum %08x, trace %08x)",
-					Structures[c.si], ks[c.ki], got, rp.Checksum)
-			}
-			if rp.Result == nil {
-				return nil, fmt.Errorf("replay %s under %s: trace has no measured window",
-					Structures[c.si], ks[c.ki])
-			}
-			return rp, nil
-		})
-
 	t := stats.NewTable("Replay comparison: one NOP trace per workload, replayed under every mechanism",
 		append([]string{"workload", "trace ops", "checksum"}, kindNames(ks[1:])...)...)
-	for si, structure := range Structures {
-		row := reps[si*len(ks) : (si+1)*len(ks)]
-		ok := true
-		for _, r := range row {
-			if r == nil {
-				ok = false
-			}
+	err = grid(o.Parallel, t, labels(Structures), len(ks), func(r, c int) (*Replayed, error) {
+		rp, err := trace.Rerecord(traces[r], ReplayOpts{Mechanism: ks[c], MechanismSet: true}, io.Discard)
+		if err == nil && rp.Result == nil {
+			err = fmt.Errorf("trace has no measured window")
 		}
-		if !ok {
-			continue
+		if err != nil {
+			return nil, fmt.Errorf("replay %s under %s: %w", Structures[r], ks[c], err)
 		}
-		base := float64(row[0].Result.ExecTime) // ks[0] is NOP
-		cols := make([]string, 0, len(ks)-1)
-		for _, r := range row[1:] {
-			cols = append(cols, stats.Ratio(float64(r.Result.ExecTime)/base))
+		return rp, nil
+	}, func(rps []*Replayed) []string {
+		rs := make([]*Result, len(rps))
+		for i, rp := range rps {
+			rs[i] = rp.Result
 		}
-		t.AddRow(append([]string{structure,
-			stats.Count(row[0].Ops),
-			fmt.Sprintf("%08x", row[0].Checksum)}, cols...)...)
-	}
+		return append([]string{stats.Count(rps[0].Ops), fmt.Sprintf("%08x", rps[0].Checksum)}, ratios(rs)...)
+	})
 	t.AddNote("execution time normalized to the NOP replay; identical op stream per row (checksum re-verified per cell)")
 	t.AddNote("threads=%d ops/thread=%d sizes=%v seed=%d", o.Threads, o.Ops, sizesNote(o), o.Seed)
 	return t, err
