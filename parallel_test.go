@@ -61,7 +61,8 @@ func TestParallelFig5Deterministic(t *testing.T) {
 }
 
 // TestParallelTablesDeterministic covers every other grid-built
-// generator at 1, 2 and 8 workers (Fig5 has its own test above): each
+// generator at 1, 2 and 8 workers (Fig5, KVGrid and ReplayComparison
+// have their own tests): each
 // must render byte-identically, so the grid keeps row order whatever
 // order the cells finish in.
 func TestParallelTablesDeterministic(t *testing.T) {
@@ -72,16 +73,11 @@ func TestParallelTablesDeterministic(t *testing.T) {
 		}
 	}
 	gens := map[string]func(ExperimentOpts) (string, error){
-		"fig6": table(Fig6),
-		"fig8": table(func(o ExperimentOpts) (*Table, error) { return Fig8(o, 1, 2) }),
-		"size": table(func(o ExperimentOpts) (*Table, error) { return SizeSensitivity(o, 0.01, 0.02) }),
-		"ret":  table(func(o ExperimentOpts) (*Table, error) { return AblationRET(o, 2, 8) }),
-		"mix":  table(func(o ExperimentOpts) (*Table, error) { return AblationReadMix(o, 0, 90) }),
-		"kv": table(func(o ExperimentOpts) (*Table, error) {
-			o.Threads, o.Cores = 4, 4
-			return KVGrid(o)
-		}),
-		"replay":  table(ReplayComparison),
+		"fig6":    table(Fig6),
+		"fig8":    table(func(o ExperimentOpts) (*Table, error) { return Fig8(o, 1, 2) }),
+		"size":    table(func(o ExperimentOpts) (*Table, error) { return SizeSensitivity(o, 0.01, 0.02) }),
+		"ret":     table(func(o ExperimentOpts) (*Table, error) { return AblationRET(o, 2, 8) }),
+		"mix":     table(func(o ExperimentOpts) (*Table, error) { return AblationReadMix(o, 0, 90) }),
 		"faults":  table(FaultReport),
 		"dlin":    table(DLinReport),
 		"metrics": MetricsReport,
@@ -100,6 +96,31 @@ func TestParallelTablesDeterministic(t *testing.T) {
 				t.Errorf("%s differs at %d workers:\n--- serial ---\n%s\n--- %d workers ---\n%s",
 					name, w, want, w, got)
 			}
+		}
+	}
+}
+
+// TestParallelKVGridDeterministic asserts the kv acceptance guarantee:
+// the KV service grid (skew × threads × mechanism) renders
+// byte-identically at worker counts 1, 2 and 8.
+func TestParallelKVGridDeterministic(t *testing.T) {
+	o := parallelOpts(1)
+	o.Threads = 4
+	o.Cores = 4
+	ref, err := KVGrid(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Format()
+	for _, w := range []int{2, 8} {
+		o.Parallel = w
+		tab, err := KVGrid(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tab.Format(); got != want {
+			t.Errorf("KVGrid differs at %d workers:\n--- serial ---\n%s\n--- %d workers ---\n%s",
+				w, want, w, got)
 		}
 	}
 }

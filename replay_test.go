@@ -168,6 +168,30 @@ func TestGoldenTraceReplayDeterministic(t *testing.T) {
 	}
 }
 
+// TestReplayComparisonDeterministic: the replay-backed experiment table
+// keeps one row per structure and renders byte-identically at worker
+// counts 1, 2 and 8.
+func TestReplayComparisonDeterministic(t *testing.T) {
+	ref, err := ReplayComparison(parallelOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Rows) != len(Structures) {
+		t.Fatalf("expected %d rows, got %d", len(Structures), len(ref.Rows))
+	}
+	want := ref.Format()
+	for _, w := range []int{2, 8} {
+		tab, err := ReplayComparison(parallelOpts(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tab.Format(); got != want {
+			t.Errorf("ReplayComparison differs at %d workers:\n--- serial ---\n%s\n--- %d workers ---\n%s",
+				w, want, w, got)
+		}
+	}
+}
+
 // TestTraceHistoryRoundTrip: the trace is a complete durable-
 // linearizability witness, for every registered workload. Record a
 // history-capturing run, replay the trace with tracking on in a fresh
