@@ -7,9 +7,7 @@ import (
 	"lrp/internal/dlin"
 	"lrp/internal/exp"
 	"lrp/internal/fault"
-	"lrp/internal/mm"
 	"lrp/internal/model"
-	"lrp/internal/nvm"
 	"lrp/internal/perf"
 	"lrp/internal/recovery"
 	"lrp/internal/workload"
@@ -370,18 +368,11 @@ func sweepRange(m *Machine, rec Recoverable, ck *dlin.Checker, rp, arp *model.Cu
 	if ck != nil {
 		pass = ck.NewPass()
 	}
-	// Each worker advances a private incremental cursor over its range:
-	// the mechanism's own durable log when the mechanism owns the image
-	// (eADR), the NVM persist log otherwise.
-	var cur *nvm.Cursor
-	var mcur = m.MechCrashCursor()
-	var mimg *mm.Memory
+	// Each worker advances a private incremental image source over its
+	// range (boundaries ascend).
+	var images func(Time) *Image
 	if rec != nil {
-		if mcur != nil {
-			mimg = mm.NewMemory()
-		} else {
-			cur = m.NVM().NewCursor(nil)
-		}
+		images = m.CrashImages()
 	}
 	for i := lo; i < hi; i++ {
 		at := bounds[i]
@@ -397,14 +388,7 @@ func sweepRange(m *Machine, rec Recoverable, ck *dlin.Checker, rp, arp *model.Cu
 		if rec == nil {
 			continue
 		}
-		var img *Image
-		if mcur != nil {
-			mcur.ApplyTo(mimg, at)
-			img = mimg
-		} else {
-			img = cur.AdvanceTo(at)
-		}
-		r := rec.Recover(img)
+		r := rec.Recover(images(at))
 		c.walksRun++
 		if !r.Clean() {
 			c.dirtyWalks++

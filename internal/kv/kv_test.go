@@ -15,9 +15,9 @@ import (
 
 func testSys(t *testing.T, cores int) *memsys.System {
 	t.Helper()
-	cfg := memsys.TestConfig(cores).WithMechanism(persist.LRP)
-	cfg.TrackHB = false
-	return memsys.MustNew(cfg)
+	// TestConfig tracks happens-before, which also keeps the NVM persist
+	// log the recovery tests rebuild their FinalImage from.
+	return memsys.MustNew(memsys.TestConfig(cores).WithMechanism(persist.LRP))
 }
 
 func testParams() workload.KVParams {

@@ -33,7 +33,6 @@ func testSys(t *testing.T, cores int) *memsys.System {
 	t.Helper()
 	cfg := memsys.TestConfig(cores).WithMechanism(persist.LRP)
 	cfg.TrackHB = false // semantics tests don't need the tracker
-	cfg.NVM.LogEvents = false
 	return memsys.MustNew(cfg)
 }
 

@@ -170,17 +170,19 @@ func (m *bbMech) OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engine.Tim
 			m.horizon[ownerTid] = ack
 		}
 	} else {
+		// Other consumers may reach the data through the resulting
+		// Shared copies without a downgrade, so the directory holds the
+		// line until the ack of the flush in flight (a persist issued
+		// above holds it already).
 		ack = engine.Time(l.FlushedUntil)
+		sv.BlockLine(l.Addr, ack)
 	}
 	// ...and make the *requester's* future persists wait behind the
 	// producer's ack, so cross-thread persist order holds without
-	// blocking the requester's execution. Other consumers may reach the
-	// data through the resulting Shared copies without a downgrade, so
-	// the directory also holds the line until the ack.
+	// blocking the requester's execution.
 	if reqTid >= 0 && ack > m.horizon[reqTid] {
 		m.horizon[reqTid] = ack
 	}
-	sv.BlockLine(l.Addr, ack)
 	return now
 }
 

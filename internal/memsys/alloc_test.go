@@ -29,7 +29,6 @@ func steadyStateAllocs(s *System, progs []Program) float64 {
 func TestPerformPathAllocs(t *testing.T) {
 	cfg := TestConfig(2).WithMechanism(persist.LRP)
 	cfg.TrackHB = false
-	cfg.NVM.LogEvents = false
 	s := MustNew(cfg)
 	addrs := make([]isa.Addr, 16)
 	for i := range addrs {
@@ -57,7 +56,6 @@ func TestPerformPathAllocs(t *testing.T) {
 func TestEngineScanAllocs(t *testing.T) {
 	cfg := TestConfig(1).WithMechanism(persist.LRP)
 	cfg.TrackHB = false
-	cfg.NVM.LogEvents = false
 	s := MustNew(cfg)
 	addrs := make([]isa.Addr, 8)
 	for i := range addrs {

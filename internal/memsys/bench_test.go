@@ -44,7 +44,6 @@ func BenchmarkScanDirty(b *testing.B) {
 func BenchmarkSchedulerGrant(b *testing.B) {
 	cfg := TestConfig(2).WithMechanism(persist.NOP)
 	cfg.TrackHB = false // stamp capture allocates per write; measure the kernel
-	cfg.NVM.LogEvents = false
 	s := MustNew(cfg)
 	a := s.StaticAlloc(1)
 	const opsPerRun = 200
@@ -71,7 +70,6 @@ func BenchmarkSchedulerGrant(b *testing.B) {
 func BenchmarkSchedulerRunAhead(b *testing.B) {
 	cfg := TestConfig(2).WithMechanism(persist.NOP)
 	cfg.TrackHB = false
-	cfg.NVM.LogEvents = false
 	s := MustNew(cfg)
 	a := s.StaticAlloc(1)
 	const opsPerRun = 200

@@ -146,7 +146,6 @@ func TestConfig(cores int) Config {
 	c.LLCBanks = 4
 	c.MeshDim = 2
 	c.NVM.Controllers = 2
-	c.NVM.LogEvents = true
 	c.RETSize = 8
 	c.RETWatermark = 6
 	c.ARPBufferCap = 16
@@ -187,7 +186,7 @@ func (c Config) Validate() error {
 }
 
 // WithMechanism returns a copy of the config using mechanism k. The
-// TrackHB/LogEvents settings are preserved.
+// TrackHB setting is preserved.
 func (c Config) WithMechanism(k persist.Kind) Config {
 	c.Mechanism = k
 	return c

@@ -146,10 +146,8 @@ func (s *System) flushAllDirty(tid int, now engine.Time, critical bool) engine.T
 			released = append(released, l)
 			continue
 		}
-		addr := l.Addr
 		done := s.persistL1Line(tid, l, now, now, critical)
 		th.pending.Add(done)
-		s.blockLine(addr, done)
 		if done > horizon {
 			horizon = done
 		}
@@ -166,10 +164,8 @@ func (s *System) flushAllDirty(tid int, now engine.Time, critical bool) engine.T
 	t := horizon
 	for _, l := range released {
 		th.ret.RemoveAt(l.Addr, now)
-		addr := l.Addr
 		t = s.persistL1Line(tid, l, now, t, critical)
 		th.pending.Add(t)
-		s.blockLine(addr, t)
 	}
 	s.relScratch[tid] = released[:0]
 	return t

@@ -3,6 +3,7 @@ package memsys
 import (
 	"testing"
 
+	"lrp/internal/cache"
 	"lrp/internal/engine"
 	"lrp/internal/isa"
 	"lrp/internal/model"
@@ -595,4 +596,43 @@ func TestStringer(t *testing.T) {
 	if s.String() == "" {
 		t.Fatal("empty String")
 	}
+}
+
+// TestPersistHoldsLineUntilAck pins Invariant I4 where it is enforced:
+// every persist path holds its line at the directory until exactly the
+// ack it returns, so mechanisms need no hold of their own for it.
+func TestPersistHoldsLineUntilAck(t *testing.T) {
+	s := newSys(t, 1, persist.LRP)
+	first := s.StaticAlloc(5*isa.WordsPerLine).Line() + isa.LineSize // four whole lines
+	line := func(i int) isa.Addr { return first + isa.Addr(i*isa.LineSize) }
+	s.RunOne(func(c *Ctx) {
+		for i := 0; i < 4; i++ {
+			c.Store(line(i), uint64(i+1))
+		}
+	})
+	now := s.Time()
+	check := func(path string, addr isa.Addr, ack engine.Time) {
+		t.Helper()
+		if ack <= now {
+			t.Fatalf("%s: ack %v not after issue %v", path, ack, now)
+		}
+		if got := s.lineAvailable(addr, now); got != ack {
+			t.Fatalf("%s: line available at %v, ack at %v", path, got, ack)
+		}
+	}
+	l1 := func(addr isa.Addr) *cache.Line {
+		t.Helper()
+		l := s.l1s[0].Lookup(addr)
+		if l == nil || !l.NeedsPersist() {
+			t.Fatalf("line %v not dirty in the L1", addr)
+		}
+		return l
+	}
+	// A held persist (earliest in the future) acks later than an unheld
+	// one; the directory follows either.
+	check("persistL1Line", line(0), s.persistL1Line(0, l1(line(0)), now, now+1000, false))
+	check("persistAddr", line(1), s.persistAddr(-1, line(1), nil, now, now, false))
+	var list persist.StampList
+	check("persistAddrList", line(2), s.persistAddrList(-1, line(2), &list, now, now+300, false))
+	check("sysView.PersistL1Line", line(3), (*sysView)(s).PersistL1Line(0, l1(line(3)), now, now, false))
 }

@@ -237,7 +237,6 @@ func TestSchedulerGrantAllocs(t *testing.T) {
 	// Isolate the kernel: HB stamp capture and NVM event logging allocate
 	// per write by design and would drown the scheduler's budget.
 	cfg.TrackHB = false
-	cfg.NVM.LogEvents = false
 	s := MustNew(cfg)
 	a := s.StaticAlloc(1)
 	prog := func(c *Ctx) {

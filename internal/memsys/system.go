@@ -164,12 +164,10 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	nvmCfg := cfg.NVM
-	nvmCfg.LogEvents = cfg.TrackHB || nvmCfg.LogEvents
 	s := &System{
 		cfg:         cfg,
 		mem:         mm.NewMemory(),
-		nvm:         nvm.New(nvmCfg),
+		nvm:         nvm.New(cfg.NVM, cfg.TrackHB),
 		llc:         cache.NewLLC(cfg.LLCSize, cfg.LLCWays, cfg.LLCBanks),
 		dir:         cache.NewDirectory(cfg.Cores),
 		llcSrv:      engine.NewServerBank(cfg.LLCBanks),
@@ -290,17 +288,25 @@ func (s *System) MechCrashCursor() mech.CrashCursor { return s.mech.NewCrashCurs
 // persist log.
 func (s *System) MechCrashInstants() []engine.Time { return s.mech.CrashInstants() }
 
-// CrashImageAt reconstructs the durable memory image at instant at: the
-// mechanism's own durable log replayed up to at when the mechanism holds
-// one (eADR), the NVM persist log replayed up to at otherwise.
-func (s *System) CrashImageAt(at engine.Time) *mm.Memory {
+// CrashImages returns a fresh durable-image source, advanced monotonically
+// through crash instants like nvm.Cursor.AdvanceTo: it replays the
+// mechanism's own durable log when the mechanism holds one (eADR) and the
+// NVM persist log otherwise. The image it returns aliases the source's
+// working memory and is valid until its next call.
+func (s *System) CrashImages() func(at engine.Time) *mm.Memory {
 	if cur := s.mech.NewCrashCursor(); cur != nil {
 		img := mm.NewMemory()
-		cur.ApplyTo(img, at)
-		return img
+		return func(at engine.Time) *mm.Memory {
+			cur.ApplyTo(img, at)
+			return img
+		}
 	}
-	return s.nvm.ImageAt(at, nil)
+	return s.nvm.NewCursor(nil).AdvanceTo
 }
+
+// CrashImageAt reconstructs the durable memory image at instant at from a
+// fresh CrashImages source.
+func (s *System) CrashImageAt(at engine.Time) *mm.Memory { return s.CrashImages()(at) }
 
 // Time returns the maximum thread clock: the run's execution time.
 func (s *System) Time() engine.Time {
@@ -345,41 +351,17 @@ func (s *System) netLat(core, bank int) engine.Time {
 // --- persist plumbing ------------------------------------------------------
 
 // persistL1Line issues the persist of an L1 line's current content on
-// behalf of thread tid: the command reaches a controller at wall time
-// now, may not start before earliest (epoch-ordering hold), hands its
-// stamps to the persist log, clears the line's persistency metadata, and
-// returns the ack time. critical classifies the persist for the Figure 6
-// accounting.
+// behalf of thread tid (see issuePersist), hands the line's stamps to the
+// persist log and clears its persistency metadata.
 func (s *System) persistL1Line(tid int, l *cache.Line, now, earliest engine.Time, critical bool) engine.Time {
-	words := s.mem.ReadLine(l.Addr)
-	if s.perf != nil {
-		s.perf.Start(perf.PhaseNVM)
-	}
-	done := s.nvm.PersistLine(now, earliest, l.Addr, words)
-	if s.perf != nil {
-		s.perf.End()
-	}
+	done := s.issuePersist(tid, l.Addr, now, earliest, critical)
 	if s.tracker != nil {
 		l.ForEachStamp(s.stamps, func(st model.Stamp) {
 			s.tracker.SetPersisted(st, done)
 		})
 	}
-	if s.obs != nil {
-		s.obs.PersistIssued(tid, uint64(l.Addr), now, done, critical)
-	}
 	l.ClearPersistMeta(s.stamps)
 	l.FlushedUntil = int64(done)
-	// Invariant I4 is structural: any line with a persist in flight is
-	// held at the directory until the ack, whatever path issued it. The
-	// per-mechanism blockLine calls tighten this with chained (epoch-
-	// ordered) acks; without it, an eviction persist whose ack is delayed
-	// (fault retry/backoff) would let another core read — and re-persist
-	// behind — data that is not yet durable.
-	s.blockLine(l.Addr, done)
-	s.stats.Persists++
-	if critical {
-		s.stats.CriticalPersists++
-	}
 	return done
 }
 
@@ -387,26 +369,11 @@ func (s *System) persistL1Line(tid int, l *cache.Line, now, earliest engine.Time
 // (LLC eviction under NOP, ARP buffer drains) with optional stamps, on
 // behalf of thread tid (-1: no specific core, e.g. an LLC eviction).
 func (s *System) persistAddr(tid int, addr isa.Addr, stamps []model.Stamp, now, earliest engine.Time, critical bool) engine.Time {
-	words := s.mem.ReadLine(addr)
-	if s.perf != nil {
-		s.perf.Start(perf.PhaseNVM)
-	}
-	done := s.nvm.PersistLine(now, earliest, addr, words)
-	if s.perf != nil {
-		s.perf.End()
-	}
+	done := s.issuePersist(tid, addr, now, earliest, critical)
 	if s.tracker != nil {
 		for _, st := range stamps {
 			s.tracker.SetPersisted(st, done)
 		}
-	}
-	if s.obs != nil {
-		s.obs.PersistIssued(tid, uint64(addr), now, done, critical)
-	}
-	s.blockLine(addr, done)
-	s.stats.Persists++
-	if critical {
-		s.stats.CriticalPersists++
 	}
 	return done
 }
@@ -415,6 +382,29 @@ func (s *System) persistAddr(tid int, addr isa.Addr, stamps []model.Stamp, now, 
 // evictions and drains under NOP): it marks each stamp persisted and
 // returns the chain to the arena.
 func (s *System) persistAddrList(tid int, addr isa.Addr, list *persist.StampList, now, earliest engine.Time, critical bool) engine.Time {
+	done := s.issuePersist(tid, addr, now, earliest, critical)
+	if s.tracker != nil {
+		s.stamps.ForEach(*list, func(st model.Stamp) {
+			s.tracker.SetPersisted(st, done)
+		})
+	}
+	s.stamps.Free(list)
+	return done
+}
+
+// issuePersist is the machine's one line-persist path: it captures the
+// line's current content, hands it to the NVM controllers (the command
+// arrives at wall time now and may not start before earliest, the
+// epoch-ordering hold), and returns the ack time. critical classifies the
+// persist for the Figure 6 accounting.
+//
+// Invariant I4 is enforced here, once: the directory holds the line until
+// this persist acks, whatever path issued it. Mechanisms add holds only
+// for a different ack (a persist already in flight, a drain horizon);
+// without this one, an eviction persist whose ack is delayed (fault
+// retry/backoff) would let another core read — and re-persist behind —
+// data that is not yet durable.
+func (s *System) issuePersist(tid int, addr isa.Addr, now, earliest engine.Time, critical bool) engine.Time {
 	words := s.mem.ReadLine(addr)
 	if s.perf != nil {
 		s.perf.Start(perf.PhaseNVM)
@@ -423,12 +413,6 @@ func (s *System) persistAddrList(tid int, addr isa.Addr, list *persist.StampList
 	if s.perf != nil {
 		s.perf.End()
 	}
-	if s.tracker != nil {
-		s.stamps.ForEach(*list, func(st model.Stamp) {
-			s.tracker.SetPersisted(st, done)
-		})
-	}
-	s.stamps.Free(list)
 	if s.obs != nil {
 		s.obs.PersistIssued(tid, uint64(addr), now, done, critical)
 	}

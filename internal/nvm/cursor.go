@@ -10,11 +10,12 @@ import (
 )
 
 // Cursor replays the persist log as a single durable image advanced
-// monotonically through crash instants. Exhaustive crash-boundary sweeps
-// visit thousands of instants; reconstructing each with ImageAt costs a
-// full clone-and-replay per instant, while a Cursor applies only the
-// persists that completed since the previous instant, plus a small torn
-// overlay for the lines in flight (which it undoes on the next advance).
+// monotonically through crash instants. It is the only reconstruction of
+// the durable image: single crash images and FinalImage use a fresh
+// cursor advanced once. Exhaustive crash-boundary sweeps visit thousands
+// of instants; a cursor applies only the persists that completed since
+// the previous instant, plus a small torn overlay for the lines in
+// flight (which it undoes on the next advance).
 //
 // The image returned by AdvanceTo aliases the cursor's working memory: it
 // is valid until the next AdvanceTo call. Callers that need a snapshot
@@ -63,8 +64,16 @@ func (s *Subsystem) NewCursor(base *mm.Memory) *Cursor {
 }
 
 // AdvanceTo moves the cursor to the crash instant and returns the durable
-// image there — identical, word for word, to ImageAt(crash, base). The
-// instant must not precede the previous call's.
+// image there: every persist with Done ≤ crash applied over base in
+// completion order, ties by log order (which matches per-controller FIFO
+// order for same-line events). The instant must not precede the previous
+// call's.
+//
+// With a fault plane that injects tearing, a persist still in flight at
+// the crash (Start ≤ crash < Done) additionally contributes a
+// deterministic subset of its 8-byte words — the word-granularity failure
+// atomicity real persistent memory guarantees, instead of the idealized
+// whole-line atomicity. Torn subsets land on top of the durable prefix.
 func (c *Cursor) AdvanceTo(crash engine.Time) *mm.Memory {
 	if crash < c.at {
 		panic("nvm: cursor must advance monotonically")
@@ -77,7 +86,7 @@ func (c *Cursor) AdvanceTo(crash engine.Time) *mm.Memory {
 	c.saved = c.saved[:0]
 
 	// Apply persists that completed since the previous instant, in
-	// completion order (ties by log order, matching ImageAt).
+	// completion order (ties by log order).
 	for c.nextDone < len(c.byDone) && c.byDone[c.nextDone].ev.Done <= crash {
 		e := c.byDone[c.nextDone].ev
 		c.img.WriteLine(e.Line, e.Words)

@@ -7,9 +7,6 @@
 package nvm
 
 import (
-	"sort"
-	"sync/atomic"
-
 	"lrp/internal/engine"
 	"lrp/internal/fault"
 	"lrp/internal/isa"
@@ -51,9 +48,6 @@ type Config struct {
 	// media's write bandwidth gates acceptance.
 	CachedOcc   engine.Time
 	UncachedOcc engine.Time
-	// LogEvents enables the persist event log needed for crash-image
-	// reconstruction. Timing-only experiments leave it off.
-	LogEvents bool
 	// MaxRetries bounds how many times a controller re-attempts an
 	// access the fault plane rejected before escalating (remapping the
 	// line to a spare block). Only consulted when a fault plane is
@@ -120,8 +114,12 @@ type Event struct {
 type Subsystem struct {
 	cfg   Config
 	banks *engine.ServerBank
-	log   []Event
 	stats Stats
+
+	// log is the persist event log crash images are rebuilt from; kept
+	// only when keepLog is set (timing-only runs leave it off).
+	keepLog bool
+	log     []Event
 
 	// o feeds per-controller metrics (persists, reads, queue delay); nil
 	// unless SetObserver was called.
@@ -131,12 +129,13 @@ type Subsystem struct {
 	faults *fault.Plane
 }
 
-// New builds the subsystem.
-func New(cfg Config) *Subsystem {
+// New builds the subsystem; keepLog keeps the persist event log needed
+// for crash-image reconstruction.
+func New(cfg Config, keepLog bool) *Subsystem {
 	if cfg.Controllers <= 0 {
 		panic("nvm: need at least one controller")
 	}
-	return &Subsystem{cfg: cfg, banks: engine.NewServerBank(cfg.Controllers)}
+	return &Subsystem{cfg: cfg, banks: engine.NewServerBank(cfg.Controllers), keepLog: keepLog}
 }
 
 // Latency returns the per-access completion latency for the current mode.
@@ -254,7 +253,7 @@ func (s *Subsystem) PersistLine(now, earliestStart engine.Time, line isa.Addr, w
 	done := srv.ServeConstrained(now, earliestStart, s.Latency(), s.Occupancy())
 	s.stats.Persists++
 	s.stats.BytesPersisted += isa.LineSize
-	if s.cfg.LogEvents {
+	if s.keepLog {
 		s.log = append(s.log, Event{Start: done - s.Latency(), Done: done, Line: line, Words: words})
 	}
 	return done
@@ -281,67 +280,12 @@ func (s *Subsystem) ReadLine(now engine.Time, line isa.Addr) engine.Time {
 	return done
 }
 
-// Events returns the persist log (nil unless LogEvents was set).
+// Events returns the persist log (nil unless the subsystem keeps it).
 func (s *Subsystem) Events() []Event { return s.log }
 
-// ImageAt reconstructs the durable memory image as of time crash: all
-// persists with Done ≤ crash applied in completion order over base (the
-// memory contents that existed before the measured run; may be nil for an
-// all-zero initial image).
-//
-// With a fault plane that injects tearing, a persist still in flight at
-// the crash (Start ≤ crash < Done) additionally contributes a
-// deterministic subset of its 8-byte words — the word-granularity failure
-// atomicity real persistent memory guarantees, instead of the idealized
-// whole-line atomicity.
-func (s *Subsystem) ImageAt(crash engine.Time, base *mm.Memory) *mm.Memory {
-	var img *mm.Memory
-	if base != nil {
-		img = base.Clone()
-	} else {
-		img = mm.NewMemory()
-	}
-	// Sort a copy by completion time; ties resolved by log order, which
-	// matches per-controller FIFO order for same-line events. Completed
-	// events (Done ≤ crash) sort before in-flight ones, so torn subsets
-	// always land on top of the durable prefix.
-	evs := make([]Event, len(s.log))
-	copy(evs, s.log)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Done < evs[j].Done })
-	for _, e := range evs {
-		if e.Done <= crash {
-			img.WriteLine(e.Line, e.Words)
-			continue
-		}
-		if s.faults == nil || e.Start > crash {
-			continue
-		}
-		s.applyTorn(img, e)
-	}
-	return img
-}
-
-// applyTorn applies the durable word subset of an in-flight persist, if
-// the fault plane tears it.
-func (s *Subsystem) applyTorn(img *mm.Memory, e Event) {
-	mask, torn := s.faults.TornWords(e.Line, e.Done)
-	if !torn {
-		return
-	}
-	// Atomic: ImageAt may run from a sweep worker while sibling workers
-	// advance cursors over the same subsystem.
-	atomic.AddUint64(&s.stats.TornApplied, 1)
-	if s.o != nil {
-		s.o.FaultTear()
-	}
-	for i := 0; i < isa.WordsPerLine; i++ {
-		if mask&(1<<i) != 0 {
-			img.Write(e.Line+isa.Addr(i*isa.WordSize), e.Words[i])
-		}
-	}
-}
-
-// FinalImage reconstructs the durable image after all logged persists.
+// FinalImage reconstructs the durable image after all logged persists
+// over base (the memory contents that existed before the measured run;
+// nil for an all-zero initial image).
 func (s *Subsystem) FinalImage(base *mm.Memory) *mm.Memory {
-	return s.ImageAt(engine.Infinity, base)
+	return s.NewCursor(base).AdvanceTo(engine.Infinity)
 }

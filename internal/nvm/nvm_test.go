@@ -1,6 +1,8 @@
 package nvm
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"lrp/internal/engine"
@@ -19,12 +21,12 @@ func words(v uint64) [isa.WordsPerLine]uint64 {
 
 func TestLatencyModes(t *testing.T) {
 	cfg := DefaultConfig()
-	c := New(cfg)
+	c := New(cfg, false)
 	if c.Latency() != 120 || c.Mode() != Cached {
 		t.Fatalf("cached latency = %v", c.Latency())
 	}
 	cfg.Mode = Uncached
-	u := New(cfg)
+	u := New(cfg, false)
 	if u.Latency() != 350 || u.Mode() != Uncached {
 		t.Fatalf("uncached latency = %v", u.Latency())
 	}
@@ -36,7 +38,7 @@ func TestLatencyModes(t *testing.T) {
 func TestPersistTiming(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Controllers = 1
-	s := New(cfg)
+	s := New(cfg, false)
 	d1 := s.PersistLine(0, 0, 0x1000, words(1))
 	if d1 != 120 {
 		t.Fatalf("first persist done at %v", d1)
@@ -62,7 +64,7 @@ func TestPersistTiming(t *testing.T) {
 func TestControllersParallel(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Controllers = 2
-	s := New(cfg)
+	s := New(cfg, false)
 	// Lines 0 and 1 map to different controllers.
 	d1 := s.PersistLine(0, 0, isa.Addr(0*isa.LineSize), words(1))
 	d2 := s.PersistLine(0, 0, isa.Addr(1*isa.LineSize), words(2))
@@ -74,7 +76,7 @@ func TestControllersParallel(t *testing.T) {
 func TestReadsContendWithPersists(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Controllers = 1
-	s := New(cfg)
+	s := New(cfg, false)
 	s.PersistLine(0, 0, 0x1000, words(1))
 	if done := s.ReadLine(0, 0x4000); done != 136 {
 		t.Fatalf("read behind persist done at %v", done)
@@ -87,8 +89,7 @@ func TestReadsContendWithPersists(t *testing.T) {
 func TestImageAt(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Controllers = 1
-	cfg.LogEvents = true
-	s := New(cfg)
+	s := New(cfg, true)
 	lineA := isa.Addr(0x1000)
 	d1 := s.PersistLine(0, 0, lineA, words(1))     // done at 120
 	d2 := s.PersistLine(200, 200, lineA, words(2)) // done at 320
@@ -96,14 +97,14 @@ func TestImageAt(t *testing.T) {
 		t.Fatalf("unexpected times %v %v", d1, d2)
 	}
 	// Before the first completes: nothing.
-	if img := s.ImageAt(119, nil); img.Read(lineA) != 0 {
+	if img := crashImage(s, 119, nil); img.Read(lineA) != 0 {
 		t.Fatal("image too eager")
 	}
 	// Between: first content only.
-	if img := s.ImageAt(120, nil); img.Read(lineA) != 1 {
+	if img := crashImage(s, 120, nil); img.Read(lineA) != 1 {
 		t.Fatal("first persist missing at its completion time")
 	}
-	if img := s.ImageAt(319, nil); img.Read(lineA+8) != 1 {
+	if img := crashImage(s, 319, nil); img.Read(lineA+8) != 1 {
 		t.Fatal("image should still hold first content")
 	}
 	// After both: second content.
@@ -114,11 +115,10 @@ func TestImageAt(t *testing.T) {
 
 func TestImageAtWithBase(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.LogEvents = true
-	s := New(cfg)
+	s := New(cfg, true)
 	base := mm.NewMemory()
 	base.Write(0x9000, 77)
-	img := s.ImageAt(0, base)
+	img := crashImage(s, 0, base)
 	if img.Read(0x9000) != 77 {
 		t.Fatal("base contents lost")
 	}
@@ -131,7 +131,7 @@ func TestImageAtWithBase(t *testing.T) {
 }
 
 func TestEventsNilWithoutLogging(t *testing.T) {
-	s := New(DefaultConfig())
+	s := New(DefaultConfig(), false)
 	s.PersistLine(0, 0, 0x1000, words(1))
 	if s.Events() != nil {
 		t.Fatal("log should be disabled by default")
@@ -145,8 +145,7 @@ func TestImageOrderStableAtTies(t *testing.T) {
 	// persists always serialize, so later-issued content must win.
 	cfg := DefaultConfig()
 	cfg.Controllers = 1
-	cfg.LogEvents = true
-	s := New(cfg)
+	s := New(cfg, true)
 	s.PersistLine(0, 0, 0x1000, words(1))
 	s.PersistLine(0, 0, 0x1000, words(2))
 	if img := s.FinalImage(nil); img.Read(0x1000) != 2 {
@@ -160,13 +159,12 @@ func TestBadConfigPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(Config{Controllers: 0})
+	New(Config{Controllers: 0}, false)
 }
 
 func TestPersistAlignsToLine(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.LogEvents = true
-	s := New(cfg)
+	s := New(cfg, true)
 	s.PersistLine(0, 0, 0x1008, words(3)) // mid-line address
 	img := s.FinalImage(nil)
 	if img.Read(0x1000) != 3 || img.Read(0x1038) != 3 {
@@ -181,8 +179,7 @@ func faultyNVM(t *testing.T, fc fault.Config) *Subsystem {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Controllers = 1
-	cfg.LogEvents = true
-	s := New(cfg)
+	s := New(cfg, true)
 	s.SetFaults(fault.MustNew(fc))
 	return s
 }
@@ -216,7 +213,7 @@ func TestRetryDelaysCompletion(t *testing.T) {
 	// earlier, and without losing the line content.
 	s := faultyNVM(t, fault.Config{Seed: 1, WriteFaultProb: 1})
 	done := s.PersistLine(0, 0, 0x1000, words(9))
-	clean := New(func() Config { c := DefaultConfig(); c.Controllers = 1; return c }())
+	clean := New(func() Config { c := DefaultConfig(); c.Controllers = 1; return c }(), false)
 	if base := clean.PersistLine(0, 0, 0x1000, words(9)); done <= base {
 		t.Fatalf("faulted persist done at %v, fault-free at %v", done, base)
 	}
@@ -238,7 +235,7 @@ func TestTornImageAt(t *testing.T) {
 		t.Fatalf("event start %v, want %v", ev.Start, done-s.Latency())
 	}
 	// Before the media write begins: nothing durable.
-	if img := s.ImageAt(ev.Start-1, nil); img.Read(line) != 0 {
+	if img := crashImage(s, ev.Start-1, nil); img.Read(line) != 0 {
 		t.Fatal("tear applied before persist started")
 	}
 	// Mid-persist: exactly the torn word subset.
@@ -246,7 +243,7 @@ func TestTornImageAt(t *testing.T) {
 	if !torn {
 		t.Fatal("TearProb=1 did not tear")
 	}
-	img := s.ImageAt(done-1, nil)
+	img := crashImage(s, done-1, nil)
 	for i := 0; i < isa.WordsPerLine; i++ {
 		a := line + isa.Addr(i*isa.WordSize)
 		want := uint64(0)
@@ -258,7 +255,7 @@ func TestTornImageAt(t *testing.T) {
 		}
 	}
 	// At the ack: the whole line, torn overlay superseded.
-	if img := s.ImageAt(done, nil); img.Read(line) != 7 || img.Read(line+56) != 7 {
+	if img := crashImage(s, done, nil); img.Read(line) != 7 || img.Read(line+56) != 7 {
 		t.Fatal("completed persist still torn")
 	}
 	if s.Stats().TornApplied == 0 {
@@ -277,7 +274,7 @@ func TestTearsMonotoneAcrossInstants(t *testing.T) {
 	}
 	prev := map[isa.Addr]uint64{}
 	for t1 := engine.Time(0); t1 <= acks[len(acks)-1]+1; t1 += 7 {
-		img := s.ImageAt(t1, nil)
+		img := crashImage(s, t1, nil)
 		for i := 0; i < 8; i++ {
 			for w := 0; w < isa.WordsPerLine; w++ {
 				a := isa.Addr(i*isa.LineSize + w*isa.WordSize)
@@ -291,29 +288,104 @@ func TestTearsMonotoneAcrossInstants(t *testing.T) {
 	}
 }
 
-func TestCursorMatchesImageAt(t *testing.T) {
-	s := faultyNVM(t, fault.EnableAll(77))
+// crashImage is the durable image at crash as production code builds it:
+// a fresh cursor advanced once.
+func crashImage(s *Subsystem, crash engine.Time, base *mm.Memory) *mm.Memory {
+	return s.NewCursor(base).AdvanceTo(crash)
+}
+
+// imageAt is the reference durable image at crash, built by brute force:
+// sort a copy of the whole log by completion time (stable, so ties keep
+// log order), apply every completed persist over base, then lay the torn
+// word subsets of the persists in flight at crash on top, in the same
+// order.
+func imageAt(s *Subsystem, crash engine.Time, base *mm.Memory) *mm.Memory {
+	img := mm.NewMemory()
+	if base != nil {
+		img = base.Clone()
+	}
+	evs := append([]Event(nil), s.Events()...)
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Done < evs[j].Done })
+	for _, e := range evs {
+		if e.Done <= crash {
+			img.WriteLine(e.Line, e.Words)
+		}
+	}
+	for _, e := range evs {
+		if s.Faults() == nil || e.Start > crash || e.Done <= crash {
+			continue
+		}
+		if mask, torn := s.Faults().TornWords(e.Line, e.Done); torn {
+			for i := 0; i < isa.WordsPerLine; i++ {
+				if mask&(1<<i) != 0 {
+					img.Write(e.Line+isa.Addr(i*isa.WordSize), e.Words[i])
+				}
+			}
+		}
+	}
+	return img
+}
+
+// checkCursorAgainstReference builds a random persist log for seed — a
+// few lines on two controllers, issue times close enough that in-flight
+// windows overlap, some persists held by an ordering constraint (so acks
+// reorder and tie) — over a random base image, then advances one cursor through every Start and
+// Done instant ±1 and compares it with the reference image at each.
+func checkCursorAgainstReference(t *testing.T, seed int64, faults bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cfg := DefaultConfig()
+	cfg.Controllers = 2
+	s := New(cfg, true)
+	if faults {
+		s.SetFaults(fault.MustNew(fault.Config{Seed: uint64(seed), TearProb: 0.5, WriteFaultProb: 0.2}))
+	}
+	const lines = 4
 	base := mm.NewMemory()
-	base.Write(0x8000, 42)
-	var last engine.Time
-	for i := 0; i < 120; i++ {
-		d := s.PersistLine(engine.Time(i*3), engine.Time(i*2), isa.Addr((i%16)*isa.LineSize), words(uint64(i+1)))
-		if d > last {
-			last = d
+	for i := 0; i < lines*isa.WordsPerLine; i++ {
+		if rng.Intn(2) == 0 {
+			base.Write(isa.Addr(i*isa.WordSize), rng.Uint64()%1000)
 		}
 	}
+	var now engine.Time
+	for i, n := 0, 5+rng.Intn(40); i < n; i++ {
+		now += engine.Time(rng.Intn(60))
+		earliest := now
+		if rng.Intn(3) == 0 {
+			// A hold to a coarse instant: held persists of one line
+			// often tie on Done.
+			earliest = (now/200 + engine.Time(1+rng.Intn(2))) * 200
+		}
+		var w [isa.WordsPerLine]uint64
+		for j := range w {
+			w[j] = uint64(i+1)<<8 | uint64(j)
+		}
+		s.PersistLine(now, earliest, isa.Addr(rng.Intn(lines)*isa.LineSize), w)
+	}
+	var instants []engine.Time
+	for _, e := range s.Events() {
+		for _, at := range []engine.Time{e.Start, e.Done} {
+			instants = append(instants, at-1, at, at+1)
+		}
+	}
+	sort.Slice(instants, func(i, j int) bool { return instants[i] < instants[j] })
 	cur := s.NewCursor(base)
-	for t1 := engine.Time(0); t1 <= last+2; t1 += 5 {
-		got := cur.AdvanceTo(t1)
-		want := s.ImageAt(t1, base)
-		if !got.Equal(want) {
-			t.Fatalf("cursor image diverges from ImageAt at %v", t1)
+	for _, at := range instants {
+		if !cur.AdvanceTo(at).Equal(imageAt(s, at, base)) {
+			t.Fatalf("seed %d (faults %v): cursor image diverges from the reference at %v", seed, faults, at)
 		}
 	}
-	if cur.At() <= 0 {
-		t.Fatal("cursor time not advanced")
+}
+
+func TestCursorMatchesImageAt(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		checkCursorAgainstReference(t, seed, true)
 	}
 	// Monotonicity is enforced.
+	s := faultyNVM(t, fault.EnableAll(77))
+	s.PersistLine(0, 0, 0x1000, words(1))
+	cur := s.NewCursor(nil)
+	cur.AdvanceTo(200)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("backwards AdvanceTo did not panic")
@@ -323,21 +395,7 @@ func TestCursorMatchesImageAt(t *testing.T) {
 }
 
 func TestCursorNoFaultsMatchesImageAt(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Controllers = 2
-	cfg.LogEvents = true
-	s := New(cfg)
-	var last engine.Time
-	for i := 0; i < 60; i++ {
-		d := s.PersistLine(engine.Time(i*4), 0, isa.Addr((i%6)*isa.LineSize), words(uint64(i+100)))
-		if d > last {
-			last = d
-		}
-	}
-	cur := s.NewCursor(nil)
-	for t1 := engine.Time(0); t1 <= last+1; t1++ {
-		if !cur.AdvanceTo(t1).Equal(s.ImageAt(t1, nil)) {
-			t.Fatalf("cursor diverges at %v", t1)
-		}
+	for seed := int64(1); seed <= 300; seed++ {
+		checkCursorAgainstReference(t, seed, false)
 	}
 }

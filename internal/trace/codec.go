@@ -130,14 +130,13 @@ type Header struct {
 }
 
 // HeaderFor captures cfg and spec into a trace header. Attachments
-// (Obs, Rec), fault injection, and the tracking switches (TrackHB,
-// NVM.LogEvents) are dropped: they never change the op stream, and the
-// replayer chooses its own.
+// (Obs, Rec), fault injection, and the tracking switch (TrackHB) are
+// dropped: they never change the op stream, and the replayer chooses its
+// own.
 func HeaderFor(cfg memsys.Config, spec workload.Spec) Header {
 	cfg.Obs = nil
 	cfg.Rec = nil
 	cfg.TrackHB = false
-	cfg.NVM.LogEvents = false
 	cfg.Faults = fault.Config{}
 	return Header{Version: Version, Mechanism: cfg.Mechanism, Config: cfg, Spec: spec}
 }

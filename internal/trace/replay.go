@@ -82,9 +82,6 @@ func Replay(src io.Reader, o ReplayOpts) (*Replayed, error) {
 	}
 	cfg := r.Header().MachineConfig(k)
 	cfg.TrackHB = o.TrackHB
-	if o.TrackHB {
-		cfg.NVM.LogEvents = true
-	}
 	cfg.Obs = o.Obs
 	cfg.Rec = o.Rec
 	sys, err := memsys.New(cfg)

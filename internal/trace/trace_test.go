@@ -17,7 +17,6 @@ func testConfig(k persist.Kind) memsys.Config {
 	cfg.Mechanism = k
 	// Tracking is a replay-side option; keep the recording machine lean.
 	cfg.TrackHB = false
-	cfg.NVM.LogEvents = false
 	return cfg
 }
 
@@ -77,7 +76,6 @@ func TestHeaderCapturesConfig(t *testing.T) {
 	want.Obs = nil
 	want.Rec = nil
 	want.TrackHB = false
-	want.NVM.LogEvents = false
 	want.Faults = fault.Config{}
 	if !reflect.DeepEqual(got.Config, want) {
 		t.Fatalf("a memsys.Config field is lost in the trace header codec:\n got %+v\nwant %+v\n"+

@@ -41,7 +41,6 @@ func TestPublicWorkloadRun(t *testing.T) {
 func TestCrashRequiresTracking(t *testing.T) {
 	cfg := tinyConfig(LRP)
 	cfg.TrackHB = false
-	cfg.NVM.LogEvents = false
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
