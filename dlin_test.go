@@ -40,6 +40,30 @@ func dlinSweep(t *testing.T, mech Mechanism, structure string, workers int) *Swe
 	return sweep
 }
 
+// TestLRPSameLinePersistOrder replays the two skiplist runs on which
+// LRP used to complete a later persist of a line before an earlier one
+// that an epoch-ordering hold delayed, leaving the older content durable:
+// RP-violating boundaries and durable-linearizability phantoms. The NVM
+// now starts same-line persists in issue order, so both sweep clean.
+func TestLRPSameLinePersistOrder(t *testing.T) {
+	for _, spec := range []Spec{
+		{Structure: "skiplist", Threads: 2, InitialSize: 163, OpsPerThread: 10, Seed: 7},
+		{Structure: "skiplist", Threads: 2, InitialSize: 512, OpsPerThread: 30, Seed: 11},
+	} {
+		_, m, rec, h, err := RunRecoverableWorkloadHist(dlinCfg(LRP), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep, err := SweepCrash(m, SweepOpts{Rec: rec, Hist: h, Seed: spec.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sweep.Consistent() {
+			t.Errorf("size %d seed %d: %v", spec.InitialSize, spec.Seed, sweep)
+		}
+	}
+}
+
 // TestDLinRPMechanismsClean: every RP-enforcing mechanism must be
 // durably linearizable at EVERY crash boundary, on every structure: the
 // recovered state is exactly the happens-before-closed prefix of the

@@ -9,6 +9,7 @@ package nvm
 import (
 	"lrp/internal/engine"
 	"lrp/internal/fault"
+	"lrp/internal/flat"
 	"lrp/internal/isa"
 	"lrp/internal/mm"
 	"lrp/internal/obs"
@@ -115,6 +116,11 @@ type Subsystem struct {
 	cfg   Config
 	banks *engine.ServerBank
 	stats Stats
+
+	// lineStart is the start of each line's latest persist: the floor
+	// for the line's next one, so same-line persists complete in issue
+	// order.
+	lineStart flat.Table[engine.Time]
 
 	// log is the persist event log crash images are rebuilt from; kept
 	// only when keepLog is set (timing-only runs leave it off).
@@ -224,8 +230,12 @@ func (s *Subsystem) controllerIndex(line isa.Addr) int {
 // completion (ack) time. The command arrives at the controller at time
 // now (consuming a bandwidth slot in arrival order) but may not start
 // before earliestStart — the hold that epoch-ordered persist chains
-// impose. Content is captured by value at issue; the controller applies
-// it to the durable image at completion.
+// impose — nor before the start of the line's previous persist. Every
+// persist takes the same latency, so persists of one line ack in issue
+// order (ties keep log order): a later persist that no hold delays can
+// never complete ahead of an earlier, held one and be overwritten by its
+// older content. Content is captured by value at issue; the controller
+// applies it to the durable image at completion.
 func (s *Subsystem) PersistLine(now, earliestStart engine.Time, line isa.Addr, words [isa.WordsPerLine]uint64) engine.Time {
 	line = line.Line()
 	if earliestStart < now {
@@ -244,6 +254,10 @@ func (s *Subsystem) PersistLine(now, earliestStart engine.Time, line isa.Addr, w
 			}
 		}
 	}
+	prev, created := s.lineStart.Upsert(uint64(line))
+	if !created && earliestStart < *prev {
+		earliestStart = *prev
+	}
 	srv := s.controller(line)
 	if s.o != nil {
 		// Queue delay: how long the command waits behind earlier traffic
@@ -251,6 +265,7 @@ func (s *Subsystem) PersistLine(now, earliestStart engine.Time, line isa.Addr, w
 		s.o.NVMPersist(ctrl, srv.FreeAt(now)-now)
 	}
 	done := srv.ServeConstrained(now, earliestStart, s.Latency(), s.Occupancy())
+	*prev = done - s.Latency()
 	s.stats.Persists++
 	s.stats.BytesPersisted += isa.LineSize
 	if s.keepLog {

@@ -153,6 +153,23 @@ func TestImageOrderStableAtTies(t *testing.T) {
 	}
 }
 
+// TestSameLinePersistsAckInIssueOrder: a persist of a line that no hold
+// delays must not complete ahead of the line's earlier, held persist, or
+// the older content would land on top of the newer one.
+func TestSameLinePersistsAckInIssueOrder(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Controllers = 1
+	s := New(cfg, true)
+	held := s.PersistLine(0, 5000, 0x1000, words(1))
+	free := s.PersistLine(10, 10, 0x1000, words(2))
+	if free < held {
+		t.Fatalf("second persist acked at %v, before the held first one at %v", free, held)
+	}
+	if img := s.FinalImage(nil); img.Read(0x1000) != 2 {
+		t.Fatalf("final image holds %d, want the second persist's 2", img.Read(0x1000))
+	}
+}
+
 func TestBadConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
