@@ -249,10 +249,10 @@ func benchObserver(b *testing.B, mk func(Config) *Observer) {
 
 func BenchmarkObserverOff(b *testing.B) { benchObserver(b, nil) }
 func BenchmarkObserverMetrics(b *testing.B) {
-	benchObserver(b, func(cfg Config) *Observer { return NewObserver(cfg, false, 0) })
+	benchObserver(b, func(cfg Config) *Observer { return NewObserver(cfg, false) })
 }
 func BenchmarkObserverTrace(b *testing.B) {
-	benchObserver(b, func(cfg Config) *Observer { return NewObserver(cfg, true, 0) })
+	benchObserver(b, func(cfg Config) *Observer { return NewObserver(cfg, true) })
 }
 
 // TestObserverTimingNeutral pins the observability contract stated in
@@ -281,10 +281,10 @@ func TestObserverTimingNeutral(t *testing.T) {
 		return res
 	}
 	bare := run(nil, false)
-	metrics := run(func(cfg Config) *Observer { return NewObserver(cfg, false, 0) }, false)
-	traced := run(func(cfg Config) *Observer { return NewObserver(cfg, true, 0) }, false)
+	metrics := run(func(cfg Config) *Observer { return NewObserver(cfg, false) }, false)
+	traced := run(func(cfg Config) *Observer { return NewObserver(cfg, true) }, false)
 	profiled := run(nil, true)
-	both := run(func(cfg Config) *Observer { return NewObserver(cfg, false, 0) }, true)
+	both := run(func(cfg Config) *Observer { return NewObserver(cfg, false) }, true)
 	for name, got := range map[string]*Result{
 		"metrics": metrics, "trace": traced, "perf": profiled, "perf+metrics": both,
 	} {

@@ -267,7 +267,7 @@ func replayTrace(path, mechName string, mechSet, metrics, jsonOut bool) error {
 		if mechSet {
 			k = o.Mechanism
 		}
-		o.Obs = lrp.NewObserver(info.Header.MachineConfig(k), false, 0)
+		o.Obs = lrp.NewObserver(info.Header.MachineConfig(k), false)
 	}
 	rp, err := lrp.ReplayTrace(f, o)
 	if err != nil {
@@ -332,7 +332,7 @@ func runOne(structure, mechName string, threads, cores, ops, size int, seed uint
 	}
 	if metrics || tracePath != "" || structure == "kv" {
 		// kv always attaches one: its service metrics land in the registry.
-		cfg.Obs = lrp.NewObserver(cfg, tracePath != "", 0)
+		cfg.Obs = lrp.NewObserver(cfg, tracePath != "")
 	}
 	var prof *perf.Profiler
 	if perfOn {

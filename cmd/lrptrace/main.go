@@ -186,7 +186,7 @@ func cmdReplay(args []string) error {
 		if err != nil {
 			return err
 		}
-		o.Obs = lrp.NewObserver(in.Header().MachineConfig(k), false, 0)
+		o.Obs = lrp.NewObserver(in.Header().MachineConfig(k), false)
 	}
 	var re bytes.Buffer
 	var rp *lrp.Replayed

@@ -2,8 +2,9 @@
 // programs (the log-free data structures) speak and the memory system
 // (package memsys) executes: word-granular loads, stores, and
 // compare-and-swaps, each optionally carrying acquire/release ordering
-// annotations, plus the explicit full persist barrier that the SB and BB
-// comparison points require.
+// annotations. Persist order comes from those annotations alone: every
+// mechanism, SB's and BB's full barriers included, places its own
+// barriers inside the mechanism.
 //
 // The paper's ISA-level model is Release Consistency with a total order on
 // memory events (ARMv8/RISC-V style, §2 of the paper); the annotations
@@ -50,9 +51,6 @@ const (
 	Store
 	// CAS is a compare-and-swap read-modify-write on a word.
 	CAS
-	// FullBarrier is an explicit full persist barrier (used by the SB
-	// and BB enforcement schemes; LRP programs never emit it).
-	FullBarrier
 )
 
 func (k OpKind) String() string {
@@ -63,8 +61,6 @@ func (k OpKind) String() string {
 		return "store"
 	case CAS:
 		return "cas"
-	case FullBarrier:
-		return "pbarrier"
 	default:
 		return fmt.Sprintf("OpKind(%d)", uint8(k))
 	}
@@ -123,7 +119,7 @@ type Op struct {
 // and that the ordering annotation is legal for the kind (loads cannot be
 // releases, stores cannot be acquires — matching C++11/ARMv8 rules).
 func (op Op) Validate() error {
-	if op.Kind != FullBarrier && !op.Addr.Aligned() {
+	if !op.Addr.Aligned() {
 		return fmt.Errorf("isa: unaligned %s to %s", op.Kind, op.Addr)
 	}
 	switch op.Kind {
@@ -135,8 +131,8 @@ func (op Op) Validate() error {
 		if op.Order.IsAcquire() {
 			return fmt.Errorf("isa: store cannot have acquire ordering")
 		}
-	case CAS, FullBarrier:
-		// Any ordering is legal on an RMW; barriers ignore ordering.
+	case CAS:
+		// Any ordering is legal on an RMW.
 	default:
 		return fmt.Errorf("isa: unknown op kind %d", uint8(op.Kind))
 	}
@@ -151,8 +147,6 @@ func (op Op) String() string {
 		return fmt.Sprintf("store.%s %s <- %d", op.Order, op.Addr, op.Value)
 	case CAS:
 		return fmt.Sprintf("cas.%s %s %d -> %d", op.Order, op.Addr, op.Expected, op.Value)
-	case FullBarrier:
-		return "pbarrier"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(op.Kind))
 	}
@@ -176,6 +170,3 @@ func StoreRel(a Addr, v uint64) Op {
 func CASOp(a Addr, expected, value uint64, o Ordering) Op {
 	return Op{Kind: CAS, Order: o, Addr: a, Expected: expected, Value: value}
 }
-
-// Barrier constructs a full persist barrier.
-func Barrier() Op { return Op{Kind: FullBarrier} }

@@ -81,7 +81,6 @@ func TestValidate(t *testing.T) {
 		StoreRel(32, 2),
 		CASOp(40, 0, 1, AcqRel),
 		CASOp(40, 0, 1, Plain),
-		Barrier(),
 	}
 	for _, op := range valid {
 		if err := op.Validate(); err != nil {
@@ -94,6 +93,7 @@ func TestValidate(t *testing.T) {
 		{Kind: Store, Order: Acquire, Addr: 8},
 		{Kind: Store, Order: AcqRel, Addr: 8},
 		{Kind: Load, Addr: 9},
+		{Kind: OpKind(3), Addr: 8},
 		{Kind: OpKind(200), Addr: 8},
 	}
 	for _, op := range invalid {
@@ -114,20 +114,17 @@ func TestConstructors(t *testing.T) {
 	if l := LoadAcq(8); l.Order != Acquire {
 		t.Fatalf("LoadAcq misconstructed: %+v", l)
 	}
-	if b := Barrier(); b.Kind != FullBarrier {
-		t.Fatalf("Barrier misconstructed: %+v", b)
-	}
 }
 
 func TestStrings(t *testing.T) {
 	// Smoke-test String methods for coverage of every enum arm.
 	for _, s := range []string{
-		Load.String(), Store.String(), CAS.String(), FullBarrier.String(),
+		Load.String(), Store.String(), CAS.String(),
 		OpKind(99).String(),
 		Plain.String(), Acquire.String(), Release.String(), AcqRel.String(),
 		Ordering(99).String(),
 		LoadOp(8).String(), StoreOp(8, 1).String(),
-		CASOp(8, 0, 1, AcqRel).String(), Barrier().String(),
+		CASOp(8, 0, 1, AcqRel).String(), Op{Kind: OpKind(9)}.String(),
 		Addr(0x40).String(),
 	} {
 		if s == "" {

@@ -198,17 +198,10 @@ func (m *arpMech) OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engine.Ti
 	return now
 }
 
-func (m *arpMech) OnBarrier(tid int, now engine.Time) engine.Time {
-	m.epoch[tid]++
-	ack := m.drainEpochs(tid, m.epoch[tid], now)
-	return engine.Max(now, ack)
-}
-
 func (m *arpMech) Drain(tid int, now engine.Time) engine.Time {
 	m.epoch[tid]++
 	ack := m.drainEpochs(tid, m.epoch[tid], now)
 	return engine.Max(now, ack)
 }
 
-func (m *arpMech) PersistsOnWriteback() bool { return false }
-func (m *arpMech) LLCEvictPersists() bool    { return false }
+func (m *arpMech) LLCEvictPersists() bool { return false }

@@ -186,14 +186,6 @@ func (m *bbMech) OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engine.Tim
 	return now
 }
 
-func (m *bbMech) OnBarrier(tid int, now engine.Time) engine.Time {
-	done := m.sv.FlushAllDirty(tid, engine.Max(now, m.horizon[tid]), true)
-	if done > m.horizon[tid] {
-		m.horizon[tid] = done
-	}
-	return done
-}
-
 func (m *bbMech) Drain(tid int, now engine.Time) engine.Time {
 	done := m.sv.FlushAllDirty(tid, engine.Max(now, m.horizon[tid]), false)
 	if done > m.horizon[tid] {
@@ -202,5 +194,4 @@ func (m *bbMech) Drain(tid int, now engine.Time) engine.Time {
 	return done
 }
 
-func (m *bbMech) PersistsOnWriteback() bool { return true }
-func (m *bbMech) LLCEvictPersists() bool    { return false }
+func (m *bbMech) LLCEvictPersists() bool { return false }

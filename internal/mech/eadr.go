@@ -83,8 +83,6 @@ func (m *eadrMech) OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engine.T
 	return now
 }
 
-func (m *eadrMech) OnBarrier(tid int, now engine.Time) engine.Time { return now }
-
 func (m *eadrMech) Drain(tid int, now engine.Time) engine.Time {
 	// A clean shutdown flushes the caches so the plain NVM final image is
 	// whole without the overlay (same durability path as NOP).
@@ -98,8 +96,7 @@ func (m *eadrMech) Drain(tid int, now engine.Time) engine.Time {
 	return done
 }
 
-func (m *eadrMech) PersistsOnWriteback() bool { return false }
-func (m *eadrMech) LLCEvictPersists() bool    { return true }
+func (m *eadrMech) LLCEvictPersists() bool { return true }
 
 // NewCrashCursor hands crash analysis the durable-store log (the cursor
 // owns the image — the NVM event log is ignored); nil without

@@ -127,10 +127,6 @@ func (m *flitMech) OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engine.T
 	return engine.Max(now, engine.Time(l.FlushedUntil))
 }
 
-func (m *flitMech) OnBarrier(tid int, now engine.Time) engine.Time {
-	return m.flushTracked(tid, now, true)
-}
-
 func (m *flitMech) Drain(tid int, now engine.Time) engine.Time {
 	// Clean shutdown: authoritative full flush (tracking is per-release
 	// bookkeeping, not ground truth for what is dirty).
@@ -138,5 +134,4 @@ func (m *flitMech) Drain(tid int, now engine.Time) engine.Time {
 	return m.sv.FlushAllDirty(tid, now, false)
 }
 
-func (m *flitMech) PersistsOnWriteback() bool { return true }
-func (m *flitMech) LLCEvictPersists() bool    { return false }
+func (m *flitMech) LLCEvictPersists() bool { return false }

@@ -224,17 +224,10 @@ func (m *lrpMech) OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engine.Ti
 	return now
 }
 
-func (m *lrpMech) OnBarrier(tid int, now engine.Time) engine.Time {
-	done := m.sv.FlushAllDirty(tid, now, true)
-	m.sv.RET(tid).Clear()
-	return done
-}
-
 func (m *lrpMech) Drain(tid int, now engine.Time) engine.Time {
 	done := m.sv.FlushAllDirty(tid, now, false)
 	m.sv.RET(tid).Clear()
 	return done
 }
 
-func (m *lrpMech) PersistsOnWriteback() bool { return true }
-func (m *lrpMech) LLCEvictPersists() bool    { return false }
+func (m *lrpMech) LLCEvictPersists() bool { return false }

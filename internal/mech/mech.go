@@ -47,14 +47,9 @@ type Mechanism interface {
 	// ownerTid's L1 to reqTid (Invariant I2). The returned time blocks
 	// the *requester*.
 	OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engine.Time) engine.Time
-	// OnBarrier implements an explicit full persist barrier.
-	OnBarrier(tid int, now engine.Time) engine.Time
 	// Drain flushes all of tid's buffered persist state (clean shutdown).
 	Drain(tid int, now engine.Time) engine.Time
 
-	// PersistsOnWriteback reports whether data leaving an L1 is durable
-	// (SB/BB/LRP persist write-backs; NOP/ARP do not).
-	PersistsOnWriteback() bool
 	// LLCEvictPersists reports whether dirty LLC evictions write NVM
 	// (the NOP durability path; ARP's durability is its persist buffer).
 	LLCEvictPersists() bool
@@ -97,7 +92,7 @@ func (NoCrashState) NewCrashCursor() CrashCursor { return nil }
 func (NoCrashState) CrashInstants() []engine.Time { return nil }
 
 // SystemView is the facade through which a mechanism reaches the
-// machine: L1 scans, the per-thread epoch/RET/pending-persist tables,
+// machine: L1 lookups and dirty scans, the per-thread epoch/RET/pending-persist tables,
 // persist issue, directory line-blocking, and the stats/observability
 // hooks. It is everything a mechanism legitimately needs and nothing
 // more — mechanisms never see *memsys.System.
@@ -116,8 +111,6 @@ type SystemView interface {
 	// Pending returns tid's outstanding-persist completion set.
 	Pending(tid int) *engine.CompletionSet
 
-	// ScanL1 visits every valid line of tid's L1 in set order.
-	ScanL1(tid int, fn func(*cache.Line))
 	// LookupL1 returns tid's L1 line for a line address, or nil.
 	LookupL1(tid int, line isa.Addr) *cache.Line
 	// ScanDirty returns all lines of tid's L1 holding unpersisted

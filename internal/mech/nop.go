@@ -40,12 +40,9 @@ func (m *nopMech) OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engine.Ti
 	return now
 }
 
-func (m *nopMech) OnBarrier(tid int, now engine.Time) engine.Time { return now }
-
 func (m *nopMech) Drain(tid int, now engine.Time) engine.Time {
 	// A clean shutdown still flushes caches so the final image is whole.
 	return m.sv.FlushAllDirty(tid, now, false)
 }
 
-func (m *nopMech) PersistsOnWriteback() bool { return false }
-func (m *nopMech) LLCEvictPersists() bool    { return true }
+func (m *nopMech) LLCEvictPersists() bool { return true }

@@ -69,13 +69,8 @@ func (m *sbMech) OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engine.Tim
 	return engine.Max(done, engine.Time(l.FlushedUntil))
 }
 
-func (m *sbMech) OnBarrier(tid int, now engine.Time) engine.Time {
-	return m.sv.FlushAllDirty(tid, now, true)
-}
-
 func (m *sbMech) Drain(tid int, now engine.Time) engine.Time {
 	return m.sv.FlushAllDirty(tid, now, false)
 }
 
-func (m *sbMech) PersistsOnWriteback() bool { return true }
-func (m *sbMech) LLCEvictPersists() bool    { return false }
+func (m *sbMech) LLCEvictPersists() bool { return false }

@@ -50,12 +50,13 @@ func TestPerformPathAllocs(t *testing.T) {
 }
 
 // TestEngineScanAllocs pins the persist-engine path: re-released lines
-// and barriers force persistReleased/flushAllDirty scans every
-// iteration, which must reuse the scratch refs, schedule and scan
-// buffers.
+// force persistReleased scans every iteration, and a 2-bit epoch counter
+// forces epoch-overflow flushAllDirty scans, which must reuse the scratch
+// refs, schedule and scan buffers.
 func TestEngineScanAllocs(t *testing.T) {
 	cfg := TestConfig(1).WithMechanism(persist.LRP)
 	cfg.TrackHB = false
+	cfg.EpochBits = 2
 	s := MustNew(cfg)
 	addrs := make([]isa.Addr, 8)
 	for i := range addrs {
@@ -70,13 +71,16 @@ func TestEngineScanAllocs(t *testing.T) {
 			// engine on a released line (OnWrite case 2).
 			c.StoreRel(addrs[0], uint64(i))
 			c.StoreRel(addrs[0], uint64(i)+1)
-			c.Barrier()
 		}
 	}
-	before := s.Stats().EngineScans
+	before := s.Stats()
 	allocs := steadyStateAllocs(s, []Program{prog})
-	if scans := s.Stats().EngineScans - before; scans < 100 {
+	after := s.Stats()
+	if scans := after.EngineScans - before.EngineScans; scans < 100 {
 		t.Fatalf("engine ran only %d scans; the test is not exercising the scan path", scans)
+	}
+	if ovf := after.EpochOverflows - before.EpochOverflows; ovf < 100 {
+		t.Fatalf("only %d epoch-overflow flushes; the test is not exercising flushAllDirty", ovf)
 	}
 	if allocs > 16 {
 		t.Fatalf("steady-state Run allocated %.1f objects across 100+ engine scans; scan scratch is not being reused", allocs)

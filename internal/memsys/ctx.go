@@ -141,12 +141,6 @@ func (c *Ctx) OpEnd(ok bool, ret uint64) {
 	}
 }
 
-// Barrier executes an explicit full persist barrier.
-func (c *Ctx) Barrier() {
-	c.handoff()
-	c.sys.perform(c.tid, isa.Op{Kind: isa.FullBarrier})
-}
-
 // Exec runs one isa.Op (tests and op-driven programs).
 func (c *Ctx) Exec(op isa.Op) (uint64, bool) {
 	if err := op.Validate(); err != nil {

@@ -30,8 +30,6 @@ func (v *sysView) Pending(tid int) *engine.CompletionSet {
 	return &v.threads[tid].pending
 }
 
-func (v *sysView) ScanL1(tid int, fn func(*cache.Line)) { v.l1s[tid].Scan(fn) }
-
 func (v *sysView) LookupL1(tid int, line isa.Addr) *cache.Line {
 	return v.l1s[tid].Lookup(line)
 }

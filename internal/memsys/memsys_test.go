@@ -220,7 +220,6 @@ func TestExecDispatch(t *testing.T) {
 		if _, ok := c.Exec(isa.CASOp(a, 4, 5, isa.AcqRel)); !ok {
 			t.Error("Exec CAS failed")
 		}
-		c.Exec(isa.Barrier())
 	})
 }
 

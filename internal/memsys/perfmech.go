@@ -65,13 +65,6 @@ func (w profiledMech) OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engin
 	return t
 }
 
-func (w profiledMech) OnBarrier(tid int, now engine.Time) engine.Time {
-	w.p.Start(perf.PhaseMechanism)
-	t := w.m.OnBarrier(tid, now)
-	w.p.End()
-	return t
-}
-
 func (w profiledMech) Drain(tid int, now engine.Time) engine.Time {
 	w.p.Start(perf.PhaseMechanism)
 	t := w.m.Drain(tid, now)
@@ -79,7 +72,6 @@ func (w profiledMech) Drain(tid int, now engine.Time) engine.Time {
 	return t
 }
 
-func (w profiledMech) PersistsOnWriteback() bool        { return w.m.PersistsOnWriteback() }
 func (w profiledMech) LLCEvictPersists() bool           { return w.m.LLCEvictPersists() }
 func (w profiledMech) NewCrashCursor() mech.CrashCursor { return w.m.NewCrashCursor() }
 func (w profiledMech) CrashInstants() []engine.Time     { return w.m.CrashInstants() }

@@ -61,18 +61,6 @@ func (s *System) rmw(tid int, addr isa.Addr, expected, val uint64, order isa.Ord
 	return old, swapped
 }
 
-// barrier executes an explicit full persist barrier.
-func (s *System) barrier(tid int) {
-	t := s.clocks[tid] + s.cfg.IssueCost
-	t2 := s.mech.OnBarrier(tid, t)
-	s.stall(tid, obs.StallBarrier, t, t2)
-	if s.obs != nil {
-		s.obs.Barrier(tid, t, t2)
-	}
-	s.stats.Ops++
-	s.clocks[tid] = t2
-}
-
 // obtainExclusive brings addr's line into the local L1 in Modified state,
 // returning the time ownership is held.
 func (s *System) obtainExclusive(tid int, line isa.Addr, t engine.Time) engine.Time {

@@ -96,8 +96,6 @@ func (s *System) perform(tid int, op isa.Op) (uint64, bool) {
 		s.write(tid, op.Addr, op.Value, op.Order.IsRelease())
 	case isa.CAS:
 		v, ok = s.rmw(tid, op.Addr, op.Expected, op.Value, op.Order)
-	case isa.FullBarrier:
-		s.barrier(tid)
 	default:
 		panic(fmt.Sprintf("memsys: bad op %v", op))
 	}

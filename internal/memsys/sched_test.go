@@ -57,10 +57,11 @@ func (r *tidRecorder) RecordDrain()                         {}
 func (r *tidRecorder) RecordMark(id uint8)                  {}
 
 // TestClockTieTidOrdering drives three threads in perfect clock lockstep
-// (barriers under NOP cost exactly IssueCost for every thread), so every
-// scheduling decision is a tie. Ties must resolve to the smaller thread
-// id — the recorded op stream must be a strict round-robin — exactly as
-// the historical linear scan resolved them.
+// (after a warm-up Run and SyncClocks, L1-hit loads of each thread's
+// private line cost the same for every thread), so every scheduling
+// decision is a tie. Ties must resolve to the smaller thread id — the
+// recorded op stream must be a strict round-robin — exactly as the
+// historical linear scan resolved them.
 func TestClockTieTidOrdering(t *testing.T) {
 	rec := &tidRecorder{}
 	cfg := TestConfig(3).WithMechanism(persist.NOP)
@@ -69,13 +70,24 @@ func TestClockTieTidOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lines := []isa.Addr{s.StaticAlloc(8), s.StaticAlloc(8), s.StaticAlloc(8)}
 	const rounds = 20
-	prog := func(c *Ctx) {
-		for i := 0; i < rounds; i++ {
-			c.Barrier()
+	progs := func(n int) []Program {
+		ps := make([]Program, len(lines))
+		for i := range ps {
+			a := lines[i]
+			ps[i] = func(c *Ctx) {
+				for r := 0; r < n; r++ {
+					c.Load(a)
+				}
+			}
 		}
+		return ps
 	}
-	s.Run([]Program{prog, prog, prog})
+	s.Run(progs(1))
+	s.SyncClocks()
+	rec.tids = rec.tids[:0]
+	s.Run(progs(rounds))
 	if len(rec.tids) != 3*rounds {
 		t.Fatalf("recorded %d ops, want %d", len(rec.tids), 3*rounds)
 	}

@@ -1,9 +1,9 @@
 // Package trace is the record/replay subsystem: it captures a machine's
-// memory-operation stream — every core's loads, stores, CASes and
-// barriers, their op-work gaps, and the cross-core synchronization order
-// the scheduler chose — into a versioned, CRC-checked, gzip-framed
-// binary format, and replays such a trace directly against a fresh
-// machine under any persistency mechanism.
+// memory-operation stream — every core's loads, stores and CASes, their
+// op-work gaps, and the cross-core synchronization order the scheduler
+// chose — into a versioned, CRC-checked, gzip-framed binary format, and
+// replays such a trace directly against a fresh machine under any
+// persistency mechanism.
 //
 // This reproduces the paper's trace-driven methodology: PRiME replays
 // one fixed Pin-captured trace under each mechanism, so SB/BB/ARP/LRP
@@ -46,7 +46,8 @@ const Version = 1
 const magic = "LRPTRC"
 
 // Record type bytes. Values 0x00–0x0F encode an op record as
-// kind | order<<2; control records follow.
+// kind | order<<2 (kind 3 is malformed: isa.Op.Validate rejects it);
+// control records follow.
 const (
 	recTick   = 0x10
 	recSync   = 0x11
@@ -77,7 +78,7 @@ const maxWork = 1 << 40
 type RecType uint8
 
 const (
-	// RecOp is one memory operation (load/store/CAS/barrier).
+	// RecOp is one memory operation (load/store/CAS).
 	RecOp RecType = iota
 	// RecTick is trailing compute not followed by an operation.
 	RecTick

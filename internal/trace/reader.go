@@ -266,20 +266,18 @@ func (r *Reader) decodeOp(t byte, rec *Rec) error {
 	if rec.Work, err = r.work(); err != nil {
 		return err
 	}
-	if rec.Op.Kind != isa.FullBarrier {
-		d, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		word := r.last[rec.TID] + unzigzag(d)
-		// Bound the address space so a corrupt delta cannot drive the
-		// sparse memory model into huge allocations during replay.
-		if word < 0 || word >= 1<<44 {
-			return fmt.Errorf("trace: address word %d out of range", word)
-		}
-		r.last[rec.TID] = word
-		rec.Op.Addr = isa.Addr(word << 3)
+	d, err := r.uvarint()
+	if err != nil {
+		return err
 	}
+	word := r.last[rec.TID] + unzigzag(d)
+	// Bound the address space so a corrupt delta cannot drive the
+	// sparse memory model into huge allocations during replay.
+	if word < 0 || word >= 1<<44 {
+		return fmt.Errorf("trace: address word %d out of range", word)
+	}
+	r.last[rec.TID] = word
+	rec.Op.Addr = isa.Addr(word << 3)
 	switch rec.Op.Kind {
 	case isa.Load:
 		if rec.Val, err = r.uvarint(); err != nil {
@@ -309,8 +307,6 @@ func (r *Reader) decodeOp(t byte, rec *Rec) error {
 			return fmt.Errorf("trace: bad CAS outcome byte %d", b)
 		}
 		rec.OK = b == 1
-	case isa.FullBarrier:
-		rec.OK = true
 	}
 	if err := rec.Op.Validate(); err != nil {
 		return fmt.Errorf("trace: %w", err)

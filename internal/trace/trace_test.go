@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lrp/internal/fault"
+	"lrp/internal/isa"
 	"lrp/internal/memsys"
 	"lrp/internal/persist"
 	"lrp/internal/workload"
@@ -297,6 +299,32 @@ func TestCorruptInputs(t *testing.T) {
 			t.Error("empty input accepted")
 		}
 	})
+}
+
+// TestDecodeRejectsOpKind3 pins the op-record kinds: an otherwise
+// well-formed stream (valid framing and checksum) carrying an op record
+// of kind 3 — the two-bit kind field's one unused value — is malformed.
+func TestDecodeRejectsOpKind3(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, HeaderFor(testConfig(persist.LRP), testSpec("hashmap")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.RecordOp(0, 5, isa.StoreOp(64, 1), 0, true)
+	w.RecordOp(0, 5, isa.Op{Kind: isa.OpKind(3), Addr: 64}, 0, true)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := r.Next(); err != nil || rec.Op.Kind != isa.Store {
+		t.Fatalf("first record = %+v, %v; want the store", rec, err)
+	}
+	if _, err := r.Next(); err == nil || !strings.Contains(err.Error(), "unknown op kind 3") {
+		t.Fatalf("kind-3 op record: err = %v, want an unknown-op-kind rejection", err)
+	}
 }
 
 // TestRecordRejectsFaultsAndRecorder: unrecordable configurations fail

@@ -136,11 +136,9 @@ func (w *Writer) RecordOp(tid int, work engine.Time, op isa.Op, val uint64, ok b
 	w.buf = append(w.buf, byte(op.Kind)|byte(op.Order)<<2)
 	w.buf = binary.AppendUvarint(w.buf, uint64(tid))
 	w.buf = binary.AppendUvarint(w.buf, uint64(work))
-	if op.Kind != isa.FullBarrier {
-		word := int64(op.Addr >> 3)
-		w.buf = binary.AppendUvarint(w.buf, zigzag(word-w.last[tid]))
-		w.last[tid] = word
-	}
+	word := int64(op.Addr >> 3)
+	w.buf = binary.AppendUvarint(w.buf, zigzag(word-w.last[tid]))
+	w.last[tid] = word
 	switch op.Kind {
 	case isa.Load:
 		w.buf = binary.AppendUvarint(w.buf, val)

@@ -15,16 +15,15 @@ import (
 type Observer = obs.Observer
 
 // NewObserver builds an Observer sized for the machine cfg describes.
-// trace attaches the event tracer (traceCap events per core ring; 0 uses
-// the default). Metrics are always collected; attaching an Observer never
-// changes simulated timing.
-func NewObserver(cfg Config, trace bool, traceCap int) *Observer {
+// trace attaches the event tracer (default per-core ring capacity).
+// Metrics are always collected; attaching an Observer never changes
+// simulated timing.
+func NewObserver(cfg Config, trace bool) *Observer {
 	return obs.New(obs.Config{
 		Cores:       cfg.Cores,
 		LLCBanks:    cfg.LLCBanks,
 		Controllers: cfg.NVM.Controllers,
 		EnableTrace: trace,
-		TraceCap:    traceCap,
 	})
 }
 
@@ -77,7 +76,7 @@ func MetricsReport(o ExperimentOpts) (string, error) {
 	err := grid(o.Parallel, t, cellRows(ks), 1, func(r, _ int) (metricsCell, error) {
 		structure, k := Structures[r/len(ks)], ks[r%len(ks)]
 		cfg := o.config(k, false)
-		cfg.Obs = NewObserver(cfg, false, 0)
+		cfg.Obs = NewObserver(cfg, false)
 		res, m, err := RunWorkload(cfg, o.spec(structure))
 		if err != nil {
 			return metricsCell{}, fmt.Errorf("%s/%s: %w", structure, k, err)
@@ -168,7 +167,7 @@ func (o ExperimentOpts) sweepCell(structure string, k Mechanism, faults bool) (s
 	var err error
 	if faults {
 		cfg.Faults = EnableAllFaults(o.Seed)
-		cfg.Obs = NewObserver(cfg, false, 0)
+		cfg.Obs = NewObserver(cfg, false)
 		_, r.m, rec, err = RunRecoverableWorkload(cfg, o.spec(structure))
 	} else {
 		_, r.m, rec, r.h, err = RunRecoverableWorkloadHist(cfg, o.spec(structure))
@@ -333,7 +332,6 @@ func MetricsSummary(m *Machine) string {
 		{"persist-engine scan length (dirty lines)", "engine/scan_len/"},
 		{"NVM controller queue delay (cycles)", "nvm/queue_delay/"},
 		{"NVM retry backoff (cycles)", "nvm/backoff/"},
-		{"barrier latency (cycles)", "barrier/latency/"},
 	} {
 		if s := FormatHistogram(h.title, reg.MergeHistograms(h.prefix)); s != "" {
 			b.WriteByte('\n')
@@ -361,7 +359,7 @@ func WriteMetricsJSON(m *Machine, w io.Writer) error {
 func WriteTrace(o ExperimentOpts, structure string, k Mechanism, w io.Writer) (*Result, error) {
 	o = o.withDefaults()
 	cfg := o.config(k, false)
-	cfg.Obs = NewObserver(cfg, true, 0)
+	cfg.Obs = NewObserver(cfg, true)
 	res, m, err := RunWorkload(cfg, o.spec(structure))
 	if err != nil {
 		return nil, err

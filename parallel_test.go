@@ -156,7 +156,7 @@ func sweepMachine(t *testing.T, k Mechanism) (*Machine, Recoverable) {
 	t.Helper()
 	cfg := tinyConfig(k)
 	cfg.Faults = EnableAllFaults(9)
-	cfg.Obs = NewObserver(cfg, false, 0)
+	cfg.Obs = NewObserver(cfg, false)
 	_, m, rec, err := RunRecoverableWorkload(cfg, Spec{
 		Structure: "linkedlist", Threads: 2, InitialSize: 16, OpsPerThread: 30, Seed: 5,
 	})
