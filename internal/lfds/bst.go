@@ -158,6 +158,15 @@ inject:
 				// wins; the loser rolls back and retries from scratch.
 				if clearPtr(sib) < rec.leaf {
 					c.CAS(rec.pCell, rec.leaf|flagBit, rec.leaf, isa.Release)
+					// Wait for the winner before re-injecting. The winner
+					// polls our edge for the rollback; re-flagging it at
+					// once can land every re-flag between two of its
+					// polls, and then neither deletion ever finishes. The
+					// winner is done with our edge once it tags it (its
+					// cleanup has begun) or once its flag has left the
+					// sibling edge.
+					for c.LoadAcq(rec.pCell)&tagBit == 0 && c.LoadAcq(rec.sibCell)&flagBit != 0 {
+					}
 					continue inject
 				}
 				continue // we win: wait for the loser's rollback
