@@ -200,3 +200,34 @@ func TestSweepCellSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestLRPEngineStallPersistOrder pins two runs in which a persist-engine
+// stall left an ack in flight past the owner's clock, and a downgrade
+// then ran the owner's engine at the requester's earlier clock. The
+// engine must still wait for that ack before persisting a release;
+// otherwise a write persists before its po-before-release predecessor.
+func TestLRPEngineStallPersistOrder(t *testing.T) {
+	stallOnly := DefaultConfig().WithMechanism(LRP)
+	stallOnly.Cores = 4
+	stallOnly.TrackHB = true
+	stallOnly.Faults = FaultConfig{Seed: 1, StallProb: 0.1}
+	for _, c := range []struct {
+		cfg  Config
+		spec Spec
+	}{
+		{stallOnly, Spec{Structure: "bstree", Threads: 4, InitialSize: 32, OpsPerThread: 20, Seed: 261}},
+		{faultCfg(LRP, 1), Spec{Structure: "hashmap", Threads: 4, InitialSize: 32, OpsPerThread: 20, Seed: 136}},
+	} {
+		_, m, rec, err := RunRecoverableWorkload(c.cfg, c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep, err := SweepCrash(m, SweepOpts{Rec: rec, Seed: c.spec.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sweep.Consistent() {
+			t.Errorf("%s seed %d: %v", c.spec.Structure, c.spec.Seed, sweep)
+		}
+	}
+}

@@ -10,12 +10,22 @@ package engine
 // The min-heap is hand-rolled over []Time rather than container/heap:
 // the interface-based API boxes every pushed and popped value, which put
 // two heap allocations on every persist issue/retire pair.
+//
+// Callers do not query it in clock order: the owner's clock retires
+// completions (DrainUpTo, ReleaseSlots), and a downgrade then runs the
+// owner's persist engine at the requester's earlier clock. So hi keeps
+// the largest completion ever added, retired or not, and MaxTime answers
+// from it rather than from the completions still held.
 type CompletionSet struct {
-	h []Time
+	h  []Time
+	hi Time
 }
 
 // Add records an operation that completes at time t.
 func (c *CompletionSet) Add(t Time) {
+	if t > c.hi {
+		c.hi = t
+	}
 	c.h = append(c.h, t)
 	i := len(c.h) - 1
 	for i > 0 {
@@ -80,17 +90,11 @@ func (c *CompletionSet) PendingAt(now Time) int {
 // Len reports the number of tracked operations (complete or not).
 func (c *CompletionSet) Len() int { return len(c.h) }
 
-// MaxTime returns the latest completion time tracked, or now if none are
-// later than now. Waiting for a full drain means advancing the clock to
-// this value.
+// MaxTime returns the latest completion time ever added — retired
+// completions included — or now if none is later than now. Waiting for
+// a full drain means advancing the clock to this value.
 func (c *CompletionSet) MaxTime(now Time) Time {
-	max := now
-	for _, t := range c.h {
-		if t > max {
-			max = t
-		}
-	}
-	return max
+	return Max(now, c.hi)
 }
 
 // ReleaseSlots returns the earliest time at which at most maxOutstanding
@@ -111,5 +115,8 @@ func (c *CompletionSet) ReleaseSlots(now Time, maxOutstanding int) Time {
 	return t
 }
 
-// Clear discards all tracked completions.
-func (c *CompletionSet) Clear() { c.h = c.h[:0] }
+// Clear discards all tracked completions, retired ones included.
+func (c *CompletionSet) Clear() {
+	c.h = c.h[:0]
+	c.hi = 0
+}

@@ -158,6 +158,17 @@ func TestCompletionSetBasics(t *testing.T) {
 	}
 }
 
+// MaxTime must still see a completion that ReleaseSlots retired at a
+// later clock: the persist engine asks at a requester's earlier clock.
+func TestCompletionSetMaxTimeAfterRetire(t *testing.T) {
+	var c CompletionSet
+	c.Add(500)
+	c.ReleaseSlots(600, 0)
+	if got := c.MaxTime(100); got != 500 {
+		t.Fatalf("MaxTime(100) after retiring 500 at 600: got %v, want 500", got)
+	}
+}
+
 // DrainUpTo must pop exactly the completions <= now, regardless of
 // insertion order.
 func TestCompletionSetDrainProperty(t *testing.T) {
