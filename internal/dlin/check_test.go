@@ -1,0 +1,63 @@
+package dlin
+
+import (
+	"reflect"
+	"testing"
+
+	"lrp/internal/engine"
+	"lrp/internal/isa"
+	"lrp/internal/model"
+	"lrp/internal/recovery"
+)
+
+// TestPassReuseRecomputesAcrossThresholds walks one Pass over ascending
+// instants with one unchanging recovered state (an empty set) and checks
+// it against a fresh Pass at each. The verdict moves while the state
+// stays put in both ways a threshold can move it:
+//
+//   - insert(2) is durable from t=10 but happens after insert(1), which
+//     persists at t=20: reordered until then (a need threshold);
+//   - both inserts are missing while the node store ordered before
+//     insert(1)'s release persists only at t=40: acked-but-lost until
+//     then, buffering after (a needW threshold, no pAt or need at 40).
+func TestPassReuseRecomputesAcrossThresholds(t *testing.T) {
+	tr := model.NewTracker(2)
+	node := tr.OnWrite(0, isa.Addr(0x1000))
+	lin1 := tr.OnRelease(0, isa.Addr(0x2000))
+	tr.OnAcquire(1, isa.Addr(0x2000))
+	lin2 := tr.OnRelease(1, isa.Addr(0x3000))
+	tr.SetPersisted(lin2, 10)
+	tr.SetPersisted(lin1, 20)
+	tr.SetPersisted(node, 40)
+	h := &History{Structure: "linkedlist", Ops: []Op{
+		{Tid: 0, Kind: OpInsert, Key: 1, Val: 1, OK: true, Lin: lin1, LinSeq: 1},
+		{Tid: 1, Kind: OpInsert, Key: 2, Val: 2, OK: true, Lin: lin2, LinSeq: 2},
+	}}
+	ck, err := NewChecker(h, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := recovery.NewSetReport("linkedlist")
+	classes := map[engine.Time][]Class{
+		5:  nil,
+		15: {Reordered, AckedLost},
+		25: {AckedLost, AckedLost},
+		45: nil,
+	}
+	p := ck.NewPass()
+	for at := engine.Time(0); at <= 50; at++ {
+		got, want := p.Check(at, rep), ck.NewPass().Check(at, rep)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("t=%d: reused pass %v, fresh pass %v", at, got, want)
+		}
+		if cs, ok := classes[at]; ok {
+			var have []Class
+			for _, v := range got {
+				have = append(have, v.Class)
+			}
+			if !reflect.DeepEqual(have, cs) {
+				t.Fatalf("t=%d: classes %v, want %v (%v)", at, have, cs, got)
+			}
+		}
+	}
+}

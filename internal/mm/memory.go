@@ -39,6 +39,10 @@ type Memory struct {
 	// the table lookup entirely.
 	lastPN   uint64
 	lastPage *page
+
+	// gen counts Write and WriteLine calls: equal generations of one
+	// Memory mean equal contents.
+	gen uint64
 }
 
 // NewMemory returns an empty memory.
@@ -84,6 +88,7 @@ func (m *Memory) Write(a isa.Addr, v uint64) {
 	}
 	p := m.pageFor(a, true)
 	p[(uint64(a)>>3)&(pageWords-1)] = v
+	m.gen++
 }
 
 // ReadLine copies the cache line containing a into a word array. A line
@@ -105,7 +110,13 @@ func (m *Memory) WriteLine(a isa.Addr, words [isa.WordsPerLine]uint64) {
 	p := m.pageFor(base, true)
 	w := (uint64(base) >> 3) & (pageWords - 1)
 	copy(p[w:w+isa.WordsPerLine], words[:])
+	m.gen++
 }
+
+// Gen returns the memory's write generation, bumped by every Write and
+// WriteLine. A reader that saw generation g of this Memory may reuse what
+// it derived from the contents while Gen() is still g.
+func (m *Memory) Gen() uint64 { return m.gen }
 
 // Pages reports how many pages have been materialized.
 func (m *Memory) Pages() int { return m.pages.Len() }
