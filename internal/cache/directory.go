@@ -31,14 +31,6 @@ func (e *DirEntry) ForEachSharer(fn func(core int)) {
 	}
 }
 
-// SharerList expands the bitmap into core ids. It allocates; hot paths
-// use ForEachSharer — this remains for tests and reports.
-func (e *DirEntry) SharerList() []int {
-	var out []int
-	e.ForEachSharer(func(core int) { out = append(out, core) })
-	return out
-}
-
 // Directory is the full-map coherence directory co-located with the LLC
 // banks. Entries materialize on first touch, held inline in an
 // open-addressing flat table — no per-entry heap allocation, no pointer

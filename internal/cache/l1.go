@@ -6,7 +6,6 @@ import (
 
 	"lrp/internal/isa"
 	"lrp/internal/obs"
-	"lrp/internal/persist"
 )
 
 // L1Stats counts L1 events.
@@ -225,15 +224,3 @@ func (c *L1) ScanPending(f func(*Line)) {
 		c.pend[wi] = keep
 	}
 }
-
-// CountDirty reports how many lines currently hold unpersisted writes.
-func (c *L1) CountDirty() int {
-	n := 0
-	c.ScanPending(func(*Line) { n++ })
-	return n
-}
-
-// FreeStamps returns a detached stamp chain (from Invalidate's returned
-// copy) to the arena. Split out so protocol code that discards an
-// invalidated line cannot leak its chain.
-func FreeStamps(a *persist.StampArena, l *Line) { a.Free(&l.stamps) }

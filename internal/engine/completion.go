@@ -75,18 +75,6 @@ func (c *CompletionSet) DrainUpTo(now Time) int {
 	return n
 }
 
-// PendingAt reports how many operations are still incomplete at time now,
-// without discarding anything.
-func (c *CompletionSet) PendingAt(now Time) int {
-	n := 0
-	for _, t := range c.h {
-		if t > now {
-			n++
-		}
-	}
-	return n
-}
-
 // Len reports the number of tracked operations (complete or not).
 func (c *CompletionSet) Len() int { return len(c.h) }
 
@@ -113,10 +101,4 @@ func (c *CompletionSet) ReleaseSlots(now Time, maxOutstanding int) Time {
 		t = now
 	}
 	return t
-}
-
-// Clear discards all tracked completions, retired ones included.
-func (c *CompletionSet) Clear() {
-	c.h = c.h[:0]
-	c.hi = 0
 }

@@ -50,9 +50,3 @@ func (r *Rand) Float64() float64 {
 
 // Bool returns a pseudo-random boolean.
 func (r *Rand) Bool() bool { return r.Uint64()&1 == 1 }
-
-// Fork derives an independent generator; the derived stream does not
-// overlap the parent's for any practical sequence length.
-func (r *Rand) Fork() *Rand {
-	return NewRand(r.Uint64() ^ 0xd1342543de82ef95)
-}

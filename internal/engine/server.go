@@ -8,8 +8,6 @@ package engine
 // exactly for an M/D/1-style in-order server.
 type Server struct {
 	busyUntil Time
-	served    uint64
-	busyTime  Time
 }
 
 // Serve books a request arriving at now with the given service latency and
@@ -30,8 +28,6 @@ func (s *Server) ServePipelined(now, latency, occupancy Time) Time {
 	}
 	start := Max(now, s.busyUntil)
 	s.busyUntil = start + occupancy
-	s.served++
-	s.busyTime += occupancy
 	return start + latency
 }
 
@@ -47,19 +43,11 @@ func (s *Server) ServeConstrained(arrive, earliestStart, latency, occupancy Time
 	}
 	slot := Max(arrive, s.busyUntil)
 	s.busyUntil = slot + occupancy
-	s.served++
-	s.busyTime += occupancy
 	return Max(slot, earliestStart) + latency
 }
 
 // FreeAt reports the earliest time a request arriving at now could start.
 func (s *Server) FreeAt(now Time) Time { return Max(now, s.busyUntil) }
-
-// Served reports how many requests the server has completed or booked.
-func (s *Server) Served() uint64 { return s.served }
-
-// BusyTime reports the total cycles the server has spent in service.
-func (s *Server) BusyTime() Time { return s.busyTime }
 
 // Reset clears the server to an idle state at time zero.
 func (s *Server) Reset() { *s = Server{} }
@@ -86,15 +74,6 @@ func (b *ServerBank) Bank(key uint64) *Server {
 
 // Len returns the number of banks.
 func (b *ServerBank) Len() int { return len(b.banks) }
-
-// Served sums completed requests across all banks.
-func (b *ServerBank) Served() uint64 {
-	var total uint64
-	for i := range b.banks {
-		total += b.banks[i].Served()
-	}
-	return total
-}
 
 // Reset clears every bank.
 func (b *ServerBank) Reset() {

@@ -28,14 +28,6 @@ func Max(a, b Time) Time {
 	return b
 }
 
-// Min returns the earlier of two times.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (t Time) String() string {
 	return fmt.Sprintf("%dcy", int64(t))
 }

@@ -33,9 +33,6 @@ const WordsPerLine = LineSize / WordSize
 // Line returns the cache-line base address containing a.
 func (a Addr) Line() Addr { return a &^ (LineSize - 1) }
 
-// WordIndex returns the word offset of a within its cache line.
-func (a Addr) WordIndex() int { return int(a>>3) & (WordsPerLine - 1) }
-
 // Aligned reports whether a is word-aligned.
 func (a Addr) Aligned() bool { return a%WordSize == 0 }
 

@@ -9,21 +9,17 @@ func TestLineGeometry(t *testing.T) {
 	cases := []struct {
 		addr Addr
 		line Addr
-		word int
 	}{
-		{0, 0, 0},
-		{8, 0, 1},
-		{56, 0, 7},
-		{64, 64, 0},
-		{72, 64, 1},
-		{0x1038, 0x1000, 7},
+		{0, 0},
+		{8, 0},
+		{56, 0},
+		{64, 64},
+		{72, 64},
+		{0x1038, 0x1000},
 	}
 	for _, c := range cases {
 		if got := c.addr.Line(); got != c.line {
 			t.Errorf("Line(%v) = %v, want %v", c.addr, got, c.line)
-		}
-		if got := c.addr.WordIndex(); got != c.word {
-			t.Errorf("WordIndex(%v) = %d, want %d", c.addr, got, c.word)
 		}
 	}
 }
@@ -34,24 +30,17 @@ func TestAligned(t *testing.T) {
 	}
 }
 
-// Property: every word in a line maps back to that line, and word indexes
-// within a line are unique and in range.
+// Property: every word in a line maps back to that line, and the word
+// after the last one starts the next line.
 func TestLineWordProperty(t *testing.T) {
 	f := func(base uint32) bool {
 		line := Addr(base).Line()
-		seen := map[int]bool{}
 		for w := 0; w < WordsPerLine; w++ {
-			a := line + Addr(w*WordSize)
-			if a.Line() != line {
+			if (line + Addr(w*WordSize)).Line() != line {
 				return false
 			}
-			idx := a.WordIndex()
-			if idx < 0 || idx >= WordsPerLine || seen[idx] {
-				return false
-			}
-			seen[idx] = true
 		}
-		return true
+		return (line + Addr(WordsPerLine*WordSize)).Line() == line+LineSize
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
