@@ -2,6 +2,7 @@ package lrp
 
 import (
 	"testing"
+	"time"
 )
 
 // TestCrashFuzzRPMechanisms is the repository's strongest end-to-end
@@ -142,5 +143,46 @@ func TestCrashFuzzUncachedMode(t *testing.T) {
 				t.Fatalf("%v; first: %+v", sweep, sweep.FirstRP.RPViolations[0])
 			}
 		})
+	}
+}
+
+// TestSkipListIndexKeepsDeleteMark replays the run on which a skip-list
+// insert, after a failed index-level CAS, repointed its node's index cell
+// with a plain store and so erased the mark a concurrent delete had put
+// there. The deleted node was then linked at that level, and the next
+// find through it retried its helping CAS for ever. Insert now repoints
+// the cell by CAS from the value it stored there, so the run finishes and
+// sweeps clean. A livelocked run never returns, so the run gets a
+// deadline instead of hanging the suite.
+func TestSkipListIndexKeepsDeleteMark(t *testing.T) {
+	cfg := DefaultConfig().WithMechanism(FliTSB)
+	cfg.Cores = 4
+	cfg.TrackHB = true
+	spec := Spec{Structure: "skiplist", Threads: 4, InitialSize: 32, OpsPerThread: 20, Seed: 17}
+	type run struct {
+		m   *Machine
+		rec Recoverable
+		err error
+	}
+	done := make(chan run, 1)
+	go func() {
+		_, m, rec, err := RunRecoverableWorkload(cfg, spec)
+		done <- run{m, rec, err}
+	}()
+	var r run
+	select {
+	case r = <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("lrpcheck -mechanism FliT-SB -structure skiplist -threads 4 -size 32 -ops 20 -seed 17: the run did not finish within 60 s")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	sweep, err := SweepCrash(r.m, SweepOpts{Rec: r.rec, Seed: spec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sweep.Consistent() {
+		t.Fatal(sweep)
 	}
 }

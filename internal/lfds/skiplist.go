@@ -138,7 +138,11 @@ func (s *SkipList) Insert(c *memsys.Ctx, key, val uint64) bool {
 		// Link the index levels best-effort (plain CASes: the index is
 		// volatile bookkeeping; membership and recovery are defined by
 		// the bottom level alone, so the index carries no persist
-		// ordering).
+		// ordering). linked holds what each of n's index cells points
+		// at. While n is not linked at a level, only a deleter's mark
+		// can change that cell, so repointing it by CAS from linked
+		// never overwrites a mark: a failed CAS means n was deleted.
+		linked := succs
 		for i := 1; i < h; i++ {
 			for {
 				if isMarked(c.Load(n + slNext(i))) {
@@ -152,7 +156,10 @@ func (s *SkipList) Insert(c *memsys.Ctx, key, val uint64) bool {
 				if !nf {
 					return true // deleted while indexing
 				}
-				c.Store(n+slNext(i), succs[i])
+				if _, ok := c.CAS(n+slNext(i), linked[i], succs[i], isa.Plain); !ok {
+					return true // concurrently deleted; stop indexing
+				}
+				linked[i] = succs[i]
 			}
 		}
 		return true
