@@ -171,11 +171,10 @@ func narrate(m *lrp.Machine, sweep *lrp.SweepReport) {
 		printFirst(sweep.DLinViolations)
 	}
 
-	p := m.Faults()
-	if p == nil {
+	if m.Faults() == nil {
 		return
 	}
-	nst, fst := m.NVM().Stats(), p.Stats()
+	nst, fst := m.NVM().Stats(), m.FaultStats()
 	fmt.Printf("\nfault machinery counters:\n")
 	fmt.Printf("  %-28s %d\n", "controller retries", nst.Retries)
 	fmt.Printf("  %-28s %d\n", "backoff cycles", nst.BackoffCycles)

@@ -123,7 +123,7 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		nst := m.NVM().Stats()
-		fst := m.Faults().Stats()
+		fst := m.FaultStats()
 		return m.Time(), sweep, [4]uint64{nst.Retries, nst.BackoffCycles, fst.Stalls, fst.StallCycles}
 	}
 	t1, s1, c1 := run()

@@ -6,7 +6,6 @@ import (
 
 	"lrp/internal/flat"
 	"lrp/internal/isa"
-	"lrp/internal/obs"
 )
 
 // NoOwner marks a directory entry with no Modified/Exclusive holder.
@@ -42,9 +41,6 @@ func (e *DirEntry) ForEachSharer(fn func(core int)) {
 type Directory struct {
 	entries flat.Table[DirEntry]
 	cores   int
-
-	// o feeds directory metrics; nil unless SetObserver was called.
-	o *obs.Observer
 }
 
 // NewDirectory creates a directory for the given core count (≤64).
@@ -55,12 +51,12 @@ func NewDirectory(cores int) *Directory {
 	return &Directory{cores: cores}
 }
 
-// SetObserver attaches the observability layer.
-func (d *Directory) SetObserver(o *obs.Observer) { d.o = o }
+// Len returns the number of entries. Entries are never dropped, so this
+// is also the number of lines that ever materialized one.
+func (d *Directory) Len() int { return d.entries.Len() }
 
 // Entry returns the entry for a line, creating an empty one on demand.
-// The common hit takes one probe; creation (and its observer callback)
-// is outlined off the hot path.
+// The common hit takes one probe; creation is outlined off the hot path.
 func (d *Directory) Entry(line isa.Addr) *DirEntry {
 	if e := d.entries.Ptr(uint64(line)); e != nil {
 		return e
@@ -72,9 +68,6 @@ func (d *Directory) Entry(line isa.Addr) *DirEntry {
 func (d *Directory) createEntry(line isa.Addr) *DirEntry {
 	e, _ := d.entries.Upsert(uint64(line))
 	e.Owner = NoOwner
-	if d.o != nil {
-		d.o.DirEntryCreated()
-	}
 	return e
 }
 
@@ -111,9 +104,6 @@ func (d *Directory) ClearOwner(line isa.Addr, keepAsSharer bool) {
 func (d *Directory) RemoveSharer(line isa.Addr, core int) {
 	d.check(core)
 	if e := d.entries.Ptr(uint64(line)); e != nil {
-		if d.o != nil && e.Sharers&(1<<uint(core)) != 0 {
-			d.o.DirInvalidation()
-		}
 		e.Sharers &^= 1 << uint(core)
 	}
 }

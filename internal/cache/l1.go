@@ -5,17 +5,7 @@ import (
 	"math/bits"
 
 	"lrp/internal/isa"
-	"lrp/internal/obs"
 )
-
-// L1Stats counts L1 events.
-type L1Stats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	// DirtyEvictions counts evictions of Modified lines.
-	DirtyEvictions uint64
-}
 
 // L1 is one core's private set-associative cache. Lines live in one
 // dense slot array (slot = set*ways + way), and a per-slot bitmap
@@ -27,7 +17,6 @@ type L1 struct {
 	setMask uint64
 	ways    int
 	tick    uint64
-	stats   L1Stats
 
 	// pend is a may-be-pending bitmap over slots: MarkPending sets a
 	// line's bit; clearing is lazy (ScanPending drops bits whose line no
@@ -36,11 +25,6 @@ type L1 struct {
 	// clear path — Invalidate, Fill and ClearPersistMeta need no bitmap
 	// bookkeeping.
 	pend []uint64
-
-	// core and o feed the observability layer; o is nil unless
-	// SetObserver was called.
-	core int
-	o    *obs.Observer
 }
 
 // NewL1 builds a cache of the given total size in bytes with the given
@@ -62,21 +46,11 @@ func NewL1(sizeBytes, ways int) *L1 {
 	}
 }
 
-// SetObserver attaches the observability layer, attributing this cache's
-// events to the given core.
-func (c *L1) SetObserver(core int, o *obs.Observer) {
-	c.core = core
-	c.o = o
-}
-
 // Sets returns the number of sets.
 func (c *L1) Sets() int { return len(c.lines) / c.ways }
 
 // Ways returns the associativity.
 func (c *L1) Ways() int { return c.ways }
-
-// Stats returns a copy of the event counters.
-func (c *L1) Stats() L1Stats { return c.stats }
 
 // setBase returns the first slot index of the line's set.
 func (c *L1) setBase(line isa.Addr) int {
@@ -84,7 +58,7 @@ func (c *L1) setBase(line isa.Addr) int {
 }
 
 // Lookup returns the line holding the given line address, or nil.
-// It does not touch LRU state or counters; use Access for demand hits.
+// It does not touch LRU state; use Access for demand hits.
 func (c *L1) Lookup(line isa.Addr) *Line {
 	base := c.setBase(line)
 	for w := 0; w < c.ways; w++ {
@@ -96,20 +70,18 @@ func (c *L1) Lookup(line isa.Addr) *Line {
 	return nil
 }
 
-// Access looks up a line for a demand access, updating LRU and hit/miss
-// counters in the same probe. It returns nil on a miss.
+// Access looks up a line for a demand access, updating LRU in the same
+// probe. It returns nil on a miss.
 func (c *L1) Access(line isa.Addr) *Line {
 	base := c.setBase(line)
 	for w := 0; w < c.ways; w++ {
 		l := &c.lines[base+w]
 		if l.State != Invalid && l.Addr == line {
-			c.stats.Hits++
 			c.tick++
 			l.lru = c.tick
 			return l
 		}
 	}
-	c.stats.Misses++
 	return nil
 }
 
@@ -133,20 +105,10 @@ func (c *L1) Victim(line isa.Addr) *Line {
 }
 
 // Fill installs a new line into the given way slot (as returned by
-// Victim), recording an eviction if the slot held a valid line. All
-// persistency metadata starts clean; the caller sets coherence state.
-// The caller must have retired (persisted or taken) any stamps the old
-// occupant held.
+// Victim), replacing any occupant. All persistency metadata starts
+// clean; the caller sets coherence state. The caller must have retired
+// (persisted or taken) any stamps the old occupant held.
 func (c *L1) Fill(slot *Line, line isa.Addr, st State) {
-	if slot.State != Invalid {
-		c.stats.Evictions++
-		if slot.State == Modified {
-			c.stats.DirtyEvictions++
-		}
-		if c.o != nil {
-			c.o.L1Eviction(c.core, slot.State == Modified)
-		}
-	}
 	c.tick++
 	*slot = Line{Addr: line, State: st, lru: c.tick}
 }

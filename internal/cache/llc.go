@@ -6,19 +6,7 @@ import (
 
 	"lrp/internal/flat"
 	"lrp/internal/isa"
-	"lrp/internal/obs"
 )
-
-// LLCStats counts shared-cache events.
-type LLCStats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	// DirtyEvictions counts evictions that had to write data back to
-	// memory (possible only when no persistency model forces write-backs
-	// to persist immediately, i.e., under NOP).
-	DirtyEvictions uint64
-}
 
 // llcLine is one LLC line: presence plus a dirty bit. (Data content lives
 // in the architectural memory image; see package doc.)
@@ -42,11 +30,7 @@ type LLC struct {
 	nsets uint64
 	ways  int
 	tick  uint64
-	stats LLCStats
 	banks int
-
-	// o feeds per-bank hit/miss metrics; nil unless SetObserver was called.
-	o *obs.Observer
 }
 
 // NewLLC builds a shared cache of sizeBytes with the given associativity,
@@ -67,9 +51,6 @@ func NewLLC(sizeBytes, ways, banks int) *LLC {
 	}
 }
 
-// SetObserver attaches the observability layer.
-func (c *LLC) SetObserver(o *obs.Observer) { c.o = o }
-
 // Banks returns the number of LLC banks.
 func (c *LLC) Banks() int { return c.banks }
 
@@ -77,9 +58,6 @@ func (c *LLC) Banks() int { return c.banks }
 func (c *LLC) Bank(line isa.Addr) int {
 	return int((uint64(line) >> isa.LineShift) % uint64(c.banks))
 }
-
-// Stats returns a copy of the event counters.
-func (c *LLC) Stats() LLCStats { return c.stats }
 
 // setIndex hashes the line address into a set. Real LLCs hash high
 // address bits into the index so that large power-of-two strides (e.g.,
@@ -109,35 +87,16 @@ func (c *LLC) setFor(line isa.Addr, create bool) []llcLine {
 	return s
 }
 
-// Present reports whether the line is cached, without LRU side effects.
-func (c *LLC) Present(line isa.Addr) bool {
-	s := c.setFor(line, false)
-	for i := range s {
-		if s[i].valid && s[i].addr == line {
-			return true
-		}
-	}
-	return false
-}
-
-// Access performs a demand lookup, updating LRU and counters. It reports
-// whether the line hit.
+// Access performs a demand lookup, updating LRU. It reports whether the
+// line hit.
 func (c *LLC) Access(line isa.Addr) bool {
 	s := c.setFor(line, false)
 	for i := range s {
 		if s[i].valid && s[i].addr == line {
 			c.tick++
 			s[i].lru = c.tick
-			c.stats.Hits++
-			if c.o != nil {
-				c.o.LLCAccess(c.Bank(line), true)
-			}
 			return true
 		}
-	}
-	c.stats.Misses++
-	if c.o != nil {
-		c.o.LLCAccess(c.Bank(line), false)
 	}
 	return false
 }
@@ -165,10 +124,6 @@ func (c *LLC) Fill(line isa.Addr) (evicted isa.Addr, evictedDirty, hadEviction b
 	v := &s[victim]
 	if v.valid {
 		evicted, evictedDirty, hadEviction = v.addr, v.dirty, true
-		c.stats.Evictions++
-		if v.dirty {
-			c.stats.DirtyEvictions++
-		}
 	}
 	c.tick++
 	*v = llcLine{addr: line, valid: true, lru: c.tick}
@@ -214,18 +169,4 @@ func (c *LLC) DirtyLines() []isa.Addr {
 	})
 	slices.Sort(out)
 	return out
-}
-
-// Drop removes a line (inclusive-invalidation or test support). It
-// reports whether the line was present and dirty.
-func (c *LLC) Drop(line isa.Addr) (wasDirty, present bool) {
-	s := c.setFor(line, false)
-	for i := range s {
-		if s[i].valid && s[i].addr == line {
-			wasDirty = s[i].dirty
-			s[i] = llcLine{}
-			return wasDirty, true
-		}
-	}
-	return false, false
 }

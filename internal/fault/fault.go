@@ -94,9 +94,11 @@ func EnableAll(seed uint64) Config {
 	}
 }
 
-// Stats counts the execution-side decisions the plane made. (Torn lines
-// are counted by the NVM subsystem at image reconstruction, since tearing
-// is a property of a crash instant, not of the execution.)
+// Stats counts the execution-side decisions the plane made. The plane
+// itself is stateless: the machine counts each decision where it takes
+// effect (memsys.System.FaultStats sums them). Torn lines are counted at
+// image reconstruction (nvm.Stats.TornApplied), since tearing is a
+// property of a crash instant, not of the execution.
 type Stats struct {
 	// WriteFaults counts injected controller persist rejections.
 	WriteFaults uint64
@@ -112,8 +114,7 @@ type Stats struct {
 // no-fault plane: every query method tolerates a nil receiver, so the
 // machine layers hold one pointer and pay one branch when disabled.
 type Plane struct {
-	cfg   Config
-	stats Stats
+	cfg Config
 }
 
 // New builds a plane from the configuration.
@@ -139,14 +140,6 @@ func (p *Plane) Config() Config {
 		return Config{}
 	}
 	return p.cfg
-}
-
-// Stats returns a copy of the decision counters.
-func (p *Plane) Stats() Stats {
-	if p == nil {
-		return Stats{}
-	}
-	return p.stats
 }
 
 // Decision sites. Each site gets an independent hash stream so that, for
@@ -197,7 +190,6 @@ func (p *Plane) WriteFaults(line isa.Addr, at engine.Time, max int) int {
 	for n < max && p.roll(siteWrite, uint64(line), uint64(at), uint64(n)) < p.cfg.WriteFaultProb {
 		n++
 	}
-	p.stats.WriteFaults += uint64(n)
 	return n
 }
 
@@ -211,7 +203,6 @@ func (p *Plane) ReadFaults(line isa.Addr, at engine.Time, max int) int {
 	for n < max && p.roll(siteRead, uint64(line), uint64(at), uint64(n)) < p.cfg.ReadFaultProb {
 		n++
 	}
-	p.stats.ReadFaults += uint64(n)
 	return n
 }
 
@@ -252,8 +243,5 @@ func (p *Plane) EngineStall(tid int, now engine.Time) engine.Time {
 	if max <= 0 {
 		max = 1000
 	}
-	d := 1 + engine.Time(p.hash(siteStallLen, uint64(tid), uint64(now), 0)%uint64(max))
-	p.stats.Stalls++
-	p.stats.StallCycles += uint64(d)
-	return d
+	return 1 + engine.Time(p.hash(siteStallLen, uint64(tid), uint64(now), 0)%uint64(max))
 }

@@ -25,9 +25,6 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 			t.Fatalf("stall injected with zero config")
 		}
 	}
-	if s := p.Stats(); s != (Stats{}) {
-		t.Fatalf("stats nonzero: %+v", s)
-	}
 }
 
 func TestNilPlaneIsNoFault(t *testing.T) {
@@ -41,7 +38,7 @@ func TestNilPlaneIsNoFault(t *testing.T) {
 	if d := p.EngineStall(0, 10); d != 0 {
 		t.Fatal("nil plane injected a stall")
 	}
-	if p.Stats() != (Stats{}) || p.Config() != (Config{}) {
+	if p.Config() != (Config{}) {
 		t.Fatal("nil plane leaked state")
 	}
 }
@@ -81,9 +78,6 @@ func TestDeterministic(t *testing.T) {
 		if got := b.EngineStall(i%8, v.at); got != as[i] {
 			t.Fatalf("q%d: stall %v != %v", i, got, as[i])
 		}
-	}
-	if a.Stats() != b.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
 	}
 }
 
@@ -127,13 +121,12 @@ func TestTornMaskNeverFull(t *testing.T) {
 
 func TestWriteFaultsRespectCapAndRate(t *testing.T) {
 	p := MustNew(Config{Seed: 9, WriteFaultProb: 0.5})
-	total, hit := 0, 0
+	hit := 0
 	for i := 0; i < 4000; i++ {
 		n := p.WriteFaults(isa.Addr(i*isa.LineSize), engine.Time(i*3), 3)
 		if n < 0 || n > 3 {
 			t.Fatalf("rejection count %d out of [0,3]", n)
 		}
-		total += n
 		if n > 0 {
 			hit++
 		}
@@ -142,9 +135,6 @@ func TestWriteFaultsRespectCapAndRate(t *testing.T) {
 	// rejection; allow a wide deterministic band.
 	if hit < 1000 || hit > 3000 {
 		t.Fatalf("faulted %d/4000 persists at p=0.5", hit)
-	}
-	if got := p.Stats().WriteFaults; got != uint64(total) {
-		t.Fatalf("stats count %d != observed %d", got, total)
 	}
 }
 

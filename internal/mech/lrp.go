@@ -202,7 +202,7 @@ func (m *lrpMech) OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engine.Ti
 	sv := m.sv
 	if l.Released() {
 		done := m.persistReleased(ownerTid, l, now, true)
-		sv.NoteI2Stall(now, done)
+		sv.NoteI2Stall(reqTid, now, done)
 		return done
 	}
 	if l.NeedsPersist() {
@@ -218,7 +218,7 @@ func (m *lrpMech) OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engine.Ti
 		// waits for it. Without this wait a consumer could out-persist
 		// the producer's release.
 		sv.BlockLine(l.Addr, f)
-		sv.NoteI2Stall(now, f)
+		sv.NoteI2Stall(reqTid, now, f)
 		return f
 	}
 	return now

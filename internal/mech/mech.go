@@ -147,14 +147,14 @@ type SystemView interface {
 	// SetPersisted marks a stamped write durable as of at.
 	SetPersisted(st model.Stamp, at engine.Time)
 
-	// NoteEngineScan records a persist-engine run (stats + obs).
+	// NoteEngineScan counts a persist-engine run (and traces it).
 	NoteEngineScan(tid, scanned, releases int, now engine.Time)
-	// NoteEpochOverflow records an epoch-id wraparound flush.
+	// NoteEpochOverflow counts an epoch-id wraparound flush.
 	NoteEpochOverflow(tid int, now engine.Time)
-	// NoteEpochAdvance records an epoch boundary (obs only).
+	// NoteEpochAdvance counts an epoch boundary.
 	NoteEpochAdvance(tid int, epoch uint32, now engine.Time)
-	// NoteRETDrain records a RET watermark-pressure drain.
+	// NoteRETDrain counts a RET watermark-pressure drain.
 	NoteRETDrain(tid int, line isa.Addr, now engine.Time)
-	// NoteI2Stall accounts an Invariant-I2 requester block from→to.
-	NoteI2Stall(from, to engine.Time)
+	// NoteI2Stall counts an Invariant-I2 block of requester tid, from→to.
+	NoteI2Stall(tid int, from, to engine.Time)
 }

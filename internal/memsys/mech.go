@@ -65,41 +65,40 @@ func (v *sysView) SetPersisted(st model.Stamp, at engine.Time) {
 }
 
 func (v *sysView) NoteEngineScan(tid, scanned, releases int, now engine.Time) {
-	s := v.sys()
-	s.stats.EngineScans++
-	s.stats.EngineReleases += uint64(releases)
-	if s.obs != nil {
-		s.obs.EngineScan(tid, scanned, releases, now)
+	r := &v.cnt.Core[tid]
+	r.EngineScans++
+	r.EngineReleases += uint64(releases)
+	if v.obs != nil {
+		v.obs.EngineScan(tid, scanned, releases, now)
 	}
 }
 
 func (v *sysView) NoteEpochOverflow(tid int, now engine.Time) {
-	s := v.sys()
-	s.stats.EpochOverflows++
-	if s.obs != nil {
-		s.obs.EpochOverflow(tid, now)
+	v.cnt.Core[tid].EpochOverflows++
+	if v.obs != nil {
+		v.obs.EpochOverflow(tid, now)
 	}
 }
 
 func (v *sysView) NoteEpochAdvance(tid int, epoch uint32, now engine.Time) {
+	v.cnt.Core[tid].EpochAdvances++
 	if v.obs != nil {
 		v.obs.EpochAdvance(tid, epoch, now)
 	}
 }
 
 func (v *sysView) NoteRETDrain(tid int, line isa.Addr, now engine.Time) {
-	s := v.sys()
-	s.stats.RETWatermarkFlushes++
-	if s.obs != nil {
-		s.obs.RETDrain(tid, uint64(line), now)
+	v.cnt.Core[tid].RETWatermarkFlushes++
+	if v.obs != nil {
+		v.obs.RETDrain(tid, uint64(line), now)
 	}
 }
 
-func (v *sysView) NoteI2Stall(from, to engine.Time) {
-	s := v.sys()
-	s.stats.I2Stalls++
+func (v *sysView) NoteI2Stall(tid int, from, to engine.Time) {
+	r := &v.cnt.Core[tid]
+	r.I2Stalls++
 	if to > from {
-		s.stats.I2Cycles += uint64(to - from)
+		r.I2Cycles += uint64(to - from)
 	}
 }
 
@@ -127,8 +126,9 @@ func (s *System) scanDirty(tid int) []*cache.Line {
 
 // flushAllDirty persists every unpersisted line of tid's L1: only-written
 // lines first (in parallel), then released lines in epoch order. The
-// returned time is the final ack. Used by full barriers, epoch-overflow
-// flushes and clean-shutdown drains.
+// returned time is the final ack. Used by SB's pre-release and
+// downgrade flushes, BB's and LRP's epoch-overflow flushes, and every
+// mechanism's clean-shutdown drain.
 func (s *System) flushAllDirty(tid int, now engine.Time, critical bool) engine.Time {
 	if s.perf != nil {
 		s.perf.Start(perf.PhaseEngineScan)

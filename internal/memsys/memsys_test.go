@@ -476,6 +476,31 @@ func TestRETWatermarkTriggers(t *testing.T) {
 	}
 }
 
+// TestL1EvictionsCounted pins the L1 eviction counts of the counter
+// block: every capacity eviction lands in the evicting core's row, dirty
+// ones also in L1DirtyEvictions, and each dirty one is a write-back.
+func TestL1EvictionsCounted(t *testing.T) {
+	s := newSys(t, 1, persist.NOP)
+	// The test L1 has 8 sets of 2 ways: lines 8 apart share a set.
+	sets := s.L1(0).Sets()
+	base := s.StaticAlloc(5 * sets * isa.WordsPerLine)
+	at := func(i int) isa.Addr { return base + isa.Addr(i*sets*isa.LineSize) }
+	s.RunOne(func(c *Ctx) {
+		c.Store(at(0), 1)
+		c.Store(at(1), 1)
+		c.Load(at(2)) // evicts 0, Modified
+		c.Load(at(3)) // evicts 1, Modified
+		c.Load(at(4)) // evicts 2, Exclusive
+	})
+	r := s.Counts().Row(0)
+	if r.L1Evictions != 3 || r.L1DirtyEvictions != 2 {
+		t.Fatalf("evictions %d (dirty %d), want 3 (2)", r.L1Evictions, r.L1DirtyEvictions)
+	}
+	if st := s.Stats(); st.Writebacks != 2 {
+		t.Fatalf("write-backs %d, want 2", st.Writebacks)
+	}
+}
+
 func TestEpochOverflowFlushes(t *testing.T) {
 	cfg := TestConfig(1).WithMechanism(persist.LRP)
 	cfg.EpochBits = 3 // overflow after 7 releases

@@ -26,7 +26,7 @@ func (s *System) read(tid int, addr isa.Addr, acquire bool) uint64 {
 		}
 		t = s.mech.OnAcquire(tid, addr, t)
 	}
-	s.stats.Ops++
+	s.cnt.Core[tid].Ops++
 	s.clocks[tid] = t
 	return s.mem.Read(addr)
 }
@@ -35,7 +35,7 @@ func (s *System) read(tid int, addr isa.Addr, acquire bool) uint64 {
 func (s *System) write(tid int, addr isa.Addr, val uint64, release bool) {
 	t := s.obtainExclusive(tid, addr.Line(), s.clocks[tid]+s.cfg.IssueCost)
 	t = s.performWrite(tid, addr, val, release, false, t)
-	s.stats.Ops++
+	s.cnt.Core[tid].Ops++
 	s.clocks[tid] = t
 }
 
@@ -56,7 +56,7 @@ func (s *System) rmw(tid int, addr isa.Addr, expected, val uint64, order isa.Ord
 	if swapped {
 		t = s.performWrite(tid, addr, val, order.IsRelease(), order.IsAcquire(), t)
 	}
-	s.stats.Ops++
+	s.cnt.Core[tid].Ops++
 	s.clocks[tid] = t
 	return old, swapped
 }
@@ -121,21 +121,28 @@ func (s *System) upgradeShared(tid int, line isa.Addr, t engine.Time) engine.Tim
 	t += s.netLat(tid, bank)
 	t = s.lineAvailable(line, t)
 	t = s.llcSrv.Bank(uint64(bank)).Serve(t, s.cfg.LLCLat)
-	e := s.dir.Entry(line)
+	t += s.invalidateSharers(tid, line, bank, s.dir.Entry(line))
+	s.dir.SetOwner(line, tid)
+	return t + s.netLat(tid, bank)
+}
+
+// invalidateSharers invalidates every Shared copy of line but tid's
+// (Shared lines hold no dirty data) and returns the invalidation round
+// trip to the farthest sharer.
+func (s *System) invalidateSharers(tid int, line isa.Addr, bank int, e *cache.DirEntry) engine.Time {
 	var far engine.Time
 	e.ForEachSharer(func(sh int) {
 		if sh == tid {
 			return
 		}
-		s.l1s[sh].Invalidate(line) // Shared lines hold no dirty data
+		s.l1s[sh].Invalidate(line)
 		s.dir.RemoveSharer(line, sh)
+		s.cnt.DirInvalidations++
 		if d := s.netLat(sh, bank); d > far {
 			far = d
 		}
 	})
-	t += 2 * far // invalidation round trip to the farthest sharer
-	s.dir.SetOwner(line, tid)
-	return t + s.netLat(tid, bank)
+	return 2 * far
 }
 
 // fetch resolves an L1 miss at the directory, returning the time the fill
@@ -148,6 +155,11 @@ func (s *System) fetch(tid int, line isa.Addr, exclusive bool, t engine.Time) en
 	t = s.lineAvailable(line, t)
 	t = s.llcSrv.Bank(uint64(bank)).Serve(t, s.cfg.LLCLat)
 	llcHit := s.llc.Access(line)
+	if b := &s.cnt.Bank[bank]; llcHit {
+		b.LLCHits++
+	} else {
+		b.LLCMisses++
+	}
 	e := s.dir.Entry(line)
 	dataFromOwner := false
 
@@ -157,10 +169,10 @@ func (s *System) fetch(tid int, line isa.Addr, exclusive bool, t engine.Time) en
 		fwd := s.netLat(owner, bank)
 		t += fwd + s.cfg.L1Lat
 		if ol != nil && ol.State == cache.Modified {
-			s.stats.Downgrades++
-			s.stats.Writebacks++
+			cause := downgradeCause(ol, t)
+			s.cnt.Core[owner].Downgrades[cause]++
 			if s.obs != nil {
-				s.obs.Downgrade(owner, uint64(line), downgradeCause(ol, t), t)
+				s.obs.Downgrade(owner, uint64(line), cause, t)
 			}
 			t2 := s.mech.OnDowngrade(owner, tid, ol, t)
 			// The requester is the thread that pays any I2 wait.
@@ -186,18 +198,7 @@ func (s *System) fetch(tid int, line isa.Addr, exclusive bool, t engine.Time) en
 			dataFromOwner = true
 		}
 	} else if exclusive && e.HasSharers() {
-		var far engine.Time
-		e.ForEachSharer(func(sh int) {
-			if sh == tid {
-				return
-			}
-			s.l1s[sh].Invalidate(line)
-			s.dir.RemoveSharer(line, sh)
-			if d := s.netLat(sh, bank); d > far {
-				far = d
-			}
-		})
-		t += 2 * far
+		t += s.invalidateSharers(tid, line, bank, e)
 	}
 
 	if !llcHit && !dataFromOwner {
@@ -237,8 +238,10 @@ func (s *System) fetch(tid int, line isa.Addr, exclusive bool, t engine.Time) en
 // evictL1 handles the capacity eviction of an L1 victim line, running the
 // mechanism's eviction invariant and moving dirty data to the LLC.
 func (s *System) evictL1(tid int, victim *cache.Line, t engine.Time) engine.Time {
+	r := &s.cnt.Core[tid]
+	r.L1Evictions++
 	if victim.State == cache.Modified {
-		s.stats.Writebacks++
+		r.L1DirtyEvictions++
 		if s.obs != nil {
 			s.obs.DirtyEviction(tid, uint64(victim.Addr), t)
 		}

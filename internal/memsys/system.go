@@ -18,7 +18,8 @@ import (
 	"lrp/internal/stats"
 )
 
-// Stats aggregates run-level counters across the machine.
+// Stats aggregates run-level counters across the machine: sums over the
+// rows of its counter block (System.Counts).
 type Stats struct {
 	// Ops counts memory operations executed.
 	Ops uint64
@@ -32,7 +33,8 @@ type Stats struct {
 	// and downgrades).
 	Writebacks uint64
 	// StallCycles accumulates cycles cores spent blocked on persistency
-	// actions (barriers, conflicts, I2/I3 waits).
+	// actions (write conflicts and backpressure, I1 evictions, I2/I3
+	// waits).
 	StallCycles uint64
 	// RETWatermarkFlushes counts persists triggered by RET occupancy.
 	RETWatermarkFlushes uint64
@@ -134,7 +136,9 @@ type System struct {
 	// faults is the fault-injection plane; nil on the idealized machine.
 	faults *fault.Plane
 
-	stats Stats
+	// cnt is the machine's event-counter block: every machine event is
+	// counted here once, always on.
+	cnt *obs.Counts
 
 	// obs is the observability layer; nil when disabled. Hooks guard on
 	// the nil so a dark machine pays one branch per site.
@@ -164,10 +168,12 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cnt := obs.NewCounts(cfg.Cores, cfg.LLCBanks, cfg.NVM.Controllers)
 	s := &System{
 		cfg:         cfg,
+		cnt:         cnt,
 		mem:         mm.NewMemory(),
-		nvm:         nvm.New(cfg.NVM, cfg.TrackHB),
+		nvm:         nvm.New(cfg.NVM, cfg.TrackHB, cnt),
 		llc:         cache.NewLLC(cfg.LLCSize, cfg.LLCWays, cfg.LLCBanks),
 		dir:         cache.NewDirectory(cfg.Cores),
 		llcSrv:      engine.NewServerBank(cfg.LLCBanks),
@@ -186,8 +192,7 @@ func New(cfg Config) (*System, error) {
 	}
 	if s.obs != nil {
 		s.nvm.SetObserver(s.obs)
-		s.llc.SetObserver(s.obs)
-		s.dir.SetObserver(s.obs)
+		s.publish(s.obs.Registry())
 	}
 	s.l1s = make([]*cache.L1, cfg.Cores)
 	s.threads = make([]*thread, cfg.Cores)
@@ -204,7 +209,6 @@ func New(cfg Config) (*System, error) {
 			ret:    persist.NewRET(cfg.RETSize, cfg.RETWatermark),
 		}
 		if s.obs != nil {
-			s.l1s[i].SetObserver(i, s.obs)
 			s.threads[i].ret.SetObserver(i, s.obs)
 		}
 	}
@@ -239,8 +243,94 @@ func (s *System) NVM() *nvm.Subsystem { return s.nvm }
 // Tracker exposes the happens-before tracker (nil unless TrackHB).
 func (s *System) Tracker() *model.Tracker { return s.tracker }
 
-// Stats returns a copy of the run counters.
-func (s *System) Stats() Stats { return s.stats }
+// Counts exposes the machine's event-counter block.
+func (s *System) Counts() *obs.Counts { return s.cnt }
+
+// Stats sums the counter block's core rows, the machine-wide row
+// included, into the run-level counters.
+func (s *System) Stats() Stats {
+	var st Stats
+	for i := range s.cnt.Core {
+		r := &s.cnt.Core[i]
+		st.Ops += r.Ops
+		st.Persists += r.Persists
+		st.CriticalPersists += r.CriticalPersists
+		for _, c := range r.StallCycles {
+			st.StallCycles += c
+		}
+		for _, d := range r.Downgrades {
+			st.Downgrades += d
+		}
+		st.Writebacks += r.L1DirtyEvictions
+		st.RETWatermarkFlushes += r.RETWatermarkFlushes
+		st.EpochOverflows += r.EpochOverflows
+		st.I2Stalls += r.I2Stalls
+		st.I2Cycles += r.I2Cycles
+		st.EngineScans += r.EngineScans
+		st.EngineReleases += r.EngineReleases
+	}
+	st.Writebacks += st.Downgrades
+	return st
+}
+
+// FaultStats sums the fault plane's decisions out of the counter block:
+// engine stalls from the core rows, rejections from the controller rows.
+func (s *System) FaultStats() fault.Stats {
+	var st fault.Stats
+	for i := range s.cnt.Core {
+		st.Stalls += s.cnt.Core[i].EngineStalls
+		st.StallCycles += s.cnt.Core[i].EngineStallCycles
+	}
+	for _, c := range s.cnt.Ctrl {
+		st.WriteFaults += c.WriteFaults
+		st.ReadFaults += c.ReadFaults
+	}
+	return st
+}
+
+// publish registers the machine-count families of the lrpmetrics/v1
+// export in reg, as read-through views of the counter block. Per-core
+// families cover the cores' rows; the machine-wide row has none.
+// dir/entries_created reads the directory's size, which only grows.
+func (s *System) publish(reg *obs.Registry) {
+	c := s.cnt
+	perCore := func(name string, read func(*obs.CoreCounts) uint64) {
+		for i := 0; i < s.cfg.Cores; i++ {
+			r := &c.Core[i]
+			reg.View(fmt.Sprintf("%s/core%02d", name, i), func() uint64 { return read(r) })
+		}
+	}
+	perCore("persist/issued", func(r *obs.CoreCounts) uint64 { return r.Persists })
+	perCore("persist/critical", func(r *obs.CoreCounts) uint64 { return r.CriticalPersists })
+	perCore("ret/watermark_flushes", func(r *obs.CoreCounts) uint64 { return r.RETWatermarkFlushes })
+	perCore("epoch/advances", func(r *obs.CoreCounts) uint64 { return r.EpochAdvances })
+	perCore("epoch/overflows", func(r *obs.CoreCounts) uint64 { return r.EpochOverflows })
+	perCore("l1/evictions", func(r *obs.CoreCounts) uint64 { return r.L1Evictions })
+	perCore("l1/dirty_evictions", func(r *obs.CoreCounts) uint64 { return r.L1DirtyEvictions })
+	perCore("fault/engine_stalls", func(r *obs.CoreCounts) uint64 { return r.EngineStalls })
+	perCore("fault/engine_stall_cycles", func(r *obs.CoreCounts) uint64 { return r.EngineStallCycles })
+	for cause := obs.StallCause(0); cause < obs.NumStallCauses; cause++ {
+		perCore("stall/"+cause.String()+"_cycles", func(r *obs.CoreCounts) uint64 { return r.StallCycles[cause] })
+	}
+	for cause := obs.DowngradeCause(0); cause < obs.NumDowngradeCauses; cause++ {
+		perCore("downgrade/"+cause.String(), func(r *obs.CoreCounts) uint64 { return r.Downgrades[cause] })
+	}
+	for i := range c.Bank {
+		b := &c.Bank[i]
+		reg.View(fmt.Sprintf("llc/hits/bank%02d", i), func() uint64 { return b.LLCHits })
+		reg.View(fmt.Sprintf("llc/misses/bank%02d", i), func() uint64 { return b.LLCMisses })
+	}
+	for i := range c.Ctrl {
+		n := &c.Ctrl[i]
+		reg.View(fmt.Sprintf("nvm/persists/ctrl%d", i), func() uint64 { return n.Persists })
+		reg.View(fmt.Sprintf("nvm/reads/ctrl%d", i), func() uint64 { return n.Reads })
+		reg.View(fmt.Sprintf("nvm/retries/ctrl%d", i), func() uint64 { return n.Retries })
+		reg.View(fmt.Sprintf("nvm/giveups/ctrl%d", i), func() uint64 { return n.Giveups })
+	}
+	reg.View("dir/entries_created", func() uint64 { return uint64(s.dir.Len()) })
+	reg.View("dir/invalidations", func() uint64 { return c.DirInvalidations })
+	reg.View("fault/tears", c.Tears.Load)
+}
 
 // Observer returns the attached observability layer (nil when disabled).
 func (s *System) Observer() *obs.Observer { return s.obs }
@@ -417,9 +507,10 @@ func (s *System) issuePersist(tid int, addr isa.Addr, now, earliest engine.Time,
 		s.obs.PersistIssued(tid, uint64(addr), now, done, critical)
 	}
 	s.blockLine(addr, done)
-	s.stats.Persists++
+	r := s.cnt.Row(tid)
+	r.Persists++
 	if critical {
-		s.stats.CriticalPersists++
+		r.CriticalPersists++
 	}
 	return done
 }
@@ -441,10 +532,10 @@ func (s *System) lineAvailable(line isa.Addr, now engine.Time) engine.Time {
 }
 
 // stall accounts cycles thread tid spent blocked on persistency actions,
-// attributed to a cause for the observability layer.
+// attributed to a cause.
 func (s *System) stall(tid int, cause obs.StallCause, from, to engine.Time) {
 	if to > from {
-		s.stats.StallCycles += uint64(to - from)
+		s.cnt.Core[tid].StallCycles[cause] += uint64(to - from)
 		if s.obs != nil {
 			s.obs.Stall(tid, cause, from, to)
 		}
@@ -464,9 +555,9 @@ func (s *System) faultStall(tid int, now engine.Time) engine.Time {
 	if d <= 0 {
 		return now
 	}
-	if s.obs != nil {
-		s.obs.EngineStallInjected(tid, d)
-	}
+	r := &s.cnt.Core[tid]
+	r.EngineStalls++
+	r.EngineStallCycles += uint64(d)
 	return now + d
 }
 

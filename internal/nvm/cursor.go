@@ -2,7 +2,6 @@ package nvm
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"lrp/internal/engine"
 	"lrp/internal/isa"
@@ -123,10 +122,7 @@ func (c *Cursor) AdvanceTo(crash engine.Time) *mm.Memory {
 			}
 			// Atomic: chunked sweeps advance several cursors over one
 			// subsystem concurrently.
-			atomic.AddUint64(&c.sub.stats.TornApplied, 1)
-			if c.sub.o != nil {
-				c.sub.o.FaultTear()
-			}
+			c.sub.cnt.Tears.Add(1)
 			for i := 0; i < isa.WordsPerLine; i++ {
 				if mask&(1<<i) == 0 {
 					continue

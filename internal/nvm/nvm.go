@@ -73,7 +73,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats counts NVM subsystem events.
+// Stats sums the subsystem's rows of the machine's counter block.
 type Stats struct {
 	// Persists counts line persists issued.
 	Persists uint64
@@ -115,7 +115,10 @@ type Event struct {
 type Subsystem struct {
 	cfg   Config
 	banks *engine.ServerBank
-	stats Stats
+
+	// cnt is the machine's counter block; the subsystem counts its
+	// controller events in cnt.Ctrl and torn lines in cnt.Tears.
+	cnt *obs.Counts
 
 	// lineStart is the start of each line's latest persist: the floor
 	// for the line's next one, so same-line persists complete in issue
@@ -127,7 +130,7 @@ type Subsystem struct {
 	keepLog bool
 	log     []Event
 
-	// o feeds per-controller metrics (persists, reads, queue delay); nil
+	// o feeds the per-controller histograms (queue delay, backoff); nil
 	// unless SetObserver was called.
 	o *obs.Observer
 	// faults injects controller rejections, read errors and torn lines;
@@ -136,12 +139,16 @@ type Subsystem struct {
 }
 
 // New builds the subsystem; keepLog keeps the persist event log needed
-// for crash-image reconstruction.
-func New(cfg Config, keepLog bool) *Subsystem {
+// for crash-image reconstruction. The subsystem counts into cnt, which
+// must have a row per controller; nil gives it a block of its own.
+func New(cfg Config, keepLog bool, cnt *obs.Counts) *Subsystem {
 	if cfg.Controllers <= 0 {
 		panic("nvm: need at least one controller")
 	}
-	return &Subsystem{cfg: cfg, banks: engine.NewServerBank(cfg.Controllers), keepLog: keepLog}
+	if cnt == nil {
+		cnt = obs.NewCounts(0, 0, cfg.Controllers)
+	}
+	return &Subsystem{cfg: cfg, banks: engine.NewServerBank(cfg.Controllers), keepLog: keepLog, cnt: cnt}
 }
 
 // Latency returns the per-access completion latency for the current mode.
@@ -168,8 +175,19 @@ func (s *Subsystem) Occupancy() engine.Time {
 // Mode returns the configured latency mode.
 func (s *Subsystem) Mode() Mode { return s.cfg.Mode }
 
-// Stats returns a copy of the counters.
-func (s *Subsystem) Stats() Stats { return s.stats }
+// Stats sums the controller rows and the torn-line count.
+func (s *Subsystem) Stats() Stats {
+	st := Stats{TornApplied: s.cnt.Tears.Load()}
+	for _, c := range s.cnt.Ctrl {
+		st.Persists += c.Persists
+		st.Reads += c.Reads
+		st.Retries += c.Retries
+		st.BackoffCycles += c.BackoffCycles
+		st.Giveups += c.Giveups
+	}
+	st.BytesPersisted = st.Persists * isa.LineSize
+	return st
+}
 
 // SetObserver attaches the observability layer.
 func (s *Subsystem) SetObserver(o *obs.Observer) { s.o = o }
@@ -187,6 +205,7 @@ func (s *Subsystem) retryDelay(ctrl int, rejects int) (engine.Time, bool) {
 	if rejects == 0 {
 		return 0, false
 	}
+	c := &s.cnt.Ctrl[ctrl]
 	gaveUp := rejects > s.cfg.MaxRetries
 	retries := rejects
 	if gaveUp {
@@ -200,19 +219,16 @@ func (s *Subsystem) retryDelay(ctrl int, rejects int) (engine.Time, bool) {
 	for k := 0; k < retries; k++ {
 		backoff += base << k
 	}
-	s.stats.Retries += uint64(retries)
-	s.stats.BackoffCycles += uint64(backoff)
+	c.Retries += uint64(retries)
+	c.BackoffCycles += uint64(backoff)
 	if s.o != nil {
-		s.o.NVMRetry(ctrl, retries, backoff)
+		s.o.NVMRetry(ctrl, backoff)
 	}
 	if gaveUp {
 		// Retry budget exhausted: the controller remaps the line to a
 		// spare block and completes there, at a penalty.
-		s.stats.Giveups++
+		c.Giveups++
 		backoff += 4 * s.Latency()
-		if s.o != nil {
-			s.o.NVMGiveup(ctrl)
-		}
 	}
 	return backoff, gaveUp
 }
@@ -247,6 +263,7 @@ func (s *Subsystem) PersistLine(now, earliestStart engine.Time, line isa.Addr, w
 	// controller late but with its ordering constraint intact.
 	if s.faults != nil {
 		rejects := s.faults.WriteFaults(line, now, s.cfg.MaxRetries+1)
+		s.cnt.Ctrl[ctrl].WriteFaults += uint64(rejects)
 		if delay, _ := s.retryDelay(ctrl, rejects); delay > 0 {
 			now += delay
 			if earliestStart < now {
@@ -266,8 +283,7 @@ func (s *Subsystem) PersistLine(now, earliestStart engine.Time, line isa.Addr, w
 	}
 	done := srv.ServeConstrained(now, earliestStart, s.Latency(), s.Occupancy())
 	*prev = done - s.Latency()
-	s.stats.Persists++
-	s.stats.BytesPersisted += isa.LineSize
+	s.cnt.Ctrl[ctrl].Persists++
 	if s.keepLog {
 		s.log = append(s.log, Event{Start: done - s.Latency(), Done: done, Line: line, Words: words})
 	}
@@ -283,15 +299,13 @@ func (s *Subsystem) ReadLine(now engine.Time, line isa.Addr) engine.Time {
 		// Media read errors: the controller re-reads with backoff before
 		// the fill is delivered.
 		rejects := s.faults.ReadFaults(line, now, s.cfg.MaxRetries+1)
+		s.cnt.Ctrl[ctrl].ReadFaults += uint64(rejects)
 		if delay, _ := s.retryDelay(ctrl, rejects); delay > 0 {
 			now += delay
 		}
 	}
 	done := s.controller(line).ServePipelined(now, s.Latency(), s.Occupancy())
-	s.stats.Reads++
-	if s.o != nil {
-		s.o.NVMRead(ctrl)
-	}
+	s.cnt.Ctrl[ctrl].Reads++
 	return done
 }
 

@@ -21,12 +21,12 @@ func words(v uint64) [isa.WordsPerLine]uint64 {
 
 func TestLatencyModes(t *testing.T) {
 	cfg := DefaultConfig()
-	c := New(cfg, false)
+	c := New(cfg, false, nil)
 	if c.Latency() != 120 || c.Mode() != Cached {
 		t.Fatalf("cached latency = %v", c.Latency())
 	}
 	cfg.Mode = Uncached
-	u := New(cfg, false)
+	u := New(cfg, false, nil)
 	if u.Latency() != 350 || u.Mode() != Uncached {
 		t.Fatalf("uncached latency = %v", u.Latency())
 	}
@@ -38,7 +38,7 @@ func TestLatencyModes(t *testing.T) {
 func TestPersistTiming(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Controllers = 1
-	s := New(cfg, false)
+	s := New(cfg, false, nil)
 	d1 := s.PersistLine(0, 0, 0x1000, words(1))
 	if d1 != 120 {
 		t.Fatalf("first persist done at %v", d1)
@@ -64,7 +64,7 @@ func TestPersistTiming(t *testing.T) {
 func TestControllersParallel(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Controllers = 2
-	s := New(cfg, false)
+	s := New(cfg, false, nil)
 	// Lines 0 and 1 map to different controllers.
 	d1 := s.PersistLine(0, 0, isa.Addr(0*isa.LineSize), words(1))
 	d2 := s.PersistLine(0, 0, isa.Addr(1*isa.LineSize), words(2))
@@ -76,7 +76,7 @@ func TestControllersParallel(t *testing.T) {
 func TestReadsContendWithPersists(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Controllers = 1
-	s := New(cfg, false)
+	s := New(cfg, false, nil)
 	s.PersistLine(0, 0, 0x1000, words(1))
 	if done := s.ReadLine(0, 0x4000); done != 136 {
 		t.Fatalf("read behind persist done at %v", done)
@@ -89,7 +89,7 @@ func TestReadsContendWithPersists(t *testing.T) {
 func TestImageAt(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Controllers = 1
-	s := New(cfg, true)
+	s := New(cfg, true, nil)
 	lineA := isa.Addr(0x1000)
 	d1 := s.PersistLine(0, 0, lineA, words(1))     // done at 120
 	d2 := s.PersistLine(200, 200, lineA, words(2)) // done at 320
@@ -115,7 +115,7 @@ func TestImageAt(t *testing.T) {
 
 func TestImageAtWithBase(t *testing.T) {
 	cfg := DefaultConfig()
-	s := New(cfg, true)
+	s := New(cfg, true, nil)
 	base := mm.NewMemory()
 	base.Write(0x9000, 77)
 	img := crashImage(s, 0, base)
@@ -131,7 +131,7 @@ func TestImageAtWithBase(t *testing.T) {
 }
 
 func TestEventsNilWithoutLogging(t *testing.T) {
-	s := New(DefaultConfig(), false)
+	s := New(DefaultConfig(), false, nil)
 	s.PersistLine(0, 0, 0x1000, words(1))
 	if s.Events() != nil {
 		t.Fatal("log should be disabled by default")
@@ -145,7 +145,7 @@ func TestImageOrderStableAtTies(t *testing.T) {
 	// persists always serialize, so later-issued content must win.
 	cfg := DefaultConfig()
 	cfg.Controllers = 1
-	s := New(cfg, true)
+	s := New(cfg, true, nil)
 	s.PersistLine(0, 0, 0x1000, words(1))
 	s.PersistLine(0, 0, 0x1000, words(2))
 	if img := s.FinalImage(nil); img.Read(0x1000) != 2 {
@@ -159,7 +159,7 @@ func TestImageOrderStableAtTies(t *testing.T) {
 func TestSameLinePersistsAckInIssueOrder(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Controllers = 1
-	s := New(cfg, true)
+	s := New(cfg, true, nil)
 	held := s.PersistLine(0, 5000, 0x1000, words(1))
 	free := s.PersistLine(10, 10, 0x1000, words(2))
 	if free < held {
@@ -176,12 +176,12 @@ func TestBadConfigPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(Config{Controllers: 0}, false)
+	New(Config{Controllers: 0}, false, nil)
 }
 
 func TestPersistAlignsToLine(t *testing.T) {
 	cfg := DefaultConfig()
-	s := New(cfg, true)
+	s := New(cfg, true, nil)
 	s.PersistLine(0, 0, 0x1008, words(3)) // mid-line address
 	img := s.FinalImage(nil)
 	if img.Read(0x1000) != 3 || img.Read(0x1038) != 3 {
@@ -196,7 +196,7 @@ func faultyNVM(t *testing.T, fc fault.Config) *Subsystem {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Controllers = 1
-	s := New(cfg, true)
+	s := New(cfg, true, nil)
 	s.SetFaults(fault.MustNew(fc))
 	return s
 }
@@ -230,7 +230,7 @@ func TestRetryDelaysCompletion(t *testing.T) {
 	// earlier, and without losing the line content.
 	s := faultyNVM(t, fault.Config{Seed: 1, WriteFaultProb: 1})
 	done := s.PersistLine(0, 0, 0x1000, words(9))
-	clean := New(func() Config { c := DefaultConfig(); c.Controllers = 1; return c }(), false)
+	clean := New(func() Config { c := DefaultConfig(); c.Controllers = 1; return c }(), false, nil)
 	if base := clean.PersistLine(0, 0, 0x1000, words(9)); done <= base {
 		t.Fatalf("faulted persist done at %v, fault-free at %v", done, base)
 	}
@@ -353,7 +353,7 @@ func checkCursorAgainstReference(t *testing.T, seed int64, faults bool) {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := DefaultConfig()
 	cfg.Controllers = 2
-	s := New(cfg, true)
+	s := New(cfg, true, nil)
 	if faults {
 		s.SetFaults(fault.MustNew(fault.Config{Seed: uint64(seed), TearProb: 0.5, WriteFaultProb: 0.2}))
 	}

@@ -78,6 +78,37 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 	}
 }
 
+// TestRegistryView pins read-through counters: a view reports its source
+// word as it changes, sums with owned counters, refuses writes, and
+// cannot take a registered name.
+func TestRegistryView(t *testing.T) {
+	r := NewRegistry()
+	c := NewCounts(2, 1, 1)
+	r.View("fam/core00", func() uint64 { return c.Core[0].Ops })
+	r.Counter("fam/core01").Add(5)
+	c.Core[0].Ops = 3
+	if got := r.SumCounters("fam/"); got != 8 {
+		t.Fatalf("SumCounters over a view = %d, want 8", got)
+	}
+	c.Row(-1).Ops = 9
+	if got := r.Counter("fam/core00").Value(); got != 3 {
+		t.Fatalf("view = %d, want 3 (the machine-wide row is separate)", got)
+	}
+	for name, f := range map[string]func(){
+		"add":       func() { r.Counter("fam/core00").Inc() },
+		"duplicate": func() { r.View("fam/core01", func() uint64 { return 0 }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestRegistryAggregates(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("fam/core00").Add(3)
@@ -279,13 +310,12 @@ func TestNilObserver(t *testing.T) {
 	o.RETDrain(0, 0x40, 5)
 	o.Downgrade(0, 0x40, DowngradeReleased, 5)
 	o.Stall(0, StallWrite, 1, 9)
-	o.L1Eviction(0, true)
 	o.DirtyEviction(0, 0x40, 5)
-	o.LLCAccess(0, true)
 	o.NVMPersist(0, 3)
-	o.NVMRead(0)
-	o.DirEntryCreated()
-	o.DirInvalidation()
+	o.NVMRetry(0, 48)
+	o.RecoveryQuarantine(2)
+	o.TraceRecorded(1, 2, 3)
+	o.TraceReplayed(1, 2)
 	o.CrashSnapshot(10, 1, 2)
 	if o.Registry() != nil || o.Tracer() != nil {
 		t.Fatal("nil observer accessors must return nil")
@@ -294,28 +324,17 @@ func TestNilObserver(t *testing.T) {
 
 // TestObserverHooks spot-checks that hooks land in the right instruments.
 func TestObserverHooks(t *testing.T) {
-	o := New(Config{Cores: 2, LLCBanks: 2, Controllers: 2, EnableTrace: true})
+	o := New(Config{Cores: 2, Controllers: 2, EnableTrace: true})
 	o.PersistIssued(1, 0x40, 100, 220, true)
 	o.PersistIssued(1, 0x80, 100, 220, false)
 	o.Stall(0, StallEvict, 10, 110)
-	o.LLCAccess(1, true)
-	o.LLCAccess(1, false)
 	o.NVMPersist(0, 16)
 	o.RETAdd(1, 5)
 	o.RETRemove(1, 1000)
 
 	r := o.Registry()
-	if got := r.SumCounters("persist/issued/"); got != 2 {
-		t.Fatalf("persist/issued = %d, want 2", got)
-	}
-	if got := r.SumCounters("persist/critical/"); got != 1 {
-		t.Fatalf("persist/critical = %d, want 1", got)
-	}
-	if got := r.Counter("stall/evict_cycles/core00").Value(); got != 100 {
-		t.Fatalf("stall cycles = %d, want 100", got)
-	}
-	if got := r.Counter("llc/hits/bank01").Value(); got != 1 {
-		t.Fatalf("llc hits = %d, want 1", got)
+	if q := r.MergeHistograms("nvm/queue_delay/"); q.Count != 1 || q.Sum != 16 {
+		t.Fatalf("queue delay merged = %+v", q)
 	}
 	lat := r.MergeHistograms("persist/latency/")
 	if lat.Count != 2 || lat.Sum != 240 {
@@ -327,7 +346,7 @@ func TestObserverHooks(t *testing.T) {
 	}
 	// Out-of-range actors must not panic and must not misattribute.
 	o.PersistIssued(-1, 0xc0, 5, 10, false)
-	if got := r.SumCounters("persist/issued/"); got != 2 {
+	if got := r.MergeHistograms("persist/latency/").Count; got != 2 {
 		t.Fatalf("machine-wide persist landed on a core: %d", got)
 	}
 	if o.Tracer().Len() == 0 {

@@ -8,61 +8,39 @@ import (
 
 // Config sizes an Observer for a machine's topology.
 type Config struct {
-	// Cores, LLCBanks and Controllers mirror the machine geometry; every
-	// per-entity instrument family is pre-registered across them.
+	// Cores and Controllers mirror the machine geometry; every per-entity
+	// histogram family is pre-registered across them.
 	Cores       int
-	LLCBanks    int
 	Controllers int
 	// EnableTrace attaches an event tracer (metrics are always on).
 	EnableTrace bool
 }
 
-// Observer is the machine's observability attachment: a registry of
-// pre-registered instruments plus an optional tracer, exposed to the
-// machine layers through typed hooks. Every hook tolerates a nil
-// receiver, so call sites may be written without a guard; hot paths still
-// guard explicitly to skip argument computation when disabled.
+// Observer is the machine's optional observability attachment: the
+// histograms, the tracer and the host-side tooling counters, exposed to
+// the machine layers through typed hooks. Machine event counts are not
+// here: the machine keeps them in its Counts block and registers their
+// families in this Observer's registry as views when it is built. Every
+// hook tolerates a nil receiver, so call sites may be written without a
+// guard; hot paths still guard explicitly to skip argument computation
+// when disabled.
 type Observer struct {
 	reg   *Registry
 	trace *Tracer
 
-	// Per-core instrument families.
-	persistLat  []*Histogram // persist issue→ack latency
-	persistCnt  []*Counter
-	critCnt     []*Counter
-	scanLen     []*Histogram // persist-engine scan: dirty lines examined
-	scanRel     []*Histogram // persist-engine scan: releases persisted
-	retOcc      []*Histogram // RET occupancy observed at each insert
-	retRes      []*Histogram // RET residency: cycles from insert to squash
-	retFlush    []*Counter   // watermark-triggered drains
-	epochAdv    []*Counter
-	epochOvf    []*Counter
-	l1Evict     []*Counter
-	l1EvictDirt []*Counter
+	// Per-core histograms.
+	persistLat []*Histogram // persist issue→ack latency
+	scanLen    []*Histogram // persist-engine scan: dirty lines examined
+	scanRel    []*Histogram // persist-engine scan: releases persisted
+	retOcc     []*Histogram // RET occupancy observed at each insert
+	retRes     []*Histogram // RET residency: cycles from insert to squash
 
-	// Per-core × per-cause families.
-	stallCyc  [numStallCauses][]*Counter
-	downgrade [numDowngradeCauses][]*Counter
+	// Per-controller histograms.
+	nvmQDelay  []*Histogram // cycles a persist waited for its controller
+	nvmBackoff []*Histogram // per-access total fault-retry backoff cycles
 
-	// Per-LLC-bank and per-controller families.
-	llcHit    []*Counter
-	llcMiss   []*Counter
-	nvmPersis []*Counter
-	nvmRead   []*Counter
-	nvmQDelay []*Histogram // cycles a persist waited for its controller
-
-	// Fault-injection families (all zero unless a fault plane is attached).
-	nvmRetry    []*Counter   // injected-fault retries absorbed per controller
-	nvmGiveup   []*Counter   // retry budgets exhausted per controller
-	nvmBackoff  []*Histogram // per-access total backoff cycles
-	stallInj    []*Counter   // injected persist-engine stalls per core
-	stallInjCyc []*Counter   // their total injected cycles
-
-	// Machine-wide.
-	dirEntries *Counter
-	dirInval   *Counter
-	faultTears *Counter // torn-line applications during image reconstruction
-	recQuar    *Counter // nodes quarantined by recovery walks
+	// Host-side tooling counters.
+	recQuar *Counter // nodes quarantined by recovery walks
 
 	// Trace-capture/replay I/O (host-side tooling work, not simulated
 	// events; the recording itself never changes simulated timing).
@@ -74,14 +52,11 @@ type Observer struct {
 	traceRepRate  *Gauge   // replay throughput, ops/second (host wall time)
 }
 
-// New builds an Observer for the given topology with every instrument
-// family pre-registered, so hot-path hooks never touch the registry lock.
+// New builds an Observer for the given topology with every histogram
+// pre-registered, so hot-path hooks never touch the registry lock.
 func New(cfg Config) *Observer {
 	if cfg.Cores <= 0 {
 		panic("obs: observer needs at least one core")
-	}
-	if cfg.LLCBanks <= 0 {
-		cfg.LLCBanks = 1
 	}
 	if cfg.Controllers <= 0 {
 		cfg.Controllers = 1
@@ -90,63 +65,20 @@ func New(cfg Config) *Observer {
 	if cfg.EnableTrace {
 		o.trace = NewTracer(cfg.Cores, 0)
 	}
-	perCoreC := func(name string) []*Counter {
-		cs := make([]*Counter, cfg.Cores)
-		for i := range cs {
-			cs[i] = o.reg.Counter(fmt.Sprintf("%s/core%02d", name, i))
-		}
-		return cs
-	}
-	perCoreH := func(name string) []*Histogram {
-		hs := make([]*Histogram, cfg.Cores)
+	perEntity := func(format string, n int) []*Histogram {
+		hs := make([]*Histogram, n)
 		for i := range hs {
-			hs[i] = o.reg.Histogram(fmt.Sprintf("%s/core%02d", name, i))
+			hs[i] = o.reg.Histogram(fmt.Sprintf(format, i))
 		}
 		return hs
 	}
-	o.persistLat = perCoreH("persist/latency")
-	o.persistCnt = perCoreC("persist/issued")
-	o.critCnt = perCoreC("persist/critical")
-	o.scanLen = perCoreH("engine/scan_len")
-	o.scanRel = perCoreH("engine/scan_releases")
-	o.retOcc = perCoreH("ret/occupancy")
-	o.retRes = perCoreH("ret/residency")
-	o.retFlush = perCoreC("ret/watermark_flushes")
-	o.epochAdv = perCoreC("epoch/advances")
-	o.epochOvf = perCoreC("epoch/overflows")
-	o.l1Evict = perCoreC("l1/evictions")
-	o.l1EvictDirt = perCoreC("l1/dirty_evictions")
-	for c := StallCause(0); c < numStallCauses; c++ {
-		o.stallCyc[c] = perCoreC("stall/" + c.String() + "_cycles")
-	}
-	for c := DowngradeCause(0); c < numDowngradeCauses; c++ {
-		o.downgrade[c] = perCoreC("downgrade/" + c.String())
-	}
-	o.llcHit = make([]*Counter, cfg.LLCBanks)
-	o.llcMiss = make([]*Counter, cfg.LLCBanks)
-	for i := range o.llcHit {
-		o.llcHit[i] = o.reg.Counter(fmt.Sprintf("llc/hits/bank%02d", i))
-		o.llcMiss[i] = o.reg.Counter(fmt.Sprintf("llc/misses/bank%02d", i))
-	}
-	o.nvmPersis = make([]*Counter, cfg.Controllers)
-	o.nvmRead = make([]*Counter, cfg.Controllers)
-	o.nvmQDelay = make([]*Histogram, cfg.Controllers)
-	o.nvmRetry = make([]*Counter, cfg.Controllers)
-	o.nvmGiveup = make([]*Counter, cfg.Controllers)
-	o.nvmBackoff = make([]*Histogram, cfg.Controllers)
-	for i := range o.nvmPersis {
-		o.nvmPersis[i] = o.reg.Counter(fmt.Sprintf("nvm/persists/ctrl%d", i))
-		o.nvmRead[i] = o.reg.Counter(fmt.Sprintf("nvm/reads/ctrl%d", i))
-		o.nvmQDelay[i] = o.reg.Histogram(fmt.Sprintf("nvm/queue_delay/ctrl%d", i))
-		o.nvmRetry[i] = o.reg.Counter(fmt.Sprintf("nvm/retries/ctrl%d", i))
-		o.nvmGiveup[i] = o.reg.Counter(fmt.Sprintf("nvm/giveups/ctrl%d", i))
-		o.nvmBackoff[i] = o.reg.Histogram(fmt.Sprintf("nvm/backoff/ctrl%d", i))
-	}
-	o.stallInj = perCoreC("fault/engine_stalls")
-	o.stallInjCyc = perCoreC("fault/engine_stall_cycles")
-	o.dirEntries = o.reg.Counter("dir/entries_created")
-	o.dirInval = o.reg.Counter("dir/invalidations")
-	o.faultTears = o.reg.Counter("fault/tears")
+	o.persistLat = perEntity("persist/latency/core%02d", cfg.Cores)
+	o.scanLen = perEntity("engine/scan_len/core%02d", cfg.Cores)
+	o.scanRel = perEntity("engine/scan_releases/core%02d", cfg.Cores)
+	o.retOcc = perEntity("ret/occupancy/core%02d", cfg.Cores)
+	o.retRes = perEntity("ret/residency/core%02d", cfg.Cores)
+	o.nvmQDelay = perEntity("nvm/queue_delay/ctrl%d", cfg.Controllers)
+	o.nvmBackoff = perEntity("nvm/backoff/ctrl%d", cfg.Controllers)
 	o.recQuar = o.reg.Counter("recovery/quarantined_nodes")
 	o.traceOpsRec = o.reg.Counter("trace/ops_recorded")
 	o.traceRawBytes = o.reg.Counter("trace/bytes_raw")
@@ -187,12 +119,8 @@ func (o *Observer) PersistIssued(core int, line uint64, now, done engine.Time, c
 	if o == nil {
 		return
 	}
-	if i, ok := clampCore(len(o.persistCnt), core); ok {
-		o.persistCnt[i].Inc()
+	if i, ok := clampCore(len(o.persistLat), core); ok {
 		o.persistLat[i].Observe(uint64(done - now))
-		if critical {
-			o.critCnt[i].Inc()
-		}
 	}
 	if o.trace != nil {
 		var crit uint64
@@ -218,30 +146,21 @@ func (o *Observer) EngineScan(core int, scanned, releases int, now engine.Time) 
 	}
 }
 
-// EpochAdvance records a thread epoch advance (a release executed).
-func (o *Observer) EpochAdvance(core int, epoch uint32, now engine.Time) {
-	if o == nil {
-		return
-	}
-	if i, ok := clampCore(len(o.epochAdv), core); ok {
-		o.epochAdv[i].Inc()
-	}
-	if o.trace != nil {
-		o.trace.Record(Event{TS: now, Kind: EvEpochAdvance, Core: int32(core), Arg: uint64(epoch)})
+// record adds an event to the trace, if one is attached.
+func (o *Observer) record(e Event) {
+	if o != nil && o.trace != nil {
+		o.trace.Record(e)
 	}
 }
 
-// EpochOverflow records an epoch-counter wraparound flush.
+// EpochAdvance traces a thread epoch advance (a release executed).
+func (o *Observer) EpochAdvance(core int, epoch uint32, now engine.Time) {
+	o.record(Event{TS: now, Kind: EvEpochAdvance, Core: int32(core), Arg: uint64(epoch)})
+}
+
+// EpochOverflow traces an epoch-counter wraparound flush.
 func (o *Observer) EpochOverflow(core int, now engine.Time) {
-	if o == nil {
-		return
-	}
-	if i, ok := clampCore(len(o.epochOvf), core); ok {
-		o.epochOvf[i].Inc()
-	}
-	if o.trace != nil {
-		o.trace.Record(Event{TS: now, Kind: EvEpochOverflow, Core: int32(core)})
-	}
+	o.record(Event{TS: now, Kind: EvEpochOverflow, Core: int32(core)})
 }
 
 // RETAdd records a RET insert and the resulting occupancy.
@@ -267,165 +186,52 @@ func (o *Observer) RETRemove(core int, residency engine.Time) {
 	}
 }
 
-// RETDrain records a watermark-triggered drain of the oldest release.
+// RETDrain traces a watermark-triggered drain of the oldest release.
 func (o *Observer) RETDrain(core int, line uint64, now engine.Time) {
-	if o == nil {
-		return
-	}
-	if i, ok := clampCore(len(o.retFlush), core); ok {
-		o.retFlush[i].Inc()
-	}
-	if o.trace != nil {
-		o.trace.Record(Event{TS: now, Kind: EvRETDrain, Core: int32(core), Arg: line})
-	}
+	o.record(Event{TS: now, Kind: EvRETDrain, Core: int32(core), Arg: line})
 }
 
-// Downgrade records a dirty-line forward between L1s, attributed to the
+// Downgrade traces a dirty-line forward between L1s, attributed to the
 // owning core, with the cause that determined its cost.
 func (o *Observer) Downgrade(ownerCore int, line uint64, cause DowngradeCause, now engine.Time) {
-	if o == nil {
-		return
-	}
-	if int(cause) >= int(numDowngradeCauses) {
-		cause = DowngradeClean
-	}
-	if i, ok := clampCore(len(o.downgrade[cause]), ownerCore); ok {
-		o.downgrade[cause][i].Inc()
-	}
-	if o.trace != nil {
-		o.trace.Record(Event{TS: now, Kind: EvDowngrade, Core: int32(ownerCore), Arg: line, Arg2: uint64(cause)})
-	}
+	o.record(Event{TS: now, Kind: EvDowngrade, Core: int32(ownerCore), Arg: line, Arg2: uint64(cause)})
 }
 
-// Stall records a span core spent blocked on persistency ([from, to)).
+// Stall traces a span core spent blocked on persistency ([from, to)).
 func (o *Observer) Stall(core int, cause StallCause, from, to engine.Time) {
-	if o == nil || to <= from {
-		return
-	}
-	if int(cause) >= int(numStallCauses) {
-		cause = StallWrite
-	}
-	if i, ok := clampCore(len(o.stallCyc[cause]), core); ok {
-		o.stallCyc[cause][i].Add(uint64(to - from))
-	}
-	if o.trace != nil {
-		o.trace.Record(Event{TS: from, Dur: to - from, Kind: EvStall, Core: int32(core), Arg: uint64(cause)})
+	if to > from {
+		o.record(Event{TS: from, Dur: to - from, Kind: EvStall, Core: int32(core), Arg: uint64(cause)})
 	}
 }
 
-// L1Eviction records a capacity eviction from a core's L1 (metrics only:
-// the cache layer has no clock; the timed trace event comes from the
-// protocol layer via DirtyEviction).
-func (o *Observer) L1Eviction(core int, dirty bool) {
-	if o == nil {
-		return
-	}
-	if i, ok := clampCore(len(o.l1Evict), core); ok {
-		o.l1Evict[i].Inc()
-		if dirty {
-			o.l1EvictDirt[i].Inc()
-		}
-	}
-}
-
-// DirtyEviction records the trace instant of a Modified line leaving an
-// L1 for capacity reasons (Invariant I1 territory).
+// DirtyEviction traces a Modified line leaving an L1 for capacity
+// reasons (Invariant I1 territory).
 func (o *Observer) DirtyEviction(core int, line uint64, now engine.Time) {
-	if o == nil || o.trace == nil {
-		return
-	}
-	o.trace.Record(Event{TS: now, Kind: EvEvict, Core: int32(core), Arg: line})
+	o.record(Event{TS: now, Kind: EvEvict, Core: int32(core), Arg: line})
 }
 
-// LLCAccess records a demand access at an LLC bank.
-func (o *Observer) LLCAccess(bank int, hit bool) {
-	if o == nil {
-		return
-	}
-	if bank < 0 || bank >= len(o.llcHit) {
-		return
-	}
-	if hit {
-		o.llcHit[bank].Inc()
-	} else {
-		o.llcMiss[bank].Inc()
-	}
-}
-
-// NVMPersist records one persist at a controller and the cycles it waited
-// in the controller queue before service.
+// NVMPersist records the cycles one persist waited in its controller's
+// queue before service.
 func (o *Observer) NVMPersist(ctrl int, queueDelay engine.Time) {
-	if o == nil {
+	if o == nil || ctrl < 0 || ctrl >= len(o.nvmQDelay) {
 		return
 	}
-	if ctrl < 0 || ctrl >= len(o.nvmPersis) {
-		return
-	}
-	o.nvmPersis[ctrl].Inc()
 	if queueDelay < 0 {
 		queueDelay = 0
 	}
 	o.nvmQDelay[ctrl].Observe(uint64(queueDelay))
 }
 
-// NVMRead records one line fill served by a controller.
-func (o *Observer) NVMRead(ctrl int) {
-	if o == nil {
+// NVMRetry records the total backoff the injected-fault retries of one
+// access cost at a controller.
+func (o *Observer) NVMRetry(ctrl int, backoff engine.Time) {
+	if o == nil || ctrl < 0 || ctrl >= len(o.nvmBackoff) {
 		return
 	}
-	if ctrl < 0 || ctrl >= len(o.nvmRead) {
-		return
-	}
-	o.nvmRead[ctrl].Inc()
-}
-
-// NVMRetry records injected-fault retries a controller absorbed on one
-// access, with the total backoff delay they cost.
-func (o *Observer) NVMRetry(ctrl int, retries int, backoff engine.Time) {
-	if o == nil {
-		return
-	}
-	if ctrl < 0 || ctrl >= len(o.nvmRetry) {
-		return
-	}
-	o.nvmRetry[ctrl].Add(uint64(retries))
 	if backoff < 0 {
 		backoff = 0
 	}
 	o.nvmBackoff[ctrl].Observe(uint64(backoff))
-}
-
-// NVMGiveup records an access that exhausted its retry budget and was
-// escalated (line remapped to a spare block).
-func (o *Observer) NVMGiveup(ctrl int) {
-	if o == nil {
-		return
-	}
-	if ctrl < 0 || ctrl >= len(o.nvmGiveup) {
-		return
-	}
-	o.nvmGiveup[ctrl].Inc()
-}
-
-// FaultTear records a torn-line application during crash-image
-// reconstruction.
-func (o *Observer) FaultTear() {
-	if o == nil {
-		return
-	}
-	o.faultTears.Inc()
-}
-
-// EngineStallInjected records an injected persist-engine stall on a core
-// and its length.
-func (o *Observer) EngineStallInjected(core int, d engine.Time) {
-	if o == nil || d <= 0 {
-		return
-	}
-	if i, ok := clampCore(len(o.stallInj), core); ok {
-		o.stallInj[i].Inc()
-		o.stallInjCyc[i].Add(uint64(d))
-	}
 }
 
 // RecoveryQuarantine records nodes a recovery walk quarantined.
@@ -434,22 +240,6 @@ func (o *Observer) RecoveryQuarantine(n int) {
 		return
 	}
 	o.recQuar.Add(uint64(n))
-}
-
-// DirEntryCreated records a directory entry materializing on first touch.
-func (o *Observer) DirEntryCreated() {
-	if o == nil {
-		return
-	}
-	o.dirEntries.Inc()
-}
-
-// DirInvalidation records one sharer-invalidation message.
-func (o *Observer) DirInvalidation() {
-	if o == nil {
-		return
-	}
-	o.dirInval.Inc()
 }
 
 // TraceRecorded records a finished trace capture: op records written,
@@ -480,8 +270,5 @@ func (o *Observer) TraceReplayed(ops, opsPerSec uint64) {
 // CrashSnapshot records a crash-analysis instant: how many of the
 // execution's writes were durable at the reconstructed crash time.
 func (o *Observer) CrashSnapshot(at engine.Time, persisted, total uint64) {
-	if o == nil || o.trace == nil {
-		return
-	}
-	o.trace.Record(Event{TS: at, Kind: EvCrash, Core: -1, Arg: persisted, Arg2: total})
+	o.record(Event{TS: at, Kind: EvCrash, Core: -1, Arg: persisted, Arg2: total})
 }

@@ -5,11 +5,16 @@
 // shards exportable as Chrome trace_event JSON (chrome://tracing,
 // Perfetto) or as a compact text timeline.
 //
-// The machine layers (memsys, cache, nvm, persist) hold a *Observer and
-// call its typed hooks behind a nil check, so a machine built without
-// observability pays one predicted branch per hook site and allocates
-// nothing. All instruments are pre-registered when the Observer is
-// built; the hot path only does atomic adds into fixed slots.
+// Machine events are counted once, in the Counts block each machine
+// owns and always fills with plain adds. The registry's machine-count
+// families (persist/issued, stall, llc, nvm/persists and the rest) are
+// read-through views of that block, registered when a machine is built
+// with an Observer. The Observer itself holds only what is not a machine
+// count: histograms, the tracer, and the host-side counters of tooling
+// (trace I/O, recovery quarantine, the kv service). Its typed hooks
+// tolerate a nil receiver; the machine layers guard them with a nil
+// check, so a machine built without observability pays one predicted
+// branch per hook site and allocates nothing.
 //
 // Observability never perturbs the simulation: hooks read virtual time,
 // they do not advance it. A run with an Observer attached produces
@@ -25,21 +30,33 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing uint64 instrument. Increments are
-// atomic so concurrent tooling (a pprof scrape, a progress printer) can
-// read a registry while a simulation writes it.
+// Counter is a monotonically increasing uint64 instrument: either the
+// registry's own, with atomic increments so concurrent tooling (a pprof
+// scrape, a progress printer) can read it while a tool writes it, or a
+// read-through view of a count kept elsewhere (View).
 type Counter struct {
-	v uint64
+	v    uint64
+	read func() uint64
 }
 
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { atomic.AddUint64(&c.v, n) }
+// Add increments the counter by n. Adding to a view panics.
+func (c *Counter) Add(n uint64) {
+	if c.read != nil {
+		panic("obs: Add on a read-through counter view")
+	}
+	atomic.AddUint64(&c.v, n)
+}
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { atomic.AddUint64(&c.v, 1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
-func (c *Counter) Value() uint64 { return atomic.LoadUint64(&c.v) }
+func (c *Counter) Value() uint64 {
+	if c.read != nil {
+		return c.read()
+	}
+	return atomic.LoadUint64(&c.v)
+}
 
 // Gauge is an instantaneous int64 level (queue depth, occupancy).
 type Gauge struct {
@@ -124,6 +141,17 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{}
 	r.counts[name] = c
 	return c
+}
+
+// View registers a counter that reads its value through read: a view of
+// a count the machine keeps in its Counts block. It panics if the name
+// is already registered, so one Observer cannot silently serve two
+// machines.
+func (r *Registry) View(name string, read func() uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.checkName(name)
+	r.counts[name] = &Counter{read: read}
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.

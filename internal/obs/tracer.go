@@ -84,7 +84,8 @@ const (
 	// waited for it.
 	DowngradeInFlight
 
-	numDowngradeCauses
+	// NumDowngradeCauses sizes per-cause counter arrays.
+	NumDowngradeCauses
 )
 
 func (c DowngradeCause) String() string {
@@ -118,7 +119,8 @@ const (
 	// StallEvict: a dirty eviction persisted on the critical path.
 	StallEvict
 
-	numStallCauses
+	// NumStallCauses sizes per-cause counter arrays.
+	NumStallCauses
 )
 
 func (c StallCause) String() string {

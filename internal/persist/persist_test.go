@@ -42,11 +42,8 @@ func TestRETBasics(t *testing.T) {
 	}
 	r.Add(0x100, 1)
 	r.Add(0x200, 2)
-	if e, ok := r.Lookup(0x100); !ok || e != 1 {
-		t.Fatal("Lookup")
-	}
-	if _, ok := r.Lookup(0x300); ok {
-		t.Fatal("phantom lookup")
+	if r.Remove(0x300) {
+		t.Fatal("phantom remove")
 	}
 	if r.AtWatermark() {
 		t.Fatal("watermark too eager")
@@ -65,9 +62,8 @@ func TestRETBasics(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatal("Len after remove")
 	}
-	es := r.Entries()
-	if len(es) != 2 || es[0].Line != 0x200 {
-		t.Fatalf("Entries = %v", es)
+	if old, _ := r.Oldest(); old.Line != 0x200 || old.Epoch != 2 {
+		t.Fatalf("Oldest after remove = %+v", old)
 	}
 	r.Clear()
 	if r.Len() != 0 {

@@ -84,16 +84,6 @@ func (r *RET) AddAt(line isa.Addr, epoch uint32, now engine.Time) {
 	}
 }
 
-// Lookup returns the release epoch recorded for a line.
-func (r *RET) Lookup(line isa.Addr) (uint32, bool) {
-	for _, e := range r.entries {
-		if e.Line == line {
-			return e.Epoch, true
-		}
-	}
-	return 0, false
-}
-
 // Remove squashes the entry for a line (the release persisted) at an
 // unspecified time. It reports whether an entry existed.
 func (r *RET) Remove(line isa.Addr) bool { return r.RemoveAt(line, 0) }
@@ -126,13 +116,6 @@ func (r *RET) Oldest() (RETEntry, bool) {
 		}
 	}
 	return best, true
-}
-
-// Entries returns a copy of the table contents in insertion order.
-func (r *RET) Entries() []RETEntry {
-	out := make([]RETEntry, len(r.entries))
-	copy(out, r.entries)
-	return out
 }
 
 // Clear empties the table (epoch overflow flush). Residency of the

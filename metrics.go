@@ -21,7 +21,6 @@ type Observer = obs.Observer
 func NewObserver(cfg Config, trace bool) *Observer {
 	return obs.New(obs.Config{
 		Cores:       cfg.Cores,
-		LLCBanks:    cfg.LLCBanks,
 		Controllers: cfg.NVM.Controllers,
 		EnableTrace: trace,
 	})
@@ -234,7 +233,7 @@ func FaultReport(o ExperimentOpts) (*Table, error) {
 			stats.Count(nst.Retries),
 			stats.Count(nst.Giveups),
 			stats.Count(nst.TornApplied),
-			stats.Count(r.m.Faults().Stats().Stalls),
+			stats.Count(r.m.FaultStats().Stalls),
 		}
 	})
 	t.AddNote("every boundary of every RP-mechanism run verified: consistent cut + clean recovery walk")
