@@ -188,10 +188,10 @@ type SweepReport struct {
 	// FirstRP is the full report of the first RP-violating instant.
 	FirstRP *CrashReport
 	// WalksRun counts boundaries whose recovered state was checked (zero
-	// without a Recoverable; a boundary whose image is unchanged reuses
-	// the previous walk); DirtyWalks those whose recovered state
-	// quarantined or lost nodes; Quarantined the total nodes quarantined,
-	// summed over those boundaries.
+	// without a Recoverable; a boundary where no line the previous walk
+	// read has changed reuses that walk); DirtyWalks those whose
+	// recovered state quarantined or lost nodes; Quarantined the total
+	// nodes quarantined, summed over those boundaries.
 	WalksRun, DirtyWalks, Quarantined int
 	// FirstDirty is the first non-clean recovery report, at FirstDirtyAt.
 	FirstDirty   *RecoveryReport
@@ -370,14 +370,13 @@ func sweepRange(m *Machine, rec Recoverable, ck *dlin.Checker, rp, arp *model.Cu
 	}
 	// Each worker advances a private incremental image source over its
 	// range (boundaries ascend); the source returns its one working
-	// image every time. Most boundaries see the image of the previous
-	// one (Done-1 and Done+1 probes, instants between completions), so
-	// the last walk is reused while the image's write generation has not
-	// moved: the walk reads nothing but the image.
+	// image every time. The image records the lines the last walk read
+	// (Watch), and the walk is reused until a write hits one of them: the
+	// walk reads nothing but the image, so over unchanged lines it would
+	// read the same values in the same order and rebuild the same report.
 	var (
-		images  func(Time) *Image
-		lastGen uint64
-		r       *RecoveryReport
+		images func(Time) *Image
+		r      *RecoveryReport
 	)
 	if rec != nil {
 		images = m.CrashImages()
@@ -396,8 +395,9 @@ func sweepRange(m *Machine, rec Recoverable, ck *dlin.Checker, rp, arp *model.Cu
 		if rec == nil {
 			continue
 		}
-		if img := images(at); r == nil || img.Gen() != lastGen {
-			r, lastGen = rec.Recover(img), img.Gen()
+		if img := images(at); r == nil || img.Touched() {
+			img.Watch()
+			r = rec.Recover(img)
 		}
 		c.walksRun++
 		if !r.Clean() {

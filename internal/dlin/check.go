@@ -42,6 +42,13 @@ type Checker struct {
 	needW   []engine.Time
 	needWOf []model.Stamp
 
+	// keys holds the distinct keys of a keyed history's updates,
+	// ascending; slot[i] is upd[i]'s key's index in keys. A Pass keeps
+	// its expected set in arrays over keys, so the set is in key order
+	// without a sort.
+	keys []uint64
+	slot []int32
+
 	// thr holds the distinct finite values of pAt, need and needW,
 	// ascending. A check reads the crash instant only through
 	// comparisons with these, so two instants with no threshold between
@@ -98,6 +105,18 @@ func NewChecker(h *History, tr *model.Tracker) (*Checker, error) {
 				c.need[i] = c.pAt[j]
 				c.needOf[i] = oj
 			}
+		}
+	}
+	if !h.Queue() {
+		for _, oi := range c.upd {
+			c.keys = append(c.keys, h.Ops[oi].Key)
+		}
+		slices.Sort(c.keys)
+		c.keys = slices.Compact(c.keys)
+		c.slot = make([]int32, n)
+		for i, oi := range c.upd {
+			j, _ := slices.BinarySearch(c.keys, h.Ops[oi].Key)
+			c.slot[i] = int32(j)
 		}
 	}
 	for _, ts := range [][]engine.Time{c.pAt, c.need, c.needW} {
@@ -157,10 +176,13 @@ type Pass struct {
 	// threshold that produced it.
 	lastCount int
 	lastAt    engine.Time
-	set       map[uint64]uint64
+	// The expected keyed set: has[j] reports whether c.keys[j] is in it,
+	// val[j] its value.
+	has       []bool
+	val       []uint64
 	queue     []uint64
 	replayBad []Violation // replay-order inconsistencies of the cached prefix
-	keys      []uint64    // compareSet's reused key buffer
+	extra     []uint64    // compareSet's reused buffer of unexpected keys
 }
 
 // inPrefix reports whether update i is in the cached durable prefix.
@@ -245,10 +267,11 @@ func (p *Pass) replay(at engine.Time, count int) {
 	if h.Queue() {
 		p.queue = p.queue[:0]
 	} else {
-		if p.set == nil {
-			p.set = make(map[uint64]uint64, count)
+		if p.has == nil {
+			p.has = make([]bool, len(c.keys))
+			p.val = make([]uint64, len(c.keys))
 		} else {
-			clear(p.set)
+			clear(p.has)
 		}
 	}
 	for i, oi := range c.upd {
@@ -258,9 +281,10 @@ func (p *Pass) replay(at engine.Time, count int) {
 		o := h.Ops[oi]
 		switch o.Kind {
 		case OpInsert, OpSet:
-			p.set[o.Key] = o.Val
+			j := c.slot[i]
+			p.has[j], p.val[j] = true, o.Val
 		case OpDelete:
-			delete(p.set, o.Key)
+			p.has[c.slot[i]] = false
 		case OpCAS:
 			// A successful CAS's expected value must be what the durable
 			// linearization order left on the key. Per-word persist times
@@ -271,7 +295,8 @@ func (p *Pass) replay(at engine.Time, count int) {
 			// writes it observed, a durable CAS implies its expected
 			// value's writer is durable. A mismatch here is the same
 			// write-level reordering the queue's dequeue check catches.
-			cur, present := p.set[o.Key]
+			j := c.slot[i]
+			cur, present := p.val[j], p.has[j]
 			switch {
 			case !present:
 				p.replayBad = append(p.replayBad, Violation{
@@ -285,7 +310,7 @@ func (p *Pass) replay(at engine.Time, count int) {
 					Detail: fmt.Sprintf("%v but the durable linearization order leaves value %d on key %d", o, cur, o.Key),
 				})
 			}
-			p.set[o.Key] = o.Val
+			p.has[j], p.val[j] = true, o.Val
 		case OpEnqueue:
 			p.queue = append(p.queue, o.Val)
 		case OpDequeue:
@@ -315,30 +340,28 @@ func timeStr(t engine.Time) string {
 }
 
 // compareSet diffs the expected keyed-set contents against the recovery
-// walk's, in sorted key order.
+// walk's, in sorted key order. The expected set is already in key order
+// (Checker.keys); the recovered set is scanned for keys beyond it only
+// when it holds more keys than the expected set shares with it.
 func (p *Pass) compareSet(at engine.Time, rep *recovery.Report) []Violation {
 	var got map[uint64]uint64
 	if rep.Set != nil {
 		got = rep.Set.Members
 	}
-	keys := p.keys[:0]
-	for k := range p.set { // maprange:ok — keys are sorted below before any output
-		keys = append(keys, k)
-	}
-	for k := range got { // maprange:ok — keys are sorted below before any output
-		if _, ok := p.set[k]; !ok {
-			keys = append(keys, k)
-		}
-	}
-	slices.Sort(keys)
-	p.keys = keys
 	c := p.c
 	var out []Violation
-	for _, k := range keys {
-		want, inWant := p.set[k]
+	hits := 0
+	for j, k := range c.keys {
+		if !p.has[j] {
+			continue
+		}
+		want := p.val[j]
 		have, inHave := got[k]
+		if inHave {
+			hits++
+		}
 		switch {
-		case inWant && !inHave:
+		case !inHave:
 			// A durable update can legally be invisible after a crash: with
 			// elided-acquire traversals (the skip list's plain index-level
 			// loads) nothing orders the persist of the third-party link
@@ -357,11 +380,6 @@ func (p *Pass) compareSet(at engine.Time, rep *recovery.Report) []Violation {
 						o, c.pAt[ui], k, c.needWOf[ui], timeStr(c.needW[ui])),
 				})
 			}
-		case !inWant && inHave:
-			out = append(out, Violation{
-				Class: Phantom, At: at, Op: p.phantomOpOn(k), Kind: OpInsert, Key: k, Val: have,
-				Detail: fmt.Sprintf("recovered state contains key %d (val %d) that no durable operation explains", k, have),
-			})
 		case want != have:
 			_, oi, o := p.lastDurableOn(k)
 			out = append(out, Violation{
@@ -370,7 +388,32 @@ func (p *Pass) compareSet(at engine.Time, rep *recovery.Report) []Violation {
 			})
 		}
 	}
-	return out
+	if len(got) == hits {
+		return out
+	}
+	extra := p.extra[:0]
+	for k := range got { // maprange:ok — sorted below
+		if j, ok := slices.BinarySearch(c.keys, k); !ok || !p.has[j] {
+			extra = append(extra, k)
+		}
+	}
+	slices.Sort(extra)
+	p.extra = extra
+	// Merge the phantoms of the unexpected keys into out, which is in key
+	// order and holds at most one violation per key.
+	merged := make([]Violation, 0, len(out)+len(extra))
+	i := 0
+	for _, k := range extra {
+		for i < len(out) && out[i].Key < k {
+			merged = append(merged, out[i])
+			i++
+		}
+		merged = append(merged, Violation{
+			Class: Phantom, At: at, Op: p.phantomOpOn(k), Kind: OpInsert, Key: k, Val: got[k],
+			Detail: fmt.Sprintf("recovered state contains key %d (val %d) that no durable operation explains", k, got[k]),
+		})
+	}
+	return append(merged, out[i:]...)
 }
 
 // compareQueue diffs the expected FIFO contents against the recovery

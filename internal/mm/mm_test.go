@@ -3,6 +3,7 @@ package mm
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"lrp/internal/isa"
 )
@@ -191,5 +192,139 @@ func TestArenaDisjointProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestReadSetUnreadLineNotTouched(t *testing.T) {
+	m := NewMemory()
+	m.Write(0x1000, 1)
+	m.Watch()
+	m.Read(0x1000)
+	m.Write(0x1040, 2) // next line, same page
+	m.WriteLine(0x1f80, [isa.WordsPerLine]uint64{3})
+	if m.Swap(0x1080, 4) != 0 {
+		t.Fatal("Swap returned the wrong old word")
+	}
+	if m.Touched() {
+		t.Fatal("writes to unread lines of a read page counted as a touch")
+	}
+}
+
+func TestReadSetWriteToReadLineTouches(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		read  func(m *Memory)
+		write func(m *Memory)
+	}{
+		{"Read/Write", func(m *Memory) { m.Read(0x1008) }, func(m *Memory) { m.Write(0x1038, 9) }},
+		{"Read/WriteLine", func(m *Memory) { m.Read(0x1008) }, func(m *Memory) { m.WriteLine(0x1000, [isa.WordsPerLine]uint64{9}) }},
+		{"ReadLine/Write", func(m *Memory) { m.ReadLine(0x1000) }, func(m *Memory) { m.Write(0x1010, 9) }},
+		{"ReadLine/WriteLine", func(m *Memory) { m.ReadLine(0x1000) }, func(m *Memory) { m.WriteLine(0x1020, [isa.WordsPerLine]uint64{9}) }},
+		{"Read/Swap", func(m *Memory) { m.Read(0x1008) }, func(m *Memory) { m.Swap(0x1000, 9) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMemory()
+			m.Write(0x1000, 1)
+			m.Write(0x9000, 1) // a second page, so the memo moves between them
+			m.Watch()
+			tc.read(m)
+			m.Read(0x9000)
+			if m.Touched() {
+				t.Fatal("reads alone counted as a touch")
+			}
+			tc.write(m)
+			if !m.Touched() {
+				t.Fatal("write to a read line not counted as a touch")
+			}
+		})
+	}
+}
+
+func TestReadSetAbsentPageCreationTouches(t *testing.T) {
+	for _, read := range []func(m *Memory){
+		func(m *Memory) { m.Read(0x5000) },
+		func(m *Memory) { m.ReadLine(0x5000) },
+	} {
+		m := NewMemory()
+		m.Write(0x1000, 1)
+		m.Watch()
+		read(m)
+		m.Write(0x1000, 2) // an existing page: no touch
+		if m.Touched() {
+			t.Fatal("write to an unread line counted as a touch")
+		}
+		m.Write(0x5fc0, 3) // creates the page the read found missing
+		if !m.Touched() {
+			t.Fatal("creating a page a read found missing not counted as a touch")
+		}
+	}
+	m := NewMemory()
+	m.Watch()
+	m.Read(0x5000)
+	m.Write(0x6000, 1) // creates another page
+	if m.Touched() {
+		t.Fatal("creating a page no read looked for counted as a touch")
+	}
+}
+
+func TestReadSetWatchResets(t *testing.T) {
+	m := NewMemory()
+	m.Write(0x1000, 1)
+	m.Write(0x1040, 1)
+	if m.Touched() {
+		t.Fatal("unwatched memory reports a touch")
+	}
+	m.Watch()
+	m.Read(0x1000)
+	m.Read(0x3000) // absent page
+	m.Write(0x1000, 2)
+	if !m.Touched() {
+		t.Fatal("write to a read line not counted as a touch")
+	}
+	m.Watch()
+	if m.Touched() {
+		t.Fatal("Watch did not clear Touched")
+	}
+	m.Read(0x1040)
+	m.Write(0x1000, 3) // read under the previous Watch only
+	m.Write(0x3000, 3) // found missing under the previous Watch only
+	if m.Touched() {
+		t.Fatal("Watch did not empty the read set")
+	}
+	m.Write(0x1040, 3)
+	if !m.Touched() {
+		t.Fatal("write to a line read after Watch not counted as a touch")
+	}
+}
+
+func TestReadSetIgnoredByCloneAndEqual(t *testing.T) {
+	m := NewMemory()
+	m.Write(0x1000, 1)
+	o := m.Clone()
+	m.Watch()
+	m.Read(0x1000)
+	m.Read(0x7000)
+	if !m.Equal(o) || !o.Equal(m) {
+		t.Fatal("read marks changed Equal")
+	}
+	c := m.Clone()
+	if c.Touched() {
+		t.Fatal("clone inherited Touched")
+	}
+	c.Write(0x1000, 2)
+	c.Write(0x7000, 2)
+	if c.Touched() {
+		t.Fatal("clone inherited the read set")
+	}
+	if m.Touched() || m.Read(0x1000) != 1 {
+		t.Fatal("writes to the clone reached the original")
+	}
+}
+
+// A page stays 4096 bytes: the read marks live in the page table, since
+// one more word would put every page in Go's 4864-byte size class.
+func TestPageSize(t *testing.T) {
+	if n := unsafe.Sizeof(page{}); n != 1<<pageShift {
+		t.Fatalf("page is %d bytes, want %d", n, 1<<pageShift)
 	}
 }

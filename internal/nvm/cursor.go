@@ -14,7 +14,8 @@ import (
 // cursor advanced once. Exhaustive crash-boundary sweeps visit thousands
 // of instants; a cursor applies only the persists that completed since
 // the previous instant, plus a small torn overlay for the lines in
-// flight (which it undoes on the next advance).
+// flight (which it undoes on the next advance that starts or completes a
+// persist).
 //
 // The image returned by AdvanceTo aliases the cursor's working memory: it
 // is valid until the next AdvanceTo call. Callers that need a snapshot
@@ -31,6 +32,7 @@ type Cursor struct {
 
 	inflight []cursorEvent
 	saved    []savedWord
+	torn     uint64 // torn persists in the current overlay
 }
 
 type cursorEvent struct {
@@ -77,12 +79,24 @@ func (c *Cursor) AdvanceTo(crash engine.Time) *mm.Memory {
 	if crash < c.at {
 		panic("nvm: cursor must advance monotonically")
 	}
+	// With no persist started or completed since the previous instant,
+	// the durable prefix and the in-flight set are unchanged, and so is
+	// the torn overlay (a tear depends only on its event): the image
+	// stands as it is. Its tears are counted again, as at every instant.
+	if !c.moves(crash) {
+		if c.torn > 0 {
+			c.sub.cnt.Tears.Add(c.torn)
+		}
+		c.at = crash
+		return c.img
+	}
 	// Undo the previous instant's torn overlay, newest write first, so
 	// overlapping saves restore correctly.
 	for i := len(c.saved) - 1; i >= 0; i-- {
 		c.img.Write(c.saved[i].addr, c.saved[i].old)
 	}
 	c.saved = c.saved[:0]
+	c.torn = 0
 
 	// Apply persists that completed since the previous instant, in
 	// completion order (ties by log order).
@@ -120,21 +134,29 @@ func (c *Cursor) AdvanceTo(crash engine.Time) *mm.Memory {
 			if !torn {
 				continue
 			}
-			// Atomic: chunked sweeps advance several cursors over one
-			// subsystem concurrently.
-			c.sub.cnt.Tears.Add(1)
+			c.torn++
 			for i := 0; i < isa.WordsPerLine; i++ {
 				if mask&(1<<i) == 0 {
 					continue
 				}
 				a := ce.ev.Line + isa.Addr(i*isa.WordSize)
-				c.saved = append(c.saved, savedWord{addr: a, old: c.img.Read(a)})
-				c.img.Write(a, ce.ev.Words[i])
+				c.saved = append(c.saved, savedWord{addr: a, old: c.img.Swap(a, ce.ev.Words[i])})
 			}
+		}
+		// Atomic: chunked sweeps advance several cursors over one
+		// subsystem concurrently.
+		if c.torn > 0 {
+			c.sub.cnt.Tears.Add(c.torn)
 		}
 	}
 	c.at = crash
 	return c.img
+}
+
+// moves reports whether a persist starts or completes in (c.at, crash].
+func (c *Cursor) moves(crash engine.Time) bool {
+	return c.nextDone < len(c.byDone) && c.byDone[c.nextDone].ev.Done <= crash ||
+		c.nextSta < len(c.byStart) && c.byStart[c.nextSta].ev.Start <= crash
 }
 
 // At returns the cursor's current crash instant.

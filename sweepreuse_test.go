@@ -11,9 +11,9 @@ import (
 )
 
 // TestSweepReuseMatchesFullWalk differentially checks SweepCrash, which
-// reuses a boundary's recovery walk and durable-linearizability verdict
-// while the durable image is unchanged, against referenceSweep, which
-// walks and checks every boundary afresh. Every registered mechanism ×
+// reuses a recovery walk and durable-linearizability verdict until a
+// write hits a line that walk read, against referenceSweep, which walks
+// and checks every boundary afresh. Every registered mechanism ×
 // every workload, with the fault plane on and off, on the default
 // geometry and the tiny one of TestCutScheduleMatchesCheckCut, at 1, 2
 // and 8 workers: the String, the JSON export, the first dirty walk and
