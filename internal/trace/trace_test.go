@@ -239,27 +239,13 @@ func TestDiffDetectsDifference(t *testing.T) {
 func TestCorruptInputs(t *testing.T) {
 	raw, _, _ := record(t, persist.LRP, "hashmap")
 
-	consume := func(b []byte) error {
-		r, err := NewReader(bytes.NewReader(b))
-		if err != nil {
-			return err
-		}
-		for {
-			if _, err := r.Next(); err != nil {
-				if err == io.EOF {
-					return nil
-				}
-				return err
-			}
-		}
-	}
-	if err := consume(raw); err != nil {
+	if err := decodeAll(raw); err != nil {
 		t.Fatalf("pristine trace rejected: %v", err)
 	}
 
 	t.Run("truncated", func(t *testing.T) {
 		for _, cut := range []int{1, 7, 11, len(raw) / 2, len(raw) - 1} {
-			if err := consume(raw[:cut]); err == nil {
+			if err := decodeAll(raw[:cut]); err == nil {
 				t.Errorf("truncation at %d accepted", cut)
 			}
 		}
@@ -269,7 +255,7 @@ func TestCorruptInputs(t *testing.T) {
 		for pos := 0; pos < len(raw); pos += 13 {
 			mut := bytes.Clone(raw)
 			mut[pos] ^= 0x40
-			if err := consume(mut); err != nil {
+			if err := decodeAll(mut); err != nil {
 				flipped++
 			}
 		}
