@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"lrp/internal/isa"
 	"lrp/internal/persist"
 	"lrp/internal/workload"
 
@@ -53,6 +54,23 @@ func FuzzTraceDecode(f *testing.F) {
 	kvFlip := bytes.Clone(kvRaw)
 	kvFlip[len(kvFlip)/3] ^= 0x08
 	f.Add(kvFlip)
+
+	// The longest record a trace can hold, a result footer with two full
+	// vectors of ten-byte values; and a trace with a byte after its end
+	// record.
+	var maxBuf bytes.Buffer
+	w, err := NewWriter(&maxBuf, HeaderFor(cfg, spec))
+	if err != nil {
+		f.Fatal(err)
+	}
+	w.RecordOp(0, 1, isa.StoreOp(64, 1), 0, true)
+	w.SetResult(maxResult())
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(maxBuf.Bytes())
+	head, member := splitTrace(f, raw)
+	f.Add(append(bytes.Clone(head), gzipped(f, append(gunzip(f, member), recSync))...))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := NewReader(bytes.NewReader(b))

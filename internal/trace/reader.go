@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -27,34 +28,55 @@ type Rec struct {
 	Mark uint8
 }
 
-// teeByteReader reads bytes while retaining them, so the reader can
-// checksum each record's exact encoding after decoding it.
-type teeByteReader struct {
-	r   *bufio.Reader
-	buf []byte
-}
+// maxResultLen bounds each counter vector of a result footer. Counter
+// structs have tens of fields; 1024 bounds a corrupt length without
+// constraining growth.
+const maxResultLen = 1024
 
-func (t *teeByteReader) ReadByte() (byte, error) {
-	b, err := t.r.ReadByte()
-	if err == nil {
-		t.buf = append(t.buf, b)
-	}
-	return b, err
-}
+// maxRecord is the longest encoding any record can have: a result footer
+// whose two vectors hold maxResultLen values each, with every varint at
+// its full ten bytes (the decoder accepts overlong varints, so corrupt
+// input can reach that length).
+const maxRecord = 1 + 2*binary.MaxVarintLen64 + 2*(1+maxResultLen)*binary.MaxVarintLen64
+
+// windowSize is the size of a Reader's window of decompressed record
+// bytes: at least two maximum records, so that each refill moves fewer
+// than maxRecord undecoded bytes to the front and reads at least
+// maxRecord new ones. 48 KiB is that rounded up to whole 8 KiB heap pages.
+const windowSize = 48 << 10
+
+// The conversion does not compile if the window holds less than two
+// maximum records.
+const _ = uint(windowSize - 2*maxRecord)
+
+// errOverflow reports a varint longer than 64 bits.
+var errOverflow = errors.New("trace: varint overflows a 64-bit integer")
 
 // Reader decodes a trace stream. Every decoded field is validated
 // against the header's machine shape, so a truncated or bit-flipped
 // trace surfaces as an error, never a panic or a huge allocation.
+//
+// Records are parsed straight out of a fixed window of decompressed
+// bytes. At every record boundary the window holds at least maxRecord
+// undecoded bytes unless the gzip stream has ended, so a record that
+// runs past the window's end is a truncated one. The stream checksum is
+// folded over each run of consecutive op-stream records at once.
 type Reader struct {
-	h        Header
-	zr       *gzip.Reader
-	tr       teeByteReader
-	last     []int64
-	crc      uint32
-	ops      uint64
-	recs     uint64
-	embedded *EmbeddedResult
-	done     bool
+	h  Header
+	zr *gzip.Reader
+	// win[pos:end] is decompressed and not yet decoded; p is the cursor
+	// of the record being decoded, committed to pos once it is whole.
+	// win[crcFrom:pos] are op-stream records not yet folded into crc.
+	win         []byte
+	pos, end, p int
+	crcFrom     int
+	zerr        error // the gzip stream's error once it stops; io.EOF at a clean end
+	last        []int64
+	crc         uint32
+	ops         uint64
+	recs        uint64
+	embedded    *EmbeddedResult
+	done        bool
 
 	// Op-history reconstruction. hist assembles the op-history records
 	// into a History. wseq counts each thread's dynamic writes (stores
@@ -103,7 +125,7 @@ func NewReader(src io.Reader) (*Reader, error) {
 	return &Reader{
 		h:    h,
 		zr:   zr,
-		tr:   teeByteReader{r: bufio.NewReader(zr)},
+		win:  make([]byte, windowSize),
 		last: make([]int64, h.Config.Cores),
 		wseq: make([]uint64, h.Config.Cores),
 		hist: dlin.NewBuilder(h.Spec.Structure, h.Config.Cores),
@@ -119,7 +141,43 @@ func (r *Reader) Embedded() *EmbeddedResult { return r.embedded }
 
 // Checksum is the CRC32 of the op-stream records read so far; after a
 // clean EOF it is the trace's verified stream checksum.
-func (r *Reader) Checksum() uint32 { return r.crc }
+func (r *Reader) Checksum() uint32 {
+	r.foldCRC()
+	return r.crc
+}
+
+// foldCRC folds the op-stream records decoded since the last fold into
+// the stream checksum.
+func (r *Reader) foldCRC() {
+	r.crc = crc32.Update(r.crc, crcTab, r.win[r.crcFrom:r.pos])
+	r.crcFrom = r.pos
+}
+
+// fill moves the undecoded bytes to the front of the window and tops it
+// up from the gzip stream. It runs only at a record boundary.
+func (r *Reader) fill() {
+	r.foldCRC()
+	r.end = copy(r.win, r.win[r.pos:r.end])
+	r.pos, r.crcFrom = 0, 0
+	for r.end < len(r.win) && r.zerr == nil {
+		var n int
+		n, r.zerr = r.zr.Read(r.win[r.end:])
+		r.end += n
+	}
+}
+
+// short explains why the record being decoded does not fit in the
+// window: n < 0 is a varint overflow; otherwise the stream stopped
+// inside the record.
+func (r *Reader) short(n int) error {
+	if n < 0 {
+		return errOverflow
+	}
+	if r.zerr != nil && r.zerr != io.EOF {
+		return r.zerr
+	}
+	return io.ErrUnexpectedEOF
+}
 
 // Ops is the number of op records read so far.
 func (r *Reader) Ops() uint64 { return r.ops }
@@ -151,11 +209,21 @@ func (r *Reader) histErr() error {
 }
 
 func (r *Reader) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(&r.tr)
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
+	v, n := binary.Uvarint(r.win[r.p:r.end])
+	if n <= 0 {
+		return 0, r.short(n)
 	}
-	return v, err
+	r.p += n
+	return v, nil
+}
+
+func (r *Reader) readByte() (byte, error) {
+	if r.p == r.end {
+		return 0, r.short(0)
+	}
+	b := r.win[r.p]
+	r.p++
+	return b, nil
 }
 
 func (r *Reader) work() (engine.Time, error) {
@@ -196,13 +264,21 @@ func (r *Reader) next() (rec Rec, footer bool, err error) {
 	if r.done {
 		return rec, false, io.EOF
 	}
-	r.tr.buf = r.tr.buf[:0]
-	t, err := r.tr.ReadByte()
-	if err == io.EOF {
-		return rec, false, fmt.Errorf("trace: truncated stream (no end record)")
+	if r.end-r.pos < maxRecord && r.zerr == nil {
+		r.fill()
 	}
-	if err != nil {
-		return rec, false, err
+	if r.pos == r.end {
+		if r.zerr == io.EOF {
+			return rec, false, fmt.Errorf("trace: truncated stream (no end record)")
+		}
+		return rec, false, r.zerr
+	}
+	t := r.win[r.pos]
+	r.p = r.pos + 1
+	if t >= recResult {
+		// Result, end and op-history records sit outside the
+		// checksummed stream: fold the run of op-stream records they end.
+		r.foldCRC()
 	}
 	switch {
 	case t < 0x10:
@@ -218,7 +294,7 @@ func (r *Reader) next() (rec Rec, footer bool, err error) {
 		rec.Type = RecDrain
 	case t == recMark:
 		rec.Type = RecMark
-		rec.Mark, err = r.tr.ReadByte()
+		rec.Mark, err = r.readByte()
 	case t == recResult:
 		rec.Type = RecResult
 		err = r.decodeResult()
@@ -242,14 +318,13 @@ func (r *Reader) next() (rec Rec, footer bool, err error) {
 	default:
 		err = fmt.Errorf("trace: unknown record type 0x%02x", t)
 	}
-	if err == io.EOF && !r.done {
-		err = io.ErrUnexpectedEOF
-	}
 	if err != nil {
 		return rec, false, err
 	}
-	if !footer {
-		r.crc = crc32.Update(r.crc, crcTab, r.tr.buf)
+	r.pos = r.p
+	if footer {
+		r.crcFrom = r.pos
+	} else {
 		r.recs++
 	}
 	return rec, footer, nil
@@ -299,7 +374,7 @@ func (r *Reader) decodeOp(t byte, rec *Rec) error {
 		if rec.Val, err = r.uvarint(); err != nil {
 			return err
 		}
-		b, err := r.tr.ReadByte()
+		b, err := r.readByte()
 		if err != nil {
 			return err
 		}
@@ -323,7 +398,7 @@ func (r *Reader) decodeOpBegin() error {
 	if err != nil {
 		return err
 	}
-	kb, err := r.tr.ReadByte()
+	kb, err := r.readByte()
 	if err != nil {
 		return err
 	}
@@ -363,7 +438,7 @@ func (r *Reader) decodeOpEnd() error {
 	if err != nil {
 		return err
 	}
-	okb, err := r.tr.ReadByte()
+	okb, err := r.readByte()
 	if err != nil {
 		return err
 	}
@@ -399,9 +474,7 @@ func (r *Reader) decodeResult() error {
 		if err != nil {
 			return err
 		}
-		// Counter structs have tens of fields; 1024 bounds a corrupt
-		// length without constraining growth.
-		if n > 1024 {
+		if n > maxResultLen {
 			return fmt.Errorf("trace: result vector length %d out of range", n)
 		}
 		vec := make([]uint64, n)
@@ -427,7 +500,7 @@ func (r *Reader) decodeEnd() error {
 	}
 	var cb [4]byte
 	for i := range cb {
-		if cb[i], err = r.tr.ReadByte(); err != nil {
+		if cb[i], err = r.readByte(); err != nil {
 			return err
 		}
 	}
@@ -444,12 +517,17 @@ func (r *Reader) decodeEnd() error {
 		return fmt.Errorf("trace: %w", err)
 	}
 	// The end record must be the last: a clean gzip EOF must follow
-	// (this also forces the gzip footer checks to run).
-	if _, err := r.tr.r.ReadByte(); err != io.EOF {
-		if err != nil {
-			return fmt.Errorf("trace: after end record: %w", err)
-		}
+	// (this also forces the gzip footer checks to run). Every byte in
+	// the window is decoded by now, so the probe may overwrite it.
+	extra := r.end - r.p
+	for extra == 0 && r.zerr == nil {
+		extra, r.zerr = r.zr.Read(r.win[:1])
+	}
+	if extra > 0 {
 		return fmt.Errorf("trace: data after end record")
+	}
+	if r.zerr != io.EOF {
+		return fmt.Errorf("trace: after end record: %w", r.zerr)
 	}
 	return nil
 }
