@@ -370,10 +370,12 @@ func sweepRange(m *Machine, rec Recoverable, ck *dlin.Checker, rp, arp *model.Cu
 	}
 	// Each worker advances a private incremental image source over its
 	// range (boundaries ascend); the source returns its one working
-	// image every time. The image records the lines the last walk read
-	// (Watch), and the walk is reused until a write hits one of them: the
-	// walk reads nothing but the image, so over unchanged lines it would
-	// read the same values in the same order and rebuild the same report.
+	// image every time. The image watches the lines the walks read, and
+	// the report is reused until a write hits one of them: the walk reads
+	// nothing but the image, so over unchanged lines it would read the
+	// same values in the same order and rebuild the same report. Once one
+	// is hit, Recover re-walks only the walk units that read it
+	// (recovery.Walk).
 	var (
 		images func(Time) *Image
 		r      *RecoveryReport
@@ -396,7 +398,6 @@ func sweepRange(m *Machine, rec Recoverable, ck *dlin.Checker, rp, arp *model.Cu
 			continue
 		}
 		if img := images(at); r == nil || img.Touched() {
-			img.Watch()
 			r = rec.Recover(img)
 		}
 		c.walksRun++
@@ -404,7 +405,8 @@ func sweepRange(m *Machine, rec Recoverable, ck *dlin.Checker, rp, arp *model.Cu
 			c.dirtyWalks++
 			c.quarantined += len(r.Quarantined)
 			if c.firstDirty < 0 {
-				c.firstDirty, c.firstDirtyRep = i, r
+				// A later walk over the image updates r in place.
+				c.firstDirty, c.firstDirtyRep = i, r.Clone()
 			}
 		}
 		m.Observer().RecoveryQuarantine(len(r.Quarantined))

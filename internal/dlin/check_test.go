@@ -37,7 +37,7 @@ func TestPassReuseRecomputesAcrossThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := recovery.NewSetReport("linkedlist")
+	rep := &recovery.Report{Structure: "linkedlist", Set: &recovery.SetState{Members: map[uint64]uint64{}}}
 	classes := map[engine.Time][]Class{
 		5:  nil,
 		15: {Reordered, AckedLost},
@@ -87,8 +87,9 @@ func TestCompareSetKeyOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := recovery.NewSetReport("hashmap")
-	rep.Set.Members = map[uint64]uint64{2: 5, 3: 99, 4: 9, 7: 15, 9: 19}
+	rep := &recovery.Report{Structure: "hashmap", Set: &recovery.SetState{
+		Members: map[uint64]uint64{2: 5, 3: 99, 4: 9, 7: 15, 9: 19},
+	}}
 	var keys []uint64
 	var classes []Class
 	for _, v := range ck.NewPass().Check(50, rep) {

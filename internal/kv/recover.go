@@ -25,17 +25,28 @@ func (s *Store) Name() string { return "kv" }
 
 // Recover implements workload.Recoverable: the hardened walk.
 // Members maps globalKey → valId for every live, validated key.
-func (s *Store) Recover(img *mm.Memory) *recovery.Report {
-	rep := recovery.NewSetReport(s.Name())
-	for t := range s.shards {
-		sh := &s.shards[t]
-		_, nbuckets := sh.idx.Buckets()
-		for b := uint64(0); b < nbuckets; b++ {
-			s.recoverBucket(img, rep, t, b)
-		}
-		recoverOrdered(img, rep, t, sh.ord)
+func (s *Store) Recover(img *mm.Memory) *recovery.Report { return recovery.Walk(img, s) }
+
+// unitsPerTenant is the number of walk units of each tenant: its index
+// buckets, then its ordered level.
+func (s *Store) unitsPerTenant() int {
+	_, nbuckets := s.shards[0].idx.Buckets()
+	return int(nbuckets) + 1
+}
+
+// Units implements recovery.Walker: every tenant's buckets and ordered
+// level, tenant by tenant.
+func (s *Store) Units() int { return len(s.shards) * s.unitsPerTenant() }
+
+// WalkUnit implements recovery.Walker.
+func (s *Store) WalkUnit(img *mm.Memory, rep *recovery.Report, u int) {
+	per := s.unitsPerTenant()
+	t, b := u/per, u%per
+	if b == per-1 {
+		recoverOrdered(img, rep, t, s.shards[t].ord)
+		return
 	}
-	return rep
+	s.recoverBucket(img, rep, t, uint64(b))
 }
 
 // recoverBucket walks one bucket chain of tenant's index through the
@@ -71,7 +82,7 @@ func (s *Store) recoverBucket(img *mm.Memory, rep *recovery.Report, tenant int, 
 				rep.Quarantine(c.Node, fmt.Sprintf("key %d reachable with an uninitialized value cell", key))
 			default:
 				if id, reason := s.checkRecord(img, key, val); reason == "" {
-					rep.Set.Members[key] = id
+					rep.Recovered(key, id)
 				} else {
 					rep.Quarantine(c.Node, fmt.Sprintf("key %d: torn value: %s", key, reason))
 				}

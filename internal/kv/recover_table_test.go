@@ -195,7 +195,9 @@ func TestRecoverReasonsTable(t *testing.T) {
 // TestBucketWalkAllocatesNothing: walking one populated bucket chain
 // through the lfds cursor, per-node policy and record checks included,
 // allocates nothing — the property that keeps the crash sweeps'
-// allocation flat, since every boundary walks every bucket.
+// allocation flat. A write to the bucket's head line makes Recover
+// re-walk that bucket alone, which allocates the new report and its
+// SetState and nothing per node.
 func TestBucketWalkAllocatesNothing(t *testing.T) {
 	sys := testSys(t, 1)
 	st := New(sys, testParams())
@@ -206,15 +208,18 @@ func TestBucketWalkAllocatesNothing(t *testing.T) {
 	})
 	sys.Drain()
 	img := sys.NVM().FinalImage(nil)
-	bucket := st.shards[0].idx.BucketOf(globalKey(0, 1))
-	rep := recovery.NewSetReport(st.Name())
+	base, _ := st.shards[0].idx.Buckets()
+	cell := base + isa.Addr(st.shards[0].idx.BucketOf(globalKey(0, 1))*lfds.BucketStride)
+	head := img.Read(cell)
+	rep := st.Recover(img)
 	allocs := testing.AllocsPerRun(100, func() {
-		st.recoverBucket(img, rep, 0, bucket)
+		img.Write(cell, head)
+		rep = st.Recover(img)
 	})
-	if !rep.Clean() || len(rep.Set.Members) < 2 {
+	if !rep.Clean() || len(rep.Set.Members) != 64 {
 		t.Fatalf("bucket walk: %v, %d members", rep, len(rep.Set.Members))
 	}
-	if allocs != 0 {
-		t.Fatalf("bucket walk allocates %v times, want 0", allocs)
+	if allocs != 2 {
+		t.Fatalf("a one-bucket re-walk allocates %v times, want 2 (the report and its SetState)", allocs)
 	}
 }

@@ -219,11 +219,16 @@ func (b *BST) Root() isa.Addr { return b.root }
 // Recover implements Set: the hardened null-recovery walk of the tree in
 // a crash image. A corrupt node prunes its subtree into the quarantine
 // set; the rest of the tree recovers.
-func (b *BST) Recover(img *mm.Memory) *recovery.Report {
-	rep := recovery.NewSetReport(b.Name())
+func (b *BST) Recover(img *mm.Memory) *recovery.Report { return recovery.Walk(img, b) }
+
+// Units implements recovery.Walker: the tree is one unit.
+func (b *BST) Units() int { return 1 }
+
+// WalkUnit implements recovery.Walker.
+func (b *BST) WalkUnit(img *mm.Memory, rep *recovery.Report, _ int) {
 	rootPtr := clearPtr(img.Read(b.root))
 	if rootPtr == 0 {
-		return rep
+		return
 	}
 	steps := 0
 	var walk func(node isa.Addr, lo, hi uint64)
@@ -258,7 +263,7 @@ func (b *BST) Recover(img *mm.Memory) *recovery.Report {
 				rep.Quarantine(node, why)
 				return
 			}
-			rep.Set.Members[key] = val
+			rep.Recovered(key, val)
 			return
 		}
 		if left == 0 || right == 0 {
@@ -270,5 +275,4 @@ func (b *BST) Recover(img *mm.Memory) *recovery.Report {
 		walk(isa.Addr(right), key, hi)
 	}
 	walk(isa.Addr(rootPtr), 1, BSTSentinel)
-	return rep
 }

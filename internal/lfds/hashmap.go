@@ -106,16 +106,17 @@ func (h *HashMap) Bucket(img *mm.Memory, rep *recovery.Report, b uint64) Chain {
 // Recover implements Set: the hardened null-recovery walk of the table
 // in a crash image. Corrupt buckets are quarantined individually;
 // healthy buckets recover in full.
-func (h *HashMap) Recover(img *mm.Memory) *recovery.Report {
-	rep := recovery.NewSetReport(h.Name())
-	var misplaced []uint64
-	for b := uint64(0); b < h.nbuckets; b++ {
-		misplaced = recoverSorted(img, rep, h.cell(b), h, b, misplaced[:0])
-		// A key in the wrong bucket is quarantined at the bucket cell,
-		// after the bucket's other findings and in key order.
-		for _, k := range misplaced {
-			rep.Quarantine(h.cell(b), fmt.Sprintf("key %d found in bucket %d, hashes to %d", k, b, h.hash(k)))
-		}
+func (h *HashMap) Recover(img *mm.Memory) *recovery.Report { return recovery.Walk(img, h) }
+
+// Units implements recovery.Walker: one unit per bucket.
+func (h *HashMap) Units() int { return int(h.nbuckets) }
+
+// WalkUnit implements recovery.Walker: bucket b's chain.
+func (h *HashMap) WalkUnit(img *mm.Memory, rep *recovery.Report, u int) {
+	b := uint64(u)
+	// A key in the wrong bucket is quarantined at the bucket cell, after
+	// the bucket's other findings and in key order.
+	for _, k := range recoverSorted(img, rep, h.cell(b), h, b) {
+		rep.Quarantine(h.cell(b), fmt.Sprintf("key %d found in bucket %d, hashes to %d", k, b, h.hash(k)))
 	}
-	return rep
 }

@@ -44,7 +44,8 @@ type Set interface {
 	Contains(c *memsys.Ctx, key uint64) bool
 	// Recover performs the hardened null-recovery walk of the structure
 	// in a crash image: corrupt nodes are quarantined into the report,
-	// never panicking. Its Err is the strict verdict.
+	// never panicking. Its Err is the strict verdict. The report is
+	// valid until the next Recover over the same image (recovery.Walk).
 	Recover(img *mm.Memory) *recovery.Report
 }
 

@@ -190,19 +190,23 @@ func (l *LinkedList) Head() isa.Addr { return l.list.head }
 
 // Recover implements Set: the hardened null-recovery walk of the list in
 // a crash image.
-func (l *LinkedList) Recover(img *mm.Memory) *recovery.Report {
-	rep := recovery.NewSetReport(l.Name())
-	recoverSorted(img, rep, l.list.head, nil, 0, nil)
-	return rep
+func (l *LinkedList) Recover(img *mm.Memory) *recovery.Report { return recovery.Walk(img, l) }
+
+// Units implements recovery.Walker: the list is one unit.
+func (l *LinkedList) Units() int { return 1 }
+
+// WalkUnit implements recovery.Walker.
+func (l *LinkedList) WalkUnit(img *mm.Memory, rep *recovery.Report, _ int) {
+	recoverSorted(img, rep, l.list.head, nil, 0)
 }
 
 // recoverSorted walks the sorted chain off headCell into rep.Set. A node
 // that breaks the value convention or the key order is quarantined and
 // the walk goes on through its link (junk targets are caught by the
 // cursor's guards). For bucket b of hash map h (nil for the list), the
-// chain's live keys that hash elsewhere are appended to misplaced, in
-// chain order — which is key order — instead of being recovered.
-func recoverSorted(img *mm.Memory, rep *recovery.Report, headCell isa.Addr, h *HashMap, b uint64, misplaced []uint64) []uint64 {
+// chain's live keys that hash elsewhere are returned, in chain order —
+// which is key order — instead of being recovered.
+func recoverSorted(img *mm.Memory, rep *recovery.Report, headCell isa.Addr, h *HashMap, b uint64) (misplaced []uint64) {
 	prev := uint64(0)
 	c := newChain(img, rep, headCell, nodeNext, "")
 	for c.Next() {
@@ -221,7 +225,7 @@ func recoverSorted(img *mm.Memory, rep *recovery.Report, headCell isa.Addr, h *H
 		case h != nil && h.hash(c.Key) != b:
 			misplaced = append(misplaced, c.Key)
 		default:
-			rep.Set.Members[c.Key] = c.Val
+			rep.Recovered(c.Key, c.Val)
 		}
 	}
 	return misplaced

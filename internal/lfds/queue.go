@@ -99,27 +99,33 @@ func (q *Queue) Anchors() (head, tail isa.Addr) { return q.head, q.tail }
 // image, from the dummy node the head points at. A corrupt node
 // truncates the recovered value sequence there: a queue's order is its
 // content, so nothing beyond an untrusted link can be kept.
-func (q *Queue) Recover(img *mm.Memory) *recovery.Report {
-	rep := &recovery.Report{Structure: q.Name(), Queue: &recovery.QueueState{}}
+func (q *Queue) Recover(img *mm.Memory) *recovery.Report { return recovery.Walk(img, q) }
+
+// Units implements recovery.Walker: the queue is one unit.
+func (q *Queue) Units() int { return 1 }
+
+// WalkUnit implements recovery.Walker.
+func (q *Queue) WalkUnit(img *mm.Memory, rep *recovery.Report, _ int) {
+	rep.Queue = &recovery.QueueState{}
 	hp := clearPtr(img.Read(q.head))
 	tp := clearPtr(img.Read(q.tail))
 	if hp == 0 {
 		if tp != 0 {
 			rep.Quarantine(q.head, "tail persisted before head")
 		}
-		return rep
+		return
 	}
 	ptr := hp
 	sawTail := tp == 0
 	for steps := 0; ; steps++ {
 		if steps > WalkStepBound {
 			rep.Abandon(q.head, "walk exceeded step bound (cycle?)")
-			return rep
+			return
 		}
 		node := isa.Addr(ptr)
 		if !node.Aligned() {
 			rep.Abandon(node, "misaligned node pointer")
-			return rep
+			return
 		}
 		if ptr == tp {
 			sawTail = true
@@ -131,12 +137,12 @@ func (q *Queue) Recover(img *mm.Memory) *recovery.Report {
 		}
 		if !next.Aligned() {
 			rep.Abandon(next, "misaligned node pointer")
-			return rep
+			return
 		}
 		val := img.Read(next + qVal)
 		if val == 0 {
 			rep.Abandon(next, "reachable node with uninitialized value")
-			return rep
+			return
 		}
 		rep.Queue.Values = append(rep.Queue.Values, val)
 		ptr = uint64(next)
@@ -144,5 +150,4 @@ func (q *Queue) Recover(img *mm.Memory) *recovery.Report {
 	if !sawTail {
 		rep.Quarantine(q.tail, "tail points outside the reachable chain")
 	}
-	return rep
 }

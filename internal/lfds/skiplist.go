@@ -282,8 +282,13 @@ func (s *SkipList) Level(img *mm.Memory, rep *recovery.Report, level int, noun s
 // persisted — Release Persistency does not order them — and null
 // recovery rebuilds the index from the bottom level. WalkIndex checks
 // the index levels too, for images known to be complete.
-func (s *SkipList) Recover(img *mm.Memory) *recovery.Report {
-	rep := recovery.NewSetReport(s.Name())
+func (s *SkipList) Recover(img *mm.Memory) *recovery.Report { return recovery.Walk(img, s) }
+
+// Units implements recovery.Walker: the bottom level is one unit.
+func (s *SkipList) Units() int { return 1 }
+
+// WalkUnit implements recovery.Walker.
+func (s *SkipList) WalkUnit(img *mm.Memory, rep *recovery.Report, _ int) {
 	prev := uint64(0)
 	c := s.Level(img, rep, 0, "")
 	for c.Next() {
@@ -298,11 +303,10 @@ func (s *SkipList) Recover(img *mm.Memory) *recovery.Report {
 			prev = c.Key
 			rep.Set.Nodes++
 			if !c.Marked() {
-				rep.Set.Members[c.Key] = c.Val
+				rep.Recovered(c.Key, c.Val)
 			}
 		}
 	}
-	return rep
 }
 
 // WalkIndex is the whole-structure check for images known to be

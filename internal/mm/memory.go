@@ -13,7 +13,6 @@ package mm
 
 import (
 	"fmt"
-	"slices"
 
 	"lrp/internal/flat"
 	"lrp/internal/isa"
@@ -31,11 +30,15 @@ type page [pageWords]uint64
 // pageEntry is a page-table slot: the page plus its read-set marks, kept
 // beside the page so that a page stays exactly 4096 bytes (a larger page
 // would fall into Go's next allocation size class). Bit i of mask is set
-// when line i was read since the Watch that stamped epoch.
+// while line i is watched: read since it was last written. Bit i of umask
+// is set when line i was read since the Watch that stamped epoch. A slot
+// with a nil page is a hole: a watched read found the page missing, and
+// the slot keeps that read's marks until a write creates the page.
 type pageEntry struct {
 	p     *page
-	epoch uint64
 	mask  uint64
+	epoch uint64
+	umask uint64
 }
 
 // Memory is a sparse word-addressable store. The zero value is an empty
@@ -46,30 +49,36 @@ type pageEntry struct {
 // on the line-persist hot path); each page is its own allocation so the
 // table growing never copies page contents.
 //
-// A Memory can also track a read set (Watch): which lines were read since
-// the last Watch, and whether any write has since hit one of them
-// (Touched). A reader that derived something from the contents alone may
-// reuse it while Touched is false. Memories that never call Watch pay one
-// branch per access.
+// A Memory can also watch its reads, for a reader that derives something
+// from the contents alone and wants to reuse it while what it read stays
+// put. From the first Watch on, every line read is watched until it is
+// written; the first write to a watched line logs the line (Written) and
+// sets Touched. Each Watch also starts a read log (Reads): the lines read
+// since, so a reader divided into parts can tell which part read which
+// line. A memory that never watches logs nothing and pays one branch per
+// access. The reader's state can live with the memory (Memo).
 type Memory struct {
 	pages flat.Table[pageEntry]
+	holes int // slots with no page
 
 	// lastPN/lastPage/lastEnt memoize the most recently touched page and
 	// its table slot. Line persists and word accesses cluster heavily, so
 	// most probes skip the table lookup entirely. An insert may move the
 	// table's slots; lastEnt stays valid because pageFor, the only code
 	// that inserts into a table in use, re-points it after every insert.
+	// A hole is memoized with a nil lastPage, so only its marks use it.
 	lastPN   uint64
 	lastPage *page
 	lastEnt  *pageEntry
 
-	// epoch is the current read set's stamp (0: never watched). absent
-	// lists the pages a read found missing since the last Watch: creating
-	// one of them counts as a touch. touched reports that a write hit the
-	// read set.
+	// epoch is the current read log's stamp (0: never watched). reads is
+	// that log; written lists the watched lines written since the last
+	// Written call.
 	epoch   uint64
-	absent  []uint64
-	touched bool
+	reads   []isa.Addr
+	written []isa.Addr
+
+	memoKey, memo any
 }
 
 // NewMemory returns an empty memory.
@@ -77,26 +86,27 @@ func NewMemory() *Memory {
 	return &Memory{}
 }
 
+// pageFor returns a's page, creating it when create is set. While the
+// memory watches, a missing page a read asks for gets a hole, so that
+// lastEnt is a's slot whenever the memory watches.
 func (m *Memory) pageFor(a isa.Addr, create bool) *page {
 	pn := uint64(a) >> pageShift
 	if m.lastPage != nil && m.lastPN == pn {
 		return m.lastPage
 	}
-	var e *pageEntry
-	if e = m.pages.Ptr(pn); e == nil && create {
-		if m.epoch != 0 && slices.Contains(m.absent, pn) {
-			m.touched = true
+	e := m.pages.Ptr(pn)
+	if e == nil || e.p == nil {
+		if !create && m.epoch == 0 {
+			return nil
 		}
-		e, _ = m.pages.Upsert(pn)
-		e.p = new(page)
-	}
-	if e == nil {
-		if m.epoch != 0 {
-			if n := len(m.absent); n == 0 || m.absent[n-1] != pn {
-				m.absent = append(m.absent, pn)
-			}
+		if e == nil {
+			e, _ = m.pages.Upsert(pn)
+			m.holes++
 		}
-		return nil
+		if create {
+			e.p = new(page)
+			m.holes--
+		}
 	}
 	m.lastPN, m.lastPage, m.lastEnt = pn, e.p, e
 	return e.p
@@ -107,37 +117,67 @@ func lineBit(a isa.Addr) uint64 {
 	return 1 << ((uint64(a) >> isa.LineShift) & (linesPerPage - 1))
 }
 
-// markRead adds a's line to the read set; a's page is the memoized one.
+// markRead watches a's line and logs it the first time the current read
+// log sees it; a's slot is the memoized one.
 func (m *Memory) markRead(a isa.Addr) {
-	e := m.lastEnt
+	e, bit := m.lastEnt, lineBit(a)
+	e.mask |= bit
 	if e.epoch != m.epoch {
-		e.epoch, e.mask = m.epoch, 0
+		e.epoch, e.umask = m.epoch, 0
 	}
-	e.mask |= lineBit(a)
+	if e.umask&bit == 0 {
+		e.umask |= bit
+		m.reads = append(m.reads, a.Line())
+	}
 }
 
-// noteWrite records a touch if a's line is in the read set; a's page is
-// the memoized one.
+// noteWrite logs a's line if it is watched and stops watching it; a's
+// slot is the memoized one.
 func (m *Memory) noteWrite(a isa.Addr) {
-	if e := m.lastEnt; e.epoch == m.epoch && e.mask&lineBit(a) != 0 {
-		m.touched = true
+	if e, bit := m.lastEnt, lineBit(a); e.mask&bit != 0 {
+		e.mask &^= bit
+		m.written = append(m.written, a.Line())
 	}
 }
 
-// Watch starts a new, empty read set in O(1) and clears Touched. Until
-// the next Watch, Read and ReadLine add the line they read to the set, and
-// any write to a line in it (or creation of a page a read found missing)
-// sets Touched.
+// Watch starts a new, empty read log in O(1). Until the next Watch, Read
+// and ReadLine add the line they read to it (once), and watch the line.
 func (m *Memory) Watch() {
 	m.epoch++
-	m.absent = m.absent[:0]
-	m.touched = false
+	m.reads = m.reads[:0]
 }
 
-// Touched reports whether a write hit the read set since the last Watch.
-// While it is false, every line read since then holds what it held when
-// it was read.
-func (m *Memory) Touched() bool { return m.touched }
+// Reads returns the lines read since the last Watch, each once, in the
+// order first read. The slice is valid until the next Watch.
+func (m *Memory) Reads() []isa.Addr { return m.reads }
+
+// Touched reports whether a write hit a watched line since the last
+// Written call. While it is false, every watched line holds what it held
+// when it was last read.
+func (m *Memory) Touched() bool { return len(m.written) > 0 }
+
+// Written returns the watched lines written since its last call, each
+// once, and clears Touched. A line is watched again only once it is read
+// again. The slice is valid until the next write.
+func (m *Memory) Written() []isa.Addr {
+	w := m.written
+	m.written = m.written[:0]
+	return w
+}
+
+// Memo returns the value SetMemo last stored under key, or nil if the
+// memory holds none or holds another key's.
+func (m *Memory) Memo(key any) any {
+	if m.memoKey != key {
+		return nil
+	}
+	return m.memo
+}
+
+// SetMemo stores v under key, replacing whatever the memory held: a
+// reader keeps here what it derived from the contents, beside the read
+// set that says when it went stale.
+func (m *Memory) SetMemo(key, v any) { m.memoKey, m.memo = key, v }
 
 // Read returns the word at a (zero if never written).
 func (m *Memory) Read(a isa.Addr) uint64 {
@@ -145,11 +185,11 @@ func (m *Memory) Read(a isa.Addr) uint64 {
 		panic(fmt.Sprintf("mm: unaligned read at %v", a))
 	}
 	p := m.pageFor(a, false)
-	if p == nil {
-		return 0
-	}
 	if m.epoch != 0 {
 		m.markRead(a)
+	}
+	if p == nil {
+		return 0
 	}
 	return p[(uint64(a)>>3)&(pageWords-1)]
 }
@@ -188,10 +228,11 @@ func (m *Memory) Swap(a isa.Addr, v uint64) uint64 {
 func (m *Memory) ReadLine(a isa.Addr) [isa.WordsPerLine]uint64 {
 	var out [isa.WordsPerLine]uint64
 	base := a.Line()
-	if p := m.pageFor(base, false); p != nil {
-		if m.epoch != 0 {
-			m.markRead(base)
-		}
+	p := m.pageFor(base, false)
+	if m.epoch != 0 {
+		m.markRead(base)
+	}
+	if p != nil {
 		w := (uint64(base) >> 3) & (pageWords - 1)
 		copy(out[:], p[w:w+isa.WordsPerLine])
 	}
@@ -210,7 +251,7 @@ func (m *Memory) WriteLine(a isa.Addr, words [isa.WordsPerLine]uint64) {
 }
 
 // Pages reports how many pages have been materialized.
-func (m *Memory) Pages() int { return m.pages.Len() }
+func (m *Memory) Pages() int { return m.pages.Len() - m.holes }
 
 // Equal reports whether the two memories hold identical contents, with
 // never-written words reading as zero on both sides. Read sets do not
@@ -220,8 +261,11 @@ func (m *Memory) Equal(o *Memory) bool {
 	eq := func(a, b *Memory) bool {
 		equal := true
 		a.pages.Range(func(pn uint64, e *pageEntry) bool {
+			if e.p == nil {
+				return true
+			}
 			q := &zero
-			if qe := b.pages.Ptr(pn); qe != nil {
+			if qe := b.pages.Ptr(pn); qe != nil && qe.p != nil {
 				q = qe.p
 			}
 			if *e.p != *q {
@@ -236,10 +280,14 @@ func (m *Memory) Equal(o *Memory) bool {
 }
 
 // Clone returns a deep copy of the memory. Crash snapshots use this to
-// freeze the NVM image at the crash instant. The copy has no read set.
+// freeze the NVM image at the crash instant. The copy has no read set
+// and no memo.
 func (m *Memory) Clone() *Memory {
 	c := NewMemory()
 	m.pages.Range(func(pn uint64, e *pageEntry) bool {
+		if e.p == nil {
+			return true
+		}
 		cp := *e.p
 		ce, _ := c.pages.Upsert(pn)
 		ce.p = &cp

@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -240,60 +241,125 @@ func TestReadSetWriteToReadLineTouches(t *testing.T) {
 	}
 }
 
-func TestReadSetAbsentPageCreationTouches(t *testing.T) {
+func TestReadSetAbsentPageLine(t *testing.T) {
 	for _, read := range []func(m *Memory){
-		func(m *Memory) { m.Read(0x5000) },
+		func(m *Memory) { m.Read(0x5008) },
 		func(m *Memory) { m.ReadLine(0x5000) },
 	} {
 		m := NewMemory()
 		m.Write(0x1000, 1)
 		m.Watch()
 		read(m)
-		m.Write(0x1000, 2) // an existing page: no touch
-		if m.Touched() {
-			t.Fatal("write to an unread line counted as a touch")
+		if got := m.Reads(); !slices.Equal(got, []isa.Addr{0x5000}) {
+			t.Fatalf("read log %v, want the missing page's line", got)
 		}
-		m.Write(0x5fc0, 3) // creates the page the read found missing
-		if !m.Touched() {
-			t.Fatal("creating a page a read found missing not counted as a touch")
+		m.Write(0x1000, 2) // an existing page: no touch
+		m.Write(0x5fc0, 3) // creates the page, on another line
+		if m.Touched() {
+			t.Fatal("a write to a line no read looked at counted as a touch")
+		}
+		if m.Pages() != 2 {
+			t.Fatalf("%d pages, want 2", m.Pages())
+		}
+		m.Write(0x5010, 4)
+		if got := m.Written(); !slices.Equal(got, []isa.Addr{0x5000}) {
+			t.Fatalf("written %v, want the line the read found missing", got)
 		}
 	}
 	m := NewMemory()
 	m.Watch()
 	m.Read(0x5000)
+	if m.Pages() != 0 {
+		t.Fatalf("a read of a missing page made %d pages", m.Pages())
+	}
 	m.Write(0x6000, 1) // creates another page
 	if m.Touched() {
 		t.Fatal("creating a page no read looked for counted as a touch")
 	}
 }
 
-func TestReadSetWatchResets(t *testing.T) {
+// Each Watch starts a read log of its own, but a line stays watched until
+// it is written, whichever log it was read under: a reader divided into
+// parts keeps every part's lines watched while it re-reads only some.
+func TestReadSetLogsPerWatch(t *testing.T) {
 	m := NewMemory()
 	m.Write(0x1000, 1)
 	m.Write(0x1040, 1)
+	m.Write(0x9000, 1)
 	if m.Touched() {
 		t.Fatal("unwatched memory reports a touch")
 	}
-	m.Watch()
+	m.Watch() // part A
 	m.Read(0x1000)
-	m.Read(0x3000) // absent page
+	m.Read(0x9000)
+	m.Read(0x1008) // same line again: logged once
+	if got := m.Reads(); !slices.Equal(got, []isa.Addr{0x1000, 0x9000}) {
+		t.Fatalf("part A read log %v", got)
+	}
+	m.Watch() // part B reads a line A read too
+	m.ReadLine(0x1000)
+	m.Read(0x1040)
+	if got := m.Reads(); !slices.Equal(got, []isa.Addr{0x1000, 0x1040}) {
+		t.Fatalf("part B read log %v", got)
+	}
 	m.Write(0x1000, 2)
+	m.Write(0x1010, 2) // the line is no longer watched: logged once
 	if !m.Touched() {
 		t.Fatal("write to a read line not counted as a touch")
 	}
+	if got := m.Written(); !slices.Equal(got, []isa.Addr{0x1000}) {
+		t.Fatalf("written %v, want the line both parts read, once", got)
+	}
+	if m.Touched() {
+		t.Fatal("Written did not clear Touched")
+	}
 	m.Watch()
-	if m.Touched() {
-		t.Fatal("Watch did not clear Touched")
+	m.Write(0x9000, 2) // read under part A's Watch only, never written since
+	if got := m.Written(); !slices.Equal(got, []isa.Addr{0x9000}) {
+		t.Fatalf("written %v: a new Watch dropped an earlier part's line", got)
 	}
-	m.Read(0x1040)
-	m.Write(0x1000, 3) // read under the previous Watch only
-	m.Write(0x3000, 3) // found missing under the previous Watch only
+	m.Write(0x1000, 3) // written since its last read: not watched
 	if m.Touched() {
-		t.Fatal("Watch did not empty the read set")
+		t.Fatal("a line written since its last read is still watched")
 	}
-	m.Write(0x1040, 3)
-	if !m.Touched() {
-		t.Fatal("write to a line read after Watch not counted as a touch")
+}
+
+// A memory that never watches logs nothing and allocates nothing on an
+// access to an existing page.
+func TestUnwatchedMemoryLogsNothing(t *testing.T) {
+	m := NewMemory()
+	m.Write(0x1000, 1)
+	m.Write(0x9000, 1)
+	allocs := testing.AllocsPerRun(100, func() {
+		m.Write(0x1008, m.Read(0x9000))
+		m.WriteLine(0x9040, m.ReadLine(0x1000))
+		m.Swap(0x1010, 3)
+		m.Read(0x20000) // a missing page
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per access round, want 0", allocs)
+	}
+	if m.Touched() || len(m.Reads()) != 0 || len(m.Written()) != 0 || m.Pages() != 2 {
+		t.Fatal("an unwatched memory logged reads or writes")
+	}
+}
+
+func TestMemoKeyed(t *testing.T) {
+	m := NewMemory()
+	a, b := new(int), new(int)
+	if m.Memo(a) != nil {
+		t.Fatal("empty memory holds a memo")
+	}
+	m.SetMemo(a, "A")
+	if m.Memo(a) != "A" || m.Memo(b) != nil {
+		t.Fatal("memo not keyed")
+	}
+	m.SetMemo(b, "B")
+	if m.Memo(a) != nil || m.Memo(b) != "B" {
+		t.Fatal("SetMemo did not replace the other key's memo")
+	}
+	if m.Clone().Memo(b) != nil {
+		t.Fatal("clone inherited the memo")
 	}
 }
 

@@ -2,7 +2,9 @@
 // & Scott): what a walk over the durable NVM image left by a (simulated)
 // crash recovered, and what it had to quarantine. The walks themselves
 // live with the layouts they read — each log-free structure's Recover in
-// package lfds, the kv store's in package kv.
+// package lfds, the kv store's in package kv — and run through Walk,
+// which re-walks only the parts of a structure whose lines changed since
+// the last walk over the same image.
 //
 // When the run enforced Release Persistency (SB, BB, LRP), the image is a
 // consistent cut and every walk succeeds — that is the paper's
@@ -16,6 +18,8 @@ package recovery
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"lrp/internal/isa"
 )
@@ -73,11 +77,27 @@ type Report struct {
 	// links could not be trusted: an unknown suffix of the structure was
 	// lost beyond them.
 	Abandoned int
+
+	keys []uint64 // the members a walk unit recovered (Walk)
 }
 
-// NewSetReport starts the report of a keyed structure's walk.
-func NewSetReport(structure string) *Report {
-	return &Report{Structure: structure, Set: &SetState{Members: map[uint64]uint64{}}}
+// Recovered records key as a member with val.
+func (r *Report) Recovered(key, val uint64) {
+	r.Set.Members[key] = val
+	r.keys = append(r.keys, key)
+}
+
+// Clone returns a deep copy of the report, which later walks over the
+// same image leave alone.
+func (r *Report) Clone() *Report {
+	c := &Report{Structure: r.Structure, Abandoned: r.Abandoned, Quarantined: slices.Clone(r.Quarantined)}
+	if r.Set != nil {
+		c.Set = &SetState{Members: maps.Clone(r.Set.Members), Nodes: r.Set.Nodes}
+	}
+	if r.Queue != nil {
+		c.Queue = &QueueState{Values: slices.Clone(r.Queue.Values), Nodes: r.Queue.Nodes}
+	}
+	return c
 }
 
 // Quarantine records that node was excluded from the recovered contents

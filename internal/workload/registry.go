@@ -20,6 +20,10 @@ type Recoverable interface {
 	// Recover performs the hardened null-recovery walk over img:
 	// corrupt nodes are quarantined into the report, never panicking.
 	// Its Err is the strict verdict: nil iff the image recovered in full.
+	// The walk keeps a memo with img and re-walks only what changed
+	// since the previous Recover over img (recovery.Walk), so a report
+	// is valid until the next Recover over the same image; Clone it to
+	// keep it longer.
 	Recover(img *mm.Memory) *recovery.Report
 }
 

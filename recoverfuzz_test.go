@@ -3,6 +3,7 @@ package lrp
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -58,13 +59,15 @@ const (
 	editZero              // zero: a link or field that never persisted
 )
 
-// FuzzRecoverCorruptImage overwrites fuzzer-chosen nonzero words of a
-// real run's final image — one per workload — and walks it with the
-// structure's Recover. However damaged the image, the walk must return
-// without panicking, and its report must be coherent: Err is the first
-// quarantined finding when there is one, nil exactly when the report is
-// Clean, and Clean implies nothing was quarantined. An unedited image
-// must recover clean.
+// FuzzRecoverCorruptImage walks a copy of a real run's final image — one
+// per workload — with the structure's Recover, overwrites fuzzer-chosen
+// nonzero words of that same copy, and walks it again. However damaged
+// the image, the walk must return without panicking, and its report must
+// be coherent: Err is the first quarantined finding when there is one,
+// nil exactly when the report is Clean, and Clean implies nothing was
+// quarantined. An unedited image must recover clean. The second walk
+// re-walks only the units the edits touched; it must equal a full walk
+// of a clone of the edited image.
 //
 //	go test -run '^$' -fuzz FuzzRecoverCorruptImage -fuzztime 30s .
 //
@@ -88,6 +91,13 @@ func FuzzRecoverCorruptImage(f *testing.F) {
 		base := bases[int(which)%len(bases)]
 		n := len(base.words)
 		img := base.img.Clone()
+		// A cycle is walked until the step bound; keep that cheap. No
+		// chain of these small runs comes near the lowered bound.
+		old := lfds.WalkStepBound
+		lfds.WalkStepBound = 1 << 12
+		defer func() { lfds.WalkStepBound = old }()
+
+		base.rec.Recover(img)
 		for ; len(edits) >= 11; edits = edits[11:] {
 			at := base.words[int(binary.LittleEndian.Uint16(edits[1:]))%n]
 			v := binary.LittleEndian.Uint64(edits[3:])
@@ -103,14 +113,11 @@ func FuzzRecoverCorruptImage(f *testing.F) {
 				img.Write(at, 0)
 			}
 		}
-		// A cycle is walked until the step bound; keep that cheap. No
-		// chain of these small runs comes near the lowered bound.
-		old := lfds.WalkStepBound
-		lfds.WalkStepBound = 1 << 12
-		defer func() { lfds.WalkStepBound = old }()
-
 		rep := base.rec.Recover(img)
 		name := base.rec.Name()
+		if full := base.rec.Recover(img.Clone()); !reflect.DeepEqual(rep, full) {
+			t.Fatalf("%s: walk after the edits %v, full walk of a clone %v", name, rep, full)
+		}
 		if len(rep.Quarantined) > 0 && rep.Err() != rep.Quarantined[0] {
 			t.Fatalf("%s: Err() = %v, want the first quarantined finding %v", name, rep.Err(), rep.Quarantined[0])
 		}

@@ -82,7 +82,8 @@ func TestSweepReuseMatchesFullWalk(t *testing.T) {
 
 // referenceSweep is SweepCrash with nothing carried between boundaries
 // but the image cursor: serially, a recovery walk and a fresh dlin.Pass
-// at every boundary.
+// at every boundary. It walks a clone of each image, which holds no memo
+// of earlier walks, so every walk is a full one.
 func referenceSweep(t *testing.T, m *Machine, rec Recoverable, h *OpHistory, seed uint64) *SweepReport {
 	t.Helper()
 	tr := m.Tracker()
@@ -105,7 +106,7 @@ func referenceSweep(t *testing.T, m *Machine, rec Recoverable, h *OpHistory, see
 		if arp.Bad(at) {
 			rep.ARPBad++
 		}
-		r := rec.Recover(images(at))
+		r := rec.Recover(images(at).Clone())
 		rep.WalksRun++
 		if !r.Clean() {
 			rep.DirtyWalks++
