@@ -24,7 +24,9 @@ type Checker struct {
 	// stamps, sorted by LinSeq (the global linearization order).
 	upd []int
 	// pAt[i] is when upd[i]'s linearization write became durable
-	// (engine.Infinity: never).
+	// (engine.Infinity: never): model.Tracker.DurableAt, which under
+	// tearing is the start of a torn persist that carried the write's
+	// word, since a crash image holds the word from then on.
 	pAt []engine.Time
 	// need[i] is the latest persist time among upd[i]'s happens-before
 	// predecessor linearizations (0 when it has none): upd[i] durable at
@@ -89,7 +91,7 @@ func NewChecker(h *History, tr *model.Tracker) (*Checker, error) {
 	c.needWOf = make([]model.Stamp, n)
 	hn := tr.NewHBNeed()
 	for i, oi := range c.upd {
-		c.pAt[i] = tr.PersistedAt(h.Ops[oi].Lin)
+		c.pAt[i] = tr.DurableAt(h.Ops[oi].Lin)
 		c.needOf[i] = -1
 		c.needW[i], c.needWOf[i] = hn.Of(h.Ops[oi].Lin)
 	}

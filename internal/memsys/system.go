@@ -447,7 +447,7 @@ func (s *System) persistL1Line(tid int, l *cache.Line, now, earliest engine.Time
 	done := s.issuePersist(tid, l.Addr, now, earliest, critical)
 	if s.tracker != nil {
 		l.ForEachStamp(s.stamps, func(st model.Stamp) {
-			s.tracker.SetPersisted(st, done)
+			s.persisted(st, l.Addr, done)
 		})
 	}
 	l.ClearPersistMeta(s.stamps)
@@ -462,7 +462,7 @@ func (s *System) persistAddr(tid int, addr isa.Addr, stamps []model.Stamp, now, 
 	done := s.issuePersist(tid, addr, now, earliest, critical)
 	if s.tracker != nil {
 		for _, st := range stamps {
-			s.tracker.SetPersisted(st, done)
+			s.persisted(st, addr, done)
 		}
 	}
 	return done
@@ -475,11 +475,25 @@ func (s *System) persistAddrList(tid int, addr isa.Addr, list *persist.StampList
 	done := s.issuePersist(tid, addr, now, earliest, critical)
 	if s.tracker != nil {
 		s.stamps.ForEach(*list, func(st model.Stamp) {
-			s.tracker.SetPersisted(st, done)
+			s.persisted(st, addr, done)
 		})
 	}
 	s.stamps.Free(list)
 	return done
+}
+
+// persisted marks write st durable as of the persist of line acked at
+// done. When the fault plane tears that persist, a crash while it is in
+// flight already holds the words the tear carries (nvm.Cursor), so the
+// tracker also learns when that persist started.
+func (s *System) persisted(st model.Stamp, line isa.Addr, done engine.Time) {
+	s.tracker.SetPersisted(st, done)
+	if s.faults == nil {
+		return
+	}
+	if mask, torn := s.faults.TornWords(line.Line(), done); torn && mask != 0 {
+		s.tracker.SetTorn(st, done-s.nvm.Latency(), mask)
+	}
 }
 
 // issuePersist is the machine's one line-persist path: it captures the

@@ -149,9 +149,11 @@ func (tr *Tracker) PersistedCount(crash engine.Time) (persisted, total uint64) {
 // write durable at t with Of(w) > t proves the durable write set is not
 // happens-before closed beneath w (an RP violation), whereas Of(w) <= t
 // means every cause of w is durable and any invisibility of its effect
-// is legal buffering. It snapshots per-thread running maxima of persist
-// times at construction, so each query is O(threads + same-address
-// chain) and the structure is safe for concurrent readers.
+// is legal buffering. Persist times here are DurableAt instants: under
+// tearing a write counts from the start of a torn persist that carried
+// its word, as the crash images do. It snapshots per-thread running
+// maxima of those times at construction, so each query is O(threads +
+// same-address chain) and the structure is safe for concurrent readers.
 type HBNeed struct {
 	tr *Tracker
 	pm prefixMax
@@ -167,7 +169,9 @@ type prefixMax struct {
 }
 
 // prefixMax snapshots the running maxima. Persist times must be final.
-func (tr *Tracker) prefixMax() prefixMax {
+// With durable set, the maxima are over DurableAt instead of ack times.
+func (tr *Tracker) prefixMax(durable bool) prefixMax {
+	torn := durable && tr.tornAt != nil
 	pm := prefixMax{
 		maxTo: make([][]engine.Time, len(tr.threads)),
 		argTo: make([][]uint64, len(tr.threads)),
@@ -178,7 +182,11 @@ func (tr *Tracker) prefixMax() prefixMax {
 		a := make([]uint64, ts.seq+1)
 		for s := uint64(1); s <= ts.seq; s++ {
 			m[s], a[s] = m[s-1], a[s-1]
-			if p := ts.writes[s-1].persistedAt; p > m[s] {
+			p := ts.writes[s-1].persistedAt
+			if torn {
+				p = tr.DurableAt(Stamp{t, s})
+			}
+			if p > m[s] {
 				m[s], a[s] = p, s
 			}
 		}
@@ -190,7 +198,7 @@ func (tr *Tracker) prefixMax() prefixMax {
 // NewHBNeed builds the prefix-maximum snapshot. Call it once per sweep,
 // after the run completes (persist times are final).
 func (tr *Tracker) NewHBNeed() *HBNeed {
-	return &HBNeed{tr: tr, pm: tr.prefixMax()}
+	return &HBNeed{tr: tr, pm: tr.prefixMax(true)}
 }
 
 // Of returns the latest persist time among w's happens-before
@@ -219,8 +227,8 @@ func (h *HBNeed) Of(w Stamp) (engine.Time, Stamp) {
 				prefix(w.Tid, s)
 				break
 			}
-			if r.persistedAt > best {
-				best, at = r.persistedAt, Stamp{w.Tid, s}
+			if p := tr.DurableAt(Stamp{w.Tid, s}); p > best {
+				best, at = p, Stamp{w.Tid, s}
 			}
 			s = r.prevSameAddr
 		}

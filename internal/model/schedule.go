@@ -28,7 +28,7 @@ type cutSpan struct{ lo, hi engine.Time }
 // sweep, after the run completes (persist times are final); each Bad
 // query is then a binary search.
 func (tr *Tracker) CutSchedule(sem Semantics) *CutSchedule {
-	pm := tr.prefixMax()
+	pm := tr.prefixMax(false)
 	var spans []cutSpan
 	for i := range tr.threads {
 		ts := &tr.threads[i]

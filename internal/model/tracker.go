@@ -65,6 +65,9 @@ type addrState struct {
 type Tracker struct {
 	threads []threadState
 	addrs   map[isa.Addr]*addrState
+	// tornAt maps a write to the start of a torn persist that carried
+	// its word (SetTorn); nil until one does.
+	tornAt map[Stamp]engine.Time
 }
 
 // NewTracker creates a tracker for n hardware threads.
@@ -165,6 +168,38 @@ func (tr *Tracker) SetPersisted(s Stamp, t engine.Time) {
 	if rec.persistedAt > t {
 		rec.persistedAt = t
 	}
+}
+
+// SetTorn records that write s's persist started at start and tears: a
+// crash while it is in flight finds the words in mask (bit i: word i of
+// the line) durable, and no others. If s's word is among them, s is in
+// every crash image from start on.
+func (tr *Tracker) SetTorn(s Stamp, start engine.Time, mask uint64) {
+	if s.IsZero() {
+		return
+	}
+	word := uint64(tr.threads[s.Tid].writes[s.Seq-1].addr) >> 3 & (isa.WordsPerLine - 1)
+	if mask&(1<<word) == 0 {
+		return
+	}
+	if tr.tornAt == nil {
+		tr.tornAt = make(map[Stamp]engine.Time)
+	}
+	if t, ok := tr.tornAt[s]; !ok || start < t {
+		tr.tornAt[s] = start
+	}
+}
+
+// DurableAt returns when write s first shows in a crash image: when its
+// persist acked, or when a torn persist that carried its word started,
+// whichever is earlier (engine.Infinity if never). Without tearing it is
+// PersistedAt.
+func (tr *Tracker) DurableAt(s Stamp) engine.Time {
+	t := tr.PersistedAt(s)
+	if u, ok := tr.tornAt[s]; ok && u < t {
+		return u
+	}
+	return t
 }
 
 // PersistedAt returns when write s persisted (engine.Infinity if never).
