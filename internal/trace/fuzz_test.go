@@ -56,8 +56,8 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add(kvFlip)
 
 	// The longest record a trace can hold, a result footer with two full
-	// vectors of ten-byte values; and a trace with a byte after its end
-	// record.
+	// vectors of ten-byte values; a trace with a byte after its end
+	// record; and one followed by an empty gzip member.
 	var maxBuf bytes.Buffer
 	w, err := NewWriter(&maxBuf, HeaderFor(cfg, spec))
 	if err != nil {
@@ -71,6 +71,7 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add(maxBuf.Bytes())
 	head, member := splitTrace(f, raw)
 	f.Add(append(bytes.Clone(head), gzipped(f, append(gunzip(f, member), recSync))...))
+	f.Add(append(bytes.Clone(raw), gzipped(f, nil)...))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := NewReader(bytes.NewReader(b))

@@ -62,8 +62,9 @@ var errOverflow = errors.New("trace: varint overflows a 64-bit integer")
 // runs past the window's end is a truncated one. The stream checksum is
 // folded over each run of consecutive op-stream records at once.
 type Reader struct {
-	h  Header
-	zr *gzip.Reader
+	h   Header
+	src *bufio.Reader // the file after its header: one gzip member
+	zr  *gzip.Reader
 	// win[pos:end] is decompressed and not yet decoded; p is the cursor
 	// of the record being decoded, committed to pos once it is whole.
 	// win[crcFrom:pos] are op-stream records not yet folded into crc.
@@ -122,8 +123,13 @@ func NewReader(src io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: opening record stream: %w", err)
 	}
+	// The record stream is one gzip member. The reader stops at its end
+	// instead of reading on into a second one, so that decodeEnd can
+	// reject whatever follows it, an empty member included.
+	zr.Multistream(false)
 	return &Reader{
 		h:    h,
+		src:  br,
 		zr:   zr,
 		win:  make([]byte, windowSize),
 		last: make([]int64, h.Config.Cores),
@@ -516,8 +522,8 @@ func (r *Reader) decodeEnd() error {
 	if _, err := r.hist.Finish(); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	// The end record must be the last: a clean gzip EOF must follow
-	// (this also forces the gzip footer checks to run). Every byte in
+	// The end record must be the last: a clean EOF of the gzip member
+	// must follow (this also forces the gzip footer checks to run). Every byte in
 	// the window is decoded by now, so the probe may overwrite it.
 	extra := r.end - r.p
 	for extra == 0 && r.zerr == nil {
@@ -528,6 +534,14 @@ func (r *Reader) decodeEnd() error {
 	}
 	if r.zerr != io.EOF {
 		return fmt.Errorf("trace: after end record: %w", r.zerr)
+	}
+	// The member must end the file: a byte after it, even one starting
+	// an empty gzip member, is trailing data.
+	if _, err := r.src.ReadByte(); err != io.EOF {
+		if err != nil {
+			return fmt.Errorf("trace: after end record: %w", err)
+		}
+		return fmt.Errorf("trace: data after end record's gzip member")
 	}
 	return nil
 }

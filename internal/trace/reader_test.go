@@ -87,7 +87,8 @@ func maxResult() *EmbeddedResult {
 
 // TestDecodeRejectsTrailingData: the end record must be the last thing
 // in the file. Bytes after it, inside the gzip body or in a further gzip
-// member, and a damaged gzip trailer are all rejected.
+// member (an empty one too), a byte after the member, and a damaged gzip
+// trailer are all rejected.
 func TestDecodeRejectsTrailingData(t *testing.T) {
 	raw, _, _ := record(t, persist.LRP, "hashmap")
 	if err := decodeAll(raw); err != nil {
@@ -104,6 +105,10 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 		{"byte-after-end-record", append(bytes.Clone(head), gzipped(t, append(bytes.Clone(body), 0))...),
 			"data after end record"},
 		{"second-gzip-member", append(bytes.Clone(raw), gzipped(t, []byte{recSync})...),
+			"data after end record"},
+		{"empty-second-gzip-member", append(bytes.Clone(raw), gzipped(t, nil)...),
+			"data after end record"},
+		{"byte-after-gzip-member", append(bytes.Clone(raw), 0),
 			"data after end record"},
 		{"damaged-gzip-crc", func() []byte {
 			b := bytes.Clone(raw)
@@ -122,7 +127,7 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 			}
 		})
 	}
-	if err := decodeAll(cases[2].b); !errors.Is(err, gzip.ErrChecksum) {
+	if err := decodeAll(cases[4].b); !errors.Is(err, gzip.ErrChecksum) {
 		t.Errorf("damaged gzip CRC: err = %v, want gzip.ErrChecksum wrapped", err)
 	}
 }
