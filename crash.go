@@ -118,12 +118,15 @@ func crashHorizon(m *Machine) Time {
 }
 
 // CrashBoundaries enumerates every instant at which the durable state can
-// change — each persist completion, one cycle either side of it — plus
-// the start and end of the execution, deduplicated and sorted. A crash
-// sweep over these instants provably covers every durable-state
-// transition: between consecutive persist completions the NVM image is
-// constant, so any violation or recovery failure visible at some instant
-// is visible at a boundary.
+// change — each persist completion and each start of a torn persist, one
+// cycle either side of it — plus the start and end of the execution,
+// deduplicated and sorted. These are exactly the instants at which a
+// write's durable instant (model.Tracker.DurableAt) can fall: an ack, or
+// the start of a torn persist whose words the image cursor lays down
+// from then on (the same fault.Plane.TornWords decision). A crash sweep
+// over them provably covers every durable-state transition: between
+// consecutive boundaries the crash image is constant, so any violation
+// or recovery failure visible at some instant is visible at a boundary.
 func CrashBoundaries(m *Machine) []Time {
 	end := crashHorizon(m)
 	var out []Time
@@ -134,10 +137,16 @@ func CrashBoundaries(m *Machine) []Time {
 	}
 	add(0)
 	add(end)
+	faults := m.Faults()
 	for _, e := range m.NVM().Events() {
 		add(e.Done - 1)
 		add(e.Done)
 		add(e.Done + 1)
+		if _, torn := faults.TornWords(e.Line, e.Done); torn {
+			add(e.Start - 1)
+			add(e.Start)
+			add(e.Start + 1)
+		}
 	}
 	// Mechanism-held durability (eADR's release/drain completions) changes
 	// the durable state without an NVM event; probe those instants too.

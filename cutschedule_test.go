@@ -14,10 +14,12 @@ import (
 // several seeds, and one tiny geometry (16-line L1, one outstanding
 // persist per thread, an 8 KB LLC) that forces evictions and persist
 // back-pressure; its LLC evictions are what persist NOP's writes, the
-// only source of ARP-rule violations.
-// Probes are every CrashBoundaries instant plus every write's persist
-// time ±1; each schedule span starts at a write's persist time and ends
-// at one or at engine.Infinity, so the probes cover every span edge.
+// only source of ARP-rule violations. A third setup tears half the
+// persists in flight, so writes become durable at torn starts as well as
+// at acks.
+// Probes are every CrashBoundaries instant plus every write's durable
+// instant ±1; each schedule span starts at a write's durable instant and
+// ends at one or at engine.Infinity, so the probes cover every span edge.
 func TestCutScheduleMatchesCheckCut(t *testing.T) {
 	type geometry struct {
 		name string
@@ -29,6 +31,7 @@ func TestCutScheduleMatchesCheckCut(t *testing.T) {
 			c.L1Size, c.L1Ways, c.MaxPendingPersists = 1<<10, 2, 1
 			c.LLCSize, c.LLCWays, c.LLCBanks = 8<<10, 2, 4
 		}},
+		{"torn", func(c *Config) { c.Faults = FaultConfig{Seed: 1, TearProb: 0.5} }},
 	}
 	structures := []string{"kv", "hashmap", "bstree", "queue"}
 	seeds := []uint64{1, 2, 3}
@@ -87,7 +90,7 @@ func checkCutSchedule(t *testing.T, m *Machine, repro string) (rpBad, arpBad int
 	}
 	for tid := 0; tid < tr.Threads(); tid++ {
 		for s := uint64(1); s <= tr.WriteCount(tid); s++ {
-			if _, p, _, _ := tr.WriteInfo(model.Stamp{Tid: tid, Seq: s}); p != engine.Infinity {
+			if p := tr.DurableAt(model.Stamp{Tid: tid, Seq: s}); p != engine.Infinity {
 				probes[p-1], probes[p], probes[p+1] = true, true, true
 			}
 		}

@@ -1,7 +1,11 @@
 package lrp
 
 import (
+	"fmt"
+	"slices"
 	"testing"
+
+	"lrp/internal/model"
 )
 
 // faultCfg builds a tracked machine config with every fault injector on.
@@ -230,4 +234,103 @@ func TestLRPEngineStallPersistOrder(t *testing.T) {
 			t.Errorf("%s seed %d: %v", c.spec.Structure, c.spec.Seed, sweep)
 		}
 	}
+}
+
+// faultMatrix runs f on a recoverable run of every structure (kv
+// included) under every mechanism, with every fault injector on at fault
+// seeds 1–3 (seed 1 only with -short): 4 threads, 64 keys, 40 ops each.
+func faultMatrix(t *testing.T, f func(t *testing.T, m *Machine, rec Recoverable)) {
+	seeds := []uint64{1, 2, 3}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, structure := range append(append([]string(nil), Structures...), "kv") {
+		for _, mech := range Mechanisms() {
+			for _, seed := range seeds {
+				t.Run(fmt.Sprintf("%s/%s/seed=%d", structure, mech, seed), func(t *testing.T) {
+					_, m, rec, err := RunRecoverableWorkload(faultCfg(mech, seed), Spec{
+						Structure: structure, Threads: 4, InitialSize: 64, OpsPerThread: 40, Seed: 1,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					f(t, m, rec)
+				})
+			}
+		}
+	}
+}
+
+// TestDirtyWalksAreRPBad: the paper's claim, boundary by boundary. A
+// crash image that is a consistent cut under RP recovers cleanly, so
+// every boundary whose recovery walk is dirty must be RP-inconsistent.
+// Under tearing this holds only if the cut check and the image agree on
+// when a write became durable (model.Tracker.DurableAt).
+func TestDirtyWalksAreRPBad(t *testing.T) {
+	faultMatrix(t, func(t *testing.T, m *Machine, rec Recoverable) {
+		rp := m.Tracker().CutSchedule(model.RP)
+		images := m.CrashImages()
+		var r *RecoveryReport
+		dirty, clean := 0, 0
+		first := Time(-1)
+		for _, at := range CrashBoundaries(m) {
+			if img := images(at); r == nil || img.Touched() {
+				r = rec.Recover(img)
+			}
+			if r.Clean() {
+				continue
+			}
+			dirty++
+			if !rp.Bad(at) {
+				clean++
+				if first < 0 {
+					first = at
+				}
+			}
+		}
+		if clean > 0 {
+			t.Fatalf("%d of %d dirty boundaries are RP-consistent; first at t=%d", clean, dirty, first)
+		}
+	})
+}
+
+// TestCrashBoundariesComplete: the crash image at any instant equals the
+// image at the last boundary at or before it. Probes are every persist's
+// start and ack ±1 and the midpoint of every gap between boundaries,
+// under every fault injector, tearing included. eADR is left out: its
+// durable image is held by the mechanism, and between its release and
+// drain instants plain stores change the image without a boundary
+// (every such prefix is consistent by construction; see
+// Mechanism.CrashInstants).
+func TestCrashBoundariesComplete(t *testing.T) {
+	faultMatrix(t, func(t *testing.T, m *Machine, _ Recoverable) {
+		if m.MechCrashCursor() != nil {
+			t.Skip("mechanism-held durable image")
+		}
+		bounds := CrashBoundaries(m)
+		var probes []Time
+		for _, e := range m.NVM().Events() {
+			for _, at := range []Time{e.Start, e.Done} {
+				probes = append(probes, at-1, at, at+1)
+			}
+		}
+		for i := 1; i < len(bounds); i++ {
+			probes = append(probes, (bounds[i-1]+bounds[i])/2)
+		}
+		slices.Sort(probes)
+		probes = slices.Compact(probes)
+		atBound, atProbe := m.CrashImages(), m.CrashImages()
+		b := 0
+		for _, p := range probes {
+			if p < bounds[0] || p > bounds[len(bounds)-1] {
+				continue
+			}
+			for b+1 < len(bounds) && bounds[b+1] <= p {
+				b++
+			}
+			if !atProbe(p).Equal(atBound(bounds[b])) {
+				t.Fatalf("image at t=%d differs from the image at boundary t=%d", p, bounds[b])
+			}
+		}
+	})
 }

@@ -138,7 +138,7 @@ func FuzzDLinHistory(f *testing.F) {
 			if o.Val > maxArg {
 				maxArg = o.Val
 			}
-			if !o.OK || o.Lin.IsZero() || tr.PersistedAt(o.Lin) > horizon {
+			if !o.OK || o.Lin.IsZero() || tr.DurableAt(o.Lin) > horizon {
 				continue
 			}
 			switch {

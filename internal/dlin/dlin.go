@@ -16,7 +16,7 @@
 // happens-before stamp of its linearization-point write. Because every
 // linearization point in internal/lfds is a single release CAS, the
 // linearized prefix durable at a crash instant t is exactly
-// {op : PersistedAt(op.Lin) <= t}, and three checks pin the property:
+// {op : DurableAt(op.Lin) <= t}, and three checks pin the property:
 //
 //   - closure: the durable prefix must be closed under happens-before
 //     between linearization writes (a violation is a Reordered op);

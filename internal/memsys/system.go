@@ -484,15 +484,12 @@ func (s *System) persistAddrList(tid int, addr isa.Addr, list *persist.StampList
 
 // persisted marks write st durable as of the persist of line acked at
 // done. When the fault plane tears that persist, a crash while it is in
-// flight already holds the words the tear carries (nvm.Cursor), so the
-// tracker also learns when that persist started.
+// flight already holds the words the tear carries (nvm.Cursor), so a
+// write among them is durable from the persist's start.
 func (s *System) persisted(st model.Stamp, line isa.Addr, done engine.Time) {
 	s.tracker.SetPersisted(st, done)
-	if s.faults == nil {
-		return
-	}
-	if mask, torn := s.faults.TornWords(line.Line(), done); torn && mask != 0 {
-		s.tracker.SetTorn(st, done-s.nvm.Latency(), mask)
+	if mask, torn := s.faults.TornWords(line.Line(), done); torn {
+		s.tracker.SetTorn(st, s.nvm.StartOf(done), mask)
 	}
 }
 

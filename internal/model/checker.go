@@ -49,17 +49,18 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s persisted but its %s predecessor %s did not", v.Write, v.Rule, v.Missing)
 }
 
-// CheckCut verifies that the set of writes persisted by time crash forms
-// a consistent cut under the given semantics. It returns all violations
-// found (nil means the cut is consistent). The check is exact for the
-// paper's RC model: it reports a violation iff some persisted write has
-// an unpersisted happens-before predecessor. Crash sweeps ask only
+// CheckCut verifies that the set of writes durable by time crash (on
+// DurableAt) forms a consistent cut under the given semantics. It
+// returns all violations found (nil means the cut is consistent). The
+// check is exact for the paper's RC model: it reports a violation iff
+// some persisted write has an unpersisted happens-before predecessor.
+// Crash sweeps ask only
 // whether the cut is consistent and use CutSchedule, which answers that
 // for every instant at once; CheckCut is its test oracle.
 func (tr *Tracker) CheckCut(crash engine.Time, sem Semantics) []Violation {
 	n := len(tr.threads)
 	persisted := func(tid int, seq uint64) bool {
-		return tr.threads[tid].writes[seq-1].persistedAt <= crash
+		return tr.threads[tid].writes[seq-1].durableAt <= crash
 	}
 	// prefix[t] = largest p such that writes 1..p of thread t all
 	// persisted by the crash.
@@ -67,7 +68,7 @@ func (tr *Tracker) CheckCut(crash engine.Time, sem Semantics) []Violation {
 	for t := range tr.threads {
 		ts := &tr.threads[t]
 		var p uint64
-		for p < ts.seq && ts.writes[p].persistedAt <= crash {
+		for p < ts.seq && ts.writes[p].durableAt <= crash {
 			p++
 		}
 		prefix[t] = p
@@ -78,7 +79,7 @@ func (tr *Tracker) CheckCut(crash engine.Time, sem Semantics) []Violation {
 		ts := &tr.threads[i]
 		for s := uint64(1); s <= ts.seq; s++ {
 			rec := &ts.writes[s-1]
-			if rec.persistedAt > crash {
+			if rec.durableAt > crash {
 				continue
 			}
 			w := Stamp{i, s}
@@ -128,14 +129,14 @@ func (tr *Tracker) CheckCut(crash engine.Time, sem Semantics) []Violation {
 	return out
 }
 
-// PersistedCount reports how many writes had persisted by time crash,
-// and how many writes were issued in total.
+// PersistedCount reports how many writes were durable by time crash (on
+// DurableAt), and how many writes were issued in total.
 func (tr *Tracker) PersistedCount(crash engine.Time) (persisted, total uint64) {
 	for t := range tr.threads {
 		ts := &tr.threads[t]
 		total += ts.seq
 		for s := range ts.writes {
-			if ts.writes[s].persistedAt <= crash {
+			if ts.writes[s].durableAt <= crash {
 				persisted++
 			}
 		}
@@ -149,11 +150,10 @@ func (tr *Tracker) PersistedCount(crash engine.Time) (persisted, total uint64) {
 // write durable at t with Of(w) > t proves the durable write set is not
 // happens-before closed beneath w (an RP violation), whereas Of(w) <= t
 // means every cause of w is durable and any invisibility of its effect
-// is legal buffering. Persist times here are DurableAt instants: under
-// tearing a write counts from the start of a torn persist that carried
-// its word, as the crash images do. It snapshots per-thread running
-// maxima of those times at construction, so each query is O(threads +
-// same-address chain) and the structure is safe for concurrent readers.
+// is legal buffering. Persist times here, as in every checker, are
+// DurableAt instants. It snapshots per-thread running maxima of those
+// times at construction, so each query is O(threads + same-address
+// chain) and the structure is safe for concurrent readers.
 type HBNeed struct {
 	tr *Tracker
 	pm prefixMax
@@ -169,9 +169,7 @@ type prefixMax struct {
 }
 
 // prefixMax snapshots the running maxima. Persist times must be final.
-// With durable set, the maxima are over DurableAt instead of ack times.
-func (tr *Tracker) prefixMax(durable bool) prefixMax {
-	torn := durable && tr.tornAt != nil
+func (tr *Tracker) prefixMax() prefixMax {
 	pm := prefixMax{
 		maxTo: make([][]engine.Time, len(tr.threads)),
 		argTo: make([][]uint64, len(tr.threads)),
@@ -182,11 +180,7 @@ func (tr *Tracker) prefixMax(durable bool) prefixMax {
 		a := make([]uint64, ts.seq+1)
 		for s := uint64(1); s <= ts.seq; s++ {
 			m[s], a[s] = m[s-1], a[s-1]
-			p := ts.writes[s-1].persistedAt
-			if torn {
-				p = tr.DurableAt(Stamp{t, s})
-			}
-			if p > m[s] {
+			if p := ts.writes[s-1].durableAt; p > m[s] {
 				m[s], a[s] = p, s
 			}
 		}
@@ -198,7 +192,7 @@ func (tr *Tracker) prefixMax(durable bool) prefixMax {
 // NewHBNeed builds the prefix-maximum snapshot. Call it once per sweep,
 // after the run completes (persist times are final).
 func (tr *Tracker) NewHBNeed() *HBNeed {
-	return &HBNeed{tr: tr, pm: tr.prefixMax(true)}
+	return &HBNeed{tr: tr, pm: tr.prefixMax()}
 }
 
 // Of returns the latest persist time among w's happens-before
@@ -227,8 +221,8 @@ func (h *HBNeed) Of(w Stamp) (engine.Time, Stamp) {
 				prefix(w.Tid, s)
 				break
 			}
-			if p := tr.DurableAt(Stamp{w.Tid, s}); p > best {
-				best, at = p, Stamp{w.Tid, s}
+			if r.durableAt > best {
+				best, at = r.durableAt, Stamp{w.Tid, s}
 			}
 			s = r.prevSameAddr
 		}

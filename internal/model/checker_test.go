@@ -216,12 +216,12 @@ func TestSetPersistedKeepsEarliest(t *testing.T) {
 	w := tr.OnWrite(0, 0x100)
 	tr.SetPersisted(w, 100)
 	tr.SetPersisted(w, 50)
-	if tr.PersistedAt(w) != 50 {
-		t.Fatalf("PersistedAt = %v", tr.PersistedAt(w))
+	if tr.DurableAt(w) != 50 {
+		t.Fatalf("DurableAt = %v", tr.DurableAt(w))
 	}
 	tr.SetPersisted(w, 70) // later persist must not move it back
-	if tr.PersistedAt(w) != 50 {
-		t.Fatalf("PersistedAt moved to %v", tr.PersistedAt(w))
+	if tr.DurableAt(w) != 50 {
+		t.Fatalf("DurableAt moved to %v", tr.DurableAt(w))
 	}
 	tr.SetPersisted(Stamp{}, 10) // zero stamp is a no-op
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // CutSchedule answers CheckCut's yes/no question for every crash instant
-// at once. A write w persisted at p_w breaks the cut at crash t iff
+// at once. A write w durable at p_w (DurableAt) breaks the cut at crash t iff
 // p_w <= t and some immediate predecessor that CheckCut requires under
 // the schedule's semantics persists after t. With need(w) the latest
 // persist time among those predecessors, w therefore violates exactly on
@@ -28,14 +28,14 @@ type cutSpan struct{ lo, hi engine.Time }
 // sweep, after the run completes (persist times are final); each Bad
 // query is then a binary search.
 func (tr *Tracker) CutSchedule(sem Semantics) *CutSchedule {
-	pm := tr.prefixMax(false)
+	pm := tr.prefixMax()
 	var spans []cutSpan
 	for i := range tr.threads {
 		ts := &tr.threads[i]
 		for s := uint64(1); s <= ts.seq; s++ {
 			rec := &ts.writes[s-1]
-			if need := tr.cutNeed(pm, i, s, sem); rec.persistedAt < need {
-				spans = append(spans, cutSpan{rec.persistedAt, need})
+			if need := tr.cutNeed(pm, i, s, sem); rec.durableAt < need {
+				spans = append(spans, cutSpan{rec.durableAt, need})
 			}
 		}
 	}
@@ -68,7 +68,7 @@ func (tr *Tracker) cutNeed(pm prefixMax, tid int, s uint64, sem Semantics) engin
 		need = max(need, pm.maxTo[tid][s-1])
 	}
 	if rec.prevSameAddr != 0 {
-		need = max(need, tr.threads[tid].writes[rec.prevSameAddr-1].persistedAt)
+		need = max(need, tr.threads[tid].writes[rec.prevSameAddr-1].durableAt)
 	}
 	for t := range tr.threads {
 		k := rec.acq.Get(t)

@@ -136,3 +136,35 @@ func TestCutScheduleMatchesCheckCutRandom(t *testing.T) {
 		}
 	}
 }
+
+// TestTornReleaseBeforePredecessorAck: a torn persist that carries a
+// release's word puts the release in the crash image from the persist's
+// start, before the release's own ack and before the ack of a plain
+// write program-ordered ahead of it. From that start until the
+// predecessor acks, the cut is inconsistent under RP (po-before-release),
+// and both CheckCut and CutSchedule must say so; ARP lets a release
+// lead its own plain writes.
+func TestTornReleaseBeforePredecessorAck(t *testing.T) {
+	tr := NewTracker(1)
+	w := tr.OnWrite(0, 0x100)
+	rel := tr.OnRelease(0, 0x148) // word 1 of line 0x140
+	tr.SetPersisted(w, 100)
+	tr.SetPersisted(rel, 120)
+	tr.SetTorn(rel, 40, 1<<2) // a tear without the release's word
+	if got := tr.DurableAt(rel); got != 120 {
+		t.Fatalf("a tear that misses the word moved DurableAt to %d", got)
+	}
+	tr.SetTorn(rel, 40, 1<<1|1<<5)
+	if got := tr.DurableAt(rel); got != 40 {
+		t.Fatalf("DurableAt = %d, want the torn start 40", got)
+	}
+	wantBad(t, tr, RP, false, 0, 39, 100, 120)
+	wantBad(t, tr, RP, true, 40, 41, 99)
+	wantBad(t, tr, ARP, false, 39, 40, 99, 100)
+	if vs := tr.CheckCut(40, RP); len(vs) != 1 || vs[0].Write != rel || vs[0].Missing != w || vs[0].Rule != "po-before-release" {
+		t.Fatalf("CheckCut(40, RP) = %v, want %v missing %v (po-before-release)", vs, rel, w)
+	}
+	if p, total := tr.PersistedCount(40); p != 1 || total != 2 {
+		t.Fatalf("PersistedCount(40) = %d/%d, want 1/2", p, total)
+	}
+}

@@ -31,9 +31,9 @@ type writeRec struct {
 	// relIdx is nonzero iff this write is a release; it is the 1-based
 	// release index within the thread.
 	relIdx uint32
-	// persistedAt is when the write reached NVM; engine.Infinity if it
-	// never did.
-	persistedAt engine.Time
+	// durableAt is when the write entered the crash image (DurableAt);
+	// engine.Infinity if it never did.
+	durableAt engine.Time
 }
 
 type threadState struct {
@@ -58,16 +58,16 @@ type addrState struct {
 
 // Tracker observes the memory events the simulator executes and maintains
 // everything needed to (a) decide synchronizes-with edges and (b) check
-// the consistent-cut property at an arbitrary crash time.
+// the consistent-cut property at an arbitrary crash time. It keeps one
+// durable instant per write, the instant the write's word enters every
+// crash image from; every checker (CheckCut, CutSchedule, HBNeed, the
+// dlin checker) reads that instant and nothing else.
 //
 // The Tracker is driven by package memsys in global execution order, so no
 // internal synchronization is needed.
 type Tracker struct {
 	threads []threadState
 	addrs   map[isa.Addr]*addrState
-	// tornAt maps a write to the start of a torn persist that carried
-	// its word (SetTorn); nil until one does.
-	tornAt map[Stamp]engine.Time
 }
 
 // NewTracker creates a tracker for n hardware threads.
@@ -98,7 +98,7 @@ func (tr *Tracker) OnWrite(tid int, addr isa.Addr) Stamp {
 		addr:         addr,
 		acq:          ts.acq,
 		prevSameAddr: ts.lastWrite[addr],
-		persistedAt:  engine.Infinity,
+		durableAt:    engine.Infinity,
 	}
 	ts.writes = append(ts.writes, rec)
 	ts.lastWrite[addr] = ts.seq
@@ -122,7 +122,7 @@ func (tr *Tracker) OnRelease(tid int, addr isa.Addr) Stamp {
 		acq:          ts.acq,
 		prevSameAddr: ts.lastWrite[addr],
 		relIdx:       ts.relCount,
-		persistedAt:  engine.Infinity,
+		durableAt:    engine.Infinity,
 	}
 	ts.writes = append(ts.writes, rec)
 	ts.lastWrite[addr] = ts.seq
@@ -157,7 +157,8 @@ func (tr *Tracker) addrState(addr isa.Addr) *addrState {
 	return st
 }
 
-// SetPersisted records that write s reached NVM at time t. A write can be
+// SetPersisted records that write s's persist acked at time t. The write
+// is durable from t unless it already was earlier (SetTorn). A write is
 // persisted only once; later coalesced persists of the same line carry
 // fresh stamps for fresh writes.
 func (tr *Tracker) SetPersisted(s Stamp, t engine.Time) {
@@ -165,57 +166,41 @@ func (tr *Tracker) SetPersisted(s Stamp, t engine.Time) {
 		return
 	}
 	rec := &tr.threads[s.Tid].writes[s.Seq-1]
-	if rec.persistedAt > t {
-		rec.persistedAt = t
+	if rec.durableAt > t {
+		rec.durableAt = t
 	}
 }
 
 // SetTorn records that write s's persist started at start and tears: a
 // crash while it is in flight finds the words in mask (bit i: word i of
 // the line) durable, and no others. If s's word is among them, s is in
-// every crash image from start on.
+// every crash image from start on, so it is durable from then.
 func (tr *Tracker) SetTorn(s Stamp, start engine.Time, mask uint64) {
 	if s.IsZero() {
 		return
 	}
 	word := uint64(tr.threads[s.Tid].writes[s.Seq-1].addr) >> 3 & (isa.WordsPerLine - 1)
-	if mask&(1<<word) == 0 {
-		return
-	}
-	if tr.tornAt == nil {
-		tr.tornAt = make(map[Stamp]engine.Time)
-	}
-	if t, ok := tr.tornAt[s]; !ok || start < t {
-		tr.tornAt[s] = start
+	if mask&(1<<word) != 0 {
+		tr.SetPersisted(s, start)
 	}
 }
 
-// DurableAt returns when write s first shows in a crash image: when its
-// persist acked, or when a torn persist that carried its word started,
-// whichever is earlier (engine.Infinity if never). Without tearing it is
-// PersistedAt.
+// DurableAt returns when write s first shows in a crash image
+// (engine.Infinity if never): when its persist acked, or when a torn
+// persist that carried its word started, whichever is earlier. Without
+// tearing it is the ack.
 func (tr *Tracker) DurableAt(s Stamp) engine.Time {
-	t := tr.PersistedAt(s)
-	if u, ok := tr.tornAt[s]; ok && u < t {
-		return u
-	}
-	return t
-}
-
-// PersistedAt returns when write s persisted (engine.Infinity if never).
-func (tr *Tracker) PersistedAt(s Stamp) engine.Time {
-	return tr.threads[s.Tid].writes[s.Seq-1].persistedAt
+	return tr.threads[s.Tid].writes[s.Seq-1].durableAt
 }
 
 // AcquireClock exposes thread tid's current acquire clock (for tests).
 func (tr *Tracker) AcquireClock(tid int) VC { return tr.threads[tid].acq }
 
 // WriteInfo exposes a write's metadata for diagnostics and tooling: its
-// address, persist time, release index (0 for plain writes) and acquire
-// clock.
-func (tr *Tracker) WriteInfo(s Stamp) (addr isa.Addr, persistedAt engine.Time, relIdx uint32, acq VC) {
+// address, release index (0 for plain writes) and acquire clock.
+func (tr *Tracker) WriteInfo(s Stamp) (addr isa.Addr, relIdx uint32, acq VC) {
 	rec := &tr.threads[s.Tid].writes[s.Seq-1]
-	return rec.addr, rec.persistedAt, rec.relIdx, rec.acq
+	return rec.addr, rec.relIdx, rec.acq
 }
 
 // ReleaseSeq returns the write seq of thread tid's k-th release (1-based).

@@ -159,6 +159,10 @@ func (s *Subsystem) Latency() engine.Time {
 	return s.cfg.UncachedLat
 }
 
+// StartOf returns when the persist acked at done began its media write:
+// every persist takes Latency().
+func (s *Subsystem) StartOf(done engine.Time) engine.Time { return done - s.Latency() }
+
 // Occupancy returns the per-access controller occupancy (bandwidth term)
 // for the current mode; a zero config falls back to full serialization.
 func (s *Subsystem) Occupancy() engine.Time {
@@ -282,10 +286,11 @@ func (s *Subsystem) PersistLine(now, earliestStart engine.Time, line isa.Addr, w
 		s.o.NVMPersist(ctrl, srv.FreeAt(now)-now)
 	}
 	done := srv.ServeConstrained(now, earliestStart, s.Latency(), s.Occupancy())
-	*prev = done - s.Latency()
+	start := s.StartOf(done)
+	*prev = start
 	s.cnt.Ctrl[ctrl].Persists++
 	if s.keepLog {
-		s.log = append(s.log, Event{Start: done - s.Latency(), Done: done, Line: line, Words: words})
+		s.log = append(s.log, Event{Start: start, Done: done, Line: line, Words: words})
 	}
 	return done
 }
