@@ -54,9 +54,9 @@ func (v Violation) String() string {
 // returns all violations found (nil means the cut is consistent). The
 // check is exact for the paper's RC model: it reports a violation iff
 // some persisted write has an unpersisted happens-before predecessor.
-// Crash sweeps ask only
-// whether the cut is consistent and use CutSchedule, which answers that
-// for every instant at once; CheckCut is its test oracle.
+// Crash sweeps ask only whether the cut is consistent and use
+// CutSchedule, which answers that for every instant at once; CheckCut is
+// its test oracle.
 func (tr *Tracker) CheckCut(crash engine.Time, sem Semantics) []Violation {
 	n := len(tr.threads)
 	persisted := func(tid int, seq uint64) bool {

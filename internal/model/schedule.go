@@ -9,14 +9,14 @@ import (
 )
 
 // CutSchedule answers CheckCut's yes/no question for every crash instant
-// at once. A write w durable at p_w (DurableAt) breaks the cut at crash t iff
-// p_w <= t and some immediate predecessor that CheckCut requires under
-// the schedule's semantics persists after t. With need(w) the latest
-// persist time among those predecessors, w therefore violates exactly on
-// the half-open interval [p_w, need(w)), and the cut at t is inconsistent
-// iff t lies in the union of these intervals. The schedule stores that
-// union as sorted, disjoint spans; it is immutable and safe for
-// concurrent readers.
+// at once. A write w durable at p_w (DurableAt) breaks the cut at crash
+// t iff p_w <= t and some immediate predecessor that CheckCut requires
+// under the schedule's semantics is durable only after t. With need(w)
+// the latest durable instant among those predecessors, w therefore
+// violates exactly on the half-open interval [p_w, need(w)), and the cut
+// at t is inconsistent iff t lies in the union of these intervals. The
+// schedule stores that union as sorted, disjoint spans; it is immutable
+// and safe for concurrent readers.
 type CutSchedule struct {
 	spans []cutSpan
 }
