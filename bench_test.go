@@ -382,3 +382,37 @@ func BenchmarkSweepCrashKV(b *testing.B) {
 	}
 	b.ReportMetric(float64(bounds)/b.Elapsed().Seconds(), "boundaries/s")
 }
+
+// BenchmarkSweepCrashARPSkiplist times a lossy exhaustive crash sweep:
+// ARP on the skip list at 32 threads (as many cores), 1024 keys and 100
+// ops per thread, swept serially with a recovery walk and a
+// durable-linearizability check at every boundary, as `lrpcheck
+// -mechanism ARP -structure skiplist -threads 32 -size 1024 -ops 100
+// -dlin -parallel 1` does. ARP's recoveries miss many durable keys, so
+// the checks here pay for lost keys where sweep-kv's barely do. The run
+// is set up outside the timer; the metric is host time per boundary.
+func BenchmarkSweepCrashARPSkiplist(b *testing.B) {
+	cfg := DefaultConfig().WithMechanism(ARP)
+	cfg.Cores = 32
+	cfg.TrackHB = true
+	_, m, rec, h, err := RunRecoverableWorkloadHist(cfg, Spec{
+		Structure: "skiplist", Threads: 32, InitialSize: 1024, OpsPerThread: 100, Seed: benchSeed,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bounds := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := SweepCrash(m, SweepOpts{Rec: rec, Hist: h, Workers: 1, Seed: benchSeed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.DLinBad == 0 {
+			b.Fatal("ARP sweep found no durable-linearizability violation")
+		}
+		bounds += rep.Boundaries
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(bounds), "ns/boundary")
+}

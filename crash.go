@@ -371,8 +371,9 @@ type sweepChunk struct {
 func sweepRange(m *Machine, rec Recoverable, ck *dlin.Checker, rp, arp *model.CutSchedule, bounds []Time, lo, hi int) sweepChunk {
 	c := sweepChunk{firstRP: -1, firstDirty: -1}
 	// Each worker owns a private Pass over the shared checker: boundary
-	// ranges are ascending, so the Pass's replayed-prefix cache behaves
-	// exactly as in a serial sweep of the same range.
+	// ranges are ascending and the reports come from one image, so the
+	// Pass checks each boundary from what changed since the last one, as
+	// in a serial sweep of the same range.
 	var pass *dlin.Pass
 	if ck != nil {
 		pass = ck.NewPass()

@@ -78,13 +78,33 @@ type Report struct {
 	// lost beyond them.
 	Abandoned int
 
-	keys []uint64 // the members a walk unit recovered (Walk)
+	members []member // the members a walk unit recovered (Walk)
+	// memo and gen place a report Walk built in its image's sequence of
+	// reports (ChangedSince); a clone has no memo.
+	memo *walkMemo
+	gen  uint64
 }
 
-// Recovered records key as a member with val.
+// ChangedSince returns the keys whose membership or value in r's Set
+// differs from prev's, and true, when r is prev or the next report Walk
+// built over the same image after prev. Any other pair, a clone
+// included, it cannot relate, and it returns false. The slice is valid
+// until the next Walk over the image. A queue report's Values are not
+// covered: a new report means new Values.
+func (r *Report) ChangedSince(prev *Report) ([]uint64, bool) {
+	switch {
+	case r == prev:
+		return nil, r != nil
+	case prev == nil || r.memo == nil || r.memo != prev.memo || r.gen != prev.gen+1 || r.gen != r.memo.gen:
+		return nil, false
+	}
+	return r.memo.changed, true
+}
+
+// Recovered records key as a member with val. Walk enters the unit's
+// members into Set.Members once the unit's walk is done.
 func (r *Report) Recovered(key, val uint64) {
-	r.Set.Members[key] = val
-	r.keys = append(r.keys, key)
+	r.members = append(r.members, member{key, val})
 }
 
 // Clone returns a deep copy of the report, which later walks over the

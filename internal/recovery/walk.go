@@ -1,6 +1,9 @@
 package recovery
 
 import (
+	"cmp"
+	"slices"
+
 	"lrp/internal/flat"
 	"lrp/internal/isa"
 	"lrp/internal/mm"
@@ -30,7 +33,9 @@ type Walker interface {
 // A report is valid until the next Walk over the same image: the reports
 // of one image share one Members map, which a re-walk updates in place.
 // Walk returns the previous report itself when no unit was re-walked,
-// and a new one otherwise. Clone a report to keep it longer.
+// and a new one otherwise. Clone a report to keep it longer. A new
+// report tells which members the re-walk changed (Report.ChangedSince),
+// so a reader of successive reports can work from the difference.
 func Walk(img *mm.Memory, w Walker) *Report {
 	m, _ := img.Memo(w).(*walkMemo)
 	written := img.Written()
@@ -51,6 +56,7 @@ func Walk(img *mm.Memory, w Walker) *Report {
 			return m.rep
 		}
 	}
+	m.changed = m.changed[:0]
 	for _, u := range m.stale {
 		m.walk(img, w, int(u))
 	}
@@ -74,10 +80,16 @@ type walkMemo struct {
 	nodes, abandoned, findings int
 	queue                      *QueueState
 	rep                        *Report
+	// gen numbers the reports built from the memo; changed holds the
+	// keys whose membership or value the walk that built the latest one
+	// changed.
+	gen     uint64
+	changed []uint64
 
 	stale   []int32 // units to re-walk
 	isStale []bool
-	scratch Report // the report a unit walks into
+	scratch Report   // the report a unit walks into
+	spare   []member // storage for the next unit's members
 	set     SetState
 }
 
@@ -87,8 +99,11 @@ type unitMemo struct {
 	findings  []Corruption
 	nodes     int
 	abandoned int
-	keys      []uint64 // the members it recovered
+	members   []member // the members it recovered, by key
 }
+
+// member is one recovered key and its value.
+type member struct{ key, val uint64 }
 
 type unitRef struct{ u, gen uint32 }
 
@@ -115,15 +130,14 @@ func (m *walkMemo) markStale(u int) {
 	}
 }
 
-// walk re-walks unit u, replacing its findings, members and lines.
+// walk re-walks unit u, replacing its findings, members and lines. It
+// changes the Members map, and lists in changed, only the keys whose
+// membership or value the re-walk changed.
 func (m *walkMemo) walk(img *mm.Memory, w Walker, u int) {
 	un := &m.units[u]
 	m.isStale[u] = false
-	for _, k := range un.keys {
-		delete(m.members, k)
-	}
 	sc := &m.scratch
-	sc.Queue, sc.Quarantined, sc.Abandoned, sc.keys = nil, un.findings[:0], 0, un.keys[:0]
+	sc.Queue, sc.Quarantined, sc.Abandoned, sc.members = nil, un.findings[:0], 0, m.spare[:0]
 	m.set.Nodes = 0
 	img.Watch()
 	w.WalkUnit(img, sc, u)
@@ -135,13 +149,60 @@ func (m *walkMemo) walk(img *mm.Memory, w Walker, u int) {
 	m.nodes += nodes - un.nodes
 	m.abandoned += sc.Abandoned - un.abandoned
 	m.findings += len(sc.Quarantined) - len(un.findings)
-	un.findings, un.nodes, un.abandoned, un.keys = sc.Quarantined, nodes, sc.Abandoned, sc.keys
+	un.findings, un.nodes, un.abandoned = sc.Quarantined, nodes, sc.Abandoned
+	cur := byKey(sc.members)
+	m.spare = m.update(un.members, cur)
+	un.members = cur
 
 	un.gen++
 	ref := unitRef{uint32(u), un.gen}
 	for _, l := range img.Reads() {
 		m.index(l, ref)
 	}
+}
+
+// byKey sorts a unit's recovered members by key, stably, and keeps the
+// last of each key: what a map assigned them in walk order would hold.
+func byKey(ms []member) []member {
+	cmpKey := func(a, b member) int { return cmp.Compare(a.key, b.key) }
+	if !slices.IsSortedFunc(ms, cmpKey) {
+		slices.SortStableFunc(ms, cmpKey)
+	}
+	out := ms[:0]
+	for i, e := range ms {
+		if i+1 < len(ms) && ms[i+1].key == e.key {
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// update moves the Members map from a unit's old members to its new
+// ones, both by key, noting each key it changes, and returns old's
+// storage for reuse.
+func (m *walkMemo) update(old, cur []member) []member {
+	i := 0
+	for _, e := range cur {
+		for i < len(old) && old[i].key < e.key {
+			delete(m.members, old[i].key)
+			m.changed = append(m.changed, old[i].key)
+			i++
+		}
+		if i < len(old) && old[i].key == e.key {
+			i++
+			if old[i-1].val == e.val {
+				continue
+			}
+		}
+		m.members[e.key] = e.val
+		m.changed = append(m.changed, e.key)
+	}
+	for _, e := range old[i:] {
+		delete(m.members, e.key)
+		m.changed = append(m.changed, e.key)
+	}
+	return old[:0]
 }
 
 // index records that ref's unit read line l, dropping l's dead references.
@@ -158,7 +219,8 @@ func (m *walkMemo) index(l isa.Addr, ref unitRef) {
 
 // report assembles the units' findings, in unit order, into a new report.
 func (m *walkMemo) report() *Report {
-	r := &Report{Structure: m.name, Abandoned: m.abandoned}
+	m.gen++
+	r := &Report{Structure: m.name, Abandoned: m.abandoned, memo: m, gen: m.gen}
 	if m.queue != nil {
 		r.Queue = m.queue
 	} else {

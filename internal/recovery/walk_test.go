@@ -1,6 +1,8 @@
 package recovery_test
 
 import (
+	"maps"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -46,13 +48,15 @@ func (w *wordWalker) WalkUnit(img *mm.Memory, rep *recovery.Report, u int) {
 }
 
 // walkStep walks img and checks the report against a full walk of a clone
-// and the unit walk counts against want.
+// and the unit walk counts against want. The reports are compared as
+// clones, which hold everything a walk found but not the report's place
+// in its image's sequence (ChangedSince).
 func walkStep(t *testing.T, w *wordWalker, img *mm.Memory, want ...int) *recovery.Report {
 	t.Helper()
 	rep := recovery.Walk(img, w)
 	walks := slices.Clone(w.walks)
 	full := recovery.Walk(img.Clone(), newWordWalker(w.reads...))
-	if !reflect.DeepEqual(rep, full) {
+	if !reflect.DeepEqual(rep.Clone(), full.Clone()) {
 		t.Fatalf("walk %+v %+v, full walk of a clone %+v %+v", rep, rep.Set, full, full.Set)
 	}
 	if !slices.Equal(walks, want) {
@@ -137,5 +141,77 @@ func TestWalkReportValidUntilNextWalk(t *testing.T) {
 	}
 	if _, ok := rep.Set.Members[3]; !ok {
 		t.Fatal("the earlier report's Members is not the one the re-walk updated")
+	}
+}
+
+// TestWalkChangedSince: the keys a report says changed since the
+// previous one are exactly those whose membership or value differs, over
+// random edits; a report relates to itself, and not to a clone, to a
+// report two walks back, or to another image's.
+func TestWalkChangedSince(t *testing.T) {
+	const units = 4
+	r := rand.New(rand.NewSource(1))
+	word := func(u, k int) isa.Addr { return isa.Addr(0x1000*(u+1) + 8*k) }
+	var reads [][]isa.Addr
+	for u := range units {
+		reads = append(reads, []isa.Addr{word(u, 0), word(u, 1), word(u, 2)})
+	}
+	w := newWordWalker(reads...)
+	img, other := mm.NewMemory(), mm.NewMemory()
+	prev := recovery.Walk(img, w)
+	otherRep := recovery.Walk(other, w)
+	for step := range 500 {
+		for range r.Intn(3) {
+			// Unit u's members are the odd words 2u+1 mod 2·units, so
+			// units recover disjoint keys; even words are quarantined.
+			u := r.Intn(units)
+			v := uint64(2*units*r.Intn(3) + 2*u + r.Intn(2))
+			img.Write(word(u, r.Intn(3)), v)
+		}
+		before := maps.Clone(prev.Set.Members)
+		rep := recovery.Walk(img, w)
+		changed, ok := rep.ChangedSince(prev)
+		if !ok {
+			t.Fatalf("step %d: the next report does not relate to the last", step)
+		}
+		var want []uint64
+		for k, v := range rep.Set.Members {
+			if old, in := before[k]; !in || old != v {
+				want = append(want, k)
+			}
+		}
+		for k := range before {
+			if _, in := rep.Set.Members[k]; !in {
+				want = append(want, k)
+			}
+		}
+		got := slices.Clone(changed)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: changed %v, want %v", step, got, want)
+		}
+		if same, ok := rep.ChangedSince(rep); !ok || len(same) != 0 {
+			t.Fatalf("step %d: a report against itself: %v, %v", step, same, ok)
+		}
+		if _, ok := rep.ChangedSince(otherRep); ok {
+			t.Fatalf("step %d: related to another image's report", step)
+		}
+		if _, ok := rep.Clone().ChangedSince(prev); ok {
+			t.Fatalf("step %d: a clone related to the last report", step)
+		}
+		if rep != prev {
+			if _, ok := recovery.Walk(img, w).ChangedSince(prev); !ok {
+				t.Fatalf("step %d: an unchanged walk's report does not relate", step)
+			}
+			img.Write(word(0, 0), uint64(2*units*r.Intn(3)+1))
+			if next := recovery.Walk(img, w); next != rep {
+				if _, ok := next.ChangedSince(prev); ok {
+					t.Fatalf("step %d: related to a report two walks back", step)
+				}
+			}
+			rep = recovery.Walk(img, w)
+		}
+		prev = rep
 	}
 }

@@ -112,7 +112,7 @@ func referenceSweep(t *testing.T, m *Machine, rec Recoverable, h *OpHistory, see
 			rep.DirtyWalks++
 			rep.Quarantined += len(r.Quarantined)
 			if rep.FirstDirty == nil {
-				rep.FirstDirty, rep.FirstDirtyAt = r, at
+				rep.FirstDirty, rep.FirstDirtyAt = r.Clone(), at
 			}
 		}
 		rep.DLinChecked++
