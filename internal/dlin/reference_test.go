@@ -242,3 +242,17 @@ func refCompareQueue(c *Checker, at engine.Time, rep *recovery.Report, want []ui
 func RefCheck(c *Checker, at engine.Time, rep *recovery.Report) []Violation {
 	return refCheck(c, at, rep)
 }
+
+// ScheduleDiff describes the first difference between c's schedule and
+// the pairwise reference's, "" when there is none.
+func ScheduleDiff(c *Checker) string {
+	got, want := scheduleOf(c), refScheduleOf(c)
+	for i := range c.upd {
+		g := fmt.Sprint(got.pAt[i], got.need[i], got.needOf[i], got.needW[i], got.needWOf[i])
+		w := fmt.Sprint(want.pAt[i], want.need[i], want.needOf[i], want.needW[i], want.needWOf[i])
+		if g != w {
+			return fmt.Sprintf("update %d (op#%d): pAt need needOf needW needWOf %s, pairwise %s", i, c.upd[i], g, w)
+		}
+	}
+	return ""
+}
