@@ -271,10 +271,10 @@ func (p *Pass) replayQueue(at engine.Time) {
 }
 
 // compareSet diffs the expected keyed-set contents against the recovery
-// walk's. Related to the last report, it judges again only the dirty
-// slots and the keys the walk changed; otherwise every slot, and it
-// scans the recovered set for keys beyond them only when that set holds
-// more keys than the slots found in it.
+// walk's, judging again only the dirty slots and the keys the walk
+// changed. A report it cannot relate to the last one starts it from an
+// empty set with every slot dirty, and the recovered keys beyond the
+// slots are judged from a scan of the recovered set.
 func (p *Pass) compareSet(at engine.Time, rep *recovery.Report) {
 	c := p.c
 	var got map[uint64]uint64
@@ -284,27 +284,14 @@ func (p *Pass) compareSet(at engine.Time, rep *recovery.Report) {
 	changed, warm := rep.ChangedSince(p.rep)
 	if !warm {
 		p.cmp.reset()
-		hits := 0
 		for j := range c.keys {
-			p.dirty[j] = false
-			v, bad, in := p.judge(int32(j), at, got)
-			if bad {
-				p.cmp.put(c.keys[j], v)
-			}
-			if in {
-				hits++
+			p.markDirty(int32(j))
+		}
+		for k, v := range got { // maprange:ok — flush sorts by key
+			if _, ok := slices.BinarySearch(c.keys, k); !ok {
+				p.cmp.put(k, unexplained(k, v, -1))
 			}
 		}
-		p.dirtyList = p.dirtyList[:0]
-		if len(got) > hits {
-			for k, v := range got { // maprange:ok — flush sorts by key
-				if _, ok := slices.BinarySearch(c.keys, k); !ok {
-					p.cmp.put(k, unexplained(k, v, -1))
-				}
-			}
-		}
-		p.cmp.flush()
-		return
 	}
 	for _, k := range changed {
 		if j, ok := slices.BinarySearch(c.keys, k); ok {
@@ -317,9 +304,9 @@ func (p *Pass) compareSet(at engine.Time, rep *recovery.Report) {
 	}
 	for _, j := range p.dirtyList {
 		p.dirty[j] = false
-		if v, bad, _ := p.judge(j, at, got); bad {
+		if v, bad := p.judge(j, at, got); bad {
 			p.cmp.put(c.keys[j], v)
-		} else {
+		} else if warm {
 			p.cmp.drop(c.keys[j])
 		}
 	}
@@ -327,17 +314,16 @@ func (p *Pass) compareSet(at engine.Time, rep *recovery.Report) {
 	p.cmp.flush()
 }
 
-// judge compares slot j's expected entry with the recovered one. It
-// returns the slot's violation, if any, and whether the recovered set
-// holds the key.
-func (p *Pass) judge(j int32, at engine.Time, got map[uint64]uint64) (Violation, bool, bool) {
+// judge compares slot j's expected entry with the recovered one and
+// returns the slot's violation, if any.
+func (p *Pass) judge(j int32, at engine.Time, got map[uint64]uint64) (Violation, bool) {
 	c := p.c
 	k := c.keys[j]
 	have, inHave := got[k]
 	switch {
 	case !p.has[j]:
 		if inHave {
-			return unexplained(k, have, int(p.ghost[j])), true, true
+			return unexplained(k, have, int(p.ghost[j])), true
 		}
 	case !inHave:
 		// A durable update can legally be invisible after a crash: with
@@ -358,16 +344,16 @@ func (p *Pass) judge(j int32, at engine.Time, got map[uint64]uint64) (Violation,
 				Class: AckedLost, Op: oi, Kind: o.Kind, Key: k, Val: p.val[j],
 				Detail: fmt.Sprintf("%v acknowledged and durable (linearization persisted t=%d) but key %d is missing from the recovered state: happens-before-earlier write %v is not durable (persists t=%s)",
 					*o, c.pAt[ui], k, c.needWOf[ui], timeStr(c.needW[ui])),
-			}, true, false
+			}, true
 		}
 	case have != p.val[j]:
 		oi := c.upd[p.last[j]]
 		return Violation{
 			Class: Phantom, Op: oi, Kind: c.h.Ops[oi].Kind, Key: k, Val: have,
 			Detail: fmt.Sprintf("key %d recovered with value %d, durable history says %d", k, have, p.val[j]),
-		}, true, true
+		}, true
 	}
-	return Violation{}, false, inHave
+	return Violation{}, false
 }
 
 // unexplained is the phantom of a recovered key k (value v) that no
