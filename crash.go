@@ -129,7 +129,14 @@ func crashHorizon(m *Machine) Time {
 // or recovery failure visible at some instant is visible at a boundary.
 func CrashBoundaries(m *Machine) []Time {
 	end := crashHorizon(m)
-	var out []Time
+	evs, insts, faults := m.NVM().Events(), m.MechCrashInstants(), m.Faults()
+	// Sized for every probe, torn starts included when the plane tears,
+	// so the list is allocated once.
+	n := 2 + 3*(len(evs)+len(insts))
+	if faults.Config().TearProb > 0 {
+		n += 3 * len(evs)
+	}
+	out := make([]Time, 0, n)
 	add := func(t Time) {
 		if t >= 0 && t <= end {
 			out = append(out, t)
@@ -137,8 +144,7 @@ func CrashBoundaries(m *Machine) []Time {
 	}
 	add(0)
 	add(end)
-	faults := m.Faults()
-	for _, e := range m.NVM().Events() {
+	for _, e := range evs {
 		add(e.Done - 1)
 		add(e.Done)
 		add(e.Done + 1)
@@ -150,7 +156,7 @@ func CrashBoundaries(m *Machine) []Time {
 	}
 	// Mechanism-held durability (eADR's release/drain completions) changes
 	// the durable state without an NVM event; probe those instants too.
-	for _, t := range m.MechCrashInstants() {
+	for _, t := range insts {
 		add(t - 1)
 		add(t)
 		add(t + 1)
@@ -273,19 +279,21 @@ func SweepCrash(m *Machine, o SweepOpts) (*SweepReport, error) {
 		return nil, fmt.Errorf("lrp: crash analysis requires Config.TrackHB (mech=%s seed=%d)", mech, o.Seed)
 	}
 	rec := o.Rec
+	if o.Hist != nil && rec == nil {
+		return nil, fmt.Errorf("lrp: durable-linearizability checking requires a Recoverable (mech=%s seed=%d)", mech, o.Seed)
+	}
+	// One prefix-maximum snapshot serves both cut schedules and the dlin
+	// checker. Both schedules are built once and shared read-only by every
+	// worker: each boundary's consistency verdict is then a lookup.
+	hn := tr.NewHBNeed()
 	var ck *dlin.Checker
 	if o.Hist != nil {
-		if rec == nil {
-			return nil, fmt.Errorf("lrp: durable-linearizability checking requires a Recoverable (mech=%s seed=%d)", mech, o.Seed)
-		}
 		var err error
-		if ck, err = dlin.NewChecker(o.Hist, tr); err != nil {
+		if ck, err = dlin.NewCheckerFrom(o.Hist, hn); err != nil {
 			return nil, fmt.Errorf("lrp: mech=%s seed=%d: %w", mech, o.Seed, err)
 		}
 	}
-	// Both cut schedules are built once and shared read-only by every
-	// worker: each boundary's consistency verdict is then a lookup.
-	rp, arp := tr.CutSchedule(model.RP), tr.CutSchedule(model.ARP)
+	rp, arp := hn.CutSchedule(model.RP), hn.CutSchedule(model.ARP)
 	workers := o.Workers
 	// The sweep's host time is attributed from the caller's goroutine as
 	// one crash-phase region (worker goroutines never touch the

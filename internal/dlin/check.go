@@ -82,6 +82,14 @@ func NewChecker(h *History, tr *model.Tracker) (*Checker, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("dlin: checker requires the happens-before tracker (Config.TrackHB)")
 	}
+	return NewCheckerFrom(h, tr.NewHBNeed())
+}
+
+// NewCheckerFrom is NewChecker over a prefix-maximum snapshot the caller
+// already holds (model.Tracker.NewHBNeed), so that a crash sweep builds
+// one snapshot for its cut schedules and its checker.
+func NewCheckerFrom(h *History, hn *model.HBNeed) (*Checker, error) {
+	tr := hn.Tracker()
 	c := &Checker{h: h, tr: tr, upd: make([]int, 0, len(h.Ops))}
 	mutating := 0
 	for i := range h.Ops {
@@ -104,7 +112,6 @@ func NewChecker(h *History, tr *model.Tracker) (*Checker, error) {
 	c.pAt = make([]engine.Time, n)
 	c.needW = make([]engine.Time, n)
 	c.needWOf = make([]model.Stamp, n)
-	hn := tr.NewHBNeed()
 	for i, oi := range c.upd {
 		c.pAt[i] = tr.DurableAt(h.Ops[oi].Lin)
 		c.needW[i], c.needWOf[i] = hn.Of(h.Ops[oi].Lin)

@@ -56,7 +56,9 @@ type pageEntry struct {
 // sets Touched. Each Watch also starts a read log (Reads): the lines read
 // since, so a reader divided into parts can tell which part read which
 // line. A memory that never watches logs nothing and pays one branch per
-// access. The reader's state can live with the memory (Memo).
+// access. The reader's state can live with the memory (Memo). A writer
+// that rewrites lines and restores some of them can batch its writes
+// (BeginBatch), so that only the lines whose content changed are logged.
 type Memory struct {
 	pages flat.Table[pageEntry]
 	holes int // slots with no page
@@ -78,7 +80,18 @@ type Memory struct {
 	reads   []isa.Addr
 	written []isa.Addr
 
+	// batching is set between BeginBatch and EndBatch; held lists the
+	// watched lines written in the batch, each with its content before.
+	batching bool
+	held     []heldLine
+
 	memoKey, memo any
+}
+
+// heldLine is a watched line written in a batch and what it held before.
+type heldLine struct {
+	line  isa.Addr
+	words [isa.WordsPerLine]uint64
 }
 
 // NewMemory returns an empty memory.
@@ -131,13 +144,43 @@ func (m *Memory) markRead(a isa.Addr) {
 	}
 }
 
-// noteWrite logs a's line if it is watched and stops watching it; a's
-// slot is the memoized one.
+// noteWrite logs a's line if it is watched and stops watching it; in a
+// batch it holds the line and its content instead, for EndBatch. a's
+// slot and page are the memoized ones.
 func (m *Memory) noteWrite(a isa.Addr) {
 	if e, bit := m.lastEnt, lineBit(a); e.mask&bit != 0 {
 		e.mask &^= bit
-		m.written = append(m.written, a.Line())
+		if !m.batching {
+			m.written = append(m.written, a.Line())
+			return
+		}
+		h := heldLine{line: a.Line()}
+		w := (uint64(h.line) >> 3) & (pageWords - 1)
+		copy(h.words[:], m.lastPage[w:w+isa.WordsPerLine])
+		m.held = append(m.held, h)
 	}
+}
+
+// BeginBatch starts a write batch: until EndBatch, a write to a watched
+// line is logged only if the line's content at EndBatch differs from
+// what it held at its first write in the batch. The batch must not read.
+func (m *Memory) BeginBatch() { m.batching = true }
+
+// EndBatch ends the write batch. Each line the batch wrote is logged
+// (Written) if its content changed; one it left as it was stays watched.
+func (m *Memory) EndBatch() {
+	m.batching = false
+	for i := range m.held {
+		h := &m.held[i]
+		p := m.pageFor(h.line, false)
+		w := (uint64(h.line) >> 3) & (pageWords - 1)
+		if [isa.WordsPerLine]uint64(p[w:w+isa.WordsPerLine]) != h.words {
+			m.written = append(m.written, h.line)
+		} else {
+			m.lastEnt.mask |= lineBit(h.line)
+		}
+	}
+	m.held = m.held[:0]
 }
 
 // Watch starts a new, empty read log in O(1). Until the next Watch, Read

@@ -324,6 +324,38 @@ func TestReadSetLogsPerWatch(t *testing.T) {
 	}
 }
 
+// A write batch logs a watched line only if the batch changed its
+// content; a line it restored stays watched, and unwatched lines stay
+// unlogged.
+func TestWriteBatchLogsOnlyChangedLines(t *testing.T) {
+	m := NewMemory()
+	m.Write(0x1000, 1)
+	m.Write(0x2000, 1)
+	m.Watch()
+	m.Read(0x1000)
+	m.Read(0x2000)
+	m.Read(0x3000) // a hole: the batch creates its page
+	m.BeginBatch()
+	old := m.Swap(0x1008, 7) // laid, then restored
+	m.Write(0x1008, old)
+	m.Write(0x2000, 5) // changed, then changed again
+	m.WriteLine(0x2000, [isa.WordsPerLine]uint64{6})
+	m.Write(0x3000, 0) // same content in a new page
+	m.Write(0x4000, 9) // never read
+	if m.Touched() {
+		t.Fatal("a batch logged a line before it ended")
+	}
+	m.EndBatch()
+	if got := m.Written(); !slices.Equal(got, []isa.Addr{0x2000}) {
+		t.Fatalf("written %v, want only the changed line", got)
+	}
+	m.Write(0x1000, 2) // the restored line is still watched
+	m.Write(0x3000, 2)
+	if got := m.Written(); !slices.Equal(got, []isa.Addr{0x1000, 0x3000}) {
+		t.Fatalf("written %v, want the lines the batch left as they were", got)
+	}
+}
+
 // A memory that never watches logs nothing and allocates nothing on an
 // access to an existing page.
 func TestUnwatchedMemoryLogsNothing(t *testing.T) {

@@ -190,10 +190,14 @@ func (tr *Tracker) prefixMax() prefixMax {
 }
 
 // NewHBNeed builds the prefix-maximum snapshot. Call it once per sweep,
-// after the run completes (persist times are final).
+// after the run completes (persist times are final): the sweep's cut
+// schedules (HBNeed.CutSchedule) and its dlin checker read the same one.
 func (tr *Tracker) NewHBNeed() *HBNeed {
 	return &HBNeed{tr: tr, pm: tr.prefixMax()}
 }
+
+// Tracker returns the tracker the snapshot was taken of.
+func (h *HBNeed) Tracker() *Tracker { return h.tr }
 
 // Of returns the latest persist time among w's happens-before
 // predecessor writes and a predecessor achieving it; (0, Stamp{}) when w

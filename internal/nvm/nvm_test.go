@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -414,5 +415,101 @@ func TestCursorMatchesImageAt(t *testing.T) {
 func TestCursorNoFaultsMatchesImageAt(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		checkCursorAgainstReference(t, seed, false)
+	}
+}
+
+// TestCursorDifferential advances one cursor over random persist logs —
+// Done ties from coarse holds, a few lines shared by many persists, torn
+// fault planes at several rates, either latency mode — through instants
+// that repeat and that jump far ahead, and checks at each:
+//   - the image equals a fresh reconstruction (imageAt);
+//   - Written names exactly the lines whose content the advance changed,
+//     every line being watched before it;
+//   - every logged event starts Latency() before it completes, which the
+//     cursor's single order relies on.
+func TestCursorDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := DefaultConfig()
+		cfg.Controllers = 1 + rng.Intn(3)
+		if rng.Intn(4) == 0 {
+			cfg.Mode = Uncached
+		}
+		s := New(cfg, true, nil)
+		if rng.Intn(5) != 0 {
+			tear := []float64{0.2, 0.5, 1}[rng.Intn(3)]
+			s.SetFaults(fault.MustNew(fault.Config{Seed: uint64(seed), TearProb: tear, WriteFaultProb: 0.1}))
+		}
+		lines := 2 + rng.Intn(4)
+		base := mm.NewMemory()
+		for i := 0; i < lines*isa.WordsPerLine; i++ {
+			if rng.Intn(3) == 0 {
+				base.Write(isa.Addr(i*isa.WordSize), rng.Uint64()%1000)
+			}
+		}
+		var now engine.Time
+		for i, n := 0, 10+rng.Intn(60); i < n; i++ {
+			now += engine.Time(rng.Intn(40))
+			earliest := now
+			if rng.Intn(3) == 0 {
+				earliest = (now/150 + engine.Time(1+rng.Intn(2))) * 150
+			}
+			var w [isa.WordsPerLine]uint64
+			for j := range w {
+				// Some persists re-carry a word unchanged.
+				w[j] = uint64(i+1)<<8 | uint64(j)
+				if rng.Intn(4) == 0 {
+					w[j] = uint64(j)
+				}
+			}
+			s.PersistLine(now, earliest, isa.Addr(rng.Intn(lines)*isa.LineSize), w)
+		}
+		for i, e := range s.Events() {
+			if e.Start != e.Done-s.Latency() {
+				t.Fatalf("seed %d: event %d starts at %v, completes at %v, latency %v", seed, i, e.Start, e.Done, s.Latency())
+			}
+		}
+		var instants []engine.Time
+		for _, e := range s.Events() {
+			for _, at := range []engine.Time{e.Start, e.Done} {
+				for d := engine.Time(-1); d <= 1; d++ {
+					if rng.Intn(3) != 0 {
+						instants = append(instants, at+d)
+					}
+				}
+			}
+		}
+		instants = append(instants, instants[:len(instants)/4]...) // repeats
+		sort.Slice(instants, func(i, j int) bool { return instants[i] < instants[j] })
+		instants = append(instants, now+10_000, engine.Infinity)
+
+		cur := s.NewCursor(base)
+		watchAll := func(img *mm.Memory) *mm.Memory {
+			img.Watch()
+			for l := 0; l < lines; l++ {
+				img.ReadLine(isa.Addr(l * isa.LineSize))
+			}
+			return img.Clone()
+		}
+		prev := watchAll(cur.AdvanceTo(instants[0] - 1))
+		for _, at := range instants {
+			img := cur.AdvanceTo(at)
+			if !img.Equal(imageAt(s, at, base)) {
+				t.Fatalf("seed %d: cursor image diverges from the reference at %v", seed, at)
+			}
+			var changed []isa.Addr
+			for l := 0; l < lines; l++ {
+				a := isa.Addr(l * isa.LineSize)
+				if img.ReadLine(a) != prev.ReadLine(a) {
+					changed = append(changed, a)
+				}
+			}
+			written := slices.Clone(img.Written())
+			slices.Sort(written)
+			if !slices.Equal(written, changed) {
+				t.Fatalf("seed %d at %v: Written %v, lines changed %v", seed, at, written, changed)
+			}
+			prev = watchAll(img)
+		}
 	}
 }

@@ -44,9 +44,9 @@ func Walk(img *mm.Memory, w Walker) *Report {
 		img.SetMemo(w, m)
 	} else {
 		for _, l := range written {
-			if refs := m.lines.Ptr(uint64(l)); refs != nil {
-				for _, r := range *refs {
-					if m.units[r.u].gen == r.gen {
+			if head := m.lines.Ptr(uint64(l)); head != nil {
+				for i := *head; i != 0; i = m.refs[i-1].next {
+					if r := m.refs[i-1].unitRef; m.units[r.u].gen == r.gen {
 						m.markStale(int(r.u))
 					}
 				}
@@ -70,10 +70,13 @@ func Walk(img *mm.Memory, w Walker) *Report {
 type walkMemo struct {
 	name  string
 	units []unitMemo
-	// lines maps a line to the units whose last walk read it. A unit's
-	// references from before its last walk are dead (gen moved on) and
-	// are dropped when the line gains a new one.
-	lines flat.Table[[]unitRef]
+	// lines maps a line to the units whose last walk read it, as the
+	// head of a list of nodes in refs (1-based; 0 ends a list). A unit's
+	// references from before its last walk are dead (gen moved on); they
+	// are unlinked, onto the free list, when the line gains a new one.
+	lines flat.Table[int32]
+	refs  []refNode
+	free  int32
 	// members is the one Members map of every report; nodes, abandoned
 	// and findings total the units'. queue is a queue walker's contents.
 	members                    map[uint64]uint64
@@ -106,6 +109,12 @@ type unitMemo struct {
 type member struct{ key, val uint64 }
 
 type unitRef struct{ u, gen uint32 }
+
+// refNode is one unitRef in a line's list, or a node on the free list.
+type refNode struct {
+	unitRef
+	next int32
+}
 
 func newWalkMemo(w Walker) *walkMemo {
 	n := w.Units()
@@ -205,16 +214,31 @@ func (m *walkMemo) update(old, cur []member) []member {
 	return old[:0]
 }
 
-// index records that ref's unit read line l, dropping l's dead references.
+// index records that ref's unit read line l, after l's live references,
+// and unlinks its dead ones.
 func (m *walkMemo) index(l isa.Addr, ref unitRef) {
-	p, _ := m.lines.Upsert(uint64(l))
-	live := (*p)[:0]
-	for _, r := range *p {
-		if m.units[r.u].gen == r.gen {
-			live = append(live, r)
-		}
+	// Take the new node first: growing refs moves the nodes the walk
+	// below links through.
+	n := m.free
+	if n != 0 {
+		m.free = m.refs[n-1].next
+		m.refs[n-1] = refNode{unitRef: ref}
+	} else {
+		m.refs = append(m.refs, refNode{unitRef: ref})
+		n = int32(len(m.refs))
 	}
-	*p = append(live, ref)
+	link, _ := m.lines.Upsert(uint64(l))
+	for i := *link; i != 0; {
+		r := &m.refs[i-1]
+		next := r.next
+		if m.units[r.u].gen == r.gen {
+			*link, link = i, &r.next
+		} else {
+			r.next, m.free = m.free, i
+		}
+		i = next
+	}
+	*link = n
 }
 
 // report assembles the units' findings, in unit order, into a new report.
