@@ -5,6 +5,7 @@ import (
 
 	"lrp/internal/cache"
 	"lrp/internal/engine"
+	"lrp/internal/fault"
 	"lrp/internal/isa"
 	"lrp/internal/model"
 	"lrp/internal/persist"
@@ -659,4 +660,46 @@ func TestPersistHoldsLineUntilAck(t *testing.T) {
 	var list persist.StampList
 	check("persistAddrList", line(2), s.persistAddrList(-1, line(2), &list, now, now+300, false))
 	check("sysView.PersistL1Line", line(3), (*sysView)(s).PersistL1Line(0, l1(line(3)), now, now, false))
+}
+
+// A torn persist that re-carries a word makes the word's last writer
+// durable from its start, even when an earlier persist of the line held
+// the write's stamp: the crash image holds the word from that start on.
+// The first persist carries the stamp but tears without the word; the
+// second carries no stamp, starts before the first acks and tears with
+// the word.
+func TestTornRecarryCreditsLastWriter(t *testing.T) {
+	cases := 0
+	for seed := uint64(1); seed <= 64; seed++ {
+		cfg := TestConfig(1).WithMechanism(persist.NOP)
+		cfg.Faults = fault.Config{Seed: seed, TearProb: 1}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := s.StaticAlloc(2*isa.WordsPerLine).Line() + isa.LineSize
+		word := line + 3*isa.WordSize
+		s.RunOne(func(c *Ctx) { c.Store(word, 42) })
+		now := s.Time()
+		l := s.l1s[0].Lookup(line)
+		if l == nil || !l.NeedsPersist() {
+			t.Fatal("the stored line is not dirty in the L1")
+		}
+		done1 := s.persistL1Line(0, l, now, now, false)
+		done2 := s.persistAddr(-1, line, nil, now+1, now+1, false)
+		start2 := s.NVM().StartOf(done2)
+		m1, _ := s.Faults().TornWords(line, done1)
+		m2, _ := s.Faults().TornWords(line, done2)
+		if m1&(1<<3) != 0 || m2&(1<<3) == 0 || start2 >= done1 {
+			continue
+		}
+		cases++
+		w := model.Stamp{Tid: 0, Seq: 1}
+		if got := s.Tracker().DurableAt(w); got != start2 {
+			t.Fatalf("seed %d: DurableAt = %v, want the re-carrying persist's start %v (first persist acked at %v)", seed, got, start2, done1)
+		}
+	}
+	if cases == 0 {
+		t.Fatal("no seed tore the two persists as the test needs")
+	}
 }

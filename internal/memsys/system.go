@@ -514,6 +514,13 @@ func (s *System) issuePersist(tid int, addr isa.Addr, now, earliest engine.Time,
 	if s.perf != nil {
 		s.perf.End()
 	}
+	// A torn persist lays the words it carries from its start, whichever
+	// writes' stamps it holds: each word's last writer is durable then.
+	if s.tracker != nil {
+		if mask, torn := s.faults.TornWords(addr.Line(), done); torn {
+			s.tracker.SetCarried(addr.Line(), s.nvm.StartOf(done), mask)
+		}
+	}
 	if s.obs != nil {
 		s.obs.PersistIssued(tid, uint64(addr), now, done, critical)
 	}

@@ -185,10 +185,27 @@ func (tr *Tracker) SetTorn(s Stamp, start engine.Time, mask uint64) {
 	}
 }
 
+// SetCarried records that a persist of line started at start and tears:
+// a crash while it is in flight holds each word in mask as the persist
+// captured it, the value of that address's last write when the persist
+// issued. That write is durable from start, whichever persist carried
+// its stamp: a later persist of a line re-carries every word it holds.
+// Call it at issue, before a later write to the line.
+func (tr *Tracker) SetCarried(line isa.Addr, start engine.Time, mask uint64) {
+	for i := 0; i < isa.WordsPerLine; i++ {
+		if mask&(1<<i) == 0 {
+			continue
+		}
+		if st := tr.addrs[line+isa.Addr(i*isa.WordSize)]; st != nil {
+			tr.SetPersisted(st.writer, start)
+		}
+	}
+}
+
 // DurableAt returns when write s first shows in a crash image
 // (engine.Infinity if never): when its persist acked, or when a torn
-// persist that carried its word started, whichever is earlier. Without
-// tearing it is the ack.
+// persist that carried its word started (SetTorn, SetCarried), whichever
+// is earlier. Without tearing it is the ack.
 func (tr *Tracker) DurableAt(s Stamp) engine.Time {
 	return tr.threads[s.Tid].writes[s.Seq-1].durableAt
 }
