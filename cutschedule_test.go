@@ -96,7 +96,7 @@ func checkCutSchedule(t *testing.T, m *Machine, repro string) (rpBad, arpBad int
 		}
 	}
 	for _, sem := range []model.Semantics{model.RP, model.ARP} {
-		cs := tr.CutSchedule(sem)
+		cs := tr.NewHBNeed().CutSchedule(sem)
 		for at := range probes { // maprange:ok — each probe is checked independently
 			got, want := cs.Bad(at), len(tr.CheckCut(at, sem)) > 0
 			if got != want {

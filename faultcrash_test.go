@@ -268,7 +268,7 @@ func faultMatrix(t *testing.T, f func(t *testing.T, m *Machine, rec Recoverable)
 // when a write became durable (model.Tracker.DurableAt).
 func TestDirtyWalksAreRPBad(t *testing.T) {
 	faultMatrix(t, func(t *testing.T, m *Machine, rec Recoverable) {
-		rp := m.Tracker().CutSchedule(model.RP)
+		rp := m.Tracker().NewHBNeed().CutSchedule(model.RP)
 		images := m.CrashImages()
 		var r *RecoveryReport
 		dirty, clean := 0, 0

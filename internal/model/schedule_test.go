@@ -12,7 +12,7 @@ import (
 // CheckCut oracle and against the expected answer.
 func wantBad(t *testing.T, tr *Tracker, sem Semantics, want bool, at ...engine.Time) {
 	t.Helper()
-	cs := tr.CutSchedule(sem)
+	cs := tr.NewHBNeed().CutSchedule(sem)
 	for _, crash := range at {
 		oracle := len(tr.CheckCut(crash, sem)) > 0
 		if got := cs.Bad(crash); got != oracle || got != want {
@@ -89,7 +89,7 @@ func TestCutScheduleMergesSpans(t *testing.T) {
 		persistAll(tr, iv[1], prev)
 		persistAll(tr, iv[0], w)
 	}
-	if got := len(tr.CutSchedule(RP).spans); got != 2 {
+	if got := len(tr.NewHBNeed().CutSchedule(RP).spans); got != 2 {
 		t.Fatalf("%d spans, want 2", got)
 	}
 	wantBad(t, tr, RP, true, 10, 19, 20, 29, 30, 39, 50, 59)
@@ -127,7 +127,7 @@ func TestCutScheduleMatchesCheckCutRandom(t *testing.T) {
 			}
 		}
 		for _, sem := range []Semantics{RP, ARP} {
-			cs := tr.CutSchedule(sem)
+			cs := tr.NewHBNeed().CutSchedule(sem)
 			for crash := engine.Time(-1); crash <= 41; crash++ {
 				if got, want := cs.Bad(crash), len(tr.CheckCut(crash, sem)) > 0; got != want {
 					t.Fatalf("seed=%d sem=%v t=%d: Bad=%v, CheckCut bad=%v", seed, sem, crash, got, want)

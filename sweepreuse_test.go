@@ -91,7 +91,7 @@ func referenceSweep(t *testing.T, m *Machine, rec Recoverable, h *OpHistory, see
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, arp := tr.CutSchedule(model.RP), tr.CutSchedule(model.ARP)
+	rp, arp := tr.NewHBNeed().CutSchedule(model.RP), tr.NewHBNeed().CutSchedule(model.ARP)
 	bounds := CrashBoundaries(m)
 	rep := &SweepReport{Mechanism: m.Config().Mechanism.String(), Seed: seed, Boundaries: len(bounds)}
 	images := m.CrashImages()
