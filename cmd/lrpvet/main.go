@@ -1,8 +1,10 @@
-// Command lrpvet checks the repository for unannotated iteration over Go
-// maps in production code. Go randomizes map iteration order, so a map
-// `range` that feeds any deterministic artifact — trace output, crash
-// images, the NVM event log, JSON reports — is a reproducibility bug
-// that golden tests only catch by luck. The simulator's hot state
+// Command lrpvet runs two checks over the repository's production code.
+//
+// The first flags unannotated iteration over Go maps. Go randomizes map
+// iteration order, so a map `range` that feeds any deterministic
+// artifact — trace output, crash images, the NVM event log, JSON
+// reports — is a reproducibility bug that golden tests only catch by
+// luck. The simulator's hot state
 // therefore lives in ordered flat tables (internal/flat), and the few
 // legitimate map walks left must say why they are safe:
 //
@@ -10,7 +12,7 @@
 //	for k, v := range m { ... }
 //
 // The annotation goes on the range line or the line above it. Any map
-// range without one fails the check (CI runs `go run ./cmd/lrpvet`).
+// range without one fails the check.
 //
 // Detection is per-package AST analysis without full type checking: a
 // range is flagged when its operand's name is declared as a map anywhere
@@ -18,6 +20,20 @@
 // make(map[...]), or map composite literals, in any non-test file). That
 // covers the realistic regression — ranging over a struct's map field,
 // possibly declared in a sibling file — without external tooling.
+//
+// The second flags functions no binary reaches. It builds every main
+// package of the module and of each module nested in it (cmd/, examples/,
+// e2ebench) with inlining off (-gcflags=all=-l), reads the functions each
+// binary links with `go tool nm`, and reports every non-test function
+// declaration none of them links. A function reached only from tests is
+// unreached. One that stays on purpose — documented library surface, a
+// fixture several packages' tests share — says why in its doc comment:
+//
+//	// api:keep — the counter block OBSERVABILITY.md documents
+//	func (s *System) Counts() *obs.Counts { return s.cnt }
+//
+// Both checks run in CI as `go run ./cmd/lrpvet`; it exits 1 on any
+// finding.
 package main
 
 import (
@@ -60,11 +76,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lrpvet: %v\n", err)
 		os.Exit(2)
 	}
+	for _, s := range bad {
+		fmt.Println(s)
+	}
 	if len(bad) > 0 {
-		for _, s := range bad {
-			fmt.Println(s)
-		}
 		fmt.Fprintf(os.Stderr, "lrpvet: %d unannotated map range(s); map iteration order is randomized — use an ordered flat table, sort the keys, or annotate the line with `// %s — <why order cannot matter>`\n", len(bad), marker)
+	}
+	unreached, err := checkReach(root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lrpvet: %v\n", err)
+		os.Exit(2)
+	}
+	for _, s := range unreached {
+		fmt.Println(s)
+	}
+	if len(unreached) > 0 {
+		fmt.Fprintf(os.Stderr, "lrpvet: %d function(s) linked by no binary — delete each, or say in its doc comment `// %s — <why it stays>`\n", len(unreached), keepMarker)
+	}
+	if len(bad) > 0 || len(unreached) > 0 {
 		os.Exit(1)
 	}
 }

@@ -75,11 +75,12 @@ func checkCounterIdentities(t *testing.T, m *Machine) {
 			t.Errorf("%s: %d != %d", what, a, b)
 		}
 	}
-	// NOP persists dirty LLC lines on eviction and at drain on behalf of
-	// no core: the machine-wide row counts those, and only under NOP.
+	// NOP and eADR persist dirty LLC lines on eviction and at drain on
+	// behalf of no core: the machine-wide row counts those, and only
+	// under them (Mechanism.LLCEvictPersists).
 	wide := m.Counts().Row(-1).Persists
-	if !m.Mech().LLCEvictPersists() {
-		eq("machine-wide persists outside NOP", wide, 0)
+	if k := m.Config().Mechanism; k != NOP && k != EADR {
+		eq("machine-wide persists outside NOP and eADR", wide, 0)
 	}
 	eq("Σpersist/issued + machine-wide persists vs Stats.Persists", reg.SumCounters("persist/issued/")+wide, st.Persists)
 	eq("Σpersist/critical vs Stats.CriticalPersists", reg.SumCounters("persist/critical/"), st.CriticalPersists)

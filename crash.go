@@ -88,6 +88,7 @@ func Crash(m *Machine, at Time) (*CrashReport, error) {
 
 // CrashRecover is Crash plus the hardened recovery walk over the crash
 // image, reported in CrashReport.Recovery and the obs registry.
+// api:keep — the one-instant crash-and-recover call FAULTS.md documents for library users.
 func CrashRecover(m *Machine, rec Recoverable, at Time) (*CrashReport, error) {
 	rep, err := Crash(m, at)
 	if err != nil {

@@ -53,6 +53,7 @@ func RunRecoverableWorkloadHist(cfg Config, spec Spec) (*Result, *Machine, Recov
 // or replayed — the same spec. This is how a trace replay (which drives
 // raw memory ops, not data-structure code) gets a handle for recovery
 // walks and durable-linearizability checks.
+// api:keep — the only way to sweep a replayed machine (TRACES.md); TestTraceHistoryRoundTrip pins it.
 func RecoverableFor(m *Machine, spec Spec) (Recoverable, error) {
 	return workload.AnchorsFor(m, spec)
 }
@@ -63,6 +64,7 @@ func RecoverableFor(m *Machine, spec Spec) (Recoverable, error) {
 // linearizable at this instant). For whole-execution checking use
 // SweepCrash with SweepOpts.Hist, which amortizes the precomputation
 // across all boundaries.
+// api:keep — the one-instant dlin check beside CrashRecover; TestDLinSingleInstant holds it to the sweep.
 func CheckDurableLinearizability(m *Machine, rec Recoverable, h *OpHistory, at Time) ([]DLinViolation, error) {
 	mech := m.Config().Mechanism
 	ck, err := dlin.NewChecker(h, m.Tracker())

@@ -11,10 +11,21 @@ import (
 
 func line(n int) isa.Addr { return isa.Addr(n * isa.LineSize) }
 
+// valid returns c's valid lines in slot order (set-major).
+func valid(c *L1) []*Line {
+	var out []*Line
+	for i := range c.lines {
+		if c.lines[i].State != Invalid {
+			out = append(out, &c.lines[i])
+		}
+	}
+	return out
+}
+
 func TestL1Geometry(t *testing.T) {
 	c := NewL1(32<<10, 8) // Table 1: 32KB, 8-way
-	if c.Sets() != 64 || c.Ways() != 8 {
-		t.Fatalf("geometry: %d sets x %d ways", c.Sets(), c.Ways())
+	if sets := len(c.lines) / c.ways; sets != 64 || c.ways != 8 {
+		t.Fatalf("geometry: %d sets x %d ways", sets, c.ways)
 	}
 }
 
@@ -111,26 +122,25 @@ func TestL1ScanAndCountDirty(t *testing.T) {
 	if got := countPending(c); got != 3 {
 		t.Fatalf("%d lines pending, want 3", got)
 	}
-	n := 0
-	c.Scan(func(l *Line) { n++ })
-	if n != 5 {
-		t.Fatalf("Scan visited %d", n)
+	if n := len(valid(c)); n != 5 {
+		t.Fatalf("%d valid lines, want 5", n)
 	}
 }
 
 func TestLineClassification(t *testing.T) {
 	var l Line
-	if l.NeedsPersist() || l.OnlyWritten() || l.Released() {
+	onlyWritten := func() bool { return l.NeedsPersist() && !l.Release }
+	if l.NeedsPersist() || onlyWritten() || l.Released() {
 		t.Fatal("clean line misclassified")
 	}
 	arena := persist.NewStampArena()
 	l.Pending = true
 	l.AppendStamp(arena, model.Stamp{Tid: 0, Seq: 1})
-	if !l.OnlyWritten() || l.Released() {
+	if !onlyWritten() || l.Released() {
 		t.Fatal("only-written line misclassified")
 	}
 	l.Release = true
-	if l.OnlyWritten() || !l.Released() {
+	if onlyWritten() || !l.Released() {
 		t.Fatal("released line misclassified")
 	}
 	st := l.TakeStamps()
@@ -170,15 +180,13 @@ func TestL1InvariantProperty(t *testing.T) {
 			installed[a] = true
 		}
 		// Every line we believe installed must be present and vice versa.
-		n := 0
-		ok := true
-		c.Scan(func(l *Line) {
-			n++
+		lines := valid(c)
+		for _, l := range lines {
 			if !installed[l.Addr] {
-				ok = false
+				return false
 			}
-		})
-		return ok && n == len(installed) && n <= c.Sets()*c.Ways()
+		}
+		return len(lines) == len(installed) && len(lines) <= len(c.lines)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -187,7 +195,7 @@ func TestL1InvariantProperty(t *testing.T) {
 
 func TestLLCBasics(t *testing.T) {
 	c := NewLLC(64<<20, 16, 64) // Table 1: 1MB x 64 tiles, 16-way
-	if c.Banks() != 64 {
+	if c.banks != 64 {
 		t.Fatal("banks")
 	}
 	a := line(5)
@@ -260,8 +268,8 @@ func TestLLCDirtyBits(t *testing.T) {
 func TestDirectoryBasics(t *testing.T) {
 	d := NewDirectory(4)
 	a := line(7)
-	if d.Peek(a) != nil {
-		t.Fatal("Peek created an entry")
+	if d.entries.Ptr(uint64(a)) != nil {
+		t.Fatal("a fresh directory holds an entry")
 	}
 	e := d.Entry(a)
 	if e.Owner != NoOwner || e.HasSharers() {
@@ -357,11 +365,11 @@ func TestL1ScanPendingOrder(t *testing.T) {
 		}
 	}
 	var wantAddrs []isa.Addr
-	c.Scan(func(l *Line) {
+	for _, l := range valid(c) {
 		if l.NeedsPersist() {
 			wantAddrs = append(wantAddrs, l.Addr)
 		}
-	})
+	}
 	var got []isa.Addr
 	c.ScanPending(func(l *Line) { got = append(got, l.Addr) })
 	if len(got) != len(wantAddrs) {

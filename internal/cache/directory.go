@@ -71,11 +71,6 @@ func (d *Directory) createEntry(line isa.Addr) *DirEntry {
 	return e
 }
 
-// Peek returns the entry if it exists, without creating it.
-func (d *Directory) Peek(line isa.Addr) *DirEntry {
-	return d.entries.Ptr(uint64(line))
-}
-
 // SetOwner records core as the exclusive owner, clearing all sharers.
 func (d *Directory) SetOwner(line isa.Addr, core int) {
 	d.check(core)

@@ -46,12 +46,6 @@ func NewL1(sizeBytes, ways int) *L1 {
 	}
 }
 
-// Sets returns the number of sets.
-func (c *L1) Sets() int { return len(c.lines) / c.ways }
-
-// Ways returns the associativity.
-func (c *L1) Ways() int { return c.ways }
-
 // setBase returns the first slot index of the line's set.
 func (c *L1) setBase(line isa.Addr) int {
 	return int((uint64(line)>>isa.LineShift)&c.setMask) * c.ways
@@ -151,17 +145,8 @@ func (c *L1) slotOf(l *Line) int {
 	panic("cache: MarkPending on a line not owned by this L1")
 }
 
-// Scan calls f on every valid line in slot order (set-major).
-func (c *L1) Scan(f func(*Line)) {
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			f(&c.lines[i])
-		}
-	}
-}
-
-// ScanPending calls f on every line holding unpersisted writes, in the
-// same slot order Scan would visit them. It walks the pending bitmap —
+// ScanPending calls f on every line holding unpersisted writes, in slot
+// order (set-major). It walks the pending bitmap —
 // words of bits rather than every line — and lazily clears bits whose
 // line was since invalidated, refilled or persisted.
 func (c *L1) ScanPending(f func(*Line)) {

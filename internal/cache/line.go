@@ -114,10 +114,6 @@ func (l *Line) DropLastStamp(a *persist.StampArena) { a.DropLast(&l.stamps) }
 // NeedsPersist reports whether the line holds writes not yet persisted.
 func (l *Line) NeedsPersist() bool { return l.Pending }
 
-// OnlyWritten reports the paper's "only-written" classification: dirty
-// with unpersisted plain writes and no unpersisted release.
-func (l *Line) OnlyWritten() bool { return l.NeedsPersist() && !l.Release }
-
 // Released reports the paper's "released" classification: the line holds
 // a not-yet-persisted release.
 func (l *Line) Released() bool { return l.NeedsPersist() && l.Release }

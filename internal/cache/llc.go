@@ -51,9 +51,6 @@ func NewLLC(sizeBytes, ways, banks int) *LLC {
 	}
 }
 
-// Banks returns the number of LLC banks.
-func (c *LLC) Banks() int { return c.banks }
-
 // Bank returns the bank index serving a line address.
 func (c *LLC) Bank(line isa.Addr) int {
 	return int((uint64(line) >> isa.LineShift) % uint64(c.banks))

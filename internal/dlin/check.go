@@ -281,9 +281,6 @@ func (c *Checker) closeHB() {
 	}
 }
 
-// Updates returns the number of checkable updates.
-func (c *Checker) Updates() int { return len(c.upd) }
-
 // NewPass returns a mutable checking cursor over the shared
 // precomputation. Each sweep worker owns one.
 func (c *Checker) NewPass() *Pass {

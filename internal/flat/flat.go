@@ -55,18 +55,6 @@ func hash(k uint64) uint64 { return k * 0x9e3779b97f4a7c15 }
 // Len returns the number of live entries.
 func (t *Table[V]) Len() int { return t.live }
 
-// Cap returns the current slot count (0 for the zero value).
-func (t *Table[V]) Cap() int { return len(t.keys) }
-
-// Get returns the value for k and whether it is present.
-func (t *Table[V]) Get(k uint64) (V, bool) {
-	if p := t.Ptr(k); p != nil {
-		return *p, true
-	}
-	var zero V
-	return zero, false
-}
-
 // Ptr returns a pointer to k's value, or nil if absent. The pointer is
 // invalidated by the next Upsert or Reset.
 func (t *Table[V]) Ptr(k uint64) *V {

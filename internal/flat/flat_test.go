@@ -8,14 +8,11 @@ import (
 
 func TestTableZeroValue(t *testing.T) {
 	var tb Table[int]
-	if tb.Len() != 0 || tb.Cap() != 0 {
-		t.Fatalf("zero table: len=%d cap=%d", tb.Len(), tb.Cap())
+	if tb.Len() != 0 || len(tb.keys) != 0 {
+		t.Fatalf("zero table: len=%d cap=%d", tb.Len(), len(tb.keys))
 	}
-	if p := tb.Ptr(0); p != nil {
+	if tb.Ptr(0) != nil || tb.Ptr(42) != nil {
 		t.Fatal("Ptr on empty table must be nil")
-	}
-	if _, ok := tb.Get(42); ok {
-		t.Fatal("Get on empty table must miss")
 	}
 	if tb.Delete(42) {
 		t.Fatal("Delete on empty table must report absent")
@@ -35,13 +32,13 @@ func TestTableZeroKey(t *testing.T) {
 		t.Fatal("first Upsert(0) must create")
 	}
 	*p = "zero"
-	if v, ok := tb.Get(0); !ok || v != "zero" {
-		t.Fatalf("Get(0) = %q, %v", v, ok)
+	if p := tb.Ptr(0); p == nil || *p != "zero" {
+		t.Fatalf("Ptr(0) = %v", p)
 	}
 	if !tb.Delete(0) {
 		t.Fatal("Delete(0) must report present")
 	}
-	if _, ok := tb.Get(0); ok {
+	if tb.Ptr(0) != nil {
 		t.Fatal("key 0 must be gone after delete")
 	}
 }
@@ -60,8 +57,8 @@ func TestTableGrowthKeepsEntries(t *testing.T) {
 		t.Fatalf("len = %d, want %d", tb.Len(), n)
 	}
 	for i := uint64(0); i < n; i++ {
-		if v, ok := tb.Get(i * 64); !ok || v != i {
-			t.Fatalf("Get(%d) = %d, %v", i*64, v, ok)
+		if p := tb.Ptr(i * 64); p == nil || *p != i {
+			t.Fatalf("Ptr(%d) = %v", i*64, p)
 		}
 	}
 }
@@ -89,8 +86,8 @@ func TestTableTombstoneReuse(t *testing.T) {
 		t.Fatal("re-insert of deleted key must create")
 	}
 	*p = 7
-	if v, _ := tb.Get(42); v != 7 {
-		t.Fatalf("reinserted value = %d", v)
+	if p := tb.Ptr(42); p == nil || *p != 7 {
+		t.Fatalf("reinserted value = %v", p)
 	}
 }
 
@@ -123,10 +120,10 @@ func TestTableReset(t *testing.T) {
 	for i := uint64(0); i < 64; i++ {
 		tb.Upsert(i)
 	}
-	cap0 := tb.Cap()
+	cap0 := len(tb.keys)
 	tb.Reset()
-	if tb.Len() != 0 || tb.Cap() != cap0 {
-		t.Fatalf("after Reset: len=%d cap=%d (want 0, %d)", tb.Len(), tb.Cap(), cap0)
+	if tb.Len() != 0 || len(tb.keys) != cap0 {
+		t.Fatalf("after Reset: len=%d cap=%d (want 0, %d)", tb.Len(), len(tb.keys), cap0)
 	}
 	for i := uint64(0); i < 64; i++ {
 		if tb.Ptr(i) != nil {
@@ -176,10 +173,10 @@ func TestTableOracle(t *testing.T) {
 				}
 			default: // lookup
 				k := keyOf()
-				v, ok := tb.Get(k)
+				p := tb.Ptr(k)
 				ov, ook := oracle[k]
-				if ok != ook || v != ov {
-					t.Fatalf("seed %d op %d: Get(%d) = %d,%v, oracle %d,%v", seed, op, k, v, ok, ov, ook)
+				if (p != nil) != ook || (p != nil && *p != ov) {
+					t.Fatalf("seed %d op %d: Ptr(%d) = %v, oracle %d,%v", seed, op, k, p, ov, ook)
 				}
 			}
 		}
@@ -188,8 +185,8 @@ func TestTableOracle(t *testing.T) {
 			t.Fatalf("seed %d: len = %d, oracle %d", seed, tb.Len(), len(oracle))
 		}
 		for k, v := range oracle {
-			if got, ok := tb.Get(k); !ok || got != v {
-				t.Fatalf("seed %d: Get(%d) = %d,%v, oracle %d", seed, k, got, ok, v)
+			if p := tb.Ptr(k); p == nil || *p != v {
+				t.Fatalf("seed %d: Ptr(%d) = %v, oracle %d", seed, k, p, v)
 			}
 		}
 		want := make([]uint64, 0, len(oracle))

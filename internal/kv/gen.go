@@ -34,22 +34,6 @@ const (
 	ReqScan
 )
 
-func (k OpKind) String() string {
-	switch k {
-	case ReqGet:
-		return "get"
-	case ReqSet:
-		return "set"
-	case ReqDel:
-		return "del"
-	case ReqCAS:
-		return "cas"
-	case ReqScan:
-		return "scan"
-	}
-	return "req(?)"
-}
-
 // Request is one generated service request. Key is tenant-local, in
 // [1, KeysPerTenant]; ValWords is the payload size drawn for Set/CAS.
 type Request struct {

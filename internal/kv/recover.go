@@ -124,7 +124,7 @@ func (s *Store) checkRecord(img *mm.Memory, key, rec uint64) (uint64, string) {
 // keys are expected.
 func recoverOrdered(img *mm.Memory, rep *recovery.Report, tenant int, ord *lfds.SkipList) {
 	prev := uint64(0)
-	c := ord.Level(img, rep, 0, "ordered-index ")
+	c := ord.Bottom(img, rep, "ordered-index ")
 	for c.Next() {
 		key := c.Key
 		switch {

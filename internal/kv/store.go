@@ -83,7 +83,6 @@ type shard struct {
 // issuing thread's Ctx; the store itself holds only anchor addresses
 // and is safe to share across the machine's threads.
 type Store struct {
-	p      workload.KVParams
 	shards []shard
 }
 
@@ -92,7 +91,7 @@ type Store struct {
 // so a Store built on a replay machine binds to the recorded run's
 // addresses.
 func New(sys *memsys.System, p workload.KVParams) *Store {
-	s := &Store{p: p, shards: make([]shard, p.Tenants)}
+	s := &Store{shards: make([]shard, p.Tenants)}
 	b := p.KeysPerTenant / 4
 	if b < 4 {
 		b = 4
@@ -105,9 +104,6 @@ func New(sys *memsys.System, p workload.KVParams) *Store {
 	}
 	return s
 }
-
-// Params returns the store's normalized parameters.
-func (s *Store) Params() workload.KVParams { return s.p }
 
 // writeRecord allocates and prepares a value record with plain stores;
 // the caller publishes it with a release CAS.

@@ -9,11 +9,12 @@ import (
 	"lrp/internal/workload"
 )
 
+// init registers the multi-tenant persistent KV service: get/set/del/
+// cas/scan over sharded hashmap+skiplist, zipfian/hotspot skew.
 func init() {
 	workload.Register(workload.Kind{
-		Name:    "kv",
-		Summary: "multi-tenant persistent KV service: get/set/del/cas/scan over sharded hashmap+skiplist, zipfian/hotspot skew",
-		Run:     run,
+		Name: "kv",
+		Run:  run,
 		Anchors: func(sys *memsys.System, spec workload.Spec) (workload.Recoverable, error) {
 			return New(sys, spec.KV.Normalized(spec.InitialSize)), nil
 		},

@@ -70,10 +70,6 @@ type seekRec struct {
 	sibCell isa.Addr // parent's other child cell (0 if no parent)
 }
 
-func isLeaf(c *memsys.Ctx, n uint64) bool {
-	return c.LoadAcq(addr(n)+bstLeft) == 0 && c.Load(addr(n)+bstRight) == 0
-}
-
 // seek descends to the leaf where key belongs.
 func (b *BST) seek(c *memsys.Ctx, key uint64) seekRec {
 	rec := seekRec{pCell: b.root}
@@ -214,6 +210,7 @@ func (b *BST) Contains(c *memsys.Ctx, key uint64) bool {
 }
 
 // Root exposes the root cell.
+// api:keep — recovery tests plant corrupt images at this cell.
 func (b *BST) Root() isa.Addr { return b.root }
 
 // Recover implements Set: the hardened null-recovery walk of the tree in

@@ -186,6 +186,7 @@ func (l *LinkedList) Delete(c *memsys.Ctx, key uint64) bool { return l.list.dele
 func (l *LinkedList) Contains(c *memsys.Ctx, key uint64) bool { return l.list.contains(c, key) }
 
 // Head exposes the head cell address.
+// api:keep — recovery tests plant corrupt images at this cell.
 func (l *LinkedList) Head() isa.Addr { return l.list.head }
 
 // Recover implements Set: the hardened null-recovery walk of the list in

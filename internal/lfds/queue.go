@@ -93,6 +93,7 @@ func (q *Queue) Dequeue(c *memsys.Ctx) (val uint64, ok bool) {
 }
 
 // Anchors exposes the head and tail cells.
+// api:keep — recovery tests plant corrupt images at these cells.
 func (q *Queue) Anchors() (head, tail isa.Addr) { return q.head, q.tail }
 
 // Recover is the hardened null-recovery walk of the queue in a crash

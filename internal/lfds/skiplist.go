@@ -266,13 +266,14 @@ func (s *SkipList) Scan(c *memsys.Ctx, from uint64, max int, visit func(key, val
 }
 
 // Head exposes the head tower base.
+// api:keep — recovery and kv tests plant corrupt images at this tower.
 func (s *SkipList) Head() isa.Addr { return s.head }
 
-// Level is a recovery cursor over one level of the list in a crash
-// image; noun names the chain in its guard findings ("" for the skip
-// list itself).
-func (s *SkipList) Level(img *mm.Memory, rep *recovery.Report, level int, noun string) Chain {
-	return newChain(img, rep, s.headCell(level), slNext(level), noun)
+// Bottom is a recovery cursor over the bottom level of the list in a
+// crash image; noun names the chain in its guard findings ("" for the
+// skip list itself).
+func (s *SkipList) Bottom(img *mm.Memory, rep *recovery.Report, noun string) Chain {
+	return newChain(img, rep, s.headCell(0), slNext0, noun)
 }
 
 // Recover implements Set: the hardened null-recovery walk of the list in
@@ -280,8 +281,7 @@ func (s *SkipList) Level(img *mm.Memory, rep *recovery.Report, level int, noun s
 // membership. The index levels carry plain (volatile) annotations, so a
 // crash image may hold index links whose bottom-level counterparts never
 // persisted — Release Persistency does not order them — and null
-// recovery rebuilds the index from the bottom level. WalkIndex checks
-// the index levels too, for images known to be complete.
+// recovery rebuilds the index from the bottom level.
 func (s *SkipList) Recover(img *mm.Memory) *recovery.Report { return recovery.Walk(img, s) }
 
 // Units implements recovery.Walker: the bottom level is one unit.
@@ -290,7 +290,7 @@ func (s *SkipList) Units() int { return 1 }
 // WalkUnit implements recovery.Walker.
 func (s *SkipList) WalkUnit(img *mm.Memory, rep *recovery.Report, _ int) {
 	prev := uint64(0)
-	c := s.Level(img, rep, 0, "")
+	c := s.Bottom(img, rep, "")
 	for c.Next() {
 		switch why := violation(c.Key, c.Val); {
 		case why != "":
@@ -307,46 +307,4 @@ func (s *SkipList) WalkUnit(img *mm.Memory, rep *recovery.Report, _ int) {
 			}
 		}
 	}
-}
-
-// WalkIndex is the whole-structure check for images known to be
-// complete (clean shutdown): Recover must be clean, then every index
-// level must be a sorted subsequence of the bottom level (height bounds,
-// bottom membership of live index nodes). It returns the first
-// violation as a recovery.Corruption.
-func (s *SkipList) WalkIndex(img *mm.Memory) (*recovery.SetState, error) {
-	rep := s.Recover(img)
-	if err := rep.Err(); err != nil {
-		return nil, err
-	}
-	bottom := make(map[uint64]bool, rep.Set.Nodes)
-	c := s.Level(img, rep, 0, "")
-	for c.Next() {
-		bottom[c.Key] = true
-	}
-	idx := &recovery.Report{Structure: s.Name()}
-	for level := 1; level < MaxHeight && idx.Clean(); level++ {
-		prev := uint64(0)
-		c := s.Level(img, idx, level, "index ")
-		for idx.Clean() && c.Next() {
-			switch {
-			case !bottom[c.Key] && !isMarked(img.Read(c.Node+slNext0)):
-				// A live index node must exist on the bottom level. A
-				// *marked* one may linger: index linking races with
-				// deletion, and the loser is unlinked lazily by later
-				// traversals — legitimate in the crash image too.
-				idx.Quarantine(c.Node, fmt.Sprintf("level-%d node key %d not on the bottom level", level, c.Key))
-			case c.Height() <= uint64(level):
-				idx.Quarantine(c.Node, fmt.Sprintf("node of height %d reachable at level %d", c.Height(), level))
-			case c.Key <= prev:
-				idx.Quarantine(c.Node, fmt.Sprintf("level-%d order violated: %d after %d", level, c.Key, prev))
-			default:
-				prev = c.Key
-			}
-		}
-	}
-	if err := idx.Err(); err != nil {
-		return nil, err
-	}
-	return rep.Set, nil
 }

@@ -5,7 +5,6 @@ import (
 	"lrp/internal/engine"
 	"lrp/internal/isa"
 	"lrp/internal/model"
-	"lrp/internal/persist"
 )
 
 // arpEntry is one per-thread persist-buffer entry: a line's worth of
@@ -59,8 +58,6 @@ func newARP(sv SystemView) Mechanism {
 		epoch:  make([]uint32, sv.Cores()),
 	}
 }
-
-func (m *arpMech) Kind() persist.Kind { return persist.ARP }
 
 // drainEpochs issues persists for all buffered entries with epoch < upTo,
 // epoch by epoch behind the thread's drain horizon. It returns the final

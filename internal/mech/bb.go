@@ -5,7 +5,6 @@ import (
 	"lrp/internal/engine"
 	"lrp/internal/isa"
 	"lrp/internal/model"
-	"lrp/internal/persist"
 )
 
 // bbMech is the state-of-the-art buffered full barrier (§6.2 "BB",
@@ -45,8 +44,6 @@ func newBB(sv SystemView) Mechanism {
 		prevHorizon: make([]engine.Time, sv.Cores()),
 	}
 }
-
-func (m *bbMech) Kind() persist.Kind { return persist.BB }
 
 // flushEpoch closes the current epoch: it proactively issues persists for
 // every dirty line of the epoch, serialized behind the thread's epoch

@@ -6,7 +6,6 @@ import (
 	"lrp/internal/isa"
 	"lrp/internal/mm"
 	"lrp/internal/model"
-	"lrp/internal/persist"
 )
 
 // eadrMech models an eADR / extended-ADR platform: the entire cache
@@ -49,8 +48,6 @@ type eadrWrite struct {
 }
 
 func newEADR(sv SystemView) Mechanism { return &eadrMech{sv: sv} }
-
-func (m *eadrMech) Kind() persist.Kind { return EADR }
 
 func (m *eadrMech) OnWrite(tid int, l *cache.Line, release bool, now engine.Time) engine.Time {
 	return now

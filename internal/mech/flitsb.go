@@ -7,7 +7,6 @@ import (
 	"lrp/internal/engine"
 	"lrp/internal/isa"
 	"lrp/internal/model"
-	"lrp/internal/persist"
 )
 
 // flitMech ("FliT-SB") is a FliT-inspired strict baseline (Wei et al.,
@@ -36,8 +35,6 @@ type flitMech struct {
 func newFliTSB(sv SystemView) Mechanism {
 	return &flitMech{sv: sv, tracked: make([][]isa.Addr, sv.Cores())}
 }
-
-func (m *flitMech) Kind() persist.Kind { return FliTSB }
 
 func (m *flitMech) track(tid int, a isa.Addr) {
 	s := m.tracked[tid]

@@ -33,8 +33,6 @@ type lrpMech struct {
 
 func newLRP(sv SystemView) Mechanism { return &lrpMech{sv: sv} }
 
-func (m *lrpMech) Kind() persist.Kind { return persist.LRP }
-
 // persistReleased runs the persist-engine procedure for released line l
 // of thread tid: persist all lines with min-epoch older than l's release
 // epoch (writes first, then releases in epoch order), then l itself.

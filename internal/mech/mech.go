@@ -25,8 +25,6 @@ import (
 // architectural action may proceed. A returned time later than `now`
 // means the action stalled on the critical path.
 type Mechanism interface {
-	Kind() persist.Kind
-
 	// OnWrite runs before a write (or the write half of an RMW) updates
 	// the line. The line is Modified; its metadata still reflects the
 	// pre-write state.

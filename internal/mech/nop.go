@@ -5,7 +5,6 @@ import (
 	"lrp/internal/engine"
 	"lrp/internal/isa"
 	"lrp/internal/model"
-	"lrp/internal/persist"
 )
 
 // nopMech is volatile execution: no persistency ordering whatsoever.
@@ -19,8 +18,6 @@ type nopMech struct {
 }
 
 func newNOP(sv SystemView) Mechanism { return &nopMech{sv: sv} }
-
-func (m *nopMech) Kind() persist.Kind { return persist.NOP }
 
 func (m *nopMech) OnWrite(tid int, l *cache.Line, release bool, now engine.Time) engine.Time {
 	return now

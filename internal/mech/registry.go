@@ -22,12 +22,11 @@ var (
 	FliTSB = persist.Register(persist.KindSpec{Name: "FliT-SB", EnforcesRP: true, Headline: true})
 )
 
-// Info is one registry entry: the Kind, a one-line summary for listings,
-// and the constructor the machine calls at build time.
+// Info is one registry entry: the Kind and the constructor the machine
+// calls at build time.
 type Info struct {
-	Kind    persist.Kind
-	Summary string
-	New     func(SystemView) Mechanism
+	Kind persist.Kind
+	New  func(SystemView) Mechanism
 }
 
 var registry []Info
@@ -47,20 +46,13 @@ func registerMech(in Info) {
 }
 
 func init() {
-	registerMech(Info{persist.NOP, "volatile execution; durable data only via LLC eviction", newNOP})
-	registerMech(Info{persist.SB, "strict full barriers around every release", newSB})
-	registerMech(Info{persist.BB, "buffered full barrier: epoch tags + proactive flushing (Joshi et al.)", newBB})
-	registerMech(Info{persist.ARP, "acquire-release persistency on a persist buffer (Kolli et al.)", newARP})
-	registerMech(Info{persist.LRP, "lazy release persistency: min-epoch + RET + persist engine (the paper)", newLRP})
-	registerMech(Info{EADR, "persistent caches: every acked store durable, zero flushes (upper bound)", newEADR})
-	registerMech(Info{FliTSB, "SB with software per-line dirty tracking eliding clean-line flushes", newFliTSB})
-}
-
-// All lists every registered mechanism in registration order.
-func All() []Info {
-	out := make([]Info, len(registry))
-	copy(out, registry)
-	return out
+	registerMech(Info{persist.NOP, newNOP})
+	registerMech(Info{persist.SB, newSB})
+	registerMech(Info{persist.BB, newBB})
+	registerMech(Info{persist.ARP, newARP})
+	registerMech(Info{persist.LRP, newLRP})
+	registerMech(Info{EADR, newEADR})
+	registerMech(Info{FliTSB, newFliTSB})
 }
 
 // Lookup returns k's registry entry.

@@ -5,7 +5,6 @@ import (
 	"lrp/internal/engine"
 	"lrp/internal/isa"
 	"lrp/internal/model"
-	"lrp/internal/persist"
 )
 
 // sbMech enforces RP with strict full barriers (§6.2 "SB"): a barrier
@@ -20,8 +19,6 @@ type sbMech struct {
 }
 
 func newSB(sv SystemView) Mechanism { return &sbMech{sv: sv} }
-
-func (m *sbMech) Kind() persist.Kind { return persist.SB }
 
 func (m *sbMech) OnWrite(tid int, l *cache.Line, release bool, now engine.Time) engine.Time {
 	if !release {

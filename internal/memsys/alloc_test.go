@@ -109,20 +109,20 @@ func TestStampArenaSteadyState(t *testing.T) {
 	}
 	progs := []Program{prog, prog}
 	s.Run(progs)
-	warm := s.ArenaStats()
+	warm := s.stamps.Stats()
 	if warm.Nodes == 0 {
 		t.Fatal("tracking run left the stamp arena empty; stamps are not arena-backed")
 	}
 	for i := 0; i < 3; i++ {
 		s.Run(progs)
 	}
-	after := s.ArenaStats()
+	after := s.stamps.Stats()
 	if after.Nodes != warm.Nodes {
 		t.Fatalf("stamp arena grew %d -> %d nodes across identical steady-state runs; chains are leaking",
 			warm.Nodes, after.Nodes)
 	}
 	s.Drain()
-	final := s.ArenaStats()
+	final := s.stamps.Stats()
 	if final.FreeNodes != final.Nodes {
 		t.Fatalf("after Drain, %d of %d arena nodes still in use; persist retirement is not freeing chains",
 			final.Nodes-final.FreeNodes, final.Nodes)

@@ -136,6 +136,7 @@ func DefaultConfig() Config {
 
 // TestConfig is a small machine for unit and property tests: few cores,
 // tiny caches (to exercise evictions), tracking enabled.
+// api:keep — the small machine the tests of six packages build.
 func TestConfig(cores int) Config {
 	c := DefaultConfig()
 	c.Cores = cores

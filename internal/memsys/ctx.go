@@ -80,34 +80,34 @@ func (c *Ctx) handoff() {
 // Load performs a plain load.
 func (c *Ctx) Load(a isa.Addr) uint64 {
 	c.handoff()
-	v, _ := c.sys.perform(c.tid, isa.Op{Kind: isa.Load, Addr: a})
+	v, _ := c.sys.perform(c.tid, isa.LoadOp(a))
 	return v
 }
 
 // LoadAcq performs an acquire load.
 func (c *Ctx) LoadAcq(a isa.Addr) uint64 {
 	c.handoff()
-	v, _ := c.sys.perform(c.tid, isa.Op{Kind: isa.Load, Order: isa.Acquire, Addr: a})
+	v, _ := c.sys.perform(c.tid, isa.LoadAcq(a))
 	return v
 }
 
 // Store performs a plain store.
 func (c *Ctx) Store(a isa.Addr, v uint64) {
 	c.handoff()
-	c.sys.perform(c.tid, isa.Op{Kind: isa.Store, Addr: a, Value: v})
+	c.sys.perform(c.tid, isa.StoreOp(a, v))
 }
 
 // StoreRel performs a release store.
 func (c *Ctx) StoreRel(a isa.Addr, v uint64) {
 	c.handoff()
-	c.sys.perform(c.tid, isa.Op{Kind: isa.Store, Order: isa.Release, Addr: a, Value: v})
+	c.sys.perform(c.tid, isa.StoreRel(a, v))
 }
 
 // CAS performs a compare-and-swap with the given ordering, returning the
 // value observed and whether the swap succeeded.
 func (c *Ctx) CAS(a isa.Addr, expected, val uint64, order isa.Ordering) (uint64, bool) {
 	c.handoff()
-	return c.sys.perform(c.tid, isa.Op{Kind: isa.CAS, Order: order, Addr: a, Expected: expected, Value: val})
+	return c.sys.perform(c.tid, isa.CASOp(a, expected, val, order))
 }
 
 // Linearize marks the thread's most recent write — typically the
@@ -139,15 +139,6 @@ func (c *Ctx) OpEnd(ok bool, ret uint64) {
 	for _, h := range c.sys.hist {
 		h.RecordOpEnd(c.tid, ok, ret)
 	}
-}
-
-// Exec runs one isa.Op (tests and op-driven programs).
-func (c *Ctx) Exec(op isa.Op) (uint64, bool) {
-	if err := op.Validate(); err != nil {
-		panic(err)
-	}
-	c.handoff()
-	return c.sys.perform(c.tid, op)
 }
 
 // Drain flushes every buffered persist (per-thread mechanism state plus

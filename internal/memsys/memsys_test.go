@@ -206,20 +206,21 @@ func TestCASContention(t *testing.T) {
 	}
 }
 
+// TestExecDispatch: each typed Ctx op performs its isa op.
 func TestExecDispatch(t *testing.T) {
 	s := newSys(t, 1, persist.SB)
 	a := s.StaticAlloc(1)
 	s.RunOne(func(c *Ctx) {
-		c.Exec(isa.StoreOp(a, 3))
-		if v, _ := c.Exec(isa.LoadOp(a)); v != 3 {
-			t.Errorf("Exec load: %d", v)
+		c.Store(a, 3)
+		if v := c.Load(a); v != 3 {
+			t.Errorf("load: %d", v)
 		}
-		c.Exec(isa.StoreRel(a, 4))
-		if v, _ := c.Exec(isa.LoadAcq(a)); v != 4 {
-			t.Errorf("Exec acq load: %d", v)
+		c.StoreRel(a, 4)
+		if v := c.LoadAcq(a); v != 4 {
+			t.Errorf("acq load: %d", v)
 		}
-		if _, ok := c.Exec(isa.CASOp(a, 4, 5, isa.AcqRel)); !ok {
-			t.Error("Exec CAS failed")
+		if _, ok := c.CAS(a, 4, 5, isa.AcqRel); !ok {
+			t.Error("CAS failed")
 		}
 	})
 }
@@ -263,8 +264,8 @@ func TestDrainConvergence(t *testing.T) {
 			img := s.NVM().FinalImage(nil)
 			for i := 0; i < 128; i++ {
 				a := base + isa.Addr(i*8)
-				if img.Read(a) != s.Mem().Read(a) {
-					t.Fatalf("addr %v: durable %d != arch %d", a, img.Read(a), s.Mem().Read(a))
+				if img.Read(a) != s.mem.Read(a) {
+					t.Fatalf("addr %v: durable %d != arch %d", a, img.Read(a), s.mem.Read(a))
 				}
 			}
 		})
@@ -483,7 +484,7 @@ func TestRETWatermarkTriggers(t *testing.T) {
 func TestL1EvictionsCounted(t *testing.T) {
 	s := newSys(t, 1, persist.NOP)
 	// The test L1 has 8 sets of 2 ways: lines 8 apart share a set.
-	sets := s.L1(0).Sets()
+	sets := s.cfg.L1Size / isa.LineSize / s.cfg.L1Ways
 	base := s.StaticAlloc(5 * sets * isa.WordsPerLine)
 	at := func(i int) isa.Addr { return base + isa.Addr(i*sets*isa.LineSize) }
 	s.RunOne(func(c *Ctx) {

@@ -7,7 +7,6 @@ import (
 	"lrp/internal/mech"
 	"lrp/internal/model"
 	"lrp/internal/perf"
-	"lrp/internal/persist"
 )
 
 // profiledMech wraps the active persistency mechanism so every timing
@@ -20,8 +19,6 @@ type profiledMech struct {
 	m mech.Mechanism
 	p *perf.Profiler
 }
-
-func (w profiledMech) Kind() persist.Kind { return w.m.Kind() }
 
 func (w profiledMech) OnWrite(tid int, l *cache.Line, release bool, now engine.Time) engine.Time {
 	w.p.Start(perf.PhaseMechanism)

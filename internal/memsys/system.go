@@ -223,6 +223,7 @@ func New(cfg Config) (*System, error) {
 }
 
 // MustNew is New for known-good configurations.
+// api:keep — test fixture of the fault, nvm, lfds, kv and recovery tests.
 func MustNew(cfg Config) *System {
 	s, err := New(cfg)
 	if err != nil {
@@ -234,9 +235,6 @@ func MustNew(cfg Config) *System {
 // Config returns the machine configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Mem exposes the architectural memory image (current visible values).
-func (s *System) Mem() *mm.Memory { return s.mem }
-
 // NVM exposes the NVM subsystem (persist log, stats).
 func (s *System) NVM() *nvm.Subsystem { return s.nvm }
 
@@ -244,6 +242,7 @@ func (s *System) NVM() *nvm.Subsystem { return s.nvm }
 func (s *System) Tracker() *model.Tracker { return s.tracker }
 
 // Counts exposes the machine's event-counter block.
+// api:keep — the counter block OBSERVABILITY.md documents as Machine.Counts().
 func (s *System) Counts() *obs.Counts { return s.cnt }
 
 // Stats sums the counter block's core rows, the machine-wide row
@@ -338,9 +337,6 @@ func (s *System) Observer() *obs.Observer { return s.obs }
 // Perf returns the attached host-side phase profiler (nil when disabled).
 func (s *System) Perf() *perf.Profiler { return s.perf }
 
-// ArenaStats snapshots the stamp arena's host-side footprint.
-func (s *System) ArenaStats() persist.ArenaStats { return s.stamps.Stats() }
-
 // PublishArenaGauges exports the stamp arena's footprint into an obs
 // metrics registry as host-side gauges ("host/arena_nodes",
 // "host/arena_free_nodes", "host/arena_bytes"), alongside the phase
@@ -357,15 +353,6 @@ func (s *System) PublishArenaGauges(reg *obs.Registry) {
 
 // Faults returns the fault-injection plane (nil on the idealized machine).
 func (s *System) Faults() *fault.Plane { return s.faults }
-
-// L1 exposes core i's private cache (tests and tooling).
-func (s *System) L1(i int) *cache.L1 { return s.l1s[i] }
-
-// LLC exposes the shared cache.
-func (s *System) LLC() *cache.LLC { return s.llc }
-
-// Mech exposes the active persistency mechanism.
-func (s *System) Mech() mech.Mechanism { return s.mech }
 
 // MechCrashCursor returns a fresh cursor over the mechanism's own durable
 // state, nil when the mechanism holds none (the NVM log is then the whole

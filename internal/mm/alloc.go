@@ -34,8 +34,6 @@ type Arena struct {
 	base  isa.Addr
 	limit isa.Addr
 	next  isa.Addr
-	// allocs counts allocations for accounting.
-	allocs uint64
 }
 
 // NewArena creates an allocator over [base, base+size).
@@ -81,17 +79,5 @@ func (a *Arena) Alloc(nwords int) isa.Addr {
 	}
 	p := a.next
 	a.next += bytes
-	a.allocs++
 	return p
 }
-
-// Contains reports whether addr falls inside this arena's region.
-func (a *Arena) Contains(addr isa.Addr) bool {
-	return addr >= a.base && addr < a.limit
-}
-
-// Used reports the number of bytes handed out (including line padding).
-func (a *Arena) Used() uint64 { return uint64(a.next - a.base) }
-
-// Allocs reports the number of allocations served.
-func (a *Arena) Allocs() uint64 { return a.allocs }

@@ -61,7 +61,6 @@ type pageEntry struct {
 // (BeginBatch), so that only the lines whose content changed are logged.
 type Memory struct {
 	pages flat.Table[pageEntry]
-	holes int // slots with no page
 
 	// lastPN/lastPage/lastEnt memoize the most recently touched page and
 	// its table slot. Line persists and word accesses cluster heavily, so
@@ -114,11 +113,9 @@ func (m *Memory) pageFor(a isa.Addr, create bool) *page {
 		}
 		if e == nil {
 			e, _ = m.pages.Upsert(pn)
-			m.holes++
 		}
 		if create {
 			e.p = new(page)
-			m.holes--
 		}
 	}
 	m.lastPN, m.lastPage, m.lastEnt = pn, e.p, e
@@ -293,12 +290,10 @@ func (m *Memory) WriteLine(a isa.Addr, words [isa.WordsPerLine]uint64) {
 	copy(p[w:w+isa.WordsPerLine], words[:])
 }
 
-// Pages reports how many pages have been materialized.
-func (m *Memory) Pages() int { return m.pages.Len() - m.holes }
-
 // Equal reports whether the two memories hold identical contents, with
 // never-written words reading as zero on both sides. Read sets do not
 // count.
+// api:keep — image comparison for the tests of four packages.
 func (m *Memory) Equal(o *Memory) bool {
 	var zero page
 	eq := func(a, b *Memory) bool {

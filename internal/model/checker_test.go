@@ -158,7 +158,7 @@ func TestAcquireOfPlainWriteDoesNotSync(t *testing.T) {
 	if v := tr.CheckCut(20, RP); v != nil {
 		t.Fatalf("acquire of a plain write must not synchronize, got %v", v)
 	}
-	if tr.AcquireClock(1).Get(0) != 0 {
+	if tr.threads[1].acq.Get(0) != 0 {
 		t.Fatal("clock advanced without a release")
 	}
 }
@@ -168,7 +168,7 @@ func TestReleaseOverwrittenByPlainWrite(t *testing.T) {
 	tr.OnRelease(0, 0x200)
 	tr.OnWrite(0, 0x200) // plain overwrite
 	tr.OnAcquire(1, 0x200)
-	if tr.AcquireClock(1).Get(0) != 0 {
+	if tr.threads[1].acq.Get(0) != 0 {
 		t.Fatal("acquire of overwritten release must not synchronize")
 	}
 }

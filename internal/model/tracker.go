@@ -87,6 +87,7 @@ func NewTracker(n int) *Tracker {
 func (tr *Tracker) Threads() int { return len(tr.threads) }
 
 // WriteCount returns the number of writes issued by thread tid.
+// api:keep — TestCutScheduleMatchesCheckCut probes every write's durable instant.
 func (tr *Tracker) WriteCount(tid int) uint64 { return tr.threads[tid].seq }
 
 // OnWrite records a plain (non-release) write by tid to addr and returns
@@ -209,9 +210,6 @@ func (tr *Tracker) SetCarried(line isa.Addr, start engine.Time, mask uint64) {
 func (tr *Tracker) DurableAt(s Stamp) engine.Time {
 	return tr.threads[s.Tid].writes[s.Seq-1].durableAt
 }
-
-// AcquireClock exposes thread tid's current acquire clock (for tests).
-func (tr *Tracker) AcquireClock(tid int) VC { return tr.threads[tid].acq }
 
 // WriteInfo exposes a write's metadata for diagnostics and tooling: its
 // address, release index (0 for plain writes) and acquire clock.

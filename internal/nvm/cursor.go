@@ -152,6 +152,3 @@ func (c *Cursor) moves(crash engine.Time) bool {
 	return c.nextDone < len(c.order) && log[c.order[c.nextDone]].Done <= crash ||
 		c.nextSta < len(c.order) && log[c.order[c.nextSta]].Start <= crash
 }
-
-// At returns the cursor's current crash instant.
-func (c *Cursor) At() engine.Time { return c.at }

@@ -199,9 +199,6 @@ func (s *Subsystem) SetObserver(o *obs.Observer) { s.o = o }
 // SetFaults attaches a fault-injection plane (nil: perfect NVM).
 func (s *Subsystem) SetFaults(p *fault.Plane) { s.faults = p }
 
-// Faults returns the attached fault plane (nil when none).
-func (s *Subsystem) Faults() *fault.Plane { return s.faults }
-
 // retryDelay converts an injected rejection count into the controller's
 // total exponential-backoff delay and updates the retry counters. It
 // reports whether the access exhausted its retry budget (giveup).
@@ -320,6 +317,7 @@ func (s *Subsystem) Events() []Event { return s.log }
 // FinalImage reconstructs the durable image after all logged persists
 // over base (the memory contents that existed before the measured run;
 // nil for an all-zero initial image).
+// api:keep — the clean-shutdown image (DESIGN.md) the tests of six packages read.
 func (s *Subsystem) FinalImage(base *mm.Memory) *mm.Memory {
 	return s.NewCursor(base).AdvanceTo(engine.Infinity)
 }

@@ -257,7 +257,7 @@ func TestTornImageAt(t *testing.T) {
 		t.Fatal("tear applied before persist started")
 	}
 	// Mid-persist: exactly the torn word subset.
-	mask, torn := s.Faults().TornWords(line, done)
+	mask, torn := s.faults.TornWords(line, done)
 	if !torn {
 		t.Fatal("TearProb=1 did not tear")
 	}
@@ -330,10 +330,10 @@ func imageAt(s *Subsystem, crash engine.Time, base *mm.Memory) *mm.Memory {
 		}
 	}
 	for _, e := range evs {
-		if s.Faults() == nil || e.Start > crash || e.Done <= crash {
+		if s.faults == nil || e.Start > crash || e.Done <= crash {
 			continue
 		}
-		if mask, torn := s.Faults().TornWords(e.Line, e.Done); torn {
+		if mask, torn := s.faults.TornWords(e.Line, e.Done); torn {
 			for i := 0; i < isa.WordsPerLine; i++ {
 				if mask&(1<<i) != 0 {
 					img.Write(e.Line+isa.Addr(i*isa.WordSize), e.Words[i])

@@ -27,8 +27,8 @@ func TestRegistryConcurrent(t *testing.T) {
 			g := r.Gauge("shared/gauge")
 			h := r.Histogram("shared/hist")
 			for i := 0; i < perWorker; i++ {
-				c.Inc()
-				g.Add(1)
+				c.Add(1)
+				g.Set(int64(i))
 				h.Observe(uint64(i))
 			}
 		}(w)
@@ -37,8 +37,8 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := r.Counter("shared/counter").Value(); got != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
 	}
-	if got := r.Gauge("shared/gauge").Value(); got != workers*perWorker {
-		t.Fatalf("gauge = %d, want %d", got, workers*perWorker)
+	if got := r.Gauge("shared/gauge").Value(); got != perWorker-1 {
+		t.Fatalf("gauge = %d, want %d", got, perWorker-1)
 	}
 	if got := r.Histogram("shared/hist").Snapshot().Count; got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
@@ -95,7 +95,7 @@ func TestRegistryView(t *testing.T) {
 		t.Fatalf("view = %d, want 3 (the machine-wide row is separate)", got)
 	}
 	for name, f := range map[string]func(){
-		"add":       func() { r.Counter("fam/core00").Inc() },
+		"add":       func() { r.Counter("fam/core00").Add(1) },
 		"duplicate": func() { r.View("fam/core01", func() uint64 { return 0 }) },
 	} {
 		func() {

@@ -47,9 +47,6 @@ func (c *Counter) Add(n uint64) {
 	atomic.AddUint64(&c.v, n)
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 {
 	if c.read != nil {
@@ -65,9 +62,6 @@ type Gauge struct {
 
 // Set stores the current level.
 func (g *Gauge) Set(v int64) { atomic.StoreInt64(&g.v, v) }
-
-// Add moves the level by delta (may be negative).
-func (g *Gauge) Add(delta int64) { atomic.AddInt64(&g.v, delta) }
 
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return atomic.LoadInt64(&g.v) }

@@ -97,15 +97,6 @@ func (p Phase) String() string {
 	return fmt.Sprintf("phase(%d)", uint8(p))
 }
 
-// Phases lists every phase in presentation order.
-func Phases() []Phase {
-	out := make([]Phase, numPhases)
-	for i := range out {
-		out[i] = Phase(i)
-	}
-	return out
-}
-
 // Options configures a Profiler.
 type Options struct {
 	// Labels tags the running goroutine with runtime/pprof labels per
@@ -247,14 +238,6 @@ func (p *Profiler) TotalNs() int64 {
 		sum += p.ns[ph].Load()
 	}
 	return sum
-}
-
-// PhaseNs returns phase ph's exclusive host time.
-func (p *Profiler) PhaseNs(ph Phase) int64 {
-	if p == nil || ph >= numPhases {
-		return 0
-	}
-	return p.ns[ph].Load()
 }
 
 // PublishGauges exports the phase totals into an obs metrics registry as

@@ -26,10 +26,10 @@ func TestExclusiveAttribution(t *testing.T) {
 	*now = 30
 	p.End() // protocol gets 5 more
 
-	if got := p.PhaseNs(PhaseProtocol); got != 15 {
+	if got := p.ns[PhaseProtocol].Load(); got != 15 {
 		t.Errorf("protocol self time = %d, want 15", got)
 	}
-	if got := p.PhaseNs(PhaseNVM); got != 15 {
+	if got := p.ns[PhaseNVM].Load(); got != 15 {
 		t.Errorf("nvm self time = %d, want 15", got)
 	}
 	if got := p.TotalNs(); got != 30 {
@@ -47,7 +47,7 @@ func TestNestedSamePhase(t *testing.T) {
 	p.End()
 	*now = 20
 	p.End()
-	if got := p.PhaseNs(PhaseCrash); got != 20 {
+	if got := p.ns[PhaseCrash].Load(); got != 20 {
 		t.Errorf("crash self time = %d, want 20", got)
 	}
 	snap := p.Snapshot()

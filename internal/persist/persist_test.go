@@ -37,18 +37,18 @@ func TestEnforcesRP(t *testing.T) {
 
 func TestRETBasics(t *testing.T) {
 	r := NewRET(4, 3)
-	if r.Cap() != 4 || r.Len() != 0 || r.AtWatermark() {
+	if r.capacity != 4 || r.Len() != 0 || r.AtWatermark() {
 		t.Fatal("fresh RET state")
 	}
-	r.Add(0x100, 1)
-	r.Add(0x200, 2)
-	if r.Remove(0x300) {
+	r.AddAt(0x100, 1, 0)
+	r.AddAt(0x200, 2, 0)
+	if r.RemoveAt(0x300, 0) {
 		t.Fatal("phantom remove")
 	}
 	if r.AtWatermark() {
 		t.Fatal("watermark too eager")
 	}
-	r.Add(0x300, 3)
+	r.AddAt(0x300, 3, 0)
 	if !r.AtWatermark() {
 		t.Fatal("watermark missed")
 	}
@@ -56,8 +56,8 @@ func TestRETBasics(t *testing.T) {
 	if !ok || old.Line != 0x100 || old.Epoch != 1 {
 		t.Fatalf("Oldest = %+v", old)
 	}
-	if !r.Remove(0x100) || r.Remove(0x100) {
-		t.Fatal("Remove")
+	if !r.RemoveAt(0x100, 0) || r.RemoveAt(0x100, 0) {
+		t.Fatal("RemoveAt")
 	}
 	if r.Len() != 2 {
 		t.Fatal("Len after remove")
@@ -79,11 +79,11 @@ func TestRETPanics(t *testing.T) {
 		func() { NewRET(0, 1) },
 		func() { NewRET(4, 0) },
 		func() { NewRET(4, 5) },
-		func() { r := NewRET(2, 2); r.Add(1*64, 1); r.Add(1*64, 2) }, // duplicate
+		func() { r := NewRET(2, 2); r.AddAt(1*64, 1, 0); r.AddAt(1*64, 2, 0) }, // duplicate
 		func() {
 			r := NewRET(1, 1)
-			r.Add(0, 1)
-			r.Add(64, 2) // overflow
+			r.AddAt(0, 1, 0)
+			r.AddAt(64, 2, 0) // overflow
 		},
 	} {
 		func() {
@@ -100,9 +100,9 @@ func TestRETPanics(t *testing.T) {
 func TestRETOldestByEpoch(t *testing.T) {
 	r := NewRET(8, 8)
 	// Insertion order differs from epoch order after removals.
-	r.Add(0x100, 5)
-	r.Add(0x200, 2)
-	r.Add(0x300, 9)
+	r.AddAt(0x100, 5, 0)
+	r.AddAt(0x200, 2, 0)
+	r.AddAt(0x300, 9, 0)
 	old, _ := r.Oldest()
 	if old.Line != 0x200 {
 		t.Fatalf("Oldest = %+v", old)
@@ -168,15 +168,13 @@ func TestBuildScheduleFigure4(t *testing.T) {
 	clc := LineRef{Addr: line(3), MinEpoch: 1, Released: true}
 	cld := LineRef{Addr: line(4), MinEpoch: 0}
 	cle := LineRef{Addr: line(5), MinEpoch: 2, Released: true}
-	s := BuildSchedule(cle, []LineRef{cle, cld, clc, clb, cla})
+	var s Schedule
+	BuildScheduleInto(&s, cle, []LineRef{cle, cld, clc, clb, cla})
 	if len(s.Writes) != 3 {
 		t.Fatalf("writes = %v", s.Writes)
 	}
 	if len(s.Releases) != 2 || s.Releases[0].Addr != clc.Addr || s.Releases[1].Addr != cle.Addr {
 		t.Fatalf("releases = %v", s.Releases)
-	}
-	if s.Total() != 5 {
-		t.Fatalf("Total = %d", s.Total())
 	}
 }
 
@@ -185,7 +183,8 @@ func TestBuildScheduleSkipsNewerEpochs(t *testing.T) {
 	newer := LineRef{Addr: line(2), MinEpoch: 3}  // same epoch: after the release
 	newest := LineRef{Addr: line(3), MinEpoch: 7} // newer epoch
 	newerRel := LineRef{Addr: line(4), MinEpoch: 5, Released: true}
-	s := BuildSchedule(trigger, []LineRef{newer, newest, newerRel})
+	var s Schedule
+	BuildScheduleInto(&s, trigger, []LineRef{newer, newest, newerRel})
 	if len(s.Writes) != 0 || len(s.Releases) != 1 || s.Releases[0].Addr != trigger.Addr {
 		t.Fatalf("schedule = %+v", s)
 	}
@@ -205,7 +204,8 @@ func TestBuildScheduleProperty(t *testing.T) {
 			rel := i < len(relBits) && relBits[i]
 			scanned = append(scanned, LineRef{Addr: line(i), MinEpoch: uint32(e), Released: rel})
 		}
-		s := BuildSchedule(trigger, scanned)
+		var s Schedule
+		BuildScheduleInto(&s, trigger, scanned)
 		// Trigger last.
 		if s.Releases[len(s.Releases)-1].Addr != trigger.Addr {
 			return false

@@ -54,16 +54,10 @@ func (r *RET) SetObserver(core int, o *obs.Observer) {
 // Len reports current occupancy.
 func (r *RET) Len() int { return len(r.entries) }
 
-// Cap reports capacity.
-func (r *RET) Cap() int { return r.capacity }
-
 // AtWatermark reports whether occupancy has reached the persist-trigger
-// watermark; the caller must persist (and Remove) the Oldest entry before
+// watermark; the caller must persist (and RemoveAt) the Oldest entry before
 // inserting more.
 func (r *RET) AtWatermark() bool { return len(r.entries) >= r.watermark }
-
-// Add allocates an entry for a released line at an unspecified time.
-func (r *RET) Add(line isa.Addr, epoch uint32) { r.AddAt(line, epoch, 0) }
 
 // AddAt allocates an entry for a released line at time now. A line can
 // hold at most one unpersisted release (a second release to the same line
@@ -83,10 +77,6 @@ func (r *RET) AddAt(line isa.Addr, epoch uint32, now engine.Time) {
 		r.o.RETAdd(r.core, len(r.entries))
 	}
 }
-
-// Remove squashes the entry for a line (the release persisted) at an
-// unspecified time. It reports whether an entry existed.
-func (r *RET) Remove(line isa.Addr) bool { return r.RemoveAt(line, 0) }
 
 // RemoveAt squashes the entry for a line at time now, reporting the
 // entry's residency to the observability layer.

@@ -26,7 +26,7 @@ type LineRef struct {
 	MinEpoch uint32
 	Released bool
 	// Slot is an opaque caller-owned index (e.g. into a parallel slice
-	// of *cache.Line produced by the same scan). BuildSchedule carries
+	// of *cache.Line produced by the same scan). BuildScheduleInto carries
 	// it through untouched, letting callers map a scheduled ref back to
 	// its line without a per-run lookup table.
 	Slot int32
@@ -46,24 +46,16 @@ type Schedule struct {
 	Releases []LineRef
 }
 
-// BuildSchedule implements the persist-engine algorithm. trigger is the
-// released line being persisted (with its release epoch from the RET);
-// scanned is every valid L1 line holding unpersisted writes, typically
-// produced by an L1 scan. Lines with MinEpoch >= the trigger's epoch are
-// outside the release's one-sided barrier and are left alone — that
-// freedom from conflicts is exactly RP's performance edge (§4.2).
+// BuildScheduleInto implements the persist-engine algorithm. trigger is
+// the released line being persisted (with its release epoch from the
+// RET); scanned is every valid L1 line holding unpersisted writes,
+// typically produced by an L1 scan. Lines with MinEpoch >= the trigger's
+// epoch are outside the release's one-sided barrier and are left alone —
+// that freedom from conflicts is exactly RP's performance edge (§4.2).
 //
-// The returned schedule always ends with the trigger itself.
-func BuildSchedule(trigger LineRef, scanned []LineRef) Schedule {
-	var s Schedule
-	BuildScheduleInto(&s, trigger, scanned)
-	return s
-}
-
-// BuildScheduleInto is BuildSchedule with caller-owned storage: it
-// truncates and refills s.Writes/s.Releases in place, so a persist
-// engine that keeps one Schedule per core allocates nothing in steady
-// state.
+// The schedule always ends with the trigger itself. It truncates and
+// refills s.Writes/s.Releases in place, so a persist engine that keeps
+// one Schedule per core allocates nothing in steady state.
 func BuildScheduleInto(s *Schedule, trigger LineRef, scanned []LineRef) {
 	s.Writes = s.Writes[:0]
 	s.Releases = s.Releases[:0]
@@ -95,6 +87,3 @@ func BuildScheduleInto(s *Schedule, trigger LineRef, scanned []LineRef) {
 	slices.SortFunc(s.Writes, func(a, b LineRef) int { return cmpAddr(a.Addr, b.Addr) })
 	s.Releases = append(s.Releases, trigger)
 }
-
-// Total reports how many line persists the schedule will issue.
-func (s Schedule) Total() int { return len(s.Writes) + len(s.Releases) }

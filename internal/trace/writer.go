@@ -49,7 +49,6 @@ type Summary struct {
 // Errors on the underlying writer are sticky: recording continues as a
 // no-op and Close reports the first failure.
 type Writer struct {
-	h      Header
 	cw     countWriter
 	zw     *gzip.Writer
 	buf    []byte  // scratch: one record's encoding
@@ -73,7 +72,7 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	if err := h.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	tw := &Writer{h: h, cw: countWriter{w: w}, last: make([]int64, h.Config.Cores)}
+	tw := &Writer{cw: countWriter{w: w}, last: make([]int64, h.Config.Cores)}
 	payload := appendHeader(nil, h)
 	if len(payload) > maxHeader {
 		return nil, fmt.Errorf("trace: header payload %d bytes exceeds %d", len(payload), maxHeader)
@@ -88,9 +87,6 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	tw.zw = gzip.NewWriter(&tw.cw)
 	return tw, nil
 }
-
-// Header returns the header the writer was created with.
-func (w *Writer) Header() Header { return w.h }
 
 // SetObserver routes trace I/O counters (ops recorded, bytes, compression
 // ratio) to o's registry at Close. Nil is fine.

@@ -35,8 +35,6 @@ type Recoverable interface {
 type Kind struct {
 	// Name is the registry key (the Spec.Structure value).
 	Name string
-	// Summary is a one-line description for CLI usage text.
-	Summary string
 	// Run executes the workload on a fresh machine. The harness has
 	// already validated spec and checked spec.Threads against the core
 	// count. Run brackets every structure call with Ctx.OpBegin/OpEnd
@@ -72,11 +70,6 @@ func Register(k Kind) {
 	registry = append(registry, k)
 }
 
-// Kinds returns the registered workloads in registration order.
-func Kinds() []Kind {
-	return append([]Kind(nil), registry...)
-}
-
 // Names returns the registered workload names in registration order.
 func Names() []string {
 	names := make([]string, len(registry))
@@ -97,44 +90,23 @@ func ParseKind(name string) (Kind, error) {
 		name, strings.Join(Names(), ", "))
 }
 
-// Usage renders "name — summary" lines for CLI help text, one per
-// registered workload, in registration order.
-func Usage() string {
-	var b strings.Builder
-	w := 0
-	for _, k := range registry {
-		if len(k.Name) > w {
-			w = len(k.Name)
-		}
-	}
-	for i, k := range registry {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		fmt.Fprintf(&b, "  %-*s  %s", w, k.Name, k.Summary)
-	}
-	return b.String()
-}
-
 func init() {
-	setKind := func(name, summary string) Kind {
+	setKind := func(name string) Kind {
 		return Kind{
-			Name:    name,
-			Summary: summary,
-			Run:     runSet,
+			Name: name,
+			Run:  runSet,
 			Anchors: func(sys *memsys.System, spec Spec) (Recoverable, error) {
 				return newSet(sys, spec), nil
 			},
 		}
 	}
-	Register(setKind("linkedlist", "sorted singly linked list (Harris), 1:1 insert/delete"))
-	Register(setKind("hashmap", "per-bucket sorted lists, Fibonacci-hashed"))
-	Register(setKind("bstree", "external binary search tree"))
-	Register(setKind("skiplist", "lock-free skiplist, release-CAS bottom level"))
-	Register(Kind{
-		Name:    "queue",
-		Summary: "Michael-Scott queue, 1:1 enqueue/dequeue",
-		Run:     runQueue,
+	Register(setKind("linkedlist")) // sorted singly linked list (Harris), 1:1 insert/delete
+	Register(setKind("hashmap"))    // per-bucket sorted lists, Fibonacci-hashed
+	Register(setKind("bstree"))     // external binary search tree
+	Register(setKind("skiplist"))   // lock-free skiplist, release-CAS bottom level
+	Register(Kind{                  // Michael-Scott queue, 1:1 enqueue/dequeue
+		Name: "queue",
+		Run:  runQueue,
 		Anchors: func(sys *memsys.System, spec Spec) (Recoverable, error) {
 			return lfds.NewQueue(sys), nil
 		},

@@ -219,6 +219,7 @@ func buildSet(sys *memsys.System, spec Spec) lfds.Set {
 // addresses in the same call order on every machine, so the handle binds
 // to the addresses the recorded run used; the recorded op stream itself
 // carries all initialization stores. Call it once per replayed machine.
+// api:keep — the handle behind lrp.RecoverableFor, the only way to sweep a replayed machine.
 func AnchorsFor(sys *memsys.System, spec Spec) (Recoverable, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

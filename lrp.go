@@ -103,41 +103,12 @@ func Mechanisms() []Mechanism { return persist.Kinds() }
 // ParseMechanism, in the same order as Mechanisms.
 func MechanismNames() []string { return persist.KindNames() }
 
-// MechanismInfo describes one registered mechanism for listings.
-type MechanismInfo struct {
-	Kind    Mechanism
-	Name    string
-	Summary string
-	// EnforcesRP reports whether the mechanism guarantees release
-	// persistency (NOP and ARP do not).
-	EnforcesRP bool
-}
-
-// MechanismTable lists every registered mechanism with its one-line
-// summary, in presentation order (drives CLI listings and doc tables).
-func MechanismTable() []MechanismInfo {
-	var out []MechanismInfo
-	for _, in := range mech.All() {
-		out = append(out, MechanismInfo{
-			Kind:       in.Kind,
-			Name:       in.Kind.String(),
-			Summary:    in.Summary,
-			EnforcesRP: in.Kind.EnforcesRP(),
-		})
-	}
-	return out
-}
-
 // Structures lists the five workloads in the paper's order.
 var Structures = workload.Structures
 
 // WorkloadNames lists every registered workload (the five paper
 // structures plus service workloads such as kv), in registration order.
 func WorkloadNames() []string { return workload.Names() }
-
-// WorkloadUsage renders the registered workloads as a one-per-line
-// usage string for CLI help text.
-func WorkloadUsage() string { return workload.Usage() }
 
 // KVParams parameterizes the kv service workload (see Spec.KV).
 type KVParams = workload.KVParams
@@ -163,18 +134,22 @@ func RunWorkload(cfg Config, spec Spec) (*Result, *Machine, error) {
 // --- data-structure constructors -------------------------------------------
 
 // NewLinkedList anchors a Harris lock-free sorted linked list.
+// api:keep — public structure constructor (README's library example).
 func NewLinkedList(m *Machine) *lfds.LinkedList { return lfds.NewLinkedList(m) }
 
 // NewHashMap anchors a Michael lock-free hash table with nbuckets buckets.
+// api:keep — public structure constructor, one family with NewLinkedList.
 func NewHashMap(m *Machine, nbuckets int) *lfds.HashMap { return lfds.NewHashMap(m, nbuckets) }
 
 // NewBST anchors a lock-free external BST; call Init from a Ctx once.
 func NewBST(m *Machine) *lfds.BST { return lfds.NewBST(m) }
 
 // NewSkipList anchors a lock-free skip list.
+// api:keep — public structure constructor, one family with NewLinkedList.
 func NewSkipList(m *Machine) *lfds.SkipList { return lfds.NewSkipList(m) }
 
 // NewQueue anchors a Michael–Scott queue; call Init from a Ctx once.
+// api:keep — public structure constructor, one family with NewLinkedList.
 func NewQueue(m *Machine) *lfds.Queue { return lfds.NewQueue(m) }
 
 // DefaultVal is the value-integrity convention: the value stored with

@@ -119,10 +119,6 @@ func (r *CrashReport) JSON() CrashJSON {
 	return doc
 }
 
-// WriteJSON writes the crash report as indented JSON with a trailing
-// newline.
-func (r *CrashReport) WriteJSON(w io.Writer) error { return writeJSON(w, r.JSON()) }
-
 // JSON captures the report as a SweepJSON document. Deterministic for a
 // deterministic sweep: SweepCrash's merge is identical at any worker
 // count, so so are these bytes — the property the conformance suite
