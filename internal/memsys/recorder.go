@@ -14,7 +14,7 @@ import (
 // virtual-time order, which is exactly the cross-core synchronization
 // order a replay must honor. Attach one through Config.Rec.
 //
-// The callbacks are invoked from the simulation goroutines while the
+// The callbacks are invoked from the simulated threads while the
 // scheduler holds the machine single-threaded, so implementations need
 // no locking but must not re-enter the machine.
 type Recorder interface {

@@ -35,7 +35,7 @@ const (
 	MetricAllocsPerOp = "allocs_per_op"
 	// MetricWallNs is the total host wall time of one rep.
 	MetricWallNs = "wall_ns"
-	// MetricGrantsPerOp is scheduler grants (goroutine switches) per
+	// MetricGrantsPerOp is scheduler grants (thread resumptions) per
 	// simulated op — the fraction of operations that could NOT ride the
 	// kernel's run-ahead fast path. Unlike the timing metrics it is
 	// fully deterministic (a function of the seed and the kernel, not

@@ -12,8 +12,8 @@
 // instrumented wall time (the remaining gap — workload Go code between
 // memory operations — is unattributed by design). Scheduler handoffs are
 // NOT a gap: the kernel opens the scheduler region when a thread parks
-// and closes it when the next grant wakes, so the park/unpark goroutine
-// switches land in the scheduler phase (pinned by
+// and the next granted thread closes it when it resumes, so the
+// park/resume coroutine switches land in the scheduler phase (pinned by
 // TestSchedulerPhaseAttribution in package memsys).
 // Regions read host clocks only, never virtual time, so a machine with a
 // Profiler attached is cycle-for-cycle identical to one without
@@ -46,7 +46,7 @@ type Phase uint8
 
 const (
 	// PhaseScheduler is the virtual-time scheduling kernel's cost: the
-	// leaderboard pick at each grant plus the park/unpark goroutine
+	// leaderboard pick at each grant plus the park/resume coroutine
 	// switches of the handoff itself. Operations admitted on the kernel's
 	// run-ahead fast path never enter the phase, so its region count is
 	// the number of handoffs, not the number of operations.
@@ -156,8 +156,8 @@ func New(opt Options) *Profiler {
 // Start opens a region of phase ph, attributing the time since the last
 // attribution point to the enclosing region (if any). Every Start must
 // be paired with an End before the machine's next attribution point; the
-// pair may straddle a scheduler handoff (the parking goroutine Starts,
-// the woken one Ends) because the machine serializes execution, which is
+// pair may straddle a scheduler handoff (the parking thread Starts, the
+// resumed one Ends) because the machine serializes execution, which is
 // exactly how handoff cost itself is attributed to PhaseScheduler.
 func (p *Profiler) Start(ph Phase) {
 	if p == nil {
@@ -284,6 +284,6 @@ func (p *Profiler) Report() string {
 			fmt.Sprintf("%.0f", per))
 	}
 	t.AddNote("host clocks only; simulated timing is unaffected (see OBSERVABILITY.md)")
-	t.AddNote("time outside any region (workload code, goroutine handoffs) is not attributed")
+	t.AddNote("time outside any region (workload code between memory operations) is not attributed")
 	return t.Format()
 }
