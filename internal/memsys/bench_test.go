@@ -37,10 +37,10 @@ func BenchmarkScanDirty(b *testing.B) {
 // BenchmarkSchedulerGrant measures the scheduler's worst case: two
 // threads in near-lockstep on one shared line, so virtually every
 // operation crosses the run-ahead horizon and costs a full grant —
-// leaderboard pop/push plus the park/unpark goroutine switches.
-// ReportAllocs pins that steady-state grants allocate nothing beyond the
-// two goroutine launches per Run (TestSchedulerGrantAllocs asserts the
-// exact budget).
+// leaderboard pop/push plus the coroutine switch between thread 0 (on
+// Run's stack) and thread 1. ReportAllocs pins that steady-state grants
+// allocate nothing beyond thread 1's coroutine per Run
+// (TestSchedulerGrantAllocs asserts the budget).
 func BenchmarkSchedulerGrant(b *testing.B) {
 	cfg := TestConfig(2).WithMechanism(persist.NOP)
 	cfg.TrackHB = false // stamp capture allocates per write; measure the kernel
@@ -66,7 +66,7 @@ func BenchmarkSchedulerGrant(b *testing.B) {
 
 // BenchmarkSchedulerRunAhead is the scheduler's best case: a single
 // thread, infinite horizon, every operation admitted on the fast path
-// with no goroutine switch.
+// with no switch.
 func BenchmarkSchedulerRunAhead(b *testing.B) {
 	cfg := TestConfig(2).WithMechanism(persist.NOP)
 	cfg.TrackHB = false
