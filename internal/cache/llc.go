@@ -8,24 +8,28 @@ import (
 	"lrp/internal/isa"
 )
 
-// llcLine is one LLC line: presence plus a dirty bit. (Data content lives
-// in the architectural memory image; see package doc.)
+// llcLine is one resident LLC line: its address plus a dirty bit. (Data
+// content lives in the architectural memory image; see package doc.)
 type llcLine struct {
 	addr  isa.Addr
-	valid bool
 	dirty bool
 	lru   uint64
 }
 
-// LLC is the shared, banked last-level cache. Sets materialize lazily as
-// contiguous ways-blocks located through a flat set index — so a 64 MiB
-// LLC costs memory proportional to its working set only (a dense per-set
+// LLC is the shared, banked last-level cache. A set exists only once a
+// line maps to it, located through a flat set index — so a 64 MiB LLC
+// costs memory proportional to its working set only (a dense per-set
 // array alone would be megabytes), and the hot probe is one
-// open-addressing lookup instead of a map access. Each block is its own
-// allocation: a shared growing arena would churn copy garbage as the
-// working set expands, which the bench gate's bytes_per_op would see.
+// open-addressing lookup instead of a map access. A set's block holds
+// only its resident lines, in fill order, and grows by append up to ways:
+// the LLC never invalidates a line, so a set's free ways are always the
+// ones after its last resident line, and filling the first free way is
+// appending. A Figure 5
+// cell touches a few thousand sets and keeps about one line in each, so
+// materializing every set as a full ways-block would cost ways× the
+// memory for the same hits and evictions.
 type LLC struct {
-	// sets maps set index → the set's materialized ways-block.
+	// sets maps set index → the set's resident lines, in fill order.
 	sets  flat.Table[[]llcLine]
 	nsets uint64
 	ways  int
@@ -68,28 +72,21 @@ func (c *LLC) setIndex(line isa.Addr) uint64 {
 	return l % c.nsets
 }
 
-// setFor returns the line's ways-block, materializing it when create is
-// set.
-func (c *LLC) setFor(line isa.Addr, create bool) []llcLine {
-	idx := c.setIndex(line)
-	if p := c.sets.Ptr(idx); p != nil {
+// setFor returns the resident lines of the line's set (nil when the set
+// holds none).
+func (c *LLC) setFor(line isa.Addr) []llcLine {
+	if p := c.sets.Ptr(c.setIndex(line)); p != nil {
 		return *p
 	}
-	if !create {
-		return nil
-	}
-	s := make([]llcLine, c.ways)
-	p, _ := c.sets.Upsert(idx)
-	*p = s
-	return s
+	return nil
 }
 
 // Access performs a demand lookup, updating LRU. It reports whether the
 // line hit.
 func (c *LLC) Access(line isa.Addr) bool {
-	s := c.setFor(line, false)
+	s := c.setFor(line)
 	for i := range s {
-		if s[i].valid && s[i].addr == line {
+		if s[i].addr == line {
 			c.tick++
 			s[i].lru = c.tick
 			return true
@@ -99,40 +96,41 @@ func (c *LLC) Access(line isa.Addr) bool {
 }
 
 // Fill inserts a line (clean). It returns the evicted line address and
-// whether that line was dirty, if an eviction occurred.
+// whether that line was dirty, if an eviction occurred. A set with a free
+// way appends the line; a full set replaces its least recently used line
+// (ticks are unique, so the victim is too).
 func (c *LLC) Fill(line isa.Addr) (evicted isa.Addr, evictedDirty, hadEviction bool) {
-	s := c.setFor(line, true)
+	p, _ := c.sets.Upsert(c.setIndex(line))
+	s := *p
 	victim := 0
 	for i := range s {
-		if s[i].valid && s[i].addr == line {
+		if s[i].addr == line {
 			// Already present (refill after writeback): keep it.
 			c.tick++
 			s[i].lru = c.tick
 			return 0, false, false
 		}
-		if !s[i].valid {
-			victim = i
-			break
-		}
 		if s[i].lru < s[victim].lru {
 			victim = i
 		}
 	}
-	v := &s[victim]
-	if v.valid {
-		evicted, evictedDirty, hadEviction = v.addr, v.dirty, true
-	}
 	c.tick++
-	*v = llcLine{addr: line, valid: true, lru: c.tick}
-	return evicted, evictedDirty, hadEviction
+	if len(s) < c.ways {
+		*p = append(s, llcLine{addr: line, lru: c.tick})
+		return 0, false, false
+	}
+	v := &s[victim]
+	evicted, evictedDirty = v.addr, v.dirty
+	*v = llcLine{addr: line, lru: c.tick}
+	return evicted, evictedDirty, true
 }
 
 // MarkDirty marks a present line dirty (an L1 wrote data back that has
 // not been persisted to memory). No-op if the line is absent.
 func (c *LLC) MarkDirty(line isa.Addr) {
-	s := c.setFor(line, false)
+	s := c.setFor(line)
 	for i := range s {
-		if s[i].valid && s[i].addr == line {
+		if s[i].addr == line {
 			s[i].dirty = true
 			return
 		}
@@ -141,9 +139,9 @@ func (c *LLC) MarkDirty(line isa.Addr) {
 
 // MarkClean clears the dirty bit (the line's data was persisted).
 func (c *LLC) MarkClean(line isa.Addr) {
-	s := c.setFor(line, false)
+	s := c.setFor(line)
 	for i := range s {
-		if s[i].valid && s[i].addr == line {
+		if s[i].addr == line {
 			s[i].dirty = false
 			return
 		}
@@ -158,7 +156,7 @@ func (c *LLC) DirtyLines() []isa.Addr {
 	var out []isa.Addr
 	c.sets.Range(func(_ uint64, s *[]llcLine) bool {
 		for i := range *s {
-			if (*s)[i].valid && (*s)[i].dirty {
+			if (*s)[i].dirty {
 				out = append(out, (*s)[i].addr)
 			}
 		}
