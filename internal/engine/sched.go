@@ -10,15 +10,17 @@ package engine
 // lexicographic (clock, tid) order is a single integer compare and a
 // sift step moves one word instead of two parallel slots — the heap is
 // hot enough on park-heavy grids that halving its memory traffic is
-// visible in the bench grid. A tid→slot index guards Push against
-// enrolling a thread twice.
+// visible in the bench grid. Sifts move a hole rather than swapping, so
+// each step is one word write. A per-tid enrolled flag guards Push and
+// ReplaceMin against enrolling a thread twice without any bookkeeping per
+// sift step.
 //
 // All storage is retained across Reset, so a Leaderboard embedded in a
 // long-lived machine allocates only on first use (and when the core
 // count grows).
 type Leaderboard struct {
-	keys []uint64 // heap-ordered packed (clock, tid) entries
-	slot []int32  // tid → heap index, -1 when the tid is not enrolled
+	keys     []uint64 // heap-ordered packed (clock, tid) entries
+	enrolled []bool   // tid → whether the tid is in keys
 }
 
 // tidBits is the width of the tid field in a packed key: 2^10 threads,
@@ -34,28 +36,39 @@ func (lb *Leaderboard) Reset(n int) {
 		panic("engine: Leaderboard thread count exceeds packed-key width")
 	}
 	lb.keys = lb.keys[:0]
-	if cap(lb.slot) < n {
-		lb.slot = make([]int32, n)
+	if cap(lb.enrolled) < n {
+		lb.enrolled = make([]bool, n)
 	}
-	lb.slot = lb.slot[:n]
-	for i := range lb.slot {
-		lb.slot[i] = -1
-	}
+	lb.enrolled = lb.enrolled[:n]
+	clear(lb.enrolled)
 }
 
 // Len returns the number of enrolled threads.
 func (lb *Leaderboard) Len() int { return len(lb.keys) }
 
+// enroll marks tid enrolled and returns its packed key. The tid must be
+// within the Reset range and not currently enrolled.
+func (lb *Leaderboard) enroll(tid int, clock Time) uint64 {
+	if lb.enrolled[tid] {
+		panic("engine: Leaderboard enrolls an enrolled tid")
+	}
+	lb.enrolled[tid] = true
+	return uint64(clock)<<tidBits | uint64(tid)
+}
+
+// unpack splits a packed key, marking its tid unenrolled.
+func (lb *Leaderboard) unpack(k uint64) (tid int, clock Time) {
+	tid = int(k & (maxLeaderboardTids - 1))
+	lb.enrolled[tid] = false
+	return tid, Time(k >> tidBits)
+}
+
 // Push enrolls thread tid at the given clock. The tid must be within the
 // Reset range and not currently enrolled.
 func (lb *Leaderboard) Push(tid int, clock Time) {
-	if lb.slot[tid] != -1 {
-		panic("engine: Leaderboard.Push of enrolled tid")
-	}
-	i := len(lb.keys)
-	lb.keys = append(lb.keys, uint64(clock)<<tidBits|uint64(tid))
-	lb.slot[tid] = int32(i)
-	lb.up(i)
+	k := lb.enroll(tid, clock)
+	lb.keys = append(lb.keys, k)
+	lb.up(len(lb.keys)-1, k)
 }
 
 // Peek returns the minimum (clock, tid) entry without removing it.
@@ -71,50 +84,60 @@ func (lb *Leaderboard) Peek() (tid int, clock Time, ok bool) {
 // PopMin removes and returns the minimum (clock, tid) entry. The
 // leaderboard must be non-empty.
 func (lb *Leaderboard) PopMin() (tid int, clock Time) {
-	k := lb.keys[0]
-	t := int32(k & (maxLeaderboardTids - 1))
+	tid, clock = lb.unpack(lb.keys[0])
 	last := len(lb.keys) - 1
-	lb.swap(0, last)
+	k := lb.keys[last]
 	lb.keys = lb.keys[:last]
-	lb.slot[t] = -1
 	if last > 0 {
-		lb.down(0)
+		lb.down(0, k)
 	}
-	return int(t), Time(k >> tidBits)
+	return tid, clock
 }
 
-func (lb *Leaderboard) swap(i, j int) {
-	lb.keys[i], lb.keys[j] = lb.keys[j], lb.keys[i]
-	lb.slot[lb.keys[i]&(maxLeaderboardTids-1)] = int32(i)
-	lb.slot[lb.keys[j]&(maxLeaderboardTids-1)] = int32(j)
+// ReplaceMin removes and returns the minimum (clock, tid) entry and
+// enrolls thread tid at clock, in one sift: PopMin followed by Push, at
+// the cost of one. The returned entry is the minimum before the
+// enrollment, even when (clock, tid) orders before it. The leaderboard
+// must be non-empty, and tid not currently enrolled.
+func (lb *Leaderboard) ReplaceMin(tid int, clock Time) (minTid int, minClock Time) {
+	k := lb.enroll(tid, clock)
+	minTid, minClock = lb.unpack(lb.keys[0])
+	lb.down(0, k)
+	return minTid, minClock
 }
 
-func (lb *Leaderboard) up(i int) {
+// up places key k, whose slot is the hole at i, moving larger ancestors
+// down into the hole until k's parent orders before it.
+func (lb *Leaderboard) up(i int, k uint64) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if lb.keys[i] >= lb.keys[parent] {
+		if k >= lb.keys[parent] {
 			break
 		}
-		lb.swap(i, parent)
+		lb.keys[i] = lb.keys[parent]
 		i = parent
 	}
+	lb.keys[i] = k
 }
 
-func (lb *Leaderboard) down(i int) {
+// down places key k into the hole at i, moving smaller children up into
+// the hole until both children order after k.
+func (lb *Leaderboard) down(i int, k uint64) {
 	n := len(lb.keys)
 	for {
 		l := 2*i + 1
 		if l >= n {
-			return
+			break
 		}
 		min := l
 		if r := l + 1; r < n && lb.keys[r] < lb.keys[l] {
 			min = r
 		}
-		if lb.keys[min] >= lb.keys[i] {
-			return
+		if lb.keys[min] >= k {
+			break
 		}
-		lb.swap(i, min)
+		lb.keys[i] = lb.keys[min]
 		i = min
 	}
+	lb.keys[i] = k
 }

@@ -63,33 +63,103 @@ func TestLeaderboardResetReuses(t *testing.T) {
 	}
 }
 
+// TestLeaderboardRandomized interleaves Push, PopMin and ReplaceMin at
+// random and checks every result against a sorted reference of the
+// enrolled (clock, tid) entries.
 func TestLeaderboardRandomized(t *testing.T) {
 	r := NewRand(42)
 	const n = 64
+	type ent struct {
+		clock Time
+		tid   int
+	}
+	less := func(a, b ent) bool {
+		return a.clock < b.clock || (a.clock == b.clock && a.tid < b.tid)
+	}
 	var lb Leaderboard
 	for round := 0; round < 50; round++ {
 		lb.Reset(n)
-		live := map[int]Time{}
+		var ref []ent // enrolled entries, sorted by (clock, tid)
+		insert := func(e ent) {
+			i := sort.Search(len(ref), func(i int) bool { return less(e, ref[i]) })
+			ref = append(ref, ent{})
+			copy(ref[i+1:], ref[i:])
+			ref[i] = e
+		}
+		out := make([]int, 0, n) // unenrolled tids
 		for tid := 0; tid < n; tid++ {
-			c := Time(r.Intn(16)) // dense range forces ties
-			lb.Push(tid, c)
-			live[tid] = c
+			out = append(out, tid)
 		}
-		var prev Time = -1
-		prevTid := -1
-		for lb.Len() > 0 {
-			tid, c := lb.PopMin()
-			if want, ok := live[tid]; !ok || want != c {
-				t.Fatalf("round %d: popped (%d, %v), live[%d] = (%v, %v)", round, tid, c, tid, live[tid], ok)
+		// enrollOne takes a random unenrolled tid at a clock drawn from a
+		// dense range, which forces ties.
+		enrollOne := func() ent {
+			i := r.Intn(len(out))
+			e := ent{Time(r.Intn(16)), out[i]}
+			out[i] = out[len(out)-1]
+			out = out[:len(out)-1]
+			return e
+		}
+		for step := 0; step < 400; step++ {
+			op := r.Intn(3)
+			switch {
+			case len(ref) == 0 || (op == 0 && len(out) > 0):
+				e := enrollOne()
+				lb.Push(e.tid, e.clock)
+				insert(e)
+			case op == 1 || len(out) == 0:
+				tid, c := lb.PopMin()
+				if want := ref[0]; tid != want.tid || c != want.clock {
+					t.Fatalf("round %d step %d: PopMin = (%d, %v), want (%d, %v)", round, step, tid, c, want.tid, want.clock)
+				}
+				ref = ref[1:]
+				out = append(out, tid)
+			default:
+				e := enrollOne()
+				tid, c := lb.ReplaceMin(e.tid, e.clock)
+				if want := ref[0]; tid != want.tid || c != want.clock {
+					t.Fatalf("round %d step %d: ReplaceMin(%d, %v) = (%d, %v), want (%d, %v)",
+						round, step, e.tid, e.clock, tid, c, want.tid, want.clock)
+				}
+				ref = ref[1:]
+				out = append(out, tid)
+				insert(e)
 			}
-			delete(live, tid)
-			if c < prev || (c == prev && tid < prevTid) {
-				t.Fatalf("round %d: (%v, %d) popped after (%v, %d)", round, c, tid, prev, prevTid)
+			if lb.Len() != len(ref) {
+				t.Fatalf("round %d step %d: Len = %d, want %d", round, step, lb.Len(), len(ref))
 			}
-			prev, prevTid = c, tid
+			if tid, c, ok := lb.Peek(); ok != (len(ref) > 0) || (ok && (tid != ref[0].tid || c != ref[0].clock)) {
+				t.Fatalf("round %d step %d: Peek = (%d, %v, %v), want %v", round, step, tid, c, ok, ref)
+			}
 		}
-		if len(live) != 0 {
-			t.Fatalf("round %d: %d entries never popped", round, len(live))
+		// Drain: the rest pops in (clock, tid) order.
+		for _, want := range ref {
+			if tid, c := lb.PopMin(); tid != want.tid || c != want.clock {
+				t.Fatalf("round %d drain: PopMin = (%d, %v), want (%d, %v)", round, tid, c, want.tid, want.clock)
+			}
 		}
+	}
+}
+
+// An enrolled tid must not enroll again, through Push or ReplaceMin.
+func TestLeaderboardDoubleEnrollPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		enroll func(*Leaderboard)
+	}{
+		{"Push", func(lb *Leaderboard) { lb.Push(1, 9) }},
+		{"ReplaceMin", func(lb *Leaderboard) { lb.ReplaceMin(1, 9) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var lb Leaderboard
+			lb.Reset(4)
+			lb.Push(0, 1)
+			lb.Push(1, 5)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s of an enrolled tid did not panic", tc.name)
+				}
+			}()
+			tc.enroll(&lb)
+		})
 	}
 }

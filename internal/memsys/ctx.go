@@ -22,10 +22,11 @@ type Ctx struct {
 
 	// prog is the thread's program for the current Run, run by the
 	// coroutine body Ctx.run. yield parks the coroutine back into the
-	// kernel's dispatch loop; it is nil on thread 0, which runs on Run's
-	// stack and calls the loop itself.
+	// kernel's dispatch loop, handing it the thread to grant next; it is
+	// nil on thread 0, which runs on Run's stack and calls the loop
+	// itself.
 	prog  Program
-	yield func(struct{}) bool
+	yield func(int) bool
 }
 
 // ThreadID returns the hardware thread id.
@@ -55,10 +56,11 @@ func (c *Ctx) Work(n engine.Time) { c.sys.advance(c.tid, n) }
 // run-ahead horizon — the runner-up thread published by the scheduler —
 // a rerun of the scheduler would only grant this thread again, so it
 // keeps executing with no switch at all. Only when the horizon is crossed
-// does the thread park: it re-enrolls itself at its new clock and hands
-// the machine to the dispatch loop — a coroutine yields to it, thread 0
-// runs it — until a later grant hands the machine back. A coroutine
-// whose Run is being torn down unwinds instead of performing.
+// does the thread park: it pops the next grant and re-enrolls itself at
+// its new clock in one sift, and hands that grant to the dispatch loop —
+// a coroutine yields to it, thread 0 runs it — until a later grant hands
+// the machine back. A coroutine whose Run is being torn down unwinds
+// instead of performing.
 func (c *Ctx) handoff() {
 	s := c.sys
 	k := &s.sched
@@ -67,18 +69,20 @@ func (c *Ctx) handoff() {
 		k.runAhead++
 		return
 	}
-	// The grant condition failed, so some other live thread orders before
-	// us — the leaderboard is non-empty and the loop grants another
-	// thread first. The scheduler region stays open across the switch;
-	// the loop's pick and the switches land in it, and this thread closes
+	// The grant condition failed, so the horizon thread — still the
+	// leaderboard's root, since nothing enrolls while this thread runs —
+	// orders before us and is the next grant; our own key orders after
+	// it, so popping it before enrolling ourselves picks the same thread
+	// a push-then-pop would. The scheduler region stays open across the
+	// switch; the pick and the switches land in it, and this thread closes
 	// it once it is granted again.
 	if s.perf != nil {
 		s.perf.Start(perf.PhaseScheduler)
 	}
-	k.lb.Push(c.tid, cl)
+	next, _ := k.lb.ReplaceMin(c.tid, cl)
 	if c.yield == nil {
-		k.dispatch()
-	} else if !c.yield(struct{}{}) {
+		k.dispatch(next)
+	} else if !c.yield(next) {
 		panic(errStopped)
 	}
 	if s.perf != nil {

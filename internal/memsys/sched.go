@@ -23,16 +23,17 @@ import (
 // nothing.
 //
 // Execution is one dispatch loop (sched.dispatch) on Run's goroutine. It
-// pops the minimum (clock, tid), publishes the runner-up as the horizon
+// grants the minimum (clock, tid), publishes the runner-up as the horizon
 // and resumes that thread. Threads 1…n−1 run as iter.Pull coroutines: a
-// thread that parks re-enrolls itself at its new clock and yields back to
-// the loop, so a mandatory handoff costs two coroutine switches and no
+// thread that parks pops the next grant and re-enrolls itself at its new
+// clock in one leaderboard sift (ReplaceMin), then yields back to the
+// loop, so a mandatory handoff costs two coroutine switches and no
 // goroutine scheduling. Thread 0 runs on Run's own stack: when it parks,
-// its handoff re-enrolls it and calls the loop itself, which returns once
-// thread 0 is the minimum again. A thread that finishes does not
-// re-enroll — "done" is encoded structurally by absence from the
-// leaderboard rather than by a flag — and the loop returns when the
-// leaderboard is empty.
+// its handoff does the same and calls the loop itself, which returns once
+// thread 0 is granted again. A thread that finishes does not re-enroll —
+// "done" is encoded structurally by absence from the leaderboard rather
+// than by a flag — and the loop pops the next grant itself, returning
+// when the leaderboard is empty.
 type sched struct {
 	// lb indexes the clocks of parked-but-live threads; the granted
 	// thread is not enrolled while it runs.
@@ -52,8 +53,9 @@ type sched struct {
 	ctxs []*Ctx
 
 	// next and stop are the current Run's coroutines, indexed by tid.
-	// Thread 0 has none: it runs on Run's own stack.
-	next []func() (struct{}, bool)
+	// Thread 0 has none: it runs on Run's own stack. A coroutine that
+	// parks yields the thread its handoff popped for the next grant.
+	next []func() (int, bool)
 	stop []func()
 
 	// grants counts thread grants; runAhead counts operations admitted on
@@ -79,17 +81,18 @@ func (k *sched) ensure(s *System, n int) {
 	for i := range k.ctxs {
 		k.ctxs[i] = &Ctx{sys: s, tid: i}
 	}
-	k.next = make([]func() (struct{}, bool), n)
+	k.next = make([]func() (int, bool), n)
 	k.stop = make([]func(), n)
 }
 
-// dispatch is the kernel's loop. It grants the minimum (clock, tid)
-// thread, publishing the runner-up as the new horizon, and resumes it
-// until it parks or finishes. It returns when thread 0 is granted, for
+// dispatch is the kernel's loop. It grants tid, a thread just popped
+// from the leaderboard, publishing the runner-up as the new horizon, and
+// resumes it until it parks or finishes. A parked coroutine has handed
+// back the next grant, popped by its handoff; after a thread finishes the
+// loop pops the minimum itself. It returns when thread 0 is granted, for
 // thread 0 to run on the caller's stack, or when no thread is left.
-func (k *sched) dispatch() {
-	for k.lb.Len() > 0 {
-		tid, _ := k.lb.PopMin()
+func (k *sched) dispatch(tid int) {
+	for {
 		if htid, hclock, ok := k.lb.Peek(); ok {
 			k.horizon, k.horizonTid = hclock, htid
 		} else {
@@ -99,7 +102,22 @@ func (k *sched) dispatch() {
 		if tid == 0 {
 			return
 		}
-		k.next[tid]()
+		if next, parked := k.next[tid](); parked {
+			tid = next
+		} else if k.lb.Len() > 0 {
+			tid, _ = k.lb.PopMin()
+		} else {
+			return
+		}
+	}
+}
+
+// dispatchMin runs the loop from the leaderboard minimum, if any thread
+// is enrolled.
+func (k *sched) dispatchMin() {
+	if k.lb.Len() > 0 {
+		tid, _ := k.lb.PopMin()
+		k.dispatch(tid)
 	}
 }
 
@@ -107,7 +125,7 @@ func (k *sched) dispatch() {
 // grant opened, runs the program, and reopens the region for the loop
 // that resumed it. A stopped thread unwinds out of its program with
 // errStopped, which ends here.
-func (c *Ctx) run(yield func(struct{}) bool) {
+func (c *Ctx) run(yield func(int) bool) {
 	defer func() {
 		if r := recover(); r != nil && r != errStopped {
 			panic(r)
@@ -182,7 +200,7 @@ func (s *System) Run(progs []Program) engine.Time {
 		k.next[i], k.stop[i] = iter.Pull(c.run)
 	}
 	defer k.stopAll(n)
-	k.dispatch()
+	k.dispatchMin()
 	if s.perf != nil {
 		s.perf.End()
 	}
@@ -190,7 +208,7 @@ func (s *System) Run(progs []Program) engine.Time {
 	if s.perf != nil {
 		s.perf.Start(perf.PhaseScheduler)
 	}
-	k.dispatch()
+	k.dispatchMin()
 	if s.perf != nil {
 		s.perf.End()
 	}
