@@ -1,26 +1,32 @@
 package engine
 
-// Leaderboard is the scheduling kernel's index of live thread clocks: a
-// binary min-heap ordered by (clock, tid), so the root is always the
-// thread the virtual-time scheduler must grant next — smallest clock,
-// ties broken by smaller thread id, exactly the order the historical
-// linear scan produced.
+// Tournament is the scheduling kernel's index of thread clocks: a loser
+// tree whose leaves are a run's threads, ordered by (clock, tid), so its
+// winner is always the thread the virtual-time scheduler must grant next
+// — smallest clock, ties broken by smaller thread id, exactly the order
+// the historical linear scan produced.
 //
-// Each entry is one uint64 packing (clock << tidBits) | tid, so the
-// lexicographic (clock, tid) order is a single integer compare and a
-// sift step moves one word instead of two parallel slots — the heap is
-// hot enough on park-heavy grids that halving its memory traffic is
-// visible in the bench grid. Sifts move a hole rather than swapping, so
-// each step is one word write. A per-tid enrolled flag guards Push and
-// ReplaceMin against enrolling a thread twice without any bookkeeping per
-// sift step.
+// Each key is one uint64 packing (clock << tidBits) | tid, so the
+// lexicographic (clock, tid) order is a single integer compare. A thread
+// that has finished, and each padding leaf up to the next power of two,
+// holds the all-ones done key, which orders after every live key. Each
+// internal node stores the loser of the match played there; the winner
+// is not stored but returned, by Reset and by each update.
 //
-// All storage is retained across Reset, so a Leaderboard embedded in a
-// long-lived machine allocates only on first use (and when the core
-// count grows).
-type Leaderboard struct {
-	keys     []uint64 // heap-ordered packed (clock, tid) entries
-	enrolled []bool   // tid → whether the tid is in keys
+// The tree supports one update: Replay and Retire change the current
+// winner's leaf, and are valid only on that leaf. The winner's path then
+// holds, at each level, the winner of the sibling subtree, so replaying
+// the path — one min/max swap per level, with no data-dependent branch —
+// is a complete re-selection. The scheduler needs nothing more: while a
+// thread runs, only its own key changes, and it is the winner.
+//
+// All storage is retained across Reset, so a Tournament embedded in a
+// long-lived machine allocates only when the thread count grows.
+type Tournament struct {
+	// node[1:leaves] are the losers of the matches, node[leaves:] the
+	// leaf keys as of Reset; node[0] is unused.
+	node   []uint64
+	leaves int
 }
 
 // tidBits is the width of the tid field in a packed key: 2^10 threads,
@@ -28,116 +34,69 @@ type Leaderboard struct {
 // million-op 64-core cell retires in ~1e9 cycles).
 const tidBits = 10
 
-const maxLeaderboardTids = 1 << tidBits
+const (
+	maxTournamentTids = 1 << tidBits
+	tidMask           = maxTournamentTids - 1
+	doneKey           = ^uint64(0)
+)
 
-// Reset prepares the leaderboard for threads 0..n-1, all unenrolled.
-func (lb *Leaderboard) Reset(n int) {
-	if n > maxLeaderboardTids {
-		panic("engine: Leaderboard thread count exceeds packed-key width")
+// Reset rebuilds the tree over threads 0..len(clocks)-1 at the given
+// clocks, all live, and returns the winner. clocks must not be empty; a
+// single thread makes a tree with no levels.
+func (t *Tournament) Reset(clocks []Time) (winner int) {
+	n := len(clocks)
+	if n > maxTournamentTids {
+		panic("engine: Tournament thread count exceeds packed-key width")
 	}
-	lb.keys = lb.keys[:0]
-	if cap(lb.enrolled) < n {
-		lb.enrolled = make([]bool, n)
+	leaves := 1
+	for leaves < n {
+		leaves <<= 1
 	}
-	lb.enrolled = lb.enrolled[:n]
-	clear(lb.enrolled)
-}
-
-// Len returns the number of enrolled threads.
-func (lb *Leaderboard) Len() int { return len(lb.keys) }
-
-// enroll marks tid enrolled and returns its packed key. The tid must be
-// within the Reset range and not currently enrolled.
-func (lb *Leaderboard) enroll(tid int, clock Time) uint64 {
-	if lb.enrolled[tid] {
-		panic("engine: Leaderboard enrolls an enrolled tid")
+	if cap(t.node) < 2*leaves {
+		t.node = make([]uint64, 2*leaves)
 	}
-	lb.enrolled[tid] = true
-	return uint64(clock)<<tidBits | uint64(tid)
-}
-
-// unpack splits a packed key, marking its tid unenrolled.
-func (lb *Leaderboard) unpack(k uint64) (tid int, clock Time) {
-	tid = int(k & (maxLeaderboardTids - 1))
-	lb.enrolled[tid] = false
-	return tid, Time(k >> tidBits)
-}
-
-// Push enrolls thread tid at the given clock. The tid must be within the
-// Reset range and not currently enrolled.
-func (lb *Leaderboard) Push(tid int, clock Time) {
-	k := lb.enroll(tid, clock)
-	lb.keys = append(lb.keys, k)
-	lb.up(len(lb.keys)-1, k)
-}
-
-// Peek returns the minimum (clock, tid) entry without removing it.
-// ok is false when the leaderboard is empty.
-func (lb *Leaderboard) Peek() (tid int, clock Time, ok bool) {
-	if len(lb.keys) == 0 {
-		return -1, 0, false
-	}
-	k := lb.keys[0]
-	return int(k & (maxLeaderboardTids - 1)), Time(k >> tidBits), true
-}
-
-// PopMin removes and returns the minimum (clock, tid) entry. The
-// leaderboard must be non-empty.
-func (lb *Leaderboard) PopMin() (tid int, clock Time) {
-	tid, clock = lb.unpack(lb.keys[0])
-	last := len(lb.keys) - 1
-	k := lb.keys[last]
-	lb.keys = lb.keys[:last]
-	if last > 0 {
-		lb.down(0, k)
-	}
-	return tid, clock
-}
-
-// ReplaceMin removes and returns the minimum (clock, tid) entry and
-// enrolls thread tid at clock, in one sift: PopMin followed by Push, at
-// the cost of one. The returned entry is the minimum before the
-// enrollment, even when (clock, tid) orders before it. The leaderboard
-// must be non-empty, and tid not currently enrolled.
-func (lb *Leaderboard) ReplaceMin(tid int, clock Time) (minTid int, minClock Time) {
-	k := lb.enroll(tid, clock)
-	minTid, minClock = lb.unpack(lb.keys[0])
-	lb.down(0, k)
-	return minTid, minClock
-}
-
-// up places key k, whose slot is the hole at i, moving larger ancestors
-// down into the hole until k's parent orders before it.
-func (lb *Leaderboard) up(i int, k uint64) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if k >= lb.keys[parent] {
-			break
+	t.node, t.leaves = t.node[:2*leaves], leaves
+	for i := range leaves {
+		key := doneKey
+		if i < n {
+			key = uint64(clocks[i])<<tidBits | uint64(i)
 		}
-		lb.keys[i] = lb.keys[parent]
-		i = parent
+		t.node[leaves+i] = key
 	}
-	lb.keys[i] = k
+	// Bottom-up, each internal node first holds its subtree's winner;
+	// top-down, it then takes the loser of its children's match, whose
+	// winners are still in place below it.
+	for j := leaves - 1; j > 0; j-- {
+		t.node[j] = min(t.node[2*j], t.node[2*j+1])
+	}
+	w := t.node[1]
+	for j := 1; j < leaves; j++ {
+		t.node[j] = max(t.node[2*j], t.node[2*j+1])
+	}
+	return int(w & tidMask)
 }
 
-// down places key k into the hole at i, moving smaller children up into
-// the hole until both children order after k.
-func (lb *Leaderboard) down(i int, k uint64) {
-	n := len(lb.keys)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		min := l
-		if r := l + 1; r < n && lb.keys[r] < lb.keys[l] {
-			min = r
-		}
-		if lb.keys[min] >= k {
-			break
-		}
-		lb.keys[i] = lb.keys[min]
-		i = min
+// Replay moves the current winner, tid, to clock and returns the new
+// winner, which is tid itself while (clock, tid) still orders first.
+// tid must be the current winner.
+func (t *Tournament) Replay(tid int, clock Time) (winner int) {
+	return int(t.replay(tid, uint64(clock)<<tidBits|uint64(tid)) & tidMask)
+}
+
+// Retire marks the current winner, tid, done and returns the new winner;
+// ok is false when every thread is done. tid must be the current winner.
+func (t *Tournament) Retire(tid int) (winner int, ok bool) {
+	w := t.replay(tid, doneKey)
+	return int(w & tidMask), w != doneKey
+}
+
+// replay plays key up tid's path, leaving each match's loser behind, and
+// returns the new winner's key.
+func (t *Tournament) replay(tid int, key uint64) uint64 {
+	for j := (t.leaves + tid) >> 1; j > 0; j >>= 1 {
+		l := t.node[j]
+		t.node[j] = max(l, key)
+		key = min(l, key)
 	}
-	lb.keys[i] = k
+	return key
 }

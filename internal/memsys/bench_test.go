@@ -36,11 +36,11 @@ func BenchmarkScanDirty(b *testing.B) {
 
 // BenchmarkSchedulerGrant measures the scheduler's worst case: two
 // threads in near-lockstep on one shared line, so virtually every
-// operation crosses the run-ahead horizon and costs a full grant —
-// leaderboard pop/push plus the coroutine switch between thread 0 (on
-// Run's stack) and thread 1. ReportAllocs pins that steady-state grants
-// allocate nothing beyond thread 1's coroutine per Run
-// (TestSchedulerGrantAllocs asserts the budget).
+// operation loses its tournament replay and costs a full grant — the
+// coroutine switch between thread 0 (on Run's stack) and thread 1.
+// ReportAllocs pins that steady-state grants allocate nothing beyond
+// thread 1's coroutine per Run (TestSchedulerGrantAllocs asserts the
+// budget).
 func BenchmarkSchedulerGrant(b *testing.B) {
 	cfg := TestConfig(2).WithMechanism(persist.NOP)
 	cfg.TrackHB = false // stamp capture allocates per write; measure the kernel
@@ -64,9 +64,39 @@ func BenchmarkSchedulerGrant(b *testing.B) {
 	b.ReportMetric(float64(grants)/float64(b.N+1), "grants/run")
 }
 
+// BenchmarkSchedulerGrant32 is BenchmarkSchedulerGrant at Figure 5's
+// thread count: 32 threads in lockstep on one line, so nearly every
+// operation is a grant and each replay walks the 32-leaf tournament's
+// five levels.
+func BenchmarkSchedulerGrant32(b *testing.B) {
+	cfg := TestConfig(32).WithMechanism(persist.NOP)
+	cfg.TrackHB = false
+	s := MustNew(cfg)
+	a := s.StaticAlloc(1)
+	const opsPerRun = 50
+	prog := func(c *Ctx) {
+		for i := 0; i < opsPerRun; i++ {
+			c.Store(a, uint64(i))
+		}
+	}
+	progs := make([]Program, 32)
+	for i := range progs {
+		progs[i] = prog
+	}
+	s.Run(progs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Run(progs)
+	}
+	b.StopTimer()
+	grants, _ := s.SchedStats()
+	b.ReportMetric(float64(grants)/float64(b.N+1), "grants/run")
+}
+
 // BenchmarkSchedulerRunAhead is the scheduler's best case: a single
-// thread, infinite horizon, every operation admitted on the fast path
-// with no switch.
+// thread, a tournament with no levels, every operation admitted on the
+// fast path with no switch.
 func BenchmarkSchedulerRunAhead(b *testing.B) {
 	cfg := TestConfig(2).WithMechanism(persist.NOP)
 	cfg.TrackHB = false

@@ -8,10 +8,10 @@ import (
 
 // Program is the body of one simulated hardware thread. It runs under
 // the event-driven kernel in sched.go — thread 0 on Run's own stack, the
-// others as coroutines: every Ctx memory operation checks the thread's
-// clock against the grant's run-ahead horizon before performing, parking
-// back into the scheduler only when another thread's clock has become
-// smaller, so memory operations execute in global virtual-time order.
+// others as coroutines: every Ctx memory operation replays the thread's
+// clock in the kernel's tournament before performing, parking back into
+// the scheduler only when another thread's clock has become smaller, so
+// memory operations execute in global virtual-time order.
 type Program func(ctx *Ctx)
 
 // Ctx is a thread's handle to the simulated machine. It is valid only
@@ -52,34 +52,27 @@ func (c *Ctx) Work(n engine.Time) { c.sys.advance(c.tid, n) }
 // order even when a thread advanced its clock with Work between
 // operations.
 //
-// Fast path: while the thread's (clock, tid) orders before the grant's
-// run-ahead horizon — the runner-up thread published by the scheduler —
-// a rerun of the scheduler would only grant this thread again, so it
-// keeps executing with no switch at all. Only when the horizon is crossed
-// does the thread park: it pops the next grant and re-enrolls itself at
-// its new clock in one sift, and hands that grant to the dispatch loop —
-// a coroutine yields to it, thread 0 runs it — until a later grant hands
-// the machine back. A coroutine whose Run is being torn down unwinds
-// instead of performing.
+// The thread replays its tournament leaf at its current clock. It is the
+// winner, and the only thread whose key has changed since the last
+// replay, so the replay is a complete re-selection. Fast path: while the
+// thread still wins, a rerun of the scheduler would only grant it again,
+// so it keeps executing with no switch at all. Otherwise it parks: it
+// hands the new winner to the dispatch loop — a coroutine yields it,
+// thread 0 runs the loop — until a later grant hands the machine back. A
+// coroutine whose Run is being torn down unwinds instead of performing.
 func (c *Ctx) handoff() {
 	s := c.sys
 	k := &s.sched
-	cl := s.clocks[c.tid]
-	if cl < k.horizon || (cl == k.horizon && c.tid < k.horizonTid) {
+	next := k.tour.Replay(c.tid, s.clocks[c.tid])
+	if next == c.tid {
 		k.runAhead++
 		return
 	}
-	// The grant condition failed, so the horizon thread — still the
-	// leaderboard's root, since nothing enrolls while this thread runs —
-	// orders before us and is the next grant; our own key orders after
-	// it, so popping it before enrolling ourselves picks the same thread
-	// a push-then-pop would. The scheduler region stays open across the
-	// switch; the pick and the switches land in it, and this thread closes
-	// it once it is granted again.
+	// The scheduler region stays open across the switch; the switches
+	// land in it, and this thread closes it once it is granted again.
 	if s.perf != nil {
 		s.perf.Start(perf.PhaseScheduler)
 	}
-	next, _ := k.lb.ReplaceMin(c.tid, cl)
 	if c.yield == nil {
 		k.dispatch(next)
 	} else if !c.yield(next) {

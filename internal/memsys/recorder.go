@@ -120,7 +120,7 @@ func (s *System) perform(tid int, op isa.Op) (uint64, bool) {
 // advance credits thread tid with n cycles of non-memory compute. It is
 // the single place a thread clock moves outside perform: the coroutine
 // frontend (Ctx.Work) and the trace-replay frontend (Step, AdvanceClock)
-// all funnel through it, so the scheduler's run-ahead horizon and the
+// all funnel through it, so the scheduler's tournament replays and the
 // replay path share one notion of thread time — and the recorder's
 // pending-work accounting cannot drift between them.
 func (s *System) advance(tid int, n engine.Time) {

@@ -147,73 +147,90 @@ func randomLists(r *engine.Rand, threads int, words []isa.Addr) [][]refStep {
 }
 
 // TestKernelMatchesReferenceScheduler holds the scheduling kernel to the
-// reference min-scan scheduler: random straight-line programs of 2–8
-// threads over at most 4 shared lines, run as Programs through Run on one
-// machine and through refSchedule on an identical one, must produce the
-// same recorder stream (thread, op, value, success), the same final
-// clocks and the same Stats, under every mechanism. Each config runs two
-// rounds separated by SyncClocks, so the second round starts with every
-// clock tied.
+// reference min-scan scheduler: random straight-line programs over at
+// most 4 shared lines, run as Programs through Run on one machine and
+// through refSchedule on an identical one, must produce the same recorder
+// stream (thread, op, value, success), the same final clocks and the same
+// Stats, under every mechanism. Each config runs two rounds separated by
+// SyncClocks, so the second round starts with every clock tied. Most
+// configs run 2–8 programs on as many cores; the rest run fewer programs
+// than cores, in counts that are not powers of two (the kernel's
+// tournament pads them to one); 33 programs make a 64-leaf tree that is
+// padding in its upper half.
 func TestKernelMatchesReferenceScheduler(t *testing.T) {
 	const configs = 30
+	sparse := []struct{ cores, threads int }{{4, 3}, {8, 5}, {8, 7}, {16, 6}, {16, 11}, {64, 13}, {64, 33}}
 	totalTies := 0
 	for _, k := range persist.Kinds() {
 		for seed := 0; seed < configs; seed++ {
-			name := fmt.Sprintf("%v/seed%d", k, seed)
 			r := engine.NewRand(uint64(seed)*131 + uint64(k) + 1)
 			threads := 2 + r.Intn(7)
-			nLines := 1 + r.Intn(4)
-			build := func() (*System, *refLog, []isa.Addr) {
-				log := &refLog{}
-				cfg := TestConfig(threads).WithMechanism(k)
-				cfg.Rec = log
-				s, err := New(cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				var words []isa.Addr
-				for i := 0; i < nLines; i++ {
-					line := s.StaticAlloc(8)
-					words = append(words, line, line+isa.WordSize)
-				}
-				return s, log, words
-			}
-			kern, kernLog, words := build()
-			ref, refLogged, refWords := build()
-			if !reflect.DeepEqual(words, refWords) {
-				t.Fatalf("%s: identical machines allocated different words", name)
-			}
-			for round := 0; round < 2; round++ {
-				lists := randomLists(r, threads, words)
-				if round > 0 {
-					kern.SyncClocks()
-					ref.SyncClocks()
-				}
-				kern.Run(listPrograms(lists))
-				totalTies += refSchedule(ref, lists)
-			}
-			if !reflect.DeepEqual(kernLog.recs, refLogged.recs) {
-				n := len(kernLog.recs)
-				if len(refLogged.recs) < n {
-					n = len(refLogged.recs)
-				}
-				i := 0
-				for i < n && kernLog.recs[i] == refLogged.recs[i] {
-					i++
-				}
-				t.Fatalf("%s: recorder streams diverge at record %d of %d/%d", name, i,
-					len(kernLog.recs), len(refLogged.recs))
-			}
-			if !reflect.DeepEqual(kern.clocks, ref.clocks) {
-				t.Fatalf("%s: final clocks %v, reference %v", name, kern.clocks, ref.clocks)
-			}
-			if kern.Stats() != ref.Stats() {
-				t.Fatalf("%s: Stats %+v, reference %+v", name, kern.Stats(), ref.Stats())
-			}
+			totalTies += checkKernelAgainstReference(t, fmt.Sprintf("%v/seed%d", k, seed), r, k, threads, threads)
+		}
+		for i, c := range sparse {
+			r := engine.NewRand(uint64(configs+i)*131 + uint64(k) + 1)
+			totalTies += checkKernelAgainstReference(t, fmt.Sprintf("%v/%dof%d", k, c.threads, c.cores), r, k, c.cores, c.threads)
 		}
 	}
 	if totalTies == 0 {
 		t.Fatal("no grant was decided by a clock tie; the generator is not exercising the tie-break")
 	}
 	t.Logf("%d tie-decided grants", totalTies)
+}
+
+// checkKernelAgainstReference runs one TestKernelMatchesReferenceScheduler
+// config: threads programs drawn from r on two identical machines of the
+// given core count and mechanism. It returns the reference's tie-decided
+// grants.
+func checkKernelAgainstReference(t *testing.T, name string, r *engine.Rand, k persist.Kind, cores, threads int) (ties int) {
+	t.Helper()
+	nLines := 1 + r.Intn(4)
+	build := func() (*System, *refLog, []isa.Addr) {
+		log := &refLog{}
+		cfg := TestConfig(cores).WithMechanism(k)
+		cfg.Rec = log
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var words []isa.Addr
+		for i := 0; i < nLines; i++ {
+			line := s.StaticAlloc(8)
+			words = append(words, line, line+isa.WordSize)
+		}
+		return s, log, words
+	}
+	kern, kernLog, words := build()
+	ref, refLogged, refWords := build()
+	if !reflect.DeepEqual(words, refWords) {
+		t.Fatalf("%s: identical machines allocated different words", name)
+	}
+	for round := 0; round < 2; round++ {
+		lists := randomLists(r, threads, words)
+		if round > 0 {
+			kern.SyncClocks()
+			ref.SyncClocks()
+		}
+		kern.Run(listPrograms(lists))
+		ties += refSchedule(ref, lists)
+	}
+	if !reflect.DeepEqual(kernLog.recs, refLogged.recs) {
+		n := len(kernLog.recs)
+		if len(refLogged.recs) < n {
+			n = len(refLogged.recs)
+		}
+		i := 0
+		for i < n && kernLog.recs[i] == refLogged.recs[i] {
+			i++
+		}
+		t.Fatalf("%s: recorder streams diverge at record %d of %d/%d", name, i,
+			len(kernLog.recs), len(refLogged.recs))
+	}
+	if !reflect.DeepEqual(kern.clocks, ref.clocks) {
+		t.Fatalf("%s: final clocks %v, reference %v", name, kern.clocks, ref.clocks)
+	}
+	if kern.Stats() != ref.Stats() {
+		t.Fatalf("%s: Stats %+v, reference %+v", name, kern.Stats(), ref.Stats())
+	}
+	return ties
 }

@@ -17,36 +17,24 @@ import (
 // sched is the event-driven scheduling kernel's hot state. Thread clocks
 // themselves live in System.clocks (a dense struct-of-arrays slice — the
 // protocol reads and writes them on every operation); sched holds the
-// grant machinery built over them: the leaderboard of parked threads, the
-// granted thread's run-ahead horizon, and the per-thread coroutine
-// handles, retained across Run calls so steady-state grants allocate
-// nothing.
+// grant machinery built over them: the tournament over the current Run's
+// threads and the per-thread coroutine handles, retained across Run calls
+// so steady-state grants allocate nothing.
 //
 // Execution is one dispatch loop (sched.dispatch) on Run's goroutine. It
-// grants the minimum (clock, tid), publishes the runner-up as the horizon
-// and resumes that thread. Threads 1…n−1 run as iter.Pull coroutines: a
-// thread that parks pops the next grant and re-enrolls itself at its new
-// clock in one leaderboard sift (ReplaceMin), then yields back to the
-// loop, so a mandatory handoff costs two coroutine switches and no
-// goroutine scheduling. Thread 0 runs on Run's own stack: when it parks,
-// its handoff does the same and calls the loop itself, which returns once
-// thread 0 is granted again. A thread that finishes does not re-enroll —
-// "done" is encoded structurally by absence from the leaderboard rather
-// than by a flag — and the loop pops the next grant itself, returning
-// when the leaderboard is empty.
+// grants the tournament's winner and resumes that thread. Before each
+// operation, the running thread replays its leaf at its new clock: while
+// it is still the winner it runs ahead with no switch. Threads 1…n−1 run
+// as iter.Pull coroutines: a thread that loses the replay yields the new
+// winner back to the loop, so a mandatory handoff costs two coroutine
+// switches and no goroutine scheduling. Thread 0 runs on Run's own stack:
+// when it loses, its handoff calls the loop itself, which returns once
+// thread 0 is granted again. When a thread finishes, the loop retires its
+// leaf, and returns when every leaf is done.
 type sched struct {
-	// lb indexes the clocks of parked-but-live threads; the granted
-	// thread is not enrolled while it runs.
-	lb engine.Leaderboard
-
-	// horizon/horizonTid are the leaderboard minimum at grant time: the
-	// runner-up thread's (clock, tid). The granted thread may keep
-	// executing operations without a handoff while its own (clock, tid)
-	// orders strictly before the horizon — the scheduler, rerun, would
-	// only pick it again. horizon is Infinity when no other thread is
-	// live (single-thread runs never park until they finish).
-	horizon    engine.Time
-	horizonTid int
+	// tour holds every thread's (clock, tid) as of its last replay; the
+	// running thread is its winner.
+	tour engine.Tournament
 
 	// ctxs are the per-thread handles, created once per machine and
 	// reused by every Run call.
@@ -54,7 +42,7 @@ type sched struct {
 
 	// next and stop are the current Run's coroutines, indexed by tid.
 	// Thread 0 has none: it runs on Run's own stack. A coroutine that
-	// parks yields the thread its handoff popped for the next grant.
+	// parks yields the winner of its handoff's replay, the next grant.
 	next []func() (int, bool)
 	stop []func()
 
@@ -85,39 +73,25 @@ func (k *sched) ensure(s *System, n int) {
 	k.stop = make([]func(), n)
 }
 
-// dispatch is the kernel's loop. It grants tid, a thread just popped
-// from the leaderboard, publishing the runner-up as the new horizon, and
-// resumes it until it parks or finishes. A parked coroutine has handed
-// back the next grant, popped by its handoff; after a thread finishes the
-// loop pops the minimum itself. It returns when thread 0 is granted, for
-// thread 0 to run on the caller's stack, or when no thread is left.
+// dispatch is the kernel's loop. It grants tid, the tournament's winner,
+// and resumes it until it parks or finishes. A parked coroutine has
+// handed back the next grant, the winner of its replay; a finished
+// thread's leaf is retired and the new winner granted. It returns when
+// thread 0 is granted, for thread 0 to run on the caller's stack, or when
+// every thread is done.
 func (k *sched) dispatch(tid int) {
 	for {
-		if htid, hclock, ok := k.lb.Peek(); ok {
-			k.horizon, k.horizonTid = hclock, htid
-		} else {
-			k.horizon, k.horizonTid = engine.Infinity, -1
-		}
 		k.grants++
 		if tid == 0 {
 			return
 		}
 		if next, parked := k.next[tid](); parked {
 			tid = next
-		} else if k.lb.Len() > 0 {
-			tid, _ = k.lb.PopMin()
+		} else if next, ok := k.tour.Retire(tid); ok {
+			tid = next
 		} else {
 			return
 		}
-	}
-}
-
-// dispatchMin runs the loop from the leaderboard minimum, if any thread
-// is enrolled.
-func (k *sched) dispatchMin() {
-	if k.lb.Len() > 0 {
-		tid, _ := k.lb.PopMin()
-		k.dispatch(tid)
 	}
 }
 
@@ -157,14 +131,13 @@ func (s *System) SchedStats() (grants, runAhead uint64) {
 // which is how workloads separate their warm-up fill from the measured
 // window.
 //
-// The kernel is event-driven rather than grant-per-op: a grant publishes
-// the runner-up's (clock, tid) as its horizon, and the granted thread
-// then executes operations until its next operation would cross the
-// horizon — Ctx.handoff's fast path is a pair of comparisons, not a
-// coroutine switch. Because every operation still checks the horizon
-// *before* performing, operations execute in exactly the global
-// (clock, tid) order the historical pick-one-op-per-grant scan produced;
-// only the number (and cost) of switches changes.
+// The kernel is event-driven rather than grant-per-op: the granted thread
+// executes operations until its next operation would no longer order
+// first — Ctx.handoff's fast path is one tournament replay, not a
+// coroutine switch. Because every operation still replays *before*
+// performing, operations execute in exactly the global (clock, tid) order
+// the historical pick-one-op-per-grant scan produced; only the number
+// (and cost) of switches changes.
 //
 // A program that panics or calls runtime.Goexit ends the Run the same
 // way: every other thread's coroutine is stopped, and the panic (or
@@ -180,17 +153,13 @@ func (s *System) Run(progs []Program) engine.Time {
 	}
 	k := &s.sched
 	k.ensure(s, len(s.threads))
-	k.lb.Reset(len(s.threads))
-	for i := 0; i < n; i++ {
-		k.lb.Push(i, s.clocks[i])
-	}
 	// The scheduler phase region is open exactly while the kernel owns
 	// execution: it opens when a thread parks or finishes (here, for the
 	// coroutines' creation and the first grant) and the granted thread
-	// closes it when it resumes, so the leaderboard pick and the
-	// coroutine switches of a handoff are attributed to
-	// perf.PhaseScheduler, and the run-ahead fast path costs no region at
-	// all.
+	// closes it when it resumes, so the coroutine switches of a handoff
+	// are attributed to perf.PhaseScheduler. The replay that decides
+	// whether to park runs before the region opens, so the run-ahead fast
+	// path costs no region at all.
 	if s.perf != nil {
 		s.perf.Start(perf.PhaseScheduler)
 	}
@@ -200,7 +169,7 @@ func (s *System) Run(progs []Program) engine.Time {
 		k.next[i], k.stop[i] = iter.Pull(c.run)
 	}
 	defer k.stopAll(n)
-	k.dispatchMin()
+	k.dispatch(k.tour.Reset(s.clocks[:n]))
 	if s.perf != nil {
 		s.perf.End()
 	}
@@ -208,7 +177,9 @@ func (s *System) Run(progs []Program) engine.Time {
 	if s.perf != nil {
 		s.perf.Start(perf.PhaseScheduler)
 	}
-	k.dispatchMin()
+	if tid, ok := k.tour.Retire(0); ok {
+		k.dispatch(tid)
+	}
 	if s.perf != nil {
 		s.perf.End()
 	}

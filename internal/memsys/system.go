@@ -119,9 +119,9 @@ type System struct {
 	mech    mech.Mechanism
 
 	// clocks[i] is thread i's virtual clock, kept as a dense slice so the
-	// protocol's per-op reads/writes and the scheduling kernel's horizon
-	// comparisons touch contiguous memory instead of chasing thread
-	// structs. sched is the event-driven scheduling kernel built over it.
+	// protocol's per-op reads/writes and the scheduling kernel's per-op
+	// replays touch contiguous memory instead of chasing thread structs.
+	// sched is the event-driven scheduling kernel built over it.
 	clocks []engine.Time
 	sched  sched
 

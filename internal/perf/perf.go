@@ -46,10 +46,11 @@ type Phase uint8
 
 const (
 	// PhaseScheduler is the virtual-time scheduling kernel's cost: the
-	// leaderboard pick at each grant plus the park/resume coroutine
-	// switches of the handoff itself. Operations admitted on the kernel's
-	// run-ahead fast path never enter the phase, so its region count is
-	// the number of handoffs, not the number of operations.
+	// park/resume coroutine switches of each handoff. The tournament
+	// replay that decides whether to park runs before the region opens,
+	// so operations admitted on the kernel's run-ahead fast path never
+	// enter the phase, and its region count is the number of handoffs,
+	// not the number of operations.
 	PhaseScheduler Phase = iota
 	// PhaseProtocol is the coherence-protocol work of one memory
 	// operation (perform and everything under it not claimed by an
