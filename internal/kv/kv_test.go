@@ -6,9 +6,9 @@ import (
 
 	"lrp/internal/isa"
 	"lrp/internal/lfds"
+	"lrp/internal/mech"
 	"lrp/internal/memsys"
 	"lrp/internal/mm"
-	"lrp/internal/persist"
 	"lrp/internal/recovery"
 	"lrp/internal/workload"
 )
@@ -17,7 +17,7 @@ func testSys(t *testing.T, cores int) *memsys.System {
 	t.Helper()
 	// TestConfig tracks happens-before, which also keeps the NVM persist
 	// log the recovery tests rebuild their FinalImage from.
-	return memsys.MustNew(memsys.TestConfig(cores).WithMechanism(persist.LRP))
+	return memsys.MustNew(memsys.TestConfig(cores).WithMechanism(mech.LRP))
 }
 
 func testParams() workload.KVParams {

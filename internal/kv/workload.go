@@ -100,14 +100,6 @@ func run(sys *memsys.System, spec workload.Spec) (*workload.Result, workload.Rec
 		streams[i] = g.Stream(i, spec.OpsPerThread)
 	}
 
-	sys.SyncClocks()
-	sys.Mark(memsys.MarkWindowStart)
-	r.measuring = true
-
-	start := sys.Time()
-	sysBefore := sys.Stats()
-	nvmBefore := sys.NVM().Stats()
-
 	work := make([]memsys.Program, spec.Threads)
 	for i := 0; i < spec.Threads; i++ {
 		i := i
@@ -118,11 +110,10 @@ func run(sys *memsys.System, spec workload.Spec) (*workload.Result, workload.Rec
 			}
 		}
 	}
-	end := sys.Run(work)
-	sys.Mark(memsys.MarkWindowEnd)
+	r.measuring = true
+	res := workload.Measure(sys, spec, work)
 	r.publish(sys)
-
-	return workload.Collect(spec, sys, start, end, sysBefore, nvmBefore), st, nil
+	return res, st, nil
 }
 
 // nextVal draws the thread's next value id (nonzero, globally unique).

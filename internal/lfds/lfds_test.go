@@ -4,8 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lrp/internal/mech"
 	"lrp/internal/memsys"
-	"lrp/internal/persist"
 )
 
 // names of all Set implementations under test.
@@ -31,7 +31,7 @@ func build(sys *memsys.System, name string) Set {
 
 func testSys(t *testing.T, cores int) *memsys.System {
 	t.Helper()
-	cfg := memsys.TestConfig(cores).WithMechanism(persist.LRP)
+	cfg := memsys.TestConfig(cores).WithMechanism(mech.LRP)
 	cfg.TrackHB = false // semantics tests don't need the tracker
 	return memsys.MustNew(cfg)
 }

@@ -4,7 +4,8 @@
 // through the public lrp API (an external test package, so it sees
 // exactly what a user of the registry sees):
 //
-//   - the registry resolves every persist.Kind to a working constructor;
+//   - every registered Kind builds a machine, and an unregistered one is
+//     rejected;
 //   - every durable-state boundary of a real workload is swept, and
 //     RP-enforcing mechanisms must leave a consistent cut with a clean
 //     recovery walk at all of them;
@@ -18,16 +19,16 @@ package mech_test
 
 import (
 	"bytes"
-
+	"strings"
 	"testing"
 
 	"lrp"
 	"lrp/internal/mech"
 	"lrp/internal/mm"
-	"lrp/internal/persist"
+	"lrp/internal/trace"
 )
 
-func conformanceConfig(k persist.Kind) lrp.Config {
+func conformanceConfig(k mech.Kind) lrp.Config {
 	cfg := lrp.DefaultConfig().WithMechanism(k)
 	cfg.Cores = 2
 	cfg.TrackHB = true
@@ -40,34 +41,32 @@ func conformanceSpec() lrp.Spec {
 	}
 }
 
+// TestRegistryCoversAllKinds holds what the one registration table can
+// still get wrong: every kind must build a machine, and an unregistered
+// kind must be rejected both by Config.Validate and by the trace header
+// decoder, which check the same Kind.Valid.
 func TestRegistryCoversAllKinds(t *testing.T) {
-	ks := persist.Kinds()
-	if len(ks) < 7 {
-		t.Fatalf("expected the paper's five plus eADR and FliT-SB, got %v", ks)
-	}
-	seen := map[string]bool{}
-	for _, k := range ks {
-		if !mech.Known(k) {
-			t.Fatalf("kind %v registered with persist but not with mech", k)
-		}
-		info, ok := mech.Lookup(k)
-		if !ok || info.New == nil {
-			t.Fatalf("kind %v: incomplete registry info %+v", k, info)
-		}
-		if seen[k.String()] {
-			t.Fatalf("duplicate mechanism name %q", k)
-		}
-		seen[k.String()] = true
-		// The constructor path used by every machine build.
+	for _, k := range mech.Kinds() {
 		if _, err := lrp.NewMachine(conformanceConfig(k)); err != nil {
 			t.Fatalf("NewMachine(%v): %v", k, err)
 		}
 	}
-	if mech.Known(persist.Kind(len(ks) + 99)) {
-		t.Fatal("unregistered kind reported as known")
+	bad := mech.Kind(len(mech.Kinds()))
+	if err := lrp.DefaultConfig().WithMechanism(bad).Validate(); err == nil {
+		t.Fatalf("Config.Validate accepted unregistered %v", bad)
 	}
-	if _, err := lrp.NewMachine(lrp.DefaultConfig().WithMechanism(persist.Kind(len(ks) + 99))); err == nil {
-		t.Fatal("machine built for an unregistered mechanism")
+	h := trace.HeaderFor(conformanceConfig(mech.NOP), conformanceSpec())
+	h.Mechanism = bad
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.NewReader(&buf); err == nil || !strings.Contains(err.Error(), "bad mechanism") {
+		t.Fatalf("trace header with unregistered %v: err = %v, want a bad-mechanism rejection", bad, err)
 	}
 }
 
@@ -76,7 +75,7 @@ func TestRegistryCoversAllKinds(t *testing.T) {
 // must show zero RP violations and a clean recovery walk everywhere;
 // every mechanism must at least survive the sweep machinery.
 func TestSweepConformance(t *testing.T) {
-	for _, k := range persist.Kinds() {
+	for _, k := range mech.Kinds() {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
@@ -103,7 +102,7 @@ func TestSweepConformance(t *testing.T) {
 // the final crash image must return the complete structure, and it must
 // agree with the NVM subsystem's architectural final image.
 func TestDrainConformance(t *testing.T) {
-	for _, k := range persist.Kinds() {
+	for _, k := range mech.Kinds() {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
@@ -140,7 +139,7 @@ func TestDrainConformance(t *testing.T) {
 // boundary from scratch — the crash sweep depends on that equivalence.
 func TestCursorIncrementalConformance(t *testing.T) {
 	tested := 0
-	for _, k := range persist.Kinds() {
+	for _, k := range mech.Kinds() {
 		_, m, err := lrp.RunWorkload(conformanceConfig(k), conformanceSpec())
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +172,7 @@ func TestCursorIncrementalConformance(t *testing.T) {
 // built around. A crash image that shows the released flag must show the
 // data written before it, at every boundary, under every RP mechanism.
 func TestMessagePassingLitmus(t *testing.T) {
-	for _, k := range persist.Kinds() {
+	for _, k := range mech.Kinds() {
 		if !k.EnforcesRP() {
 			continue
 		}
@@ -212,7 +211,7 @@ func TestMessagePassingLitmus(t *testing.T) {
 // registrations — must recover a happens-before-closed linearization
 // prefix of the recorded operation history at every crash boundary.
 func TestDLinConformance(t *testing.T) {
-	for _, k := range persist.Kinds() {
+	for _, k := range mech.Kinds() {
 		if !k.EnforcesRP() {
 			continue
 		}
@@ -243,7 +242,7 @@ func TestDLinConformance(t *testing.T) {
 // LRP exercises the clean path; ARP the finding-heavy path (its capped
 // list is where a merge-order bug would show).
 func TestDLinSweepDeterminism(t *testing.T) {
-	for _, k := range []persist.Kind{lrp.LRP, lrp.ARP} {
+	for _, k := range []mech.Kind{lrp.LRP, lrp.ARP} {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()

@@ -1,11 +1,13 @@
 package mech
 
 import (
+	"cmp"
+	"slices"
+
 	"lrp/internal/cache"
 	"lrp/internal/engine"
 	"lrp/internal/isa"
 	"lrp/internal/model"
-	"lrp/internal/persist"
 )
 
 // lrpMech is the paper's contribution (§5): lazy release persistency.
@@ -23,15 +25,58 @@ type lrpMech struct {
 	NoCrashState
 	sv SystemView
 
-	// scanRefs and sched are persistReleased's reusable storage: the
-	// engine runs once per triggered release, so per-run allocation would
-	// dominate the persist path. scanRefs parallels the ScanDirty scratch
-	// (LineRef.Slot indexes into it); sched is refilled in place.
-	scanRefs []persist.LineRef
-	sched    persist.Schedule
+	// sched is persistReleased's schedule, refilled in place: the engine
+	// runs once per triggered release, so per-run allocation would
+	// dominate the persist path.
+	sched lrpSchedule
 }
 
 func newLRP(sv SystemView) Mechanism { return &lrpMech{sv: sv} }
+
+// lrpSchedule is the persist engine's order for one triggered persist of
+// a released line (§5.2.2): the only-written lines, which may persist
+// immediately and concurrently, then the released lines, which must
+// persist after every scheduled write completes and in ascending epoch
+// order among themselves, ending with the trigger.
+type lrpSchedule struct {
+	// writes are the only-written lines, by address.
+	writes []*cache.Line
+	// releases are the released lines by (MinEpoch, address), then the
+	// trigger.
+	releases []*cache.Line
+}
+
+// build fills s from the engine's L1 scan: every line holding
+// unpersisted writes. Lines with MinEpoch >= the trigger's release epoch
+// are outside the release's one-sided barrier and are left alone — that
+// freedom from conflicts is exactly RP's performance edge (§4.2). The
+// orders depend only on the lines' metadata, never on the scan's order.
+func (s *lrpSchedule) build(trigger *cache.Line, scanned []*cache.Line) {
+	s.writes = s.writes[:0]
+	s.releases = s.releases[:0]
+	for _, l := range scanned {
+		if l.Addr == trigger.Addr || l.MinEpoch >= trigger.MinEpoch {
+			continue // the trigger goes last; newer epochs stay buffered
+		}
+		if l.Released() {
+			s.releases = append(s.releases, l)
+		} else {
+			s.writes = append(s.writes, l)
+		}
+	}
+	// Ties in epoch (impossible for distinct releases of one thread)
+	// break by address, so the order is total. slices.SortFunc rather
+	// than sort.Slice: the latter's reflection-based swapper allocates
+	// on every call.
+	slices.SortFunc(s.releases, func(a, b *cache.Line) int {
+		if c := cmp.Compare(a.MinEpoch, b.MinEpoch); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Addr, b.Addr)
+	})
+	slices.SortFunc(s.writes, func(a, b *cache.Line) int { return cmp.Compare(a.Addr, b.Addr) })
+	s.releases = append(s.releases, trigger)
+}
 
 // persistReleased runs the persist-engine procedure for released line l
 // of thread tid: persist all lines with min-epoch older than l's release
@@ -44,22 +89,13 @@ func (m *lrpMech) persistReleased(tid int, l *cache.Line, now engine.Time, criti
 	// ordering hold rides on the returned ack times, so the run's persists
 	// land later but in the same order.
 	now = sv.FaultStall(tid, now)
-	trigger := persist.LineRef{Addr: l.Addr, MinEpoch: l.MinEpoch, Released: true, Slot: -1}
 
 	// Scan the L1 (§5.2.2: the engine examines all cache lines — the
 	// pending bitmap narrows that to the lines holding unpersisted
-	// writes, in the same order). Each ref's Slot indexes the scratch
-	// line slice, replacing the per-run address map.
-	lines := sv.ScanDirty(tid)
-	refs := m.scanRefs[:0]
-	for i, cl := range lines {
-		refs = append(refs, persist.LineRef{
-			Addr: cl.Addr, MinEpoch: cl.MinEpoch, Released: cl.Released(), Slot: int32(i),
-		})
-	}
-	m.scanRefs = refs
-	persist.BuildScheduleInto(&m.sched, trigger, refs)
-	sv.NoteEngineScan(tid, len(refs), len(m.sched.Releases), now)
+	// writes).
+	scanned := sv.ScanDirty(tid)
+	m.sched.build(l, scanned)
+	sv.NoteEngineScan(tid, len(scanned), len(m.sched.releases), now)
 
 	// Only-written lines persist immediately and concurrently; the
 	// pending-persists counter tracks them. The engine also waits for
@@ -67,8 +103,8 @@ func (m *lrpMech) persistReleased(tid int, l *cache.Line, now engine.Time, criti
 	pending := sv.Pending(tid)
 	pending.DrainUpTo(now)
 	horizon := pending.MaxTime(now)
-	for _, w := range m.sched.Writes {
-		done := sv.PersistL1Line(tid, lines[w.Slot], now, now, critical)
+	for _, w := range m.sched.writes {
+		done := sv.PersistL1Line(tid, w, now, now, critical)
 		pending.Add(done)
 		if done > horizon {
 			horizon = done
@@ -80,13 +116,9 @@ func (m *lrpMech) persistReleased(tid int, l *cache.Line, now engine.Time, criti
 	// value must not become readable (through S copies or the LLC) before
 	// it is durable, or a consumer could out-persist it.
 	t := horizon
-	for _, r := range m.sched.Releases {
-		cl := l // the trigger itself (Slot -1) is appended last
-		if r.Slot >= 0 {
-			cl = lines[r.Slot]
-		}
-		sv.RET(tid).RemoveAt(cl.Addr, now)
-		t = sv.PersistL1Line(tid, cl, now, t, critical)
+	for _, r := range m.sched.releases {
+		sv.RET(tid).RemoveAt(r.Addr, now)
+		t = sv.PersistL1Line(tid, r, now, t, critical)
 		pending.Add(t)
 	}
 	return t

@@ -1,11 +1,12 @@
 // Package mech is the pluggable persistency-mechanism layer: the
 // Mechanism interface the coherence protocol calls into at each hook
 // point, the SystemView facade through which mechanisms reach the
-// machine, and the registry that maps persist.Kind values to
-// constructors. Every enforcement approach the simulator compares —
-// the paper's five (NOP, SB, BB, ARP, LRP) and later additions (eADR,
-// FliT-SB) — lives here as one file implementing Mechanism; nothing
-// outside this package names a concrete mechanism type.
+// machine, and the registry (registry.go) that numbers, names and
+// constructs every mechanism. Every enforcement approach the simulator
+// compares — the paper's five (NOP, SB, BB, ARP, LRP) and later
+// additions (eADR, FliT-SB) — lives here as one file implementing
+// Mechanism plus one Register line; nothing outside this package names a
+// concrete mechanism type.
 //
 // DESIGN.md ("Adding a mechanism") documents the contract in full.
 package mech

@@ -13,7 +13,7 @@ import (
 	"testing"
 
 	"lrp/internal/isa"
-	"lrp/internal/persist"
+	"lrp/internal/mech"
 )
 
 // steadyStateAllocs warms retained state with one Run and returns the
@@ -27,7 +27,7 @@ func steadyStateAllocs(s *System, progs []Program) float64 {
 // and releases cycling through a working set that exercises L1 fills,
 // LLC fills, directory entries and line blocking.
 func TestPerformPathAllocs(t *testing.T) {
-	cfg := TestConfig(2).WithMechanism(persist.LRP)
+	cfg := TestConfig(2).WithMechanism(mech.LRP)
 	cfg.TrackHB = false
 	s := MustNew(cfg)
 	addrs := make([]isa.Addr, 16)
@@ -54,7 +54,7 @@ func TestPerformPathAllocs(t *testing.T) {
 // forces epoch-overflow flushAllDirty scans, which must reuse the scratch
 // refs, schedule and scan buffers.
 func TestEngineScanAllocs(t *testing.T) {
-	cfg := TestConfig(1).WithMechanism(persist.LRP)
+	cfg := TestConfig(1).WithMechanism(mech.LRP)
 	cfg.TrackHB = false
 	cfg.EpochBits = 2
 	s := MustNew(cfg)
@@ -93,7 +93,7 @@ func TestEngineScanAllocs(t *testing.T) {
 // warm. (The tracker and NVM event log allocate per write by design, so
 // this asserts arena growth rather than total allocations.)
 func TestStampArenaSteadyState(t *testing.T) {
-	cfg := TestConfig(2).WithMechanism(persist.LRP)
+	cfg := TestConfig(2).WithMechanism(mech.LRP)
 	cfg.TrackHB = true
 	s := MustNew(cfg)
 	addrs := make([]isa.Addr, 16)

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"lrp/internal/isa"
-	"lrp/internal/persist"
+	"lrp/internal/mech"
 )
 
 // BenchmarkScanDirty measures the persist-engine's dirty-line scan over
@@ -14,7 +14,7 @@ import (
 // path. The per-core scratch buffer should keep steady-state allocations
 // at zero (verified by ReportAllocs).
 func BenchmarkScanDirty(b *testing.B) {
-	cfg := TestConfig(1).WithMechanism(persist.NOP)
+	cfg := TestConfig(1).WithMechanism(mech.NOP)
 	s, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -42,7 +42,7 @@ func BenchmarkScanDirty(b *testing.B) {
 // thread 1's coroutine per Run (TestSchedulerGrantAllocs asserts the
 // budget).
 func BenchmarkSchedulerGrant(b *testing.B) {
-	cfg := TestConfig(2).WithMechanism(persist.NOP)
+	cfg := TestConfig(2).WithMechanism(mech.NOP)
 	cfg.TrackHB = false // stamp capture allocates per write; measure the kernel
 	s := MustNew(cfg)
 	a := s.StaticAlloc(1)
@@ -69,7 +69,7 @@ func BenchmarkSchedulerGrant(b *testing.B) {
 // operation is a grant and each replay walks the 32-leaf tournament's
 // five levels.
 func BenchmarkSchedulerGrant32(b *testing.B) {
-	cfg := TestConfig(32).WithMechanism(persist.NOP)
+	cfg := TestConfig(32).WithMechanism(mech.NOP)
 	cfg.TrackHB = false
 	s := MustNew(cfg)
 	a := s.StaticAlloc(1)
@@ -98,7 +98,7 @@ func BenchmarkSchedulerGrant32(b *testing.B) {
 // thread, a tournament with no levels, every operation admitted on the
 // fast path with no switch.
 func BenchmarkSchedulerRunAhead(b *testing.B) {
-	cfg := TestConfig(2).WithMechanism(persist.NOP)
+	cfg := TestConfig(2).WithMechanism(mech.NOP)
 	cfg.TrackHB = false
 	s := MustNew(cfg)
 	a := s.StaticAlloc(1)

@@ -17,7 +17,6 @@ import (
 	"lrp/internal/nvm"
 	"lrp/internal/obs"
 	"lrp/internal/perf"
-	"lrp/internal/persist"
 )
 
 // Config describes the simulated machine. DefaultConfig reproduces
@@ -48,7 +47,7 @@ type Config struct {
 	NVM nvm.Config
 
 	// Mechanism selects the persistency enforcement approach.
-	Mechanism persist.Kind
+	Mechanism mech.Kind
 
 	// RETSize and RETWatermark size the per-L1 Release Epoch Table.
 	// The watermark is the occupancy at which the persist engine starts
@@ -124,7 +123,7 @@ func DefaultConfig() Config {
 		MeshDim:            8,
 		HopLat:             1,
 		NVM:                nvm.DefaultConfig(),
-		Mechanism:          persist.LRP,
+		Mechanism:          mech.LRP,
 		RETSize:            32,
 		RETWatermark:       8,
 		EpochBits:          8,
@@ -159,7 +158,7 @@ func (c Config) Validate() error {
 	if c.Cores <= 0 || c.Cores > 64 {
 		return fmt.Errorf("memsys: cores must be in 1..64, got %d", c.Cores)
 	}
-	if !mech.Known(c.Mechanism) {
+	if !c.Mechanism.Valid() {
 		return fmt.Errorf("memsys: no registered mechanism for %v", c.Mechanism)
 	}
 	if c.MeshDim <= 0 {
@@ -188,7 +187,7 @@ func (c Config) Validate() error {
 
 // WithMechanism returns a copy of the config using mechanism k. The
 // TrackHB setting is preserved.
-func (c Config) WithMechanism(k persist.Kind) Config {
+func (c Config) WithMechanism(k mech.Kind) Config {
 	c.Mechanism = k
 	return c
 }

@@ -7,11 +7,12 @@ import (
 	"lrp/internal/engine"
 	"lrp/internal/fault"
 	"lrp/internal/isa"
+	"lrp/internal/mech"
 	"lrp/internal/model"
 	"lrp/internal/persist"
 )
 
-func newSys(t *testing.T, cores int, k persist.Kind) *System {
+func newSys(t *testing.T, cores int, k mech.Kind) *System {
 	t.Helper()
 	cfg := TestConfig(cores).WithMechanism(k)
 	s, err := New(cfg)
@@ -67,7 +68,7 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 }
 
 func TestSingleThreadReadWrite(t *testing.T) {
-	s := newSys(t, 1, persist.LRP)
+	s := newSys(t, 1, mech.LRP)
 	a := s.StaticAlloc(2)
 	s.RunOne(func(c *Ctx) {
 		c.Store(a, 42)
@@ -88,7 +89,7 @@ func TestSingleThreadReadWrite(t *testing.T) {
 }
 
 func TestL1HitFasterThanMiss(t *testing.T) {
-	s := newSys(t, 1, persist.NOP)
+	s := newSys(t, 1, mech.NOP)
 	a := s.StaticAlloc(1)
 	var missTime, hitTime engine.Time
 	s.RunOne(func(c *Ctx) {
@@ -109,7 +110,7 @@ func TestL1HitFasterThanMiss(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() (engine.Time, Stats) {
-		s := newSys(t, 4, persist.LRP)
+		s := newSys(t, 4, mech.LRP)
 		base := s.StaticAlloc(64)
 		progs := make([]Program, 4)
 		for i := 0; i < 4; i++ {
@@ -139,7 +140,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestCoherenceVisibility(t *testing.T) {
-	s := newSys(t, 2, persist.LRP)
+	s := newSys(t, 2, mech.LRP)
 	flag := s.StaticAlloc(1)
 	data := s.StaticAlloc(1)
 	var got uint64
@@ -163,7 +164,7 @@ func TestCoherenceVisibility(t *testing.T) {
 }
 
 func TestCASSemantics(t *testing.T) {
-	s := newSys(t, 1, persist.LRP)
+	s := newSys(t, 1, mech.LRP)
 	a := s.StaticAlloc(1)
 	s.RunOne(func(c *Ctx) {
 		c.Store(a, 5)
@@ -182,7 +183,7 @@ func TestCASSemantics(t *testing.T) {
 func TestCASContention(t *testing.T) {
 	// N threads increment a counter via CAS; the final value must be the
 	// number of successful increments.
-	s := newSys(t, 4, persist.LRP)
+	s := newSys(t, 4, mech.LRP)
 	a := s.StaticAlloc(1)
 	const perThread = 50
 	progs := make([]Program, 4)
@@ -208,7 +209,7 @@ func TestCASContention(t *testing.T) {
 
 // TestExecDispatch: each typed Ctx op performs its isa op.
 func TestExecDispatch(t *testing.T) {
-	s := newSys(t, 1, persist.SB)
+	s := newSys(t, 1, mech.SB)
 	a := s.StaticAlloc(1)
 	s.RunOne(func(c *Ctx) {
 		c.Store(a, 3)
@@ -226,7 +227,7 @@ func TestExecDispatch(t *testing.T) {
 }
 
 func TestWorkAdvancesClock(t *testing.T) {
-	s := newSys(t, 1, persist.NOP)
+	s := newSys(t, 1, mech.NOP)
 	s.RunOne(func(c *Ctx) {
 		t0 := c.Now()
 		c.Work(1000)
@@ -239,7 +240,7 @@ func TestWorkAdvancesClock(t *testing.T) {
 // drainConvergence: after Drain, the durable image matches the
 // architectural image for everything written, under every mechanism.
 func TestDrainConvergence(t *testing.T) {
-	for _, k := range persist.Kinds() {
+	for _, k := range mech.Kinds() {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			s := newSys(t, 2, k)
@@ -275,7 +276,7 @@ func TestDrainConvergence(t *testing.T) {
 // The paper's core claim, end to end: under LRP (and SB, BB), the set of
 // persisted writes at *every* instant is a consistent cut.
 func TestConsistentCutEnforced(t *testing.T) {
-	for _, k := range []persist.Kind{persist.SB, persist.BB, persist.LRP} {
+	for _, k := range []mech.Kind{mech.SB, mech.BB, mech.LRP} {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			s := newSys(t, 4, k)
@@ -311,7 +312,7 @@ func TestConsistentCutEnforced(t *testing.T) {
 // own rule yet violate RP — a release persisted before its preceding
 // writes. NOP violates both freely.
 func TestARPViolatesRPButNotitself(t *testing.T) {
-	s := newSys(t, 1, persist.ARP)
+	s := newSys(t, 1, mech.ARP)
 	// Two lines on the same NVM controller, release line first in
 	// address order so its persist is issued (and acked) first.
 	ctrl := s.Config().NVM.Controllers
@@ -342,7 +343,7 @@ func TestARPViolatesRPButNotitself(t *testing.T) {
 
 func TestRPMechanismsCloseTheWindow(t *testing.T) {
 	// The exact access pattern of the ARP test, under LRP: no window.
-	s := newSys(t, 1, persist.LRP)
+	s := newSys(t, 1, mech.LRP)
 	ctrl := s.Config().NVM.Controllers
 	base := s.StaticAlloc((ctrl + 1) * isa.WordsPerLine)
 	s.RunOne(func(c *Ctx) {
@@ -362,7 +363,7 @@ func TestRPMechanismsCloseTheWindow(t *testing.T) {
 
 // Invariant I3: a successful acquire-RMW blocks until its write persists.
 func TestI3AcquireRMWBlocks(t *testing.T) {
-	s := newSys(t, 1, persist.LRP)
+	s := newSys(t, 1, mech.LRP)
 	a := s.StaticAlloc(1)
 	var casCost engine.Time
 	s.RunOne(func(c *Ctx) {
@@ -375,7 +376,7 @@ func TestI3AcquireRMWBlocks(t *testing.T) {
 		t.Fatalf("acquire-RMW cost %v < NVM latency %v: I3 not enforced", casCost, s.NVM().Latency())
 	}
 	// A release-only CAS must NOT block on the NVM.
-	s2 := newSys(t, 1, persist.LRP)
+	s2 := newSys(t, 1, mech.LRP)
 	a2 := s2.StaticAlloc(1)
 	var relCost engine.Time
 	s2.RunOne(func(c *Ctx) {
@@ -392,7 +393,7 @@ func TestI3AcquireRMWBlocks(t *testing.T) {
 // Invariant I2: an acquire that hits a released line in another L1 blocks
 // until the release (and its preceding writes) persist.
 func TestI2DowngradeBlocks(t *testing.T) {
-	s := newSys(t, 2, persist.LRP)
+	s := newSys(t, 2, mech.LRP)
 	flag := s.StaticAlloc(1)
 	data := s.StaticAlloc(1)
 	var readCost engine.Time
@@ -427,7 +428,7 @@ func TestSBSlowerThanBBSlowerThanLRP(t *testing.T) {
 	// release them into mostly-private slots, with occasional
 	// cross-thread synchronization — the paper's regime, where
 	// intra-thread persistency overhead dominates (§6.4).
-	run := func(k persist.Kind) engine.Time {
+	run := func(k mech.Kind) engine.Time {
 		// A machine with enough L1 capacity and NVM bandwidth that
 		// persist *ordering*, not raw bandwidth, is the bottleneck —
 		// the paper's regime.
@@ -457,14 +458,14 @@ func TestSBSlowerThanBBSlowerThanLRP(t *testing.T) {
 		}
 		return s.Run(progs)
 	}
-	nop, lrp, bb, sb := run(persist.NOP), run(persist.LRP), run(persist.BB), run(persist.SB)
+	nop, lrp, bb, sb := run(mech.NOP), run(mech.LRP), run(mech.BB), run(mech.SB)
 	if !(nop <= lrp && lrp < bb && bb < sb) {
 		t.Fatalf("expected NOP<=LRP<BB<SB, got NOP=%v LRP=%v BB=%v SB=%v", nop, lrp, bb, sb)
 	}
 }
 
 func TestRETWatermarkTriggers(t *testing.T) {
-	s := newSys(t, 1, persist.LRP)
+	s := newSys(t, 1, mech.LRP)
 	// Releases to more distinct lines than the RET watermark.
 	n := s.Config().RETSize * 2
 	base := s.StaticAlloc(n * isa.WordsPerLine)
@@ -482,7 +483,7 @@ func TestRETWatermarkTriggers(t *testing.T) {
 // block: every capacity eviction lands in the evicting core's row, dirty
 // ones also in L1DirtyEvictions, and each dirty one is a write-back.
 func TestL1EvictionsCounted(t *testing.T) {
-	s := newSys(t, 1, persist.NOP)
+	s := newSys(t, 1, mech.NOP)
 	// The test L1 has 8 sets of 2 ways: lines 8 apart share a set.
 	sets := s.cfg.L1Size / isa.LineSize / s.cfg.L1Ways
 	base := s.StaticAlloc(5 * sets * isa.WordsPerLine)
@@ -504,7 +505,7 @@ func TestL1EvictionsCounted(t *testing.T) {
 }
 
 func TestEpochOverflowFlushes(t *testing.T) {
-	cfg := TestConfig(1).WithMechanism(persist.LRP)
+	cfg := TestConfig(1).WithMechanism(mech.LRP)
 	cfg.EpochBits = 3 // overflow after 7 releases
 	s := MustNew(cfg)
 	a := s.StaticAlloc(1)
@@ -529,7 +530,7 @@ func TestCriticalPathClassification(t *testing.T) {
 	// SB puts essentially all persists on the critical path; LRP far
 	// fewer (Figure 6's contrast). Slots are mostly private so the
 	// workload is in the paper's regime rather than a pure ping-pong.
-	run := func(k persist.Kind) (critical, total uint64) {
+	run := func(k mech.Kind) (critical, total uint64) {
 		cfg := TestConfig(2).WithMechanism(k)
 		cfg.NVM.Controllers = 8
 		s := MustNew(cfg)
@@ -555,8 +556,8 @@ func TestCriticalPathClassification(t *testing.T) {
 		st := s.Stats()
 		return st.CriticalPersists, st.Persists
 	}
-	sbCrit, sbTotal := run(persist.SB)
-	lrpCrit, lrpTotal := run(persist.LRP)
+	sbCrit, sbTotal := run(mech.SB)
+	lrpCrit, lrpTotal := run(mech.LRP)
 	if sbTotal == 0 || lrpTotal == 0 {
 		t.Fatal("no persists recorded")
 	}
@@ -572,7 +573,7 @@ func TestCriticalPathClassification(t *testing.T) {
 
 func TestUncachedModeSlower(t *testing.T) {
 	run := func(mode int) engine.Time {
-		cfg := TestConfig(2).WithMechanism(persist.SB)
+		cfg := TestConfig(2).WithMechanism(mech.SB)
 		if mode == 1 {
 			cfg.NVM.Mode = 1 // Uncached
 		}
@@ -591,7 +592,7 @@ func TestUncachedModeSlower(t *testing.T) {
 }
 
 func TestRunRejectsTooManyPrograms(t *testing.T) {
-	s := newSys(t, 1, persist.NOP)
+	s := newSys(t, 1, mech.NOP)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -601,7 +602,7 @@ func TestRunRejectsTooManyPrograms(t *testing.T) {
 }
 
 func TestSyncClocks(t *testing.T) {
-	s := newSys(t, 2, persist.NOP)
+	s := newSys(t, 2, mech.NOP)
 	a := s.StaticAlloc(1)
 	s.Run([]Program{
 		func(c *Ctx) {
@@ -618,7 +619,7 @@ func TestSyncClocks(t *testing.T) {
 }
 
 func TestStringer(t *testing.T) {
-	s := newSys(t, 2, persist.LRP)
+	s := newSys(t, 2, mech.LRP)
 	if s.String() == "" {
 		t.Fatal("empty String")
 	}
@@ -628,7 +629,7 @@ func TestStringer(t *testing.T) {
 // every persist path holds its line at the directory until exactly the
 // ack it returns, so mechanisms need no hold of their own for it.
 func TestPersistHoldsLineUntilAck(t *testing.T) {
-	s := newSys(t, 1, persist.LRP)
+	s := newSys(t, 1, mech.LRP)
 	first := s.StaticAlloc(5*isa.WordsPerLine).Line() + isa.LineSize // four whole lines
 	line := func(i int) isa.Addr { return first + isa.Addr(i*isa.LineSize) }
 	s.RunOne(func(c *Ctx) {
@@ -672,7 +673,7 @@ func TestPersistHoldsLineUntilAck(t *testing.T) {
 func TestTornRecarryCreditsLastWriter(t *testing.T) {
 	cases := 0
 	for seed := uint64(1); seed <= 64; seed++ {
-		cfg := TestConfig(1).WithMechanism(persist.NOP)
+		cfg := TestConfig(1).WithMechanism(mech.NOP)
 		cfg.Faults = fault.Config{Seed: seed, TearProb: 1}
 		s, err := New(cfg)
 		if err != nil {

@@ -7,7 +7,7 @@ import (
 
 	"lrp/internal/engine"
 	"lrp/internal/isa"
-	"lrp/internal/persist"
+	"lrp/internal/mech"
 )
 
 // refStep is one straight-line program step: gap cycles of compute, then
@@ -161,7 +161,7 @@ func TestKernelMatchesReferenceScheduler(t *testing.T) {
 	const configs = 30
 	sparse := []struct{ cores, threads int }{{4, 3}, {8, 5}, {8, 7}, {16, 6}, {16, 11}, {64, 13}, {64, 33}}
 	totalTies := 0
-	for _, k := range persist.Kinds() {
+	for _, k := range mech.Kinds() {
 		for seed := 0; seed < configs; seed++ {
 			r := engine.NewRand(uint64(seed)*131 + uint64(k) + 1)
 			threads := 2 + r.Intn(7)
@@ -182,7 +182,7 @@ func TestKernelMatchesReferenceScheduler(t *testing.T) {
 // config: threads programs drawn from r on two identical machines of the
 // given core count and mechanism. It returns the reference's tie-decided
 // grants.
-func checkKernelAgainstReference(t *testing.T, name string, r *engine.Rand, k persist.Kind, cores, threads int) (ties int) {
+func checkKernelAgainstReference(t *testing.T, name string, r *engine.Rand, k mech.Kind, cores, threads int) (ties int) {
 	t.Helper()
 	nLines := 1 + r.Intn(4)
 	build := func() (*System, *refLog, []isa.Addr) {

@@ -7,14 +7,14 @@ import (
 
 	"lrp/internal/engine"
 	"lrp/internal/isa"
+	"lrp/internal/mech"
 	"lrp/internal/perf"
-	"lrp/internal/persist"
 )
 
 // TestRunZeroPrograms pins the kernel's emptiest edge: a Run with no
 // programs must return immediately with the machine time unchanged.
 func TestRunZeroPrograms(t *testing.T) {
-	s := newSys(t, 2, persist.LRP)
+	s := newSys(t, 2, mech.LRP)
 	s.RunOne(func(c *Ctx) { c.Work(100) })
 	before := s.Time()
 	if got := s.Run(nil); got != before {
@@ -30,7 +30,7 @@ func TestRunZeroPrograms(t *testing.T) {
 // performs every operation without one scheduler handoff beyond the
 // initial grant.
 func TestRunSingleThreadNeverParks(t *testing.T) {
-	s := newSys(t, 4, persist.LRP)
+	s := newSys(t, 4, mech.LRP)
 	a := s.StaticAlloc(1)
 	const ops = 500
 	s.RunOne(func(c *Ctx) {
@@ -66,7 +66,7 @@ func (r *tidRecorder) RecordMark(id uint8)                  {}
 // historical linear scan resolved them.
 func TestClockTieTidOrdering(t *testing.T) {
 	rec := &tidRecorder{}
-	cfg := TestConfig(3).WithMechanism(persist.NOP)
+	cfg := TestConfig(3).WithMechanism(mech.NOP)
 	cfg.Rec = rec
 	s, err := New(cfg)
 	if err != nil {
@@ -129,7 +129,7 @@ func (r *issueRecorder) RecordMark(id uint8)                  {}
 // park path are exercised (asserted via the scheduler counters).
 func TestRunAheadPreservesVirtualTimeOrder(t *testing.T) {
 	log := &issueRecorder{}
-	cfg := TestConfig(4).WithMechanism(persist.LRP)
+	cfg := TestConfig(4).WithMechanism(mech.LRP)
 	cfg.Rec = log
 	s, err := New(cfg)
 	if err != nil {
@@ -185,7 +185,7 @@ func TestRunAheadPreservesVirtualTimeOrder(t *testing.T) {
 //
 //	runAhead = ops - (grants - programsLaunched)
 func TestSchedCounterIdentity(t *testing.T) {
-	s := newSys(t, 2, persist.LRP)
+	s := newSys(t, 2, mech.LRP)
 	a := s.StaticAlloc(1)
 	prog := func(c *Ctx) {
 		for i := 0; i < 100; i++ {
@@ -213,7 +213,7 @@ func TestSchedCounterIdentity(t *testing.T) {
 // path must open none.
 func TestSchedulerPhaseAttribution(t *testing.T) {
 	p := perf.New(perf.Options{})
-	cfg := TestConfig(2).WithMechanism(persist.LRP)
+	cfg := TestConfig(2).WithMechanism(mech.LRP)
 	cfg.Perf = p
 	s, err := New(cfg)
 	if err != nil {
@@ -248,7 +248,7 @@ func TestSchedulerPhaseAttribution(t *testing.T) {
 // handles, so a whole two-thread Run allocates only thread 1's coroutine
 // (thread 0 runs on Run's stack) — nothing per operation or per grant.
 func TestSchedulerGrantAllocs(t *testing.T) {
-	cfg := TestConfig(2).WithMechanism(persist.NOP)
+	cfg := TestConfig(2).WithMechanism(mech.NOP)
 	// Isolate the kernel: HB stamp capture and NVM event logging allocate
 	// per write by design and would drown the scheduler's budget.
 	cfg.TrackHB = false
@@ -296,7 +296,7 @@ func threadGoroutines() int {
 // thread is unwound without performing another operation, no coroutine
 // outlives the Run, and the machine accepts the next Run.
 func TestRunPanicStopsEveryThread(t *testing.T) {
-	s := newSys(t, 3, persist.LRP)
+	s := newSys(t, 3, mech.LRP)
 	a := s.StaticAlloc(1)
 	prog := func(c *Ctx) {
 		for i := 0; i < 100; i++ {
@@ -342,7 +342,7 @@ func TestRunPanicStopsEveryThread(t *testing.T) {
 // thread ends Run's goroutine too, rather than returning from Run, and
 // leaves no coroutine behind.
 func TestRunGoexitPropagates(t *testing.T) {
-	s := newSys(t, 3, persist.LRP)
+	s := newSys(t, 3, mech.LRP)
 	a := s.StaticAlloc(1)
 	prog := func(c *Ctx) {
 		for i := 0; i < 50; i++ {

@@ -1,39 +1,6 @@
 package persist
 
-import (
-	"testing"
-	"testing/quick"
-
-	"lrp/internal/isa"
-)
-
-func TestKindStrings(t *testing.T) {
-	want := map[Kind]string{NOP: "NOP", SB: "SB", BB: "BB", ARP: "ARP", LRP: "LRP"}
-	for k, s := range want {
-		if k.String() != s {
-			t.Fatalf("%v", k)
-		}
-		parsed, err := ParseKind(s)
-		if err != nil || parsed != k {
-			t.Fatalf("ParseKind(%q) = %v, %v", s, parsed, err)
-		}
-	}
-	if _, err := ParseKind("bogus"); err == nil {
-		t.Fatal("ParseKind should reject unknown names")
-	}
-	if Kind(42).String() == "" {
-		t.Fatal("unknown kind string")
-	}
-}
-
-func TestEnforcesRP(t *testing.T) {
-	if NOP.EnforcesRP() || ARP.EnforcesRP() {
-		t.Fatal("NOP/ARP must not claim RP")
-	}
-	if !SB.EnforcesRP() || !BB.EnforcesRP() || !LRP.EnforcesRP() {
-		t.Fatal("SB/BB/LRP enforce RP")
-	}
-}
+import "testing"
 
 func TestRETBasics(t *testing.T) {
 	r := NewRET(4, 3)
@@ -154,99 +121,5 @@ func TestEpochCounterWidths(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func line(n int) isa.Addr { return isa.Addr(n * isa.LineSize) }
-
-func TestBuildScheduleFigure4(t *testing.T) {
-	// The paper's Figure 4: persisting Release(F2) at epoch 2 must first
-	// persist only-written lines CLa (epoch 0), CLb (epoch 1), CLd
-	// (epoch 0), then released CLc (epoch 1), then the trigger CLe.
-	cla := LineRef{Addr: line(1), MinEpoch: 0}
-	clb := LineRef{Addr: line(2), MinEpoch: 1}
-	clc := LineRef{Addr: line(3), MinEpoch: 1, Released: true}
-	cld := LineRef{Addr: line(4), MinEpoch: 0}
-	cle := LineRef{Addr: line(5), MinEpoch: 2, Released: true}
-	var s Schedule
-	BuildScheduleInto(&s, cle, []LineRef{cle, cld, clc, clb, cla})
-	if len(s.Writes) != 3 {
-		t.Fatalf("writes = %v", s.Writes)
-	}
-	if len(s.Releases) != 2 || s.Releases[0].Addr != clc.Addr || s.Releases[1].Addr != cle.Addr {
-		t.Fatalf("releases = %v", s.Releases)
-	}
-}
-
-func TestBuildScheduleSkipsNewerEpochs(t *testing.T) {
-	trigger := LineRef{Addr: line(1), MinEpoch: 3, Released: true}
-	newer := LineRef{Addr: line(2), MinEpoch: 3}  // same epoch: after the release
-	newest := LineRef{Addr: line(3), MinEpoch: 7} // newer epoch
-	newerRel := LineRef{Addr: line(4), MinEpoch: 5, Released: true}
-	var s Schedule
-	BuildScheduleInto(&s, trigger, []LineRef{newer, newest, newerRel})
-	if len(s.Writes) != 0 || len(s.Releases) != 1 || s.Releases[0].Addr != trigger.Addr {
-		t.Fatalf("schedule = %+v", s)
-	}
-}
-
-// Properties of the persist-engine schedule: every scanned line with an
-// older epoch is included exactly once, releases are in epoch order, the
-// trigger is last, and nothing with a newer/equal epoch leaks in.
-func TestBuildScheduleProperty(t *testing.T) {
-	f := func(epochs []uint8, relBits []bool, trigEpoch uint8) bool {
-		if trigEpoch == 0 {
-			trigEpoch = 1
-		}
-		trigger := LineRef{Addr: line(1000), MinEpoch: uint32(trigEpoch), Released: true}
-		var scanned []LineRef
-		for i, e := range epochs {
-			rel := i < len(relBits) && relBits[i]
-			scanned = append(scanned, LineRef{Addr: line(i), MinEpoch: uint32(e), Released: rel})
-		}
-		var s Schedule
-		BuildScheduleInto(&s, trigger, scanned)
-		// Trigger last.
-		if s.Releases[len(s.Releases)-1].Addr != trigger.Addr {
-			return false
-		}
-		// Releases sorted by epoch.
-		for i := 1; i < len(s.Releases); i++ {
-			if s.Releases[i].MinEpoch < s.Releases[i-1].MinEpoch {
-				return false
-			}
-		}
-		// Membership: exactly the older-epoch lines.
-		want := map[isa.Addr]bool{}
-		for _, l := range scanned {
-			if l.MinEpoch < trigger.MinEpoch {
-				want[l.Addr] = true
-			}
-		}
-		got := map[isa.Addr]bool{}
-		for _, l := range s.Writes {
-			if l.Released || got[l.Addr] {
-				return false
-			}
-			got[l.Addr] = true
-		}
-		for _, l := range s.Releases[:len(s.Releases)-1] {
-			if !l.Released || got[l.Addr] {
-				return false
-			}
-			got[l.Addr] = true
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for a := range want {
-			if !got[a] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,3 +1,9 @@
+// Package persist holds the per-core persistency hardware tables of the
+// paper's microarchitecture: the Release Epoch Table (RET), the
+// per-thread epoch counter with overflow handling (§5.2.1), and the
+// stamp arena that carries each L1 line's unpersisted happens-before
+// stamps. The mechanisms that use them, the mechanism registry and LRP's
+// persist-engine schedule (§5.2.2) live in package mech.
 package persist
 
 import (

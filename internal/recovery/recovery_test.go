@@ -5,9 +5,9 @@ import (
 
 	"lrp/internal/isa"
 	"lrp/internal/lfds"
+	"lrp/internal/mech"
 	"lrp/internal/memsys"
 	"lrp/internal/mm"
-	"lrp/internal/persist"
 	"lrp/internal/recovery"
 )
 
@@ -18,7 +18,7 @@ import (
 
 func sys(t *testing.T) *memsys.System {
 	t.Helper()
-	return memsys.MustNew(memsys.TestConfig(2).WithMechanism(persist.LRP))
+	return memsys.MustNew(memsys.TestConfig(2).WithMechanism(mech.LRP))
 }
 
 // populate runs inserts/deletes and returns the expected member set.

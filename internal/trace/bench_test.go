@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"lrp/internal/mech"
 	"lrp/internal/memsys"
-	"lrp/internal/persist"
 	"lrp/internal/workload"
 )
 
@@ -16,7 +16,7 @@ import (
 // outside the timer. ns/traceop is per decoded memory op.
 func BenchmarkTraceDecode(b *testing.B) {
 	cfg := memsys.DefaultConfig()
-	cfg.Mechanism = persist.NOP
+	cfg.Mechanism = mech.NOP
 	cfg.Cores = 16
 	spec := workload.Spec{Structure: "kv", Threads: 8, InitialSize: 4096, OpsPerThread: 200, Seed: 7}
 	var buf bytes.Buffer

@@ -33,9 +33,9 @@ import (
 
 	"lrp/internal/engine"
 	"lrp/internal/fault"
+	"lrp/internal/mech"
 	"lrp/internal/memsys"
 	"lrp/internal/nvm"
-	"lrp/internal/persist"
 	"lrp/internal/workload"
 )
 
@@ -122,7 +122,7 @@ type Header struct {
 	// Version is the format version read from the file.
 	Version uint8
 	// Mechanism is the mechanism the trace was recorded under.
-	Mechanism persist.Kind
+	Mechanism mech.Kind
 	// Config is the captured machine configuration. Attachments (Obs,
 	// Rec), fault injection and tracking flags are not captured.
 	Config memsys.Config
@@ -144,7 +144,7 @@ func HeaderFor(cfg memsys.Config, spec workload.Spec) Header {
 
 // MachineConfig rebuilds the captured machine configuration under
 // mechanism k, with no attachments.
-func (h Header) MachineConfig(k persist.Kind) memsys.Config {
+func (h Header) MachineConfig(k mech.Kind) memsys.Config {
 	cfg := h.Config
 	cfg.Mechanism = k
 	cfg.Obs = nil
@@ -264,7 +264,7 @@ func parseHeader(p []byte) (Header, error) {
 		}
 	}
 	c := &h.Config
-	h.Mechanism = persist.Kind(fields[0])
+	h.Mechanism = mech.Kind(fields[0])
 	if !h.Mechanism.Valid() {
 		return h, fmt.Errorf("trace: bad mechanism %d in header", fields[0])
 	}

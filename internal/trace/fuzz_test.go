@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"lrp/internal/isa"
-	"lrp/internal/persist"
+	"lrp/internal/mech"
 	"lrp/internal/workload"
 
 	// Registers the kv workload so its traces can seed the fuzzer.
@@ -16,7 +16,7 @@ import (
 // mutations of real traces — must either decode cleanly or fail with an
 // error. No input may panic, hang, or provoke a huge allocation.
 func FuzzTraceDecode(f *testing.F) {
-	cfg := testConfig(persist.LRP)
+	cfg := testConfig(mech.LRP)
 	spec := workload.Spec{
 		Structure: "hashmap", Threads: 2, InitialSize: 16, OpsPerThread: 8, Seed: 7,
 	}

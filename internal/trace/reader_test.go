@@ -12,8 +12,8 @@ import (
 
 	"lrp/internal/dlin"
 	"lrp/internal/isa"
+	"lrp/internal/mech"
 	"lrp/internal/model"
-	"lrp/internal/persist"
 	"lrp/internal/workload"
 )
 
@@ -90,7 +90,7 @@ func maxResult() *EmbeddedResult {
 // member (an empty one too), a byte after the member, and a damaged gzip
 // trailer are all rejected.
 func TestDecodeRejectsTrailingData(t *testing.T) {
-	raw, _, _ := record(t, persist.LRP, "hashmap")
+	raw, _, _ := record(t, mech.LRP, "hashmap")
 	if err := decodeAll(raw); err != nil {
 		t.Fatalf("pristine trace rejected: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 // which sit between op-stream records but outside the checksum, and is
 // long enough to cross several decode windows.
 func TestReaderChecksumSoFar(t *testing.T) {
-	cfg := testConfig(persist.NOP)
+	cfg := testConfig(mech.NOP)
 	spec := workload.Spec{Structure: "kv", Threads: 4, InitialSize: 512, OpsPerThread: 100, Seed: 7}
 	var buf bytes.Buffer
 	_, _, _, _, sum, err := RecordHistory(cfg, spec, &buf)
@@ -210,7 +210,7 @@ func TestReaderChecksumSoFar(t *testing.T) {
 // record stream on either side of a refill must fail cleanly.
 func TestReaderWindowBoundaries(t *testing.T) {
 	const top = ^uint64(0)
-	h := HeaderFor(testConfig(persist.LRP), testSpec("hashmap"))
+	h := HeaderFor(testConfig(mech.LRP), testSpec("hashmap"))
 	tidMax := h.Config.Cores - 1
 	res := maxResult()
 

@@ -9,10 +9,10 @@ import (
 	"lrp/internal/dlin"
 	"lrp/internal/engine"
 	"lrp/internal/isa"
+	"lrp/internal/mech"
 	"lrp/internal/memsys"
 	"lrp/internal/nvm"
 	"lrp/internal/obs"
-	"lrp/internal/persist"
 	"lrp/internal/workload"
 )
 
@@ -21,7 +21,7 @@ type ReplayOpts struct {
 	// Mechanism replays the trace under a different mechanism than it
 	// was recorded with. Only consulted when MechanismSet is true (NOP
 	// is a valid override, so the zero value cannot mean "unset").
-	Mechanism    persist.Kind
+	Mechanism    mech.Kind
 	MechanismSet bool
 	// TrackHB enables happens-before tracking on the replay machine
 	// (crash analysis of a replayed execution).
@@ -41,7 +41,7 @@ type Replayed struct {
 	// Header is the source trace's header.
 	Header Header
 	// Mechanism is the mechanism the replay ran under.
-	Mechanism persist.Kind
+	Mechanism mech.Kind
 	// Result is the measured window rebuilt from the trace's markers
 	// under the replayed mechanism (nil if the trace has no window).
 	Result *workload.Result
@@ -139,14 +139,7 @@ func Replay(src io.Reader, o ReplayOpts) (*Replayed, error) {
 					return nil, fmt.Errorf("trace: window end marker without start")
 				}
 				inWindow = false
-				spec := r.Header().Spec
-				out.Result = &workload.Result{
-					Spec:     spec,
-					ExecTime: sys.Time() - winStart,
-					Ops:      uint64(spec.Threads) * uint64(spec.OpsPerThread),
-					Sys:      sys.Stats().Sub(sysBefore),
-					NVM:      sys.NVM().Stats().Sub(nvmBefore),
-				}
+				out.Result = workload.Collect(r.Header().Spec, sys, winStart, sys.Time(), sysBefore, nvmBefore)
 			}
 		}
 	}

@@ -9,12 +9,12 @@ import (
 
 	"lrp/internal/fault"
 	"lrp/internal/isa"
+	"lrp/internal/mech"
 	"lrp/internal/memsys"
-	"lrp/internal/persist"
 	"lrp/internal/workload"
 )
 
-func testConfig(k persist.Kind) memsys.Config {
+func testConfig(k mech.Kind) memsys.Config {
 	cfg := memsys.TestConfig(4)
 	cfg.Mechanism = k
 	// Tracking is a replay-side option; keep the recording machine lean.
@@ -34,7 +34,7 @@ func testSpec(structure string) workload.Spec {
 
 // record captures one run and returns the trace bytes plus the live
 // result and summary.
-func record(t *testing.T, k persist.Kind, structure string) ([]byte, *workload.Result, Summary) {
+func record(t *testing.T, k mech.Kind, structure string) ([]byte, *workload.Result, Summary) {
 	t.Helper()
 	var buf bytes.Buffer
 	res, _, sum, err := Record(testConfig(k), testSpec(structure), &buf)
@@ -47,7 +47,7 @@ func record(t *testing.T, k persist.Kind, structure string) ([]byte, *workload.R
 // TestHeaderRoundTrip pins the header codec: every captured field must
 // survive encode→decode exactly.
 func TestHeaderRoundTrip(t *testing.T) {
-	cfg := testConfig(persist.LRP)
+	cfg := testConfig(mech.LRP)
 	spec := testSpec("hashmap")
 	spec.ReadPct = 30
 	spec.Buckets = 12
@@ -68,7 +68,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 // original with exactly the documented non-captured fields zeroed.
 func TestHeaderCapturesConfig(t *testing.T) {
 	cfg := memsys.TestConfig(4)
-	cfg.Mechanism = persist.BB
+	cfg.Mechanism = mech.BB
 	h := HeaderFor(cfg, testSpec("queue"))
 	got, err := parseHeader(appendHeader(nil, h))
 	if err != nil {
@@ -84,7 +84,7 @@ func TestHeaderCapturesConfig(t *testing.T) {
 			"(new Config fields must be added to appendHeader/parseHeader, or documented as non-captured)",
 			got.Config, want)
 	}
-	if got.MachineConfig(persist.LRP).Mechanism != persist.LRP {
+	if got.MachineConfig(mech.LRP).Mechanism != mech.LRP {
 		t.Fatal("MachineConfig does not apply the mechanism override")
 	}
 }
@@ -95,7 +95,7 @@ func TestHeaderCapturesConfig(t *testing.T) {
 // (every counter), and re-recording the replay yields an identical op
 // stream.
 func TestRecordReplaySameMechanism(t *testing.T) {
-	for _, k := range persist.Kinds() {
+	for _, k := range mech.Kinds() {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
@@ -141,9 +141,9 @@ func TestRecordReplaySameMechanism(t *testing.T) {
 // identical op stream — asserted by re-recording each replay and
 // checking the stream checksum is unchanged.
 func TestCrossMechanismReplay(t *testing.T) {
-	raw, _, sum := record(t, persist.NOP, "queue")
-	times := map[persist.Kind]int64{}
-	for _, k := range persist.Kinds() {
+	raw, _, sum := record(t, mech.NOP, "queue")
+	times := map[mech.Kind]int64{}
+	for _, k := range mech.Kinds() {
 		cfg := testConfig(k)
 		var re bytes.Buffer
 		w2, err := NewWriter(&re, HeaderFor(cfg, testSpec("queue")))
@@ -173,10 +173,10 @@ func TestCrossMechanismReplay(t *testing.T) {
 	}
 	// Same op stream, different timing: enforcing mechanisms must not be
 	// faster than volatile execution on the identical schedule.
-	for _, k := range []persist.Kind{persist.SB, persist.BB, persist.ARP, persist.LRP} {
-		if times[k] < times[persist.NOP] {
+	for _, k := range []mech.Kind{mech.SB, mech.BB, mech.ARP, mech.LRP} {
+		if times[k] < times[mech.NOP] {
 			t.Errorf("%v replay (%d cycles) faster than NOP (%d) on the same op stream",
-				k, times[k], times[persist.NOP])
+				k, times[k], times[mech.NOP])
 		}
 	}
 }
@@ -184,7 +184,7 @@ func TestCrossMechanismReplay(t *testing.T) {
 // TestReplayDeterministic: replaying the same trace twice gives
 // deep-equal results (the replayer holds no hidden state).
 func TestReplayDeterministic(t *testing.T) {
-	raw, _, _ := record(t, persist.LRP, "linkedlist")
+	raw, _, _ := record(t, mech.LRP, "linkedlist")
 	a, err := Replay(bytes.NewReader(raw), ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestReplayDeterministic(t *testing.T) {
 
 // TestReadInfo checks the summary decoder against the writer's counts.
 func TestReadInfo(t *testing.T) {
-	raw, live, sum := record(t, persist.SB, "bstree")
+	raw, live, sum := record(t, mech.SB, "bstree")
 	in, err := ReadInfo(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("ReadInfo: %v", err)
@@ -217,15 +217,15 @@ func TestReadInfo(t *testing.T) {
 	if err := in.Embedded.Matches(live); err != nil {
 		t.Fatalf("embedded result does not match live run: %v", err)
 	}
-	if in.Header.Mechanism != persist.SB || in.Header.Spec.Structure != "bstree" {
+	if in.Header.Mechanism != mech.SB || in.Header.Spec.Structure != "bstree" {
 		t.Fatalf("bad header %+v", in.Header)
 	}
 }
 
 // TestDiffDetectsDifference: traces of different runs must differ.
 func TestDiffDetectsDifference(t *testing.T) {
-	a, _, _ := record(t, persist.NOP, "hashmap")
-	b, _, _ := record(t, persist.NOP, "queue")
+	a, _, _ := record(t, mech.NOP, "hashmap")
+	b, _, _ := record(t, mech.NOP, "queue")
 	if err := Diff(bytes.NewReader(a), bytes.NewReader(b)); err == nil {
 		t.Fatal("Diff found two different runs equal")
 	}
@@ -237,7 +237,7 @@ func TestDiffDetectsDifference(t *testing.T) {
 // TestCorruptInputs: damaged traces must fail with errors, not panics,
 // and never replay.
 func TestCorruptInputs(t *testing.T) {
-	raw, _, _ := record(t, persist.LRP, "hashmap")
+	raw, _, _ := record(t, mech.LRP, "hashmap")
 
 	if err := decodeAll(raw); err != nil {
 		t.Fatalf("pristine trace rejected: %v", err)
@@ -292,7 +292,7 @@ func TestCorruptInputs(t *testing.T) {
 // of kind 3 — the two-bit kind field's one unused value — is malformed.
 func TestDecodeRejectsOpKind3(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, HeaderFor(testConfig(persist.LRP), testSpec("hashmap")))
+	w, err := NewWriter(&buf, HeaderFor(testConfig(mech.LRP), testSpec("hashmap")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,13 +316,13 @@ func TestDecodeRejectsOpKind3(t *testing.T) {
 // TestRecordRejectsFaultsAndRecorder: unrecordable configurations fail
 // up front.
 func TestRecordRejectsFaultsAndRecorder(t *testing.T) {
-	cfg := testConfig(persist.LRP)
+	cfg := testConfig(mech.LRP)
 	cfg.Faults.TearProb = 0.5
 	cfg.Faults.Seed = 1
 	if _, _, _, err := Record(cfg, testSpec("hashmap"), io.Discard); err == nil {
 		t.Error("Record accepted a faulty machine")
 	}
-	cfg = testConfig(persist.LRP)
+	cfg = testConfig(mech.LRP)
 	cfg.Rec = &Writer{}
 	if _, _, _, err := Record(cfg, testSpec("hashmap"), io.Discard); err == nil {
 		t.Error("Record accepted a pre-attached recorder")

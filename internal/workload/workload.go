@@ -265,12 +265,6 @@ func runSet(sys *memsys.System, spec Spec) (*Result, Recoverable, error) {
 		}
 	}
 	sys.Run(warm)
-	sys.SyncClocks()
-	sys.Mark(memsys.MarkWindowStart)
-
-	start := sys.Time()
-	sysBefore := sys.Stats()
-	nvmBefore := sys.NVM().Stats()
 
 	work := make([]memsys.Program, spec.Threads)
 	for i := 0; i < spec.Threads; i++ {
@@ -295,10 +289,7 @@ func runSet(sys *memsys.System, spec Spec) (*Result, Recoverable, error) {
 			}
 		}
 	}
-	end := sys.Run(work)
-	sys.Mark(memsys.MarkWindowEnd)
-
-	return Collect(spec, sys, start, end, sysBefore, nvmBefore), set, nil
+	return Measure(sys, spec, work), set, nil
 }
 
 // runQueue drives the MS queue, bracketing its calls like runSet.
@@ -323,12 +314,6 @@ func runQueue(sys *memsys.System, spec Spec) (*Result, Recoverable, error) {
 			enqueue(c, uint64(n)+1)
 		}
 	})
-	sys.SyncClocks()
-	sys.Mark(memsys.MarkWindowStart)
-
-	start := sys.Time()
-	sysBefore := sys.Stats()
-	nvmBefore := sys.NVM().Stats()
 
 	work := make([]memsys.Program, spec.Threads)
 	for i := 0; i < spec.Threads; i++ {
@@ -347,14 +332,27 @@ func runQueue(sys *memsys.System, spec Spec) (*Result, Recoverable, error) {
 			}
 		}
 	}
+	return Measure(sys, spec, work), q, nil
+}
+
+// Measure runs work as a workload's measured window: it brings every
+// clock to the machine-wide maximum, marks the window's start, reads the
+// counters, runs work, marks the window's end and returns the window's
+// Result. Every registered workload runner measures its window with it.
+func Measure(sys *memsys.System, spec Spec, work []memsys.Program) *Result {
+	sys.SyncClocks()
+	sys.Mark(memsys.MarkWindowStart)
+	start := sys.Time()
+	sysBefore := sys.Stats()
+	nvmBefore := sys.NVM().Stats()
 	end := sys.Run(work)
 	sys.Mark(memsys.MarkWindowEnd)
-
-	return Collect(spec, sys, start, end, sysBefore, nvmBefore), q, nil
+	return Collect(spec, sys, start, end, sysBefore, nvmBefore)
 }
 
 // Collect assembles a Result from a measured window's boundary
-// readings; registered workload runners call it after Mark(WindowEnd).
+// readings: Measure calls it after Mark(WindowEnd), and trace replay at
+// the recorded window-end marker.
 func Collect(spec Spec, sys *memsys.System, start, end engine.Time, sb memsys.Stats, nb nvm.Stats) *Result {
 	// Stats.Sub differences every counter field, so counters added to
 	// either Stats struct are windowed here automatically. The previous

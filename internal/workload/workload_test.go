@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"lrp/internal/engine"
+	"lrp/internal/mech"
 	"lrp/internal/memsys"
 	"lrp/internal/model"
-	"lrp/internal/persist"
 )
 
 func smallSpec(structure string) Spec {
@@ -23,7 +23,7 @@ func smallSpec(structure string) Spec {
 // structure's working set far exceeds the L1 (so released lines are
 // evicted — and persisted off the critical path — before other threads
 // acquire them) and NVM bandwidth is not the bottleneck.
-func smallCfg(k persist.Kind) memsys.Config {
+func smallCfg(k mech.Kind) memsys.Config {
 	cfg := memsys.TestConfig(2).WithMechanism(k)
 	cfg.NVM.Controllers = 8
 	return cfg
@@ -53,7 +53,7 @@ func TestRunAllStructures(t *testing.T) {
 	for _, structure := range Structures {
 		structure := structure
 		t.Run(structure, func(t *testing.T) {
-			res, sys, err := Run(smallCfg(persist.LRP), smallSpec(structure))
+			res, sys, err := Run(smallCfg(mech.LRP), smallSpec(structure))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,15 +74,15 @@ func TestRunAllStructures(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, _, err := Run(smallCfg(persist.LRP), Spec{Structure: "nope", Threads: 1, OpsPerThread: 1}); err == nil {
+	if _, _, err := Run(smallCfg(mech.LRP), Spec{Structure: "nope", Threads: 1, OpsPerThread: 1}); err == nil {
 		t.Fatal("bad structure accepted")
 	}
 	spec := smallSpec("hashmap")
 	spec.Threads = 8 // exceeds the 2-core machine
-	if _, _, err := Run(smallCfg(persist.LRP), spec); err == nil {
+	if _, _, err := Run(smallCfg(mech.LRP), spec); err == nil {
 		t.Fatal("threads > cores accepted")
 	}
-	cfg := smallCfg(persist.LRP)
+	cfg := smallCfg(mech.LRP)
 	cfg.Cores = 0
 	if _, _, err := Run(cfg, smallSpec("hashmap")); err == nil {
 		t.Fatal("bad config accepted")
@@ -90,11 +90,11 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestDeterministicResults(t *testing.T) {
-	a, _, err := Run(smallCfg(persist.BB), smallSpec("hashmap"))
+	a, _, err := Run(smallCfg(mech.BB), smallSpec("hashmap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Run(smallCfg(persist.BB), smallSpec("hashmap"))
+	b, _, err := Run(smallCfg(mech.BB), smallSpec("hashmap"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,31 +105,31 @@ func TestDeterministicResults(t *testing.T) {
 
 func TestMechanismOrderingOnWorkload(t *testing.T) {
 	// The headline shape on a real workload: NOP <= LRP < BB < SB.
-	times := map[persist.Kind]int64{}
-	for _, k := range []persist.Kind{persist.NOP, persist.LRP, persist.BB, persist.SB} {
+	times := map[mech.Kind]int64{}
+	for _, k := range []mech.Kind{mech.NOP, mech.LRP, mech.BB, mech.SB} {
 		res, _, err := Run(smallCfg(k), smallSpec("hashmap"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		times[k] = int64(res.ExecTime)
 	}
-	if !(times[persist.NOP] <= times[persist.LRP]) {
-		t.Fatalf("NOP %d > LRP %d", times[persist.NOP], times[persist.LRP])
+	if !(times[mech.NOP] <= times[mech.LRP]) {
+		t.Fatalf("NOP %d > LRP %d", times[mech.NOP], times[mech.LRP])
 	}
-	if !(times[persist.LRP] < times[persist.BB]) {
-		t.Fatalf("LRP %d >= BB %d", times[persist.LRP], times[persist.BB])
+	if !(times[mech.LRP] < times[mech.BB]) {
+		t.Fatalf("LRP %d >= BB %d", times[mech.LRP], times[mech.BB])
 	}
-	if !(times[persist.BB] < times[persist.SB]) {
-		t.Fatalf("BB %d >= SB %d", times[persist.BB], times[persist.SB])
+	if !(times[mech.BB] < times[mech.SB]) {
+		t.Fatalf("BB %d >= SB %d", times[mech.BB], times[mech.SB])
 	}
 }
 
 func TestCriticalWritebackPct(t *testing.T) {
-	lrp, _, err := Run(smallCfg(persist.LRP), smallSpec("hashmap"))
+	lrp, _, err := Run(smallCfg(mech.LRP), smallSpec("hashmap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, _, err := Run(smallCfg(persist.BB), smallSpec("hashmap"))
+	bb, _, err := Run(smallCfg(mech.BB), smallSpec("hashmap"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestWorkloadConsistentCut(t *testing.T) {
 	for _, structure := range Structures {
 		structure := structure
 		t.Run(structure, func(t *testing.T) {
-			res, sys, err := Run(smallCfg(persist.LRP), smallSpec(structure))
+			res, sys, err := Run(smallCfg(mech.LRP), smallSpec(structure))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,12 +168,12 @@ func TestWorkloadConsistentCut(t *testing.T) {
 func TestReadHeavyMixRuns(t *testing.T) {
 	spec := smallSpec("skiplist")
 	spec.ReadPct = 80
-	res, _, err := Run(smallCfg(persist.LRP), spec)
+	res, _, err := Run(smallCfg(mech.LRP), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A read-heavy mix persists less than the pure-update mix.
-	upd, _, err := Run(smallCfg(persist.LRP), smallSpec("skiplist"))
+	upd, _, err := Run(smallCfg(mech.LRP), smallSpec("skiplist"))
 	if err != nil {
 		t.Fatal(err)
 	}

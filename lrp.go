@@ -31,7 +31,6 @@ import (
 	"lrp/internal/memsys"
 	"lrp/internal/mm"
 	"lrp/internal/model"
-	"lrp/internal/persist"
 	"lrp/internal/recovery"
 	"lrp/internal/stats"
 	"lrp/internal/workload"
@@ -58,7 +57,7 @@ type (
 	// Program is the body of one simulated thread.
 	Program = memsys.Program
 	// Mechanism names a persistency enforcement approach.
-	Mechanism = persist.Kind
+	Mechanism = mech.Kind
 	// Spec describes one workload run (§6.1 parameters).
 	Spec = workload.Spec
 	// Result is a measured workload window.
@@ -81,15 +80,16 @@ const (
 	AcqRel  = isa.AcqRel
 )
 
-// The registered mechanisms: the five of §6.2 plus the extensions
-// package mech contributes (eADR, FliT-SB). The set and its order come
-// from the persist registry — adding a mechanism there adds it here.
+// The registered mechanisms, all from package mech's one registration
+// table: the five of §6.2 plus the eADR and FliT-SB extensions.
+// Registering a mechanism there adds it to Mechanisms, MechanismNames
+// and ParseMechanism; a named var here is only a convenience.
 var (
-	NOP = persist.NOP
-	SB  = persist.SB
-	BB  = persist.BB
-	ARP = persist.ARP
-	LRP = persist.LRP
+	NOP = mech.NOP
+	SB  = mech.SB
+	BB  = mech.BB
+	ARP = mech.ARP
+	LRP = mech.LRP
 
 	EADR   = mech.EADR
 	FliTSB = mech.FliTSB
@@ -97,11 +97,11 @@ var (
 
 // Mechanisms lists all registered mechanisms in registration
 // (presentation) order.
-func Mechanisms() []Mechanism { return persist.Kinds() }
+func Mechanisms() []Mechanism { return mech.Kinds() }
 
 // MechanismNames lists the registered mechanism names, parseable by
 // ParseMechanism, in the same order as Mechanisms.
-func MechanismNames() []string { return persist.KindNames() }
+func MechanismNames() []string { return mech.KindNames() }
 
 // Structures lists the five workloads in the paper's order.
 var Structures = workload.Structures
@@ -119,7 +119,7 @@ func DefaultConfig() Config { return memsys.DefaultConfig() }
 
 // ParseMechanism converts a registered mechanism name (see
 // MechanismNames: "NOP", "SB", …, "eADR", "FliT-SB") to a Mechanism.
-func ParseMechanism(s string) (Mechanism, error) { return persist.ParseKind(s) }
+func ParseMechanism(s string) (Mechanism, error) { return mech.ParseKind(s) }
 
 // NewMachine builds a simulated machine. Set cfg.TrackHB to enable crash
 // analysis (happens-before tracking plus the NVM persist event log).
