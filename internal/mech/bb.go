@@ -64,12 +64,13 @@ func (m *bbMech) flushEpoch(tid int, now engine.Time) engine.Time {
 	}
 	issue := engine.Max(now, m.horizon[tid])
 	horizon := m.horizon[tid]
+	pending := retired(sv, tid, now)
 	for _, l := range sv.ScanDirty(tid) {
 		if l.Epoch != cur {
 			continue // older epochs are already in flight
 		}
 		done := sv.PersistL1Line(tid, l, now, issue, stalled)
-		sv.Pending(tid).Add(done)
+		pending.Add(done)
 		if done > horizon {
 			horizon = done
 		}
@@ -100,7 +101,7 @@ func (m *bbMech) OnWrite(tid int, l *cache.Line, release bool, now engine.Time) 
 	if l.NeedsPersist() && l.Epoch != sv.Epochs(tid).Current() {
 		issue := engine.Max(now, m.horizon[tid])
 		done := sv.PersistL1Line(tid, l, now, issue, true)
-		sv.Pending(tid).Add(done)
+		retired(sv, tid, now).Add(done)
 		if done > m.horizon[tid] {
 			m.horizon[tid] = done
 		}
@@ -130,7 +131,7 @@ func (m *bbMech) OnRMWAcquire(tid int, l *cache.Line, now engine.Time) engine.Ti
 	if l.NeedsPersist() {
 		issue := engine.Max(now, m.horizon[tid])
 		done := sv.PersistL1Line(tid, l, now, issue, true)
-		sv.Pending(tid).Add(done)
+		retired(sv, tid, now).Add(done)
 		return done
 	}
 	return engine.Max(now, engine.Time(l.FlushedUntil))
@@ -143,7 +144,7 @@ func (m *bbMech) OnEvict(tid int, l *cache.Line, now engine.Time) engine.Time {
 		// critical path, behind the epoch horizon.
 		issue := engine.Max(now, m.horizon[tid])
 		done := sv.PersistL1Line(tid, l, now, issue, true)
-		sv.Pending(tid).Add(done)
+		retired(sv, tid, now).Add(done)
 		return done
 	}
 	if engine.Time(l.FlushedUntil) > now {
@@ -162,7 +163,7 @@ func (m *bbMech) OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engine.Tim
 		// the critical path (lazy inter-thread enforcement)...
 		issue := engine.Max(now, m.horizon[ownerTid])
 		ack = sv.PersistL1Line(ownerTid, l, now, issue, false)
-		sv.Pending(ownerTid).Add(ack)
+		retired(sv, ownerTid, now).Add(ack)
 		if ack > m.horizon[ownerTid] {
 			m.horizon[ownerTid] = ack
 		}

@@ -56,7 +56,7 @@ func (m *flitMech) track(tid int, a isa.Addr) {
 func (m *flitMech) flushTracked(tid int, now engine.Time, critical bool) engine.Time {
 	sv := m.sv
 	now = sv.FaultStall(tid, now)
-	pending := sv.Pending(tid)
+	pending := retired(sv, tid, now)
 	horizon := pending.MaxTime(now)
 	for _, a := range m.tracked[tid] {
 		l := sv.LookupL1(tid, a)
@@ -89,7 +89,7 @@ func (m *flitMech) OnStamped(tid int, l *cache.Line, addr isa.Addr, val uint64, 
 	// The release persists synchronously before the thread proceeds
 	// (exactly SB's post-release barrier).
 	done := m.sv.PersistL1Line(tid, l, now, now, true)
-	m.sv.Pending(tid).Add(done)
+	retired(m.sv, tid, now).Add(done)
 	return done
 }
 
@@ -118,7 +118,7 @@ func (m *flitMech) OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engine.T
 	// eliding that is where FliT-SB beats SB on sharing-heavy workloads.)
 	if l.NeedsPersist() {
 		done := m.sv.PersistL1Line(ownerTid, l, now, now, true)
-		m.sv.Pending(ownerTid).Add(done)
+		retired(m.sv, ownerTid, now).Add(done)
 		return done
 	}
 	return engine.Max(now, engine.Time(l.FlushedUntil))

@@ -20,6 +20,17 @@ type sbMech struct {
 
 func newSB(sv SystemView) Mechanism { return &sbMech{sv: sv} }
 
+// retired returns tid's persist-ack set after dropping the acks that
+// completed by now. SB, BB and FliT-SB read only the set's horizon
+// (MaxTime), which retiring leaves as it is, so calling this before each
+// Add keeps only the persists still in flight, where keeping every ack of
+// the run would grow the set with the run's length.
+func retired(sv SystemView, tid int, now engine.Time) *engine.CompletionSet {
+	p := sv.Pending(tid)
+	p.DrainUpTo(now)
+	return p
+}
+
 func (m *sbMech) OnWrite(tid int, l *cache.Line, release bool, now engine.Time) engine.Time {
 	if !release {
 		return now
@@ -37,7 +48,7 @@ func (m *sbMech) OnStamped(tid int, l *cache.Line, addr isa.Addr, val uint64, st
 	// the thread proceeds, which is what lets a later acquire (from
 	// anywhere) trust that a visible release is durable.
 	done := m.sv.PersistL1Line(tid, l, now, now, true)
-	m.sv.Pending(tid).Add(done)
+	retired(m.sv, tid, now).Add(done)
 	return done
 }
 

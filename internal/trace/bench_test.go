@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"compress/flate"
+	"io"
 	"testing"
 
 	"lrp/internal/mech"
@@ -37,4 +39,30 @@ func BenchmarkTraceDecode(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(sum.Ops)), "ns/traceop")
+}
+
+// BenchmarkInflate times the DEFLATE kernel against compress/flate on
+// the kv trace's record body, as compress/gzip's writer compresses it
+// (the trace writer's default level), in MB/s of decompressed output.
+func BenchmarkInflate(b *testing.B) {
+	_, body := kvTrace(b)
+	z := deflate(b, body, flate.DefaultCompression)
+	for _, c := range []struct {
+		name string
+		open func(io.Reader) io.Reader
+	}{
+		{"kernel", func(r io.Reader) io.Reader { return newInflater(r) }},
+		{"flate", func(r io.Reader) io.Reader { return flate.NewReader(r) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n, err := io.Copy(io.Discard, c.open(bytes.NewReader(z)))
+				if err != nil || n != int64(len(body)) {
+					b.Fatalf("decoded %d of %d bytes: %v", n, len(body), err)
+				}
+			}
+		})
+	}
 }

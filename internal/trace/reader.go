@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -62,9 +60,8 @@ var errOverflow = errors.New("trace: varint overflows a 64-bit integer")
 // runs past the window's end is a truncated one. The stream checksum is
 // folded over each run of consecutive op-stream records at once.
 type Reader struct {
-	h   Header
-	src *bufio.Reader // the file after its header: one gzip member
-	zr  *gzip.Reader
+	h Header
+	z *inflater // the file after its header: one gzip member
 	// win[pos:end] is decompressed and not yet decoded; p is the cursor
 	// of the record being decoded, committed to pos once it is whole.
 	// win[crcFrom:pos] are op-stream records not yet folded into crc.
@@ -91,9 +88,9 @@ type Reader struct {
 // NewReader validates the file framing and header and positions the
 // reader at the first record.
 func NewReader(src io.Reader) (*Reader, error) {
-	br := bufio.NewReader(src)
+	z := newInflater(src)
 	head := make([]byte, len(magic)+1+4)
-	if _, err := io.ReadFull(br, head); err != nil {
+	if err := z.readFull(head); err != nil {
 		return nil, fmt.Errorf("trace: reading file header: %w", err)
 	}
 	if string(head[:len(magic)]) != magic {
@@ -107,7 +104,7 @@ func NewReader(src io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("trace: header payload length %d out of range", plen)
 	}
 	payload := make([]byte, plen+4)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	if err := z.readFull(payload); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
 	wantCRC := binary.LittleEndian.Uint32(payload[plen:])
@@ -119,18 +116,15 @@ func NewReader(src io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	zr, err := gzip.NewReader(br)
-	if err != nil {
+	// The record stream is one gzip member. The inflater stops at its
+	// end instead of reading on into a second one, so that decodeEnd can
+	// reject whatever follows it, an empty member included.
+	if err := z.gzipHeader(); err != nil {
 		return nil, fmt.Errorf("trace: opening record stream: %w", err)
 	}
-	// The record stream is one gzip member. The reader stops at its end
-	// instead of reading on into a second one, so that decodeEnd can
-	// reject whatever follows it, an empty member included.
-	zr.Multistream(false)
 	return &Reader{
 		h:    h,
-		src:  br,
-		zr:   zr,
+		z:    z,
 		win:  make([]byte, windowSize),
 		last: make([]int64, h.Config.Cores),
 		wseq: make([]uint64, h.Config.Cores),
@@ -167,7 +161,7 @@ func (r *Reader) fill() {
 	r.pos, r.crcFrom = 0, 0
 	for r.end < len(r.win) && r.zerr == nil {
 		var n int
-		n, r.zerr = r.zr.Read(r.win[r.end:])
+		n, r.zerr = r.z.Read(r.win[r.end:])
 		r.end += n
 	}
 }
@@ -527,7 +521,7 @@ func (r *Reader) decodeEnd() error {
 	// the window is decoded by now, so the probe may overwrite it.
 	extra := r.end - r.p
 	for extra == 0 && r.zerr == nil {
-		extra, r.zerr = r.zr.Read(r.win[:1])
+		extra, r.zerr = r.z.Read(r.win[:1])
 	}
 	if extra > 0 {
 		return fmt.Errorf("trace: data after end record")
@@ -537,10 +531,11 @@ func (r *Reader) decodeEnd() error {
 	}
 	// The member must end the file: a byte after it, even one starting
 	// an empty gzip member, is trailing data.
-	if _, err := r.src.ReadByte(); err != io.EOF {
-		if err != nil {
-			return fmt.Errorf("trace: after end record: %w", err)
-		}
+	more, err := r.z.trailing()
+	if err != nil {
+		return fmt.Errorf("trace: after end record: %w", err)
+	}
+	if more {
 		return fmt.Errorf("trace: data after end record's gzip member")
 	}
 	return nil
