@@ -26,28 +26,28 @@
 //	       [-hotkeypct 10] [-hotoppct 90] [-mix 50,30,5,10,5]
 //	       [-minval 1] [-maxval 8] [-scanlen 8]
 //
-// Trace capture & replay (TRACES.md; cmd/lrptrace is the full toolchain):
+// Trace capture (TRACES.md; cmd/lrptrace replays, inspects and compares
+// traces):
 //
 //	-record FILE    with -run: record the run's memory-op trace to FILE
-//	-replay FILE    replay a recorded trace (-mechanism overrides the
-//	                recorded mechanism when given explicitly)
 //
-// Observability (works with all modes):
+// Observability:
 //
-//	-metrics        print the metrics-registry report after the run
-//	-json           with -metrics: machine-readable registry export
+//	-metrics        print the metrics-registry report after the run or
+//	                the experiment
+//	-json           with -run: the registry as machine-readable JSON
 //	                (lrpmetrics/v1, deterministic key order) on stdout
 //	-perf           with -run: attach the host-side phase profiler and
 //	                print the per-phase host-time report (the host/*
 //	                gauges also land in the -metrics registry)
-//	-trace FILE     write a Chrome trace_event JSON (Perfetto-loadable)
+//	-trace FILE     with -run: write a Chrome trace_event JSON
+//	                (Perfetto-loadable)
 //	-pprof ADDR     serve net/http/pprof while the simulation runs
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -73,10 +73,9 @@ func main() {
 		parallel   = flag.Int("parallel", 0, "worker goroutines for the experiment matrix (0: one per CPU, 1: serial; output is identical at any count)")
 		uncached   = flag.Bool("uncached", false, "disable the NVM-side DRAM cache for -run")
 		recordPath = flag.String("record", "", "with -run: record the run's memory-op trace to FILE (TRACES.md)")
-		replayPath = flag.String("replay", "", "replay a recorded memory-op trace from FILE")
-		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) to FILE")
+		tracePath  = flag.String("trace", "", "with -run: write a Chrome trace_event JSON (chrome://tracing, Perfetto) to FILE")
 		metrics    = flag.Bool("metrics", false, "print the metrics-registry report")
-		jsonOut    = flag.Bool("json", false, "with -metrics: machine-readable registry export on stdout")
+		jsonOut    = flag.Bool("json", false, "with -run: machine-readable registry export on stdout (implies -metrics)")
 		perfOn     = flag.Bool("perf", false, "with -run: attach the host-side phase profiler and print its report")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on ADDR (e.g. localhost:6060)")
 
@@ -118,16 +117,6 @@ func main() {
 	}
 
 	switch {
-	case *replayPath != "":
-		mechSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "mechanism" {
-				mechSet = true
-			}
-		})
-		if err := replayTrace(*replayPath, *mechanism, mechSet, *metrics, *jsonOut); err != nil {
-			fail(err)
-		}
 	case *run != "":
 		kv := lrp.KVParams{
 			Tenants: *tenants, KeysPerTenant: *keys, Skew: *skew, ThetaMilli: *theta,
@@ -144,8 +133,8 @@ func main() {
 			fail(err)
 		}
 	case *experiment != "":
-		if *jsonOut {
-			fail(fmt.Errorf("-json exports one machine's registry; use it with -run or -replay"))
+		if *jsonOut || *tracePath != "" {
+			fail(fmt.Errorf("-json and -trace capture one machine; use them with -run"))
 		}
 		if err := runExperiment(*experiment, opts); err != nil {
 			fail(err)
@@ -157,35 +146,10 @@ func main() {
 			}
 			fmt.Println(rep)
 		}
-		if *tracePath != "" {
-			if err := writeExperimentTrace(opts, *tracePath); err != nil {
-				fail(err)
-			}
-		}
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// writeExperimentTrace captures one traced LRP hashmap run at the
-// experiment's parameters — the figures themselves aggregate many runs,
-// so the trace shows one representative machine under the paper's
-// mechanism of interest.
-func writeExperimentTrace(opts lrp.ExperimentOpts, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := lrp.WriteTrace(opts, "hashmap", lrp.LRP, f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("trace: LRP hashmap run written to %s (load in Perfetto or chrome://tracing)\n", path)
-	return nil
 }
 
 func fail(err error) {
@@ -237,61 +201,6 @@ func runExperiment(name string, opts lrp.ExperimentOpts) error {
 	default:
 		return fmt.Errorf("unknown experiment %q", name)
 	}
-}
-
-// replayTrace drives a fresh machine from a recorded trace (lrpsim's
-// one-shot form; cmd/lrptrace has the full record/replay toolchain).
-func replayTrace(path, mechName string, mechSet, metrics, jsonOut bool) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	o := lrp.ReplayOpts{MechanismSet: mechSet}
-	if mechSet {
-		if o.Mechanism, err = lrp.ParseMechanism(mechName); err != nil {
-			return err
-		}
-	}
-	if metrics {
-		// The Observer is sized from the trace's machine config, so the
-		// header must be decoded before the replay machine is built.
-		info, err := lrp.ReadTraceInfo(f)
-		if err != nil {
-			return err
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		k := info.Header.Mechanism
-		if mechSet {
-			k = o.Mechanism
-		}
-		o.Obs = lrp.NewObserver(info.Header.MachineConfig(k), false)
-	}
-	rp, err := lrp.ReplayTrace(f, o)
-	if err != nil {
-		return err
-	}
-	if !jsonOut {
-		fmt.Printf("replayed        %s under %s (recorded under %s)\n",
-			rp.Header.Spec.Structure, rp.Mechanism, rp.Header.Mechanism)
-		fmt.Printf("trace ops       %d (checksum %08x, verified)\n", rp.Ops, rp.Checksum)
-		if rp.Result != nil {
-			fmt.Printf("exec time       %v\n", rp.Result.ExecTime)
-			fmt.Printf("persists        %d (%.1f%% on the critical path)\n",
-				rp.Result.Sys.Persists, rp.Result.CriticalWritebackPct())
-			fmt.Printf("stall cycles    %d\n", rp.Result.Sys.StallCycles)
-		}
-	}
-	if metrics {
-		if jsonOut {
-			return lrp.WriteMetricsJSON(rp.Sys, os.Stdout)
-		}
-		fmt.Println()
-		fmt.Println(lrp.MetricsSummary(rp.Sys))
-	}
-	return nil
 }
 
 func parseMix(s string) (g, st, d, ca, sc int, err error) {

@@ -6,7 +6,7 @@
 //	lrptrace record -o FILE [-structure hashmap] [-mechanism NOP] [-threads 4]
 //	                [-cores N] [-size 96] [-ops 25] [-readpct 0] [-opwork 0]
 //	                [-seed 7] [-uncached] [-hist]
-//	lrptrace replay FILE [-mechanism K | -all] [-verify] [-o FILE] [-metrics]
+//	lrptrace replay FILE [-mechanism K | -all] [-verify] [-o FILE] [-metrics] [-json]
 //	lrptrace info FILE
 //	lrptrace diff FILE1 FILE2
 //
@@ -16,7 +16,9 @@
 // comparison table. -verify additionally checks the replay reproduced
 // the recording's embedded window counters byte-for-byte (recorded
 // mechanism only). -o re-records the replayed execution into a new
-// trace, whose op-stream checksum always equals the source's.
+// trace, whose op-stream checksum always equals the source's. -metrics
+// prints the replay machine's metrics registry; -json prints only that
+// registry, as the machine-readable lrpmetrics/v1 export.
 package main
 
 import (
@@ -65,7 +67,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   lrptrace record -o FILE [-structure S] [-mechanism K] [-threads N] [-cores N]
                   [-size N] [-ops N] [-readpct P] [-opwork C] [-seed N] [-uncached] [-hist]
-  lrptrace replay FILE [-mechanism K | -all] [-verify] [-o FILE] [-metrics]
+  lrptrace replay FILE [-mechanism K | -all] [-verify] [-o FILE] [-metrics] [-json]
   lrptrace info FILE
   lrptrace diff FILE1 FILE2`)
 }
@@ -155,6 +157,7 @@ func cmdReplay(args []string) error {
 		verify   = fs.Bool("verify", false, "verify the replay reproduces the embedded live window byte-for-byte")
 		out      = fs.String("o", "", "re-record the replayed execution to FILE")
 		metrics  = fs.Bool("metrics", false, "print the replay machine's metrics registry")
+		jsonOut  = fs.Bool("json", false, "print only the metrics registry, as lrpmetrics/v1 JSON (implies -metrics)")
 	)
 	if len(args) < 1 || len(args[0]) > 0 && args[0][0] == '-' {
 		return fmt.Errorf("replay: usage: lrptrace replay FILE [flags]")
@@ -166,10 +169,16 @@ func cmdReplay(args []string) error {
 		return err
 	}
 	if *all {
-		if *mechName != "" {
-			return fmt.Errorf("replay: -all and -mechanism are mutually exclusive")
+		if *mechName != "" || *jsonOut {
+			return fmt.Errorf("replay: -all excludes -mechanism and -json")
 		}
 		return replayAll(raw, *verify)
+	}
+	// -json is the machine-readable form of -metrics and owns stdout.
+	stdout := io.Writer(os.Stdout)
+	if *jsonOut {
+		*metrics = true
+		stdout = io.Discard
 	}
 
 	var k lrp.Mechanism
@@ -198,14 +207,14 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replayed        %s under %s (recorded under %s)\n",
+	fmt.Fprintf(stdout, "replayed        %s under %s (recorded under %s)\n",
 		rp.Header.Spec.Structure, rp.Mechanism, rp.Header.Mechanism)
-	fmt.Printf("trace ops       %d (checksum %08x, verified)\n", rp.Ops, rp.Checksum)
+	fmt.Fprintf(stdout, "trace ops       %d (checksum %08x, verified)\n", rp.Ops, rp.Checksum)
 	if rp.Result != nil {
-		fmt.Printf("exec time       %v\n", rp.Result.ExecTime)
-		fmt.Printf("persists        %d (%.1f%% on the critical path)\n",
+		fmt.Fprintf(stdout, "exec time       %v\n", rp.Result.ExecTime)
+		fmt.Fprintf(stdout, "persists        %d (%.1f%% on the critical path)\n",
 			rp.Result.Sys.Persists, rp.Result.CriticalWritebackPct())
-		fmt.Printf("stall cycles    %d\n", rp.Result.Sys.StallCycles)
+		fmt.Fprintf(stdout, "stall cycles    %d\n", rp.Result.Sys.StallCycles)
 	}
 	if *verify {
 		if rp.Mechanism != rp.Header.Mechanism {
@@ -214,13 +223,16 @@ func cmdReplay(args []string) error {
 		if err := rp.VerifyEmbedded(); err != nil {
 			return err
 		}
-		fmt.Println("verify          replay reproduces the recorded window byte-for-byte")
+		fmt.Fprintln(stdout, "verify          replay reproduces the recorded window byte-for-byte")
 	}
 	if *out != "" {
 		if err := os.WriteFile(*out, re.Bytes(), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("re-recorded     %s (checksum %08x, matches source)\n", *out, rp.Checksum)
+		fmt.Fprintf(stdout, "re-recorded     %s (checksum %08x, matches source)\n", *out, rp.Checksum)
+	}
+	if *jsonOut {
+		return lrp.WriteMetricsJSON(rp.Sys, os.Stdout)
 	}
 	if *metrics {
 		fmt.Println()

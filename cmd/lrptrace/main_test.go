@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"lrp/internal/obs"
 )
 
 // corpusRow matches a golden-corpus row of TRACES.md's table: the trace
@@ -58,5 +61,50 @@ func TestCorpusReRecords(t *testing.T) {
 				t.Fatalf("re-recording with %q gives %d bytes that differ from the committed %d", args, len(got), len(want))
 			}
 		})
+	}
+}
+
+// TestReplayJSONMatchesGolden pins replay -json, the lrpmetrics/v1
+// export of a replay machine, to the golden export the root package's
+// TestGoldenMetricsJSON holds for the same corpus trace. The replay rate
+// gauge carries host time, so it is zeroed first, as that test does.
+func TestReplayJSONMatchesGolden(t *testing.T) {
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	err = cmdReplay([]string{filepath.Join("..", "..", "testdata", "traces", "hashmap_nop_t4.lrt"), "-json"})
+	os.Stdout = stdout
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc obs.MetricsJSON
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("replay -json printed more than the export: %v", err)
+	}
+	for i := range doc.Metrics {
+		if m := &doc.Metrics[i]; m.Kind == obs.KindGauge.String() && m.Name == "trace/replay_ops_per_sec" {
+			m.Value = 0
+		}
+	}
+	got, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "metrics_replay_hashmap_nop.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got)+"\n" != string(want) {
+		t.Fatalf("replay -json export differs from metrics_replay_hashmap_nop.json:\n%s", got)
 	}
 }

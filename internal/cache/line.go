@@ -107,8 +107,9 @@ func (l *Line) ForEachStamp(a *persist.StampArena, fn func(model.Stamp)) {
 	a.ForEach(l.stamps, fn)
 }
 
-// DropLastStamp removes the most recently appended stamp (eADR logs the
-// write durably at store time and pops the stamp again).
+// DropLastStamp removes the most recently appended stamp: the write's
+// stamp leaves the line when a mechanism takes over its durability (eADR
+// logs the write durably at store time; ARP's buffer entry holds it).
 func (l *Line) DropLastStamp(a *persist.StampArena) { a.DropLast(&l.stamps) }
 
 // NeedsPersist reports whether the line holds writes not yet persisted.

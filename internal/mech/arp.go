@@ -5,14 +5,16 @@ import (
 	"lrp/internal/engine"
 	"lrp/internal/isa"
 	"lrp/internal/model"
+	"lrp/internal/persist"
 )
 
 // arpEntry is one per-thread persist-buffer entry: a line's worth of
-// writes belonging to one ARP epoch.
+// writes belonging to one ARP epoch, with their stamps as a chain in the
+// machine's stamp arena.
 type arpEntry struct {
 	line   isa.Addr
 	epoch  uint32
-	stamps []model.Stamp
+	stamps persist.StampList
 }
 
 // arpMech models acquire-release persistency (Kolli et al., ISCA'17) on
@@ -42,11 +44,6 @@ type arpMech struct {
 	buffer [][]arpEntry
 	drain  []engine.Time
 	epoch  []uint32
-
-	// stampPool recycles drained entries' stamp slices so steady-state
-	// buffering allocates nothing (the simulator is single-threaded, so
-	// one pool serves every tid).
-	stampPool [][]model.Stamp
 }
 
 func newARP(sv SystemView) Mechanism {
@@ -89,14 +86,9 @@ func (m *arpMech) drainEpochs(tid int, upTo uint32, now engine.Time) engine.Time
 		issue := engine.Max(now, m.drain[tid])
 		horizon := m.drain[tid]
 		for i := range entries {
-			e := &entries[i]
-			done := sv.PersistAddr(tid, e.line, e.stamps, now, issue, false)
+			done := sv.PersistAddr(tid, entries[i].line, &entries[i].stamps, now, issue, false)
 			if done > horizon {
 				horizon = done
-			}
-			if e.stamps != nil {
-				m.stampPool = append(m.stampPool, e.stamps[:0])
-				e.stamps = nil
 			}
 		}
 		n := copy(buf, buf[k:])
@@ -111,26 +103,23 @@ func (m *arpMech) OnWrite(tid int, l *cache.Line, release bool, now engine.Time)
 
 func (m *arpMech) OnStamped(tid int, l *cache.Line, addr isa.Addr, val uint64, st model.Stamp, release bool, now engine.Time) engine.Time {
 	// Coalesce into an existing same-line entry of the current epoch.
-	coalesced := false
+	var e *arpEntry
 	for i := range m.buffer[tid] {
 		if m.buffer[tid][i].line == l.Addr && m.buffer[tid][i].epoch == m.epoch[tid] {
-			if !st.IsZero() {
-				m.buffer[tid][i].stamps = append(m.buffer[tid][i].stamps, st)
-			}
-			coalesced = true
+			e = &m.buffer[tid][i]
 			break
 		}
 	}
-	if !coalesced {
-		var stamps []model.Stamp
-		if !st.IsZero() {
-			if n := len(m.stampPool); n > 0 {
-				stamps = m.stampPool[n-1]
-				m.stampPool = m.stampPool[:n-1]
-			}
-			stamps = append(stamps, st)
-		}
-		m.buffer[tid] = append(m.buffer[tid], arpEntry{line: l.Addr, epoch: m.epoch[tid], stamps: stamps})
+	if e == nil {
+		m.buffer[tid] = append(m.buffer[tid], arpEntry{line: l.Addr, epoch: m.epoch[tid]})
+		e = &m.buffer[tid][len(m.buffer[tid])-1]
+	}
+	if !st.IsZero() {
+		// The buffer entry, not the L1 line, makes the write durable, so
+		// the stamp moves from the line's chain to the entry's.
+		a := m.sv.Stamps()
+		l.DropLastStamp(a)
+		a.Append(&e.stamps, st)
 	}
 	if release {
 		// ARP: a release raises the flag; the next acquire places the

@@ -28,29 +28,22 @@ type bbMech struct {
 
 	// horizon is each thread's epoch-serialization horizon: the final
 	// ack time of the last closed epoch (own or inherited from a
-	// producer via a lazy inter-thread dependency). prevHorizon is the
-	// ack horizon of the epoch before that: the hardware tracks a
-	// bounded number of unpersisted epochs, so closing a new epoch
-	// stalls until the epoch-before-last has fully acked (two epochs in
-	// flight).
-	horizon     []engine.Time
-	prevHorizon []engine.Time
+	// producer via a lazy inter-thread dependency). The hardware tracks
+	// one unpersisted epoch, so closing a new epoch stalls until this
+	// horizon has passed.
+	horizon []engine.Time
 }
 
 func newBB(sv SystemView) Mechanism {
-	return &bbMech{
-		sv:          sv,
-		horizon:     make([]engine.Time, sv.Cores()),
-		prevHorizon: make([]engine.Time, sv.Cores()),
-	}
+	return &bbMech{sv: sv, horizon: make([]engine.Time, sv.Cores())}
 }
 
 // flushEpoch closes the current epoch: it proactively issues persists for
 // every dirty line of the epoch, serialized behind the thread's epoch
-// horizon. The hardware can track only a bounded number of unpersisted
-// epochs, so the barrier itself stalls (critical path) until the
-// epoch-before-last has fully acked — the cost that dominates BB under
-// NVM bandwidth pressure. It returns the (possibly stalled) time.
+// horizon. The hardware can track only one unpersisted epoch, so the
+// barrier itself stalls (critical path) until the previous epoch has
+// fully acked — the cost that dominates BB under NVM bandwidth
+// pressure. It returns the (possibly stalled) time.
 func (m *bbMech) flushEpoch(tid int, now engine.Time) engine.Time {
 	sv := m.sv
 	cur := sv.Epochs(tid).Current()
@@ -75,7 +68,6 @@ func (m *bbMech) flushEpoch(tid int, now engine.Time) engine.Time {
 			horizon = done
 		}
 	}
-	m.prevHorizon[tid] = m.horizon[tid]
 	m.horizon[tid] = horizon
 	epoch, overflowed := sv.Epochs(tid).Advance()
 	if overflowed {

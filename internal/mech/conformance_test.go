@@ -19,6 +19,8 @@ package mech_test
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,6 +69,40 @@ func TestRegistryCoversAllKinds(t *testing.T) {
 	}
 	if _, err := trace.NewReader(&buf); err == nil || !strings.Contains(err.Error(), "bad mechanism") {
 		t.Fatalf("trace header with unregistered %v: err = %v, want a bad-mechanism rejection", bad, err)
+	}
+}
+
+// TestEADRMatchesNOP holds eADR to its timing claim: it keeps all of
+// NOP's timing hooks, so every workload's measured window, and the
+// clean-shutdown drain after it, must come out identical under the two,
+// with happens-before tracking on and off.
+func TestEADRMatchesNOP(t *testing.T) {
+	for _, w := range lrp.WorkloadNames() {
+		for _, track := range []bool{false, true} {
+			w, track := w, track
+			t.Run(fmt.Sprintf("%s/track=%v", w, track), func(t *testing.T) {
+				t.Parallel()
+				run := func(k mech.Kind) []any {
+					cfg := lrp.DefaultConfig().WithMechanism(k)
+					cfg.Cores = 4
+					cfg.TrackHB = track
+					res, m, err := lrp.RunWorkload(cfg, lrp.Spec{
+						Structure: w, Threads: 4, InitialSize: 256, OpsPerThread: 50, Seed: 3,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					drained := m.Drain()
+					return []any{res, drained, m.Stats(), m.NVM().Stats()}
+				}
+				nop, eadr := run(mech.NOP), run(mech.EADR)
+				for i, what := range []string{"window result", "drain time", "machine stats", "NVM stats"} {
+					if !reflect.DeepEqual(nop[i], eadr[i]) {
+						t.Fatalf("%s differs:\nNOP  %+v\neADR %+v", what, nop[i], eadr[i])
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 
 // eadrMech models an eADR / extended-ADR platform: the entire cache
 // hierarchy sits inside the persistence domain, so a store is durable the
-// moment it completes. No flushes, no barriers, no ordering stalls —
-// execution timing is identical to NOP, which makes eADR the upper bound
-// newer persistency studies compare enforcement mechanisms against.
+// moment it completes. No flushes, no barriers, no ordering stalls: it
+// embeds NOP and keeps all of NOP's timing hooks, so its execution
+// timing is NOP's by construction, which makes eADR the upper bound newer
+// persistency studies compare enforcement mechanisms against.
 //
 // Durability is mechanism-held rather than NVM-event-driven: OnStamped
 // marks each write persisted immediately and appends it to a durable-
@@ -28,7 +29,7 @@ import (
 // later cache write-backs cannot re-mark a write with an earlier,
 // order-breaking NVM ack time.
 type eadrMech struct {
-	sv SystemView
+	nopMech
 
 	// seq is the monotone durable-completion clock (see above).
 	seq engine.Time
@@ -47,11 +48,7 @@ type eadrWrite struct {
 	at   engine.Time
 }
 
-func newEADR(sv SystemView) Mechanism { return &eadrMech{sv: sv} }
-
-func (m *eadrMech) OnWrite(tid int, l *cache.Line, release bool, now engine.Time) engine.Time {
-	return now
-}
+func newEADR(sv SystemView) Mechanism { return &eadrMech{nopMech: nopMech{sv: sv}} }
 
 func (m *eadrMech) OnStamped(tid int, l *cache.Line, addr isa.Addr, val uint64, st model.Stamp, release bool, now engine.Time) engine.Time {
 	if m.sv.Tracking() {
@@ -61,7 +58,7 @@ func (m *eadrMech) OnStamped(tid int, l *cache.Line, addr isa.Addr, val uint64, 
 		// The store is durable as of m.seq; consume its stamp so no NVM
 		// write-back path re-marks it later.
 		m.sv.SetPersisted(st, m.seq)
-		m.sv.DropLastStamp(l)
+		l.DropLastStamp(m.sv.Stamps())
 		m.log = append(m.log, eadrWrite{addr: addr, val: val, at: m.seq})
 		if release {
 			m.instants = append(m.instants, m.seq)
@@ -70,20 +67,10 @@ func (m *eadrMech) OnStamped(tid int, l *cache.Line, addr isa.Addr, val uint64, 
 	return now
 }
 
-func (m *eadrMech) OnAcquire(tid int, addr isa.Addr, now engine.Time) engine.Time { return now }
-
-func (m *eadrMech) OnRMWAcquire(tid int, l *cache.Line, now engine.Time) engine.Time { return now }
-
-func (m *eadrMech) OnEvict(tid int, l *cache.Line, now engine.Time) engine.Time { return now }
-
-func (m *eadrMech) OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engine.Time) engine.Time {
-	return now
-}
-
 func (m *eadrMech) Drain(tid int, now engine.Time) engine.Time {
 	// A clean shutdown flushes the caches so the plain NVM final image is
-	// whole without the overlay (same durability path as NOP).
-	done := m.sv.FlushAllDirty(tid, now, false)
+	// whole without the overlay (NOP's drain).
+	done := m.nopMech.Drain(tid, now)
 	if m.sv.Tracking() {
 		if done > m.seq {
 			m.seq = done
@@ -92,8 +79,6 @@ func (m *eadrMech) Drain(tid int, now engine.Time) engine.Time {
 	}
 	return done
 }
-
-func (m *eadrMech) LLCEvictPersists() bool { return true }
 
 // NewCrashCursor hands crash analysis the durable-store log (the cursor
 // owns the image — the NVM event log is ignored); nil without

@@ -22,9 +22,11 @@ import (
 // waits) rather than the owner's whole dirty set: a reader never observes
 // data that is not yet durable, so no consumer can out-persist anything
 // it read.
+//
+// It embeds SB and keeps SB's acquire, acquire-RMW and eviction hooks;
+// only the hooks where the elision differs are its own.
 type flitMech struct {
-	NoCrashState
-	sv SystemView
+	sbMech
 
 	// tracked is each thread's sorted set of line addresses written
 	// since its last flush. Entries persisted early by an invariant stay
@@ -33,7 +35,7 @@ type flitMech struct {
 }
 
 func newFliTSB(sv SystemView) Mechanism {
-	return &flitMech{sv: sv, tracked: make([][]isa.Addr, sv.Cores())}
+	return &flitMech{sbMech: sbMech{sv: sv}, tracked: make([][]isa.Addr, sv.Cores())}
 }
 
 func (m *flitMech) track(tid int, a isa.Addr) {
@@ -93,23 +95,6 @@ func (m *flitMech) OnStamped(tid int, l *cache.Line, addr isa.Addr, val uint64, 
 	return done
 }
 
-func (m *flitMech) OnAcquire(tid int, addr isa.Addr, now engine.Time) engine.Time { return now }
-
-func (m *flitMech) OnRMWAcquire(tid int, l *cache.Line, now engine.Time) engine.Time {
-	if !l.NeedsPersist() {
-		return now
-	}
-	return m.sv.PersistL1Line(tid, l, now, now, true)
-}
-
-func (m *flitMech) OnEvict(tid int, l *cache.Line, now engine.Time) engine.Time {
-	if !l.NeedsPersist() {
-		return now
-	}
-	// Strict: eviction persists on the critical path (as SB).
-	return m.sv.PersistL1Line(tid, l, now, now, true)
-}
-
 func (m *flitMech) OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engine.Time) engine.Time {
 	// Inter-thread dependency: persist just the forwarded line and block
 	// the requester until its ack — the reader never sees non-durable
@@ -128,7 +113,5 @@ func (m *flitMech) Drain(tid int, now engine.Time) engine.Time {
 	// Clean shutdown: authoritative full flush (tracking is per-release
 	// bookkeeping, not ground truth for what is dirty).
 	m.tracked[tid] = m.tracked[tid][:0]
-	return m.sv.FlushAllDirty(tid, now, false)
+	return m.sbMech.Drain(tid, now)
 }
-
-func (m *flitMech) LLCEvictPersists() bool { return false }

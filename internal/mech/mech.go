@@ -123,8 +123,9 @@ type SystemView interface {
 	// persist below.
 	PersistL1Line(tid int, l *cache.Line, now, earliest engine.Time, critical bool) engine.Time
 	// PersistAddr persists the current content of an arbitrary line
-	// address with optional stamps (ARP buffer drains).
-	PersistAddr(tid int, addr isa.Addr, stamps []model.Stamp, now, earliest engine.Time, critical bool) engine.Time
+	// address (ARP buffer drains), marks the stamps of the chain stamps
+	// persisted and returns the chain to Stamps; nil stands for none.
+	PersistAddr(tid int, addr isa.Addr, stamps *persist.StampList, now, earliest engine.Time, critical bool) engine.Time
 	// FlushAllDirty persists every unpersisted line of tid's L1:
 	// only-written lines first in parallel, then released lines in
 	// epoch order; returns the final ack.
@@ -133,10 +134,11 @@ type SystemView interface {
 	// other than one the call just issued (a persist already in flight,
 	// a drain horizon), which the persist calls already hold.
 	BlockLine(line isa.Addr, t engine.Time)
-	// DropLastStamp removes a line's most recently appended happens-
-	// before stamp from the system's stamp arena (eADR consumes the
-	// stamp of a write it made durable at store time).
-	DropLastStamp(l *cache.Line)
+	// Stamps is the machine's stamp arena, which holds every happens-
+	// before stamp chain: the L1 lines' and any a mechanism keeps (ARP's
+	// buffer entries). A mechanism that takes over a write's stamp pops
+	// it from the line (cache.Line.DropLastStamp).
+	Stamps() *persist.StampArena
 	// FaultStall injects a configured persist-engine stall (no-op on
 	// the idealized machine), returning the delayed start time.
 	FaultStall(tid int, now engine.Time) engine.Time

@@ -168,7 +168,7 @@ func (s *System) Drain() engine.Time {
 			line := isa.Addr(k)
 			list := *s.llcStamps.Ptr(k)
 			s.llcStamps.Delete(k)
-			s.persistAddrList(-1, line, &list, now, now, false)
+			s.persistAddr(-1, line, &list, now, now, false)
 			s.llc.MarkClean(line)
 		}
 		for _, line := range s.llc.DirtyLines() {

@@ -40,7 +40,7 @@ func (v *sysView) PersistL1Line(tid int, l *cache.Line, now, earliest engine.Tim
 	return v.sys().persistL1Line(tid, l, now, earliest, critical)
 }
 
-func (v *sysView) PersistAddr(tid int, addr isa.Addr, stamps []model.Stamp, now, earliest engine.Time, critical bool) engine.Time {
+func (v *sysView) PersistAddr(tid int, addr isa.Addr, stamps *persist.StampList, now, earliest engine.Time, critical bool) engine.Time {
 	return v.sys().persistAddr(tid, addr, stamps, now, earliest, critical)
 }
 
@@ -50,7 +50,7 @@ func (v *sysView) FlushAllDirty(tid int, now engine.Time, critical bool) engine.
 
 func (v *sysView) BlockLine(line isa.Addr, t engine.Time) { v.sys().blockLine(line, t) }
 
-func (v *sysView) DropLastStamp(l *cache.Line) { l.DropLastStamp(v.stamps) }
+func (v *sysView) Stamps() *persist.StampArena { return v.stamps }
 
 func (v *sysView) FaultStall(tid int, now engine.Time) engine.Time {
 	return v.sys().faultStall(tid, now)

@@ -660,7 +660,7 @@ func TestPersistHoldsLineUntilAck(t *testing.T) {
 	check("persistL1Line", line(0), s.persistL1Line(0, l1(line(0)), now, now+1000, false))
 	check("persistAddr", line(1), s.persistAddr(-1, line(1), nil, now, now, false))
 	var list persist.StampList
-	check("persistAddrList", line(2), s.persistAddrList(-1, line(2), &list, now, now+300, false))
+	check("persistAddr (held, with a chain)", line(2), s.persistAddr(-1, line(2), &list, now, now+300, false))
 	check("sysView.PersistL1Line", line(3), (*sysView)(s).PersistL1Line(0, l1(line(3)), now, now, false))
 }
 

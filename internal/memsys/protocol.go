@@ -178,7 +178,7 @@ func (s *System) fetch(tid int, line isa.Addr, exclusive bool, t engine.Time) en
 			// The requester is the thread that pays any I2 wait.
 			s.stall(tid, obs.StallDowngrade, t, t2)
 			t = t2
-			s.installWriteback(owner, ol, t)
+			s.installWriteback(ol, t)
 			dataFromOwner = true
 		}
 		if exclusive {
@@ -248,7 +248,7 @@ func (s *System) evictL1(tid int, victim *cache.Line, t engine.Time) engine.Time
 		t2 := s.mech.OnEvict(tid, victim, t)
 		s.stall(tid, obs.StallEvict, t, t2)
 		t = t2
-		s.installWriteback(tid, victim, t)
+		s.installWriteback(victim, t)
 	}
 	s.dir.DropCore(victim.Addr, tid)
 	return t
@@ -272,7 +272,7 @@ func downgradeCause(l *cache.Line, now engine.Time) obs.DowngradeCause {
 // installWriteback puts an L1 line's data into the LLC after a downgrade
 // or eviction. If the mechanism did not persist the data, the LLC copy is
 // dirty and (under NOP) the line's stamps travel with it.
-func (s *System) installWriteback(tid int, l *cache.Line, t engine.Time) {
+func (s *System) installWriteback(l *cache.Line, t engine.Time) {
 	s.llcFillClean(l.Addr, t)
 	if l.NeedsPersist() {
 		// Data left the L1 without persisting (NOP or ARP).
@@ -284,11 +284,10 @@ func (s *System) installWriteback(tid int, l *cache.Line, t engine.Time) {
 			p, _ := s.llcStamps.Upsert(uint64(l.Addr))
 			s.stamps.Concat(p, &st)
 		}
-		// Under ARP the persist buffer owns durability; the writeback's
-		// stamps are dropped here and resolved by the buffer drain.
+		// Under ARP the persist buffer owns durability: its entries hold
+		// the stamps, and the buffer drain retires them.
 		l.ClearPersistMeta(s.stamps)
 	}
-	_ = tid
 }
 
 // llcFillClean inserts a line into the LLC, handling the capacity
@@ -306,7 +305,7 @@ func (s *System) llcFillClean(line isa.Addr, t engine.Time) {
 	if dirty && s.mech.LLCEvictPersists() {
 		// Dirty LLC data reaches NVM when evicted (off the critical
 		// path of any core).
-		s.persistAddrList(-1, ev, &stamps, t, t, false)
+		s.persistAddr(-1, ev, &stamps, t, t, false)
 	} else {
 		s.stamps.Free(&stamps)
 	}

@@ -443,29 +443,20 @@ func (s *System) persistL1Line(tid int, l *cache.Line, now, earliest engine.Time
 }
 
 // persistAddr persists the current content of an arbitrary line address
-// (LLC eviction under NOP, ARP buffer drains) with optional stamps, on
-// behalf of thread tid (-1: no specific core, e.g. an LLC eviction).
-func (s *System) persistAddr(tid int, addr isa.Addr, stamps []model.Stamp, now, earliest engine.Time, critical bool) engine.Time {
+// (ARP buffer drains, LLC evictions and Drain under NOP) on behalf of
+// thread tid (-1: no specific core, e.g. an LLC eviction). It marks each
+// stamp of the arena-backed chain stamps persisted and returns the chain
+// to the arena; nil stands for no stamps.
+func (s *System) persistAddr(tid int, addr isa.Addr, stamps *persist.StampList, now, earliest engine.Time, critical bool) engine.Time {
 	done := s.issuePersist(tid, addr, now, earliest, critical)
-	if s.tracker != nil {
-		for _, st := range stamps {
-			s.persisted(st, addr, done)
+	if stamps != nil {
+		if s.tracker != nil {
+			s.stamps.ForEach(*stamps, func(st model.Stamp) {
+				s.persisted(st, addr, done)
+			})
 		}
+		s.stamps.Free(stamps)
 	}
-	return done
-}
-
-// persistAddrList is persistAddr for an arena-backed stamp chain (LLC
-// evictions and drains under NOP): it marks each stamp persisted and
-// returns the chain to the arena.
-func (s *System) persistAddrList(tid int, addr isa.Addr, list *persist.StampList, now, earliest engine.Time, critical bool) engine.Time {
-	done := s.issuePersist(tid, addr, now, earliest, critical)
-	if s.tracker != nil {
-		s.stamps.ForEach(*list, func(st model.Stamp) {
-			s.persisted(st, addr, done)
-		})
-	}
-	s.stamps.Free(list)
 	return done
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // MetricsSchema is the schema tag of the machine-readable registry
-// export (lrpsim -metrics -json, lrpbench -json). Bump it on any
+// export (lrpsim -run ... -json, lrptrace replay -json, lrpbench -json). Bump it on any
 // incompatible change so downstream tooling fails loudly.
 const MetricsSchema = "lrpmetrics/v1"
 

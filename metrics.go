@@ -351,20 +351,3 @@ func WriteMetricsJSON(m *Machine, w io.Writer) error {
 	}
 	return reg.WriteJSON(w)
 }
-
-// WriteTrace runs one workload under mechanism k with the tracer attached
-// and writes the Chrome trace_event JSON to w (load it in Perfetto or
-// chrome://tracing). It returns the workload result.
-func WriteTrace(o ExperimentOpts, structure string, k Mechanism, w io.Writer) (*Result, error) {
-	o = o.withDefaults()
-	cfg := o.config(k, false)
-	cfg.Obs = NewObserver(cfg, true)
-	res, m, err := RunWorkload(cfg, o.spec(structure))
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Observer().Tracer().WriteChromeTrace(w); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
