@@ -31,6 +31,11 @@
 //	lrpcheck -mechanism ARP -faults        # the gap, as quarantined nodes
 //	lrpcheck -mechanism LRP -tear-prob 1   # only tearing
 //
+// -faults sets every injector's rate, so it excludes -tear-prob,
+// -write-fault-prob, -read-fault-prob, -stall-prob and -stall-max;
+// -fault-seed needs an injector enabled, and -stall-max needs
+// -stall-prob. A flag the sweep would not read is an error.
+//
 // An RP-enforcing mechanism whose sweep is not consistent (an RP
 // violation, a dirty recovery walk or a durable-linearizability
 // violation at any boundary) exits 1. -json replaces the narration with a
@@ -42,73 +47,73 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 
 	"lrp"
+	"lrp/internal/cli"
 )
 
-func main() {
-	var (
-		mechName  = flag.String("mechanism", "LRP", "mechanism: "+strings.Join(lrp.MechanismNames(), "|"))
-		structure = flag.String("structure", "linkedlist", "workload structure: "+strings.Join(lrp.WorkloadNames(), "|"))
-		threads   = flag.Int("threads", 4, "worker threads")
-		size      = flag.Int("size", 256, "initial structure size")
-		ops       = flag.Int("ops", 200, "operations per thread")
-		seed      = flag.Uint64("seed", 7, "deterministic workload seed")
-		dlin      = flag.Bool("dlin", false, "record the abstract operation history and check durable linearizability at every boundary")
-		jsonOut   = flag.Bool("json", false, "machine-readable lrpsweep/v1 sweep export on stdout instead of the narration")
-		parallel  = flag.Int("parallel", 0, "worker goroutines for the boundary sweep (0: one per CPU, 1: serial; the report is identical at any count)")
+func main() { cli.Main("lrpcheck", run) }
 
-		faults    = flag.Bool("faults", false, "enable every fault injector at default rates")
-		faultSeed = flag.Uint64("fault-seed", 1, "deterministic fault-injection seed")
-		tearProb  = flag.Float64("tear-prob", 0, "probability an in-flight line is torn at a crash")
-		writeProb = flag.Float64("write-fault-prob", 0, "per-attempt NVM write rejection probability")
-		readProb  = flag.Float64("read-fault-prob", 0, "per-attempt NVM media read error probability")
-		stallProb = flag.Float64("stall-prob", 0, "per-run persist-engine stall probability")
-		stallMax  = flag.Int64("stall-max", 0, "max injected stall in cycles (0: default)")
-	)
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("lrpcheck", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	var spec lrp.Spec
+	var f lrp.FaultConfig
+	mechName := fs.String("mechanism", "LRP", "mechanism: "+strings.Join(lrp.MechanismNames(), "|"))
+	fs.StringVar(&spec.Structure, "structure", "linkedlist", "workload structure: "+strings.Join(lrp.WorkloadNames(), "|"))
+	fs.IntVar(&spec.Threads, "threads", 4, "worker threads")
+	fs.IntVar(&spec.InitialSize, "size", 256, "initial structure size")
+	fs.IntVar(&spec.OpsPerThread, "ops", 200, "operations per thread")
+	fs.Uint64Var(&spec.Seed, "seed", 7, "deterministic workload seed")
+	dlin := fs.Bool("dlin", false, "record the abstract operation history and check durable linearizability at every boundary")
+	jsonOut := fs.Bool("json", false, "machine-readable lrpsweep/v1 sweep export on stdout instead of the narration")
+	parallel := fs.Int("parallel", 0, "worker goroutines for the boundary sweep (0: one per CPU, 1: serial; the report is identical at any count)")
 
-	k, err := lrp.ParseMechanism(*mechName)
+	faults := fs.Bool("faults", false, "enable every fault injector at default rates (excludes the single-injector flags)")
+	fs.Uint64Var(&f.Seed, "fault-seed", 1, "with an injector enabled: deterministic fault-injection seed")
+	fs.Float64Var(&f.TearProb, "tear-prob", 0, "probability an in-flight line is torn at a crash")
+	fs.Float64Var(&f.WriteFaultProb, "write-fault-prob", 0, "per-attempt NVM write rejection probability")
+	fs.Float64Var(&f.ReadFaultProb, "read-fault-prob", 0, "per-attempt NVM media read error probability")
+	fs.Float64Var(&f.StallProb, "stall-prob", 0, "per-run persist-engine stall probability")
+	fs.Int64Var((*int64)(&f.StallMax), "stall-max", 0, "with -stall-prob: max injected stall in cycles (0: default)")
+	fs.Parse(args)
+
+	cfg, err := cli.Config(*mechName, spec.Threads, 0, 4, false)
 	if err != nil {
-		fail(err)
-	}
-	cfg := lrp.DefaultConfig().WithMechanism(k)
-	cfg.Cores = *threads
-	if cfg.Cores < 4 {
-		cfg.Cores = 4
+		return err
 	}
 	cfg.TrackHB = true
+	cfg.Faults = f
+	reads := []string{"mechanism", "structure", "threads", "size", "ops", "seed", "dlin", "json", "parallel", "faults"}
+	mode := "-faults"
 	if *faults {
-		cfg.Faults = lrp.EnableAllFaults(*faultSeed)
+		cfg.Faults = lrp.EnableAllFaults(f.Seed)
+		reads = append(reads, "fault-seed")
 	} else {
-		cfg.Faults = lrp.FaultConfig{
-			Seed:           *faultSeed,
-			TearProb:       *tearProb,
-			WriteFaultProb: *writeProb,
-			ReadFaultProb:  *readProb,
-			StallProb:      *stallProb,
-			StallMax:       lrp.Time(*stallMax),
+		reads = append(reads, "tear-prob", "write-fault-prob", "read-fault-prob", "stall-prob")
+		mode = "a sweep with no fault injector"
+		if f.Enabled() {
+			reads = append(reads, "fault-seed")
+			mode = "a sweep with no stall injector"
+		}
+		if f.StallProb > 0 {
+			reads = append(reads, "stall-max")
 		}
 	}
-	spec := lrp.Spec{
-		Structure:    *structure,
-		Threads:      *threads,
-		InitialSize:  *size,
-		OpsPerThread: *ops,
-		Seed:         *seed,
+	if err := cli.Reads(fs, mode, reads...); err != nil {
+		return err
 	}
 
-	say := func(format string, args ...any) {
-		if !*jsonOut {
-			fmt.Printf(format, args...)
-		}
+	say := stdout // -json replaces the narration
+	if *jsonOut {
+		say = io.Discard
 	}
-	say("running %s under %s (%d threads, %d elements, %d ops/thread)...\n",
-		*structure, k, *threads, *size, *ops)
+	fmt.Fprintf(say, "running %s under %s (%d threads, %d elements, %d ops/thread)...\n",
+		spec.Structure, cfg.Mechanism, spec.Threads, spec.InitialSize, spec.OpsPerThread)
 	if cfg.Faults.Enabled() {
-		say("faults: tear=%.2f write=%.2f read=%.2f stall=%.2f (seed %d)\n",
+		fmt.Fprintf(say, "faults: tear=%.2f write=%.2f read=%.2f stall=%.2f (seed %d)\n",
 			cfg.Faults.TearProb, cfg.Faults.WriteFaultProb, cfg.Faults.ReadFaultProb,
 			cfg.Faults.StallProb, cfg.Faults.Seed)
 	}
@@ -123,76 +128,77 @@ func main() {
 		_, m, rec, err = lrp.RunRecoverableWorkload(cfg, spec)
 	}
 	if err != nil {
-		fail(err)
+		return err
 	}
-	sweep, err := lrp.SweepCrash(m, lrp.SweepOpts{Rec: rec, Hist: hist, Workers: *parallel, Seed: *seed})
+	sweep, err := lrp.SweepCrash(m, lrp.SweepOpts{Rec: rec, Hist: hist, Workers: *parallel, Seed: spec.Seed})
 	if err != nil {
-		fail(err)
+		return err
 	}
-	msg, ok := verdict(k, sweep)
+	msg, ok := verdict(cfg.Mechanism, sweep)
 	if *jsonOut {
-		if err := sweep.WriteJSON(os.Stdout); err != nil {
-			fail(err)
+		if err := sweep.WriteJSON(stdout); err != nil {
+			return err
 		}
 	} else {
-		narrate(m, sweep)
-		fmt.Printf("\n%s\n", msg)
+		narrate(stdout, m, sweep)
+		fmt.Fprintf(stdout, "\n%s\n", msg)
 	}
 	if !ok {
-		os.Exit(1)
+		return cli.ErrFailed
 	}
+	return nil
 }
 
 // narrate prints the sweep's tallies, its first violations and, when the
 // fault plane is attached, the fault machinery's counters.
-func narrate(m *lrp.Machine, sweep *lrp.SweepReport) {
-	fmt.Printf("swept %d crash boundaries over %v of execution\n", sweep.Boundaries, m.Time())
-	fmt.Printf("  recovery walks: %d run, %d dirty (%d nodes quarantined)\n",
+func narrate(w io.Writer, m *lrp.Machine, sweep *lrp.SweepReport) {
+	fmt.Fprintf(w, "swept %d crash boundaries over %v of execution\n", sweep.Boundaries, m.Time())
+	fmt.Fprintf(w, "  recovery walks: %d run, %d dirty (%d nodes quarantined)\n",
 		sweep.WalksRun, sweep.DirtyWalks, sweep.Quarantined)
 	if sweep.DLinChecked > 0 {
-		fmt.Printf("  durable linearizability: %d/%d boundaries clean\n",
+		fmt.Fprintf(w, "  durable linearizability: %d/%d boundaries clean\n",
 			sweep.DLinChecked-sweep.DLinBad, sweep.DLinChecked)
 	}
-	fmt.Printf("  RP  (consistent-cut) violations: %d\n", sweep.RPBad)
-	fmt.Printf("  ARP (one-sided rule) violations: %d\n", sweep.ARPBad)
+	fmt.Fprintf(w, "  RP  (consistent-cut) violations: %d\n", sweep.RPBad)
+	fmt.Fprintf(w, "  ARP (one-sided rule) violations: %d\n", sweep.ARPBad)
 
 	if first := sweep.FirstRP; first != nil {
-		fmt.Printf("\nfirst RP-violating crash: t=%v (%d/%d writes persisted)\n",
+		fmt.Fprintf(w, "\nfirst RP-violating crash: t=%v (%d/%d writes persisted)\n",
 			first.At, first.PersistedWrites, first.TotalWrites)
-		printFirst(first.RPViolations)
+		printFirst(w, first.RPViolations)
 	}
 	if sweep.FirstDirty != nil {
-		fmt.Printf("\nfirst dirty recovery walk at t=%v:\n  %v\n", sweep.FirstDirtyAt, sweep.FirstDirty)
-		printFirst(sweep.FirstDirty.Quarantined)
+		fmt.Fprintf(w, "\nfirst dirty recovery walk at t=%v:\n  %v\n", sweep.FirstDirtyAt, sweep.FirstDirty)
+		printFirst(w, sweep.FirstDirty.Quarantined)
 	}
 	if len(sweep.DLinViolations) > 0 {
-		fmt.Printf("\ndurable-linearizability violations (earliest %d of %d violating boundaries):\n",
+		fmt.Fprintf(w, "\ndurable-linearizability violations (earliest %d of %d violating boundaries):\n",
 			len(sweep.DLinViolations), sweep.DLinBad)
-		printFirst(sweep.DLinViolations)
+		printFirst(w, sweep.DLinViolations)
 	}
 
 	if m.Faults() == nil {
 		return
 	}
 	nst, fst := m.NVM().Stats(), m.FaultStats()
-	fmt.Printf("\nfault machinery counters:\n")
-	fmt.Printf("  %-28s %d\n", "controller retries", nst.Retries)
-	fmt.Printf("  %-28s %d\n", "backoff cycles", nst.BackoffCycles)
-	fmt.Printf("  %-28s %d\n", "retry-budget giveups", nst.Giveups)
-	fmt.Printf("  %-28s %d\n", "torn lines applied", nst.TornApplied)
-	fmt.Printf("  %-28s %d\n", "injected write faults", fst.WriteFaults)
-	fmt.Printf("  %-28s %d\n", "injected read faults", fst.ReadFaults)
-	fmt.Printf("  %-28s %d (%d cycles)\n", "injected engine stalls", fst.Stalls, fst.StallCycles)
+	fmt.Fprintf(w, "\nfault machinery counters:\n")
+	fmt.Fprintf(w, "  %-28s %d\n", "controller retries", nst.Retries)
+	fmt.Fprintf(w, "  %-28s %d\n", "backoff cycles", nst.BackoffCycles)
+	fmt.Fprintf(w, "  %-28s %d\n", "retry-budget giveups", nst.Giveups)
+	fmt.Fprintf(w, "  %-28s %d\n", "torn lines applied", nst.TornApplied)
+	fmt.Fprintf(w, "  %-28s %d\n", "injected write faults", fst.WriteFaults)
+	fmt.Fprintf(w, "  %-28s %d\n", "injected read faults", fst.ReadFaults)
+	fmt.Fprintf(w, "  %-28s %d (%d cycles)\n", "injected engine stalls", fst.Stalls, fst.StallCycles)
 }
 
 // printFirst prints the first three items of a finding list, one a line.
-func printFirst[T any](items []T) {
+func printFirst[T any](w io.Writer, items []T) {
 	for i, it := range items {
 		if i == 3 {
-			fmt.Printf("  ... and %d more\n", len(items)-3)
+			fmt.Fprintf(w, "  ... and %d more\n", len(items)-3)
 			return
 		}
-		fmt.Printf("  %v\n", it)
+		fmt.Fprintf(w, "  %v\n", it)
 	}
 }
 
@@ -212,9 +218,4 @@ func verdict(k lrp.Mechanism, sweep *lrp.SweepReport) (msg string, ok bool) {
 	default:
 		return "no violations at any boundary — try a larger run.", true
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "lrpcheck:", err)
-	os.Exit(1)
 }

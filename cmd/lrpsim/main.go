@@ -1,5 +1,5 @@
 // Command lrpsim regenerates the paper's tables and figures on the
-// simulated machine.
+// simulated machine, or runs and records one workload.
 //
 // Usage:
 //
@@ -12,11 +12,12 @@
 // Experiments: config (Table 1), fig5, fig6, fig7, fig8, size,
 // ablation-ret, ablation-readmix, faults (FAULTS.md sweeps), dlin
 // (durable-linearizability sweeps, FAULTS.md), replay (the trace-driven
-// mechanism comparison, TRACES.md), all.
+// mechanism comparison, TRACES.md), kv, all.
 //
 // A single workload can also be run directly:
 //
 //	lrpsim -run hashmap -mechanism LRP -threads 16 -size 16384 -ops 100
+//	       [-cores N] [-uncached] [-readpct 0] [-opwork 0] [-seed 7]
 //
 // The kv service workload takes its knobs on flags and, after the run
 // summary, prints the service metrics (per-op throughput, miss rates,
@@ -30,259 +31,256 @@
 // traces):
 //
 //	-record FILE    with -run: record the run's memory-op trace to FILE
+//	-hist           with -record: also capture the abstract op history
+//	                (durable-linearizability checking on replay)
 //
 // Observability:
 //
 //	-metrics        print the metrics-registry report after the run or
 //	                the experiment
 //	-json           with -run: the registry as machine-readable JSON
-//	                (lrpmetrics/v1, deterministic key order) on stdout
+//	                (lrpmetrics/v1, deterministic key order) on stdout;
+//	                the -record and -trace status lines go to stderr
 //	-perf           with -run: attach the host-side phase profiler and
 //	                print the per-phase host-time report (the host/*
 //	                gauges also land in the -metrics registry)
 //	-trace FILE     with -run: write a Chrome trace_event JSON
 //	                (Perfetto-loadable)
 //	-pprof ADDR     serve net/http/pprof while the simulation runs
+//
+// A flag the chosen mode does not read is an error naming the flag and
+// the mode: -theta is read only under the zipfian skew, -hotkeypct and
+// -hotoppct only under hotspot, -scanlen only with scans in the mix, and
+// -readpct by every structure but queue and kv, which have their own.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"strconv"
 	"strings"
 
 	"lrp"
+	"lrp/internal/cli"
 	"lrp/internal/perf"
 )
 
-func main() {
-	var (
-		experiment = flag.String("experiment", "", "experiment to run: config|fig5|fig6|fig7|fig8|size|ablation-ret|ablation-readmix|faults|dlin|replay|kv|all")
-		run        = flag.String("run", "", "run a single workload: "+strings.Join(lrp.WorkloadNames(), "|"))
-		mechanism  = flag.String("mechanism", "LRP", "mechanism for -run: "+strings.Join(lrp.MechanismNames(), "|"))
-		threads    = flag.Int("threads", 16, "worker threads")
-		cores      = flag.Int("cores", 0, "with -run: simulated cores (0: max(threads, 16))")
-		ops        = flag.Int("ops", 100, "operations per thread in the measured window")
-		size       = flag.Int("size", 0, "initial structure size for -run (0 = experiment default)")
-		scale      = flag.Float64("scale", 1.0, "size scale factor for experiments")
-		seed       = flag.Uint64("seed", 7, "deterministic seed")
-		parallel   = flag.Int("parallel", 0, "worker goroutines for the experiment matrix (0: one per CPU, 1: serial; output is identical at any count)")
-		uncached   = flag.Bool("uncached", false, "disable the NVM-side DRAM cache for -run")
-		recordPath = flag.String("record", "", "with -run: record the run's memory-op trace to FILE (TRACES.md)")
-		tracePath  = flag.String("trace", "", "with -run: write a Chrome trace_event JSON (chrome://tracing, Perfetto) to FILE")
-		metrics    = flag.Bool("metrics", false, "print the metrics-registry report")
-		jsonOut    = flag.Bool("json", false, "with -run: machine-readable registry export on stdout (implies -metrics)")
-		perfOn     = flag.Bool("perf", false, "with -run: attach the host-side phase profiler and print its report")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on ADDR (e.g. localhost:6060)")
+func main() { cli.Main("lrpsim", run) }
 
-		tenants = flag.Int("tenants", 4, "tenant (shard) count")
-		keys    = flag.Int("keys", 0, "keys per tenant (0: size/tenants)")
-		skew    = flag.String("skew", "zipfian", "key popularity: uniform|zipfian|hotspot")
-		theta   = flag.Int("theta", 990, "zipfian theta in thousandths (1..999)")
-		hotKey  = flag.Int("hotkeypct", 10, "hotspot: hot fraction of the key space, percent")
-		hotOp   = flag.Int("hotoppct", 90, "hotspot: request fraction sent to the hot keys, percent")
-		mix     = flag.String("mix", "", "op mix get,set,del,cas,scan in percent (default 50,30,5,10,5)")
-		minVal  = flag.Int("minval", 1, "minimum value payload in 8-byte words")
-		maxVal  = flag.Int("maxval", 8, "maximum value payload in 8-byte words")
-		scanLen = flag.Int("scanlen", 8, "maximum keys visited per scan")
+// optFlags are the flags that set ExperimentOpts.
+var optFlags = []string{"threads", "ops", "scale", "seed", "parallel"}
+
+// runSpec is one -run invocation, bound from its flags.
+type runSpec struct {
+	cfg                       lrp.Config
+	spec                      lrp.Spec
+	record, trace             string
+	hist, metrics, json, perf bool
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("lrpsim", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	var r runSpec
+	s, kv := &r.spec, &r.spec.KV
+	experiment := fs.String("experiment", "", "experiment to run: config|fig5|fig6|fig7|fig8|size|ablation-ret|ablation-readmix|faults|dlin|replay|kv|all")
+	fs.StringVar(&s.Structure, "run", "", "run a single workload: "+strings.Join(lrp.WorkloadNames(), "|"))
+	mechanism := fs.String("mechanism", "LRP", "with -run: mechanism, "+strings.Join(lrp.MechanismNames(), "|"))
+	fs.IntVar(&s.Threads, "threads", 16, "worker threads")
+	cores := fs.Int("cores", 0, "with -run: simulated cores (0: max(threads, 16))")
+	fs.IntVar(&s.OpsPerThread, "ops", 100, "operations per thread in the measured window")
+	fs.IntVar(&s.InitialSize, "size", 0, "with -run: initial structure size (0: 4096)")
+	fs.IntVar(&s.ReadPct, "readpct", 0, "with -run: lookup percentage in the measured mix (not queue or kv)")
+	fs.IntVar(&s.OpWork, "opwork", 0, "with -run: compute cycles per operation (0: default)")
+	scale := fs.Float64("scale", 1.0, "with -experiment: size scale factor")
+	fs.Uint64Var(&s.Seed, "seed", 7, "deterministic seed")
+	parallel := fs.Int("parallel", 0, "with -experiment: worker goroutines for the matrix (0: one per CPU, 1: serial; output is identical at any count)")
+	uncached := fs.Bool("uncached", false, "with -run: disable the NVM-side DRAM cache")
+	fs.StringVar(&r.record, "record", "", "with -run: record the run's memory-op trace to FILE (TRACES.md)")
+	fs.BoolVar(&r.hist, "hist", false, "with -record: capture the abstract op history into the trace (durable-linearizability checking on replay)")
+	fs.StringVar(&r.trace, "trace", "", "with -run: write a Chrome trace_event JSON (chrome://tracing, Perfetto) to FILE")
+	fs.BoolVar(&r.metrics, "metrics", false, "print the metrics-registry report")
+	fs.BoolVar(&r.json, "json", false, "with -run: machine-readable registry export on stdout (implies -metrics)")
+	fs.BoolVar(&r.perf, "perf", false, "with -run: attach the host-side phase profiler and print its report")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on ADDR (e.g. localhost:6060)")
+
+	fs.IntVar(&kv.Tenants, "tenants", 4, "with -run kv: tenant (shard) count")
+	fs.IntVar(&kv.KeysPerTenant, "keys", 0, "with -run kv: keys per tenant (0: size/tenants)")
+	fs.StringVar(&kv.Skew, "skew", "zipfian", "with -run kv: key popularity, uniform|zipfian|hotspot")
+	fs.IntVar(&kv.ThetaMilli, "theta", 990, "with -run kv -skew zipfian: theta in thousandths (1..999)")
+	fs.IntVar(&kv.HotKeyPct, "hotkeypct", 10, "with -run kv -skew hotspot: hot fraction of the key space, percent")
+	fs.IntVar(&kv.HotOpPct, "hotoppct", 90, "with -run kv -skew hotspot: request fraction sent to the hot keys, percent")
+	fs.Func("mix", "with -run kv: op mix get,set,del,cas,scan in percent (default 50,30,5,10,5)",
+		func(v string) error { return cli.SetMix(kv, v) })
+	fs.IntVar(&kv.MinValWords, "minval", 1, "with -run kv: minimum value payload in 8-byte words")
+	fs.IntVar(&kv.MaxValWords, "maxval", 8, "with -run kv: maximum value payload in 8-byte words")
+	fs.IntVar(&kv.ScanLen, "scanlen", 8, "with -run kv and scans in the mix: maximum keys visited per scan")
+	fs.Parse(args)
+
+	var (
+		mode  string
+		reads []string
+		exec  func() error
 	)
-	flag.Parse()
+	switch {
+	case s.Structure != "":
+		mode = "-run " + s.Structure
+		reads = []string{"run", "mechanism", "threads", "cores", "ops", "size", "opwork", "seed", "uncached",
+			"record", "trace", "metrics", "json", "perf", "pprof"}
+		if r.record != "" {
+			reads = append(reads, "hist")
+		}
+		if s.Structure != "queue" && s.Structure != "kv" {
+			reads = append(reads, "readpct")
+		}
+		var err error
+		if r.cfg, err = cli.Config(*mechanism, s.Threads, *cores, 16, *uncached); err != nil {
+			return err
+		}
+		if s.InitialSize == 0 {
+			s.InitialSize = 4096
+		}
+		r.metrics = r.metrics || r.json
+		if s.Structure == "kv" {
+			reads = append(reads, "tenants", "keys", "skew", "mix", "minval", "maxval")
+			np := kv.Normalized(s.InitialSize)
+			switch np.Skew {
+			case "zipfian":
+				reads = append(reads, "theta")
+			case "hotspot":
+				reads = append(reads, "hotkeypct", "hotoppct")
+			}
+			if np.ScanPct > 0 {
+				reads = append(reads, "scanlen")
+			}
+		}
+		exec = func() error { return runOne(r, stdout, stderr) }
+	case *experiment != "":
+		mode = "-experiment " + *experiment
+		reads = []string{"experiment", "metrics", "pprof"}
+		switch *experiment {
+		case "config": // Table 1 is the fixed machine configuration
+		case "size": // it sweeps its own scales
+			reads = append(reads, "threads", "ops", "seed", "parallel")
+		default:
+			reads = append(reads, optFlags...)
+		}
+		if r.metrics {
+			// The metrics report runs its own grid under the options.
+			reads = append(reads, optFlags...)
+		}
+		// SeedSet: the flag default is explicit, so -seed 0 is honored.
+		opts := lrp.ExperimentOpts{Threads: s.Threads, Ops: s.OpsPerThread, SizeScale: *scale,
+			Seed: s.Seed, SeedSet: true, Parallel: *parallel}
+		exec = func() error {
+			err := runExperiment(*experiment, opts, stdout)
+			if err == nil && r.metrics {
+				var rep string
+				if rep, err = lrp.MetricsReport(opts); err == nil {
+					fmt.Fprintln(stdout, rep)
+				}
+			}
+			return err
+		}
+	default:
+		fs.Usage()
+		return cli.ErrUsage
+	}
+	if err := cli.Reads(fs, mode, reads...); err != nil {
+		return err
+	}
 
 	if *pprofAddr != "" {
 		// Bind synchronously so a bad or in-use address fails the run
-		// immediately instead of racing the simulation (the old async
-		// ListenAndServe could lose the error entirely on short runs).
+		// immediately instead of racing the simulation.
 		ln, err := net.Listen("tcp", *pprofAddr)
 		if err != nil {
-			fail(fmt.Errorf("pprof: %w", err))
+			return fmt.Errorf("pprof: %w", err)
 		}
+		defer ln.Close()
 		go http.Serve(ln, nil)
-		fmt.Fprintf(os.Stderr, "lrpsim: pprof on http://%s/debug/pprof/\n", ln.Addr())
+		fmt.Fprintf(stderr, "lrpsim: pprof on http://%s/debug/pprof/\n", ln.Addr())
 	}
-	if *jsonOut {
-		*metrics = true // -json is the machine-readable form of -metrics
-	}
-
-	opts := lrp.ExperimentOpts{
-		Threads:   *threads,
-		Ops:       *ops,
-		SizeScale: *scale,
-		Seed:      *seed,
-		SeedSet:   true, // the flag default is explicit, so -seed 0 is honored
-		Parallel:  *parallel,
-	}
-
-	switch {
-	case *run != "":
-		kv := lrp.KVParams{
-			Tenants: *tenants, KeysPerTenant: *keys, Skew: *skew, ThetaMilli: *theta,
-			HotKeyPct: *hotKey, HotOpPct: *hotOp,
-			MinValWords: *minVal, MaxValWords: *maxVal, ScanLen: *scanLen,
-		}
-		if *mix != "" {
-			var err error
-			if kv.GetPct, kv.SetPct, kv.DelPct, kv.CASPct, kv.ScanPct, err = parseMix(*mix); err != nil {
-				fail(err)
-			}
-		}
-		if err := runOne(*run, *mechanism, *threads, *cores, *ops, *size, *seed, kv, *uncached, *tracePath, *recordPath, *metrics, *jsonOut, *perfOn); err != nil {
-			fail(err)
-		}
-	case *experiment != "":
-		if *jsonOut || *tracePath != "" {
-			fail(fmt.Errorf("-json and -trace capture one machine; use them with -run"))
-		}
-		if err := runExperiment(*experiment, opts); err != nil {
-			fail(err)
-		}
-		if *metrics {
-			rep, err := lrp.MetricsReport(opts)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(rep)
-		}
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
+	return exec()
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "lrpsim:", err)
-	os.Exit(1)
+// experiments maps each -experiment name but all to its table.
+var experiments = map[string]func(lrp.ExperimentOpts) (*lrp.Table, error){
+	"config":           func(lrp.ExperimentOpts) (*lrp.Table, error) { return lrp.Table1(), nil },
+	"fig5":             lrp.Fig5,
+	"fig6":             lrp.Fig6,
+	"fig7":             lrp.Fig7,
+	"fig8":             func(o lrp.ExperimentOpts) (*lrp.Table, error) { return lrp.Fig8(o) },
+	"size":             func(o lrp.ExperimentOpts) (*lrp.Table, error) { return lrp.SizeSensitivity(o) },
+	"ablation-ret":     func(o lrp.ExperimentOpts) (*lrp.Table, error) { return lrp.AblationRET(o) },
+	"ablation-readmix": func(o lrp.ExperimentOpts) (*lrp.Table, error) { return lrp.AblationReadMix(o) },
+	"faults":           lrp.FaultReport,
+	"dlin":             lrp.DLinReport,
+	"replay":           lrp.ReplayComparison,
+	"kv":               lrp.KVGrid,
 }
 
-func runExperiment(name string, opts lrp.ExperimentOpts) error {
-	type gen func(lrp.ExperimentOpts) (*lrp.Table, error)
-	table := func(g gen) error {
-		t, err := g(opts)
-		// Failed cells no longer discard the completed ones: print
-		// whatever rows survived, then report the per-cell failures.
-		if t != nil && len(t.Rows) > 0 {
-			fmt.Println(t.Format())
-		}
-		return err
-	}
-	switch name {
-	case "config":
-		fmt.Println(lrp.Table1().Format())
-		return nil
-	case "fig5":
-		return table(lrp.Fig5)
-	case "fig6":
-		return table(lrp.Fig6)
-	case "fig7":
-		return table(lrp.Fig7)
-	case "fig8":
-		return table(func(o lrp.ExperimentOpts) (*lrp.Table, error) { return lrp.Fig8(o) })
-	case "size":
-		return table(func(o lrp.ExperimentOpts) (*lrp.Table, error) { return lrp.SizeSensitivity(o) })
-	case "ablation-ret":
-		return table(func(o lrp.ExperimentOpts) (*lrp.Table, error) { return lrp.AblationRET(o) })
-	case "ablation-readmix":
-		return table(func(o lrp.ExperimentOpts) (*lrp.Table, error) { return lrp.AblationReadMix(o) })
-	case "faults":
-		return table(func(o lrp.ExperimentOpts) (*lrp.Table, error) { return lrp.FaultReport(o) })
-	case "dlin":
-		return table(func(o lrp.ExperimentOpts) (*lrp.Table, error) { return lrp.DLinReport(o) })
-	case "replay":
-		return table(lrp.ReplayComparison)
-	case "kv":
-		return table(lrp.KVGrid)
-	case "all":
+func runExperiment(name string, opts lrp.ExperimentOpts, stdout io.Writer) error {
+	if name == "all" {
 		out, err := lrp.ExperimentAll(opts)
-		fmt.Print(out)
+		fmt.Fprint(stdout, out)
 		return err
-	default:
+	}
+	g, ok := experiments[name]
+	if !ok {
 		return fmt.Errorf("unknown experiment %q", name)
 	}
+	t, err := g(opts)
+	// Failed cells do not discard the completed ones: print whatever
+	// rows survived, then report the per-cell failures.
+	if t != nil && len(t.Rows) > 0 {
+		fmt.Fprintln(stdout, t.Format())
+	}
+	return err
 }
 
-func parseMix(s string) (g, st, d, ca, sc int, err error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 5 {
-		return 0, 0, 0, 0, 0, fmt.Errorf("-mix wants 5 comma-separated percentages, got %q", s)
-	}
-	vals := make([]int, 5)
-	for i, p := range parts {
-		if vals[i], err = strconv.Atoi(strings.TrimSpace(p)); err != nil {
-			return 0, 0, 0, 0, 0, fmt.Errorf("-mix: %w", err)
-		}
-	}
-	return vals[0], vals[1], vals[2], vals[3], vals[4], nil
-}
-
-func runOne(structure, mechName string, threads, cores, ops, size int, seed uint64, kv lrp.KVParams, uncached bool, tracePath, recordPath string, metrics, jsonOut, perfOn bool) error {
-	k, err := lrp.ParseMechanism(mechName)
-	if err != nil {
-		return err
-	}
-	cfg := lrp.DefaultConfig().WithMechanism(k)
-	cfg.Cores = threads
-	if cfg.Cores < 16 {
-		cfg.Cores = 16
-	}
-	if cores > 0 {
-		if cores < threads {
-			return fmt.Errorf("-cores %d is fewer than -threads %d", cores, threads)
-		}
-		cfg.Cores = cores
-	}
-	if uncached {
-		cfg.NVM.Mode = 1
-	}
-	if size == 0 {
-		size = 4096
-	}
-	if metrics || tracePath != "" || structure == "kv" {
+func runOne(r runSpec, stdout, stderr io.Writer) error {
+	cfg, spec := r.cfg, r.spec
+	if r.metrics || r.trace != "" || spec.Structure == "kv" {
 		// kv always attaches one: its service metrics land in the registry.
-		cfg.Obs = lrp.NewObserver(cfg, tracePath != "")
+		cfg.Obs = lrp.NewObserver(cfg, r.trace != "")
 	}
 	var prof *perf.Profiler
-	if perfOn {
+	if r.perf {
 		// Labels tag pprof samples with lrp_phase/lrp_mech so a -pprof
 		// profile taken during the run groups by simulator phase.
-		prof = perf.New(perf.Options{Labels: true, Mech: k.String()})
+		prof = perf.New(perf.Options{Labels: true, Mech: cfg.Mechanism.String()})
 		cfg.Perf = prof
 	}
-	spec := lrp.Spec{
-		Structure:    structure,
-		Threads:      threads,
-		InitialSize:  size,
-		OpsPerThread: ops,
-		Seed:         seed,
-	}
-	if structure == "kv" {
-		spec.KV = kv
+	// -json owns stdout: the status lines move to stderr.
+	status := stdout
+	if r.json {
+		status = stderr
 	}
 	var res *lrp.Result
 	var m *lrp.Machine
-	if recordPath != "" {
-		tf, err := os.Create(recordPath)
-		if err != nil {
-			return err
-		}
+	var err error
+	if r.record != "" {
 		var sum lrp.TraceSummary
-		res, m, sum, err = lrp.RecordTrace(cfg, spec, tf)
-		if err != nil {
-			tf.Close()
+		err = writeFile(r.record, func(w io.Writer) (err error) {
+			if r.hist {
+				res, m, _, _, sum, err = lrp.RecordTraceHist(cfg, spec, w)
+			} else {
+				res, m, sum, err = lrp.RecordTrace(cfg, spec, w)
+			}
 			return err
-		}
-		if err := tf.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace recorded  %s (%d ops, %d bytes, checksum %08x)\n",
-			recordPath, sum.Ops, sum.WireBytes, sum.Checksum)
-	} else {
-		res, m, err = lrp.RunWorkload(cfg, spec)
+		})
 		if err != nil {
 			return err
 		}
+		fmt.Fprintf(status, "trace recorded  %s (%d ops, %d bytes, checksum %08x)\n",
+			r.record, sum.Ops, sum.WireBytes, sum.Checksum)
+	} else if res, m, err = lrp.RunWorkload(cfg, spec); err != nil {
+		return err
 	}
 	if reg := m.Observer().Registry(); reg != nil {
 		if prof != nil {
@@ -293,83 +291,82 @@ func runOne(structure, mechName string, threads, cores, ops, size int, seed uint
 		// Stamp-arena footprint (host/arena_*) rides along the same way.
 		m.PublishArenaGauges(reg)
 	}
-	if !jsonOut {
-		fmt.Printf("workload        %s\n", structure)
-		fmt.Printf("mechanism       %s\n", k)
-		fmt.Printf("threads         %d\n", threads)
-		fmt.Printf("size            %d\n", size)
-		fmt.Printf("exec time       %v\n", res.ExecTime)
-		fmt.Printf("operations      %d (%.1f cycles/op)\n", res.Ops, float64(res.ExecTime)*float64(threads)/float64(res.Ops))
-		fmt.Printf("memory ops      %d\n", res.Sys.Ops)
-		fmt.Printf("persists        %d (%.1f%% on the critical path)\n", res.Sys.Persists, res.CriticalWritebackPct())
-		fmt.Printf("writebacks      %d\n", res.Sys.Writebacks)
-		fmt.Printf("downgrades      %d (I2 blocks: %d)\n", res.Sys.Downgrades, res.Sys.I2Stalls)
-		fmt.Printf("stall cycles    %d\n", res.Sys.StallCycles)
-		fmt.Printf("NVM traffic     %d bytes persisted, %d line reads\n", res.NVM.BytesPersisted, res.NVM.Reads)
-		if structure == "kv" {
-			printKVService(m, spec.KV.Normalized(size))
+	if !r.json {
+		fmt.Fprintf(stdout, "workload        %s\n", spec.Structure)
+		fmt.Fprintf(stdout, "mechanism       %s\n", cfg.Mechanism)
+		fmt.Fprintf(stdout, "threads         %d\n", spec.Threads)
+		fmt.Fprintf(stdout, "size            %d\n", spec.InitialSize)
+		fmt.Fprintf(stdout, "exec time       %v\n", res.ExecTime)
+		fmt.Fprintf(stdout, "operations      %d (%.1f cycles/op)\n", res.Ops, float64(res.ExecTime)*float64(spec.Threads)/float64(res.Ops))
+		fmt.Fprintf(stdout, "memory ops      %d\n", res.Sys.Ops)
+		fmt.Fprintf(stdout, "persists        %d (%.1f%% on the critical path)\n", res.Sys.Persists, res.CriticalWritebackPct())
+		fmt.Fprintf(stdout, "writebacks      %d\n", res.Sys.Writebacks)
+		fmt.Fprintf(stdout, "downgrades      %d (I2 blocks: %d)\n", res.Sys.Downgrades, res.Sys.I2Stalls)
+		fmt.Fprintf(stdout, "stall cycles    %d\n", res.Sys.StallCycles)
+		fmt.Fprintf(stdout, "NVM traffic     %d bytes persisted, %d line reads\n", res.NVM.BytesPersisted, res.NVM.Reads)
+		if spec.Structure == "kv" {
+			printKVService(stdout, m, spec.KV.Normalized(spec.InitialSize))
 		}
 		if prof != nil {
-			fmt.Println()
-			fmt.Println(prof.Report())
+			fmt.Fprintf(stdout, "\n%s\n", prof.Report())
 		}
 	}
-	if metrics {
-		if jsonOut {
-			if err := lrp.WriteMetricsJSON(m, os.Stdout); err != nil {
-				return err
-			}
-		} else {
-			fmt.Println()
-			fmt.Println(lrp.MetricsSummary(m))
+	if r.json {
+		if err := lrp.WriteMetricsJSON(m, stdout); err != nil {
+			return err
 		}
+	} else if r.metrics {
+		fmt.Fprintf(stdout, "\n%s\n", lrp.MetricsSummary(m))
 	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
+	if r.trace != "" {
+		if err := writeFile(r.trace, m.Observer().Tracer().WriteChromeTrace); err != nil {
 			return err
 		}
-		if err := m.Observer().Tracer().WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace written to %s (load in Perfetto or chrome://tracing)\n", tracePath)
+		fmt.Fprintf(status, "trace written to %s (load in Perfetto or chrome://tracing)\n", r.trace)
 	}
 	return nil
 }
 
+// writeFile streams write's output into a new file at path.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // printKVService prints the kv service's shape and the service metrics
 // its runner published to the obs registry.
-func printKVService(m *lrp.Machine, np lrp.KVParams) {
-	fmt.Printf("kv service      %d tenants x %d keys, %s skew, mix get%d/set%d/del%d/cas%d/scan%d\n",
+func printKVService(w io.Writer, m *lrp.Machine, np lrp.KVParams) {
+	fmt.Fprintf(w, "kv service      %d tenants x %d keys, %s skew, mix get%d/set%d/del%d/cas%d/scan%d\n",
 		np.Tenants, np.KeysPerTenant, np.Skew,
 		np.GetPct, np.SetPct, np.DelPct, np.CASPct, np.ScanPct)
 	reg := m.Observer().Registry()
-	fmt.Println()
-	fmt.Println("service metrics (measured window, simulated cycles):")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "service metrics (measured window, simulated cycles):")
+	total := float64(0) // every request counts once per op and once per tenant
 	for _, op := range []string{"get", "set", "del", "cas", "scan"} {
 		n := reg.SumCounters("kv/ops/" + op)
+		total += float64(n)
 		if n == 0 {
 			continue
 		}
 		miss := reg.SumCounters("kv/miss/" + op)
 		lat := reg.MergeHistograms("kv/lat/" + op)
-		fmt.Printf("  %-5s %7d ops  %5.1f%% miss  lat p50=%-6d p99=%-6d mean=%.0f\n",
+		fmt.Fprintf(w, "  %-5s %7d ops  %5.1f%% miss  lat p50=%-6d p99=%-6d mean=%.0f\n",
 			op, n, 100*float64(miss)/float64(n),
 			lat.Quantile(0.5), lat.Quantile(0.99), lat.Mean())
 	}
-	fmt.Printf("  scan keys read  %d\n", reg.SumCounters("kv/scan/keys"))
+	fmt.Fprintf(w, "  scan keys read  %d\n", reg.SumCounters("kv/scan/keys"))
 	var loads []string
-	total := float64(0)
-	for t := 0; t < np.Tenants; t++ {
-		total += float64(reg.SumCounters(fmt.Sprintf("kv/tenant%d/ops", t)))
-	}
 	for t := 0; t < np.Tenants; t++ {
 		n := reg.SumCounters(fmt.Sprintf("kv/tenant%d/ops", t))
 		loads = append(loads, fmt.Sprintf("t%d=%.1f%%", t, 100*float64(n)/total))
 	}
-	fmt.Printf("  tenant load     %s\n", strings.Join(loads, " "))
+	fmt.Fprintf(w, "  tenant load     %s\n", strings.Join(loads, " "))
 }

@@ -1,24 +1,23 @@
-// Command lrptrace records, replays, inspects and compares memory-op
-// traces (see TRACES.md for the format and methodology).
+// Command lrptrace replays, inspects and compares memory-op traces (see
+// TRACES.md for the format and methodology); `lrpsim -run ... -record
+// FILE` records them.
 //
 // Usage:
 //
-//	lrptrace record -o FILE [-structure hashmap] [-mechanism NOP] [-threads 4]
-//	                [-cores N] [-size 96] [-ops 25] [-readpct 0] [-opwork 0]
-//	                [-seed 7] [-uncached] [-hist]
 //	lrptrace replay FILE [-mechanism K | -all] [-verify] [-o FILE] [-metrics] [-json]
 //	lrptrace info FILE
 //	lrptrace diff FILE1 FILE2
 //
 // replay drives a fresh machine from the recorded op stream — under the
 // recorded mechanism by default, under -mechanism K to re-time the same
-// execution under another mechanism, or under -all for the five-way
-// comparison table. -verify additionally checks the replay reproduced
-// the recording's embedded window counters byte-for-byte (recorded
-// mechanism only). -o re-records the replayed execution into a new
-// trace, whose op-stream checksum always equals the source's. -metrics
-// prints the replay machine's metrics registry; -json prints only that
-// registry, as the machine-readable lrpmetrics/v1 export.
+// execution under another mechanism, or under -all for the comparison
+// table over every registered mechanism. -verify additionally checks the
+// replay reproduced the recording's embedded window counters
+// byte-for-byte (recorded mechanism only). -o re-records the replayed
+// execution into a new trace, whose op-stream checksum always equals the
+// source's. -metrics prints the replay machine's metrics registry; -json
+// prints only that registry, as the machine-readable lrpmetrics/v1
+// export. -all reads only -verify; any other flag with it is an error.
 package main
 
 import (
@@ -27,133 +26,51 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"lrp"
+	"lrp/internal/cli"
 	"lrp/internal/stats"
 	"lrp/internal/trace"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+func main() { cli.Main("lrptrace", run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	if len(args) < 1 {
+		usage(stderr)
+		return cli.ErrUsage
 	}
-	var err error
-	switch os.Args[1] {
-	case "record":
-		err = cmdRecord(os.Args[2:])
+	switch args[0] {
 	case "replay":
-		err = cmdReplay(os.Args[2:])
+		return cmdReplay(args[1:], stdout, stderr)
 	case "info":
-		err = cmdInfo(os.Args[2:])
+		return cmdInfo(args[1:], stdout)
 	case "diff":
-		err = cmdDiff(os.Args[2:])
+		return cmdDiff(args[1:], stdout)
 	case "-h", "-help", "--help", "help":
-		usage()
-		return
+		usage(stderr)
+		return nil
 	default:
-		fmt.Fprintf(os.Stderr, "lrptrace: unknown subcommand %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lrptrace:", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "lrptrace: unknown subcommand %q\n", args[0])
+		usage(stderr)
+		return cli.ErrUsage
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
-  lrptrace record -o FILE [-structure S] [-mechanism K] [-threads N] [-cores N]
-                  [-size N] [-ops N] [-readpct P] [-opwork C] [-seed N] [-uncached] [-hist]
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage:
   lrptrace replay FILE [-mechanism K | -all] [-verify] [-o FILE] [-metrics] [-json]
   lrptrace info FILE
-  lrptrace diff FILE1 FILE2`)
+  lrptrace diff FILE1 FILE2
+(record a trace with lrpsim -run ... -record FILE)`)
 }
 
-func cmdRecord(args []string) error {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	var (
-		out       = fs.String("o", "", "output trace file (required)")
-		structure = fs.String("structure", "hashmap", "workload structure: "+strings.Join(lrp.WorkloadNames(), "|"))
-		mechName  = fs.String("mechanism", "NOP", "mechanism to record under")
-		threads   = fs.Int("threads", 4, "worker threads")
-		cores     = fs.Int("cores", 0, "machine cores (0: max(threads, 16))")
-		size      = fs.Int("size", 96, "initial structure size")
-		ops       = fs.Int("ops", 25, "operations per thread")
-		readPct   = fs.Int("readpct", 0, "lookup percentage in the measured mix")
-		opWork    = fs.Int("opwork", 0, "compute cycles per operation (0: default)")
-		seed      = fs.Uint64("seed", 7, "deterministic seed")
-		uncached  = fs.Bool("uncached", false, "disable the NVM-side DRAM cache")
-		hist      = fs.Bool("hist", false, "capture the abstract op history into the trace (durable-linearizability checking on replay)")
-	)
-	fs.Parse(args)
-	if *out == "" {
-		return fmt.Errorf("record: -o FILE is required")
-	}
-	k, err := lrp.ParseMechanism(*mechName)
-	if err != nil {
-		return err
-	}
-	cfg := lrp.DefaultConfig().WithMechanism(k)
-	cfg.Cores = *cores
-	if cfg.Cores == 0 {
-		cfg.Cores = *threads
-		if cfg.Cores < 16 {
-			cfg.Cores = 16
-		}
-	}
-	if *uncached {
-		cfg.NVM.Mode = 1
-	}
-	spec := lrp.Spec{
-		Structure:    *structure,
-		Threads:      *threads,
-		InitialSize:  *size,
-		OpsPerThread: *ops,
-		ReadPct:      *readPct,
-		OpWork:       *opWork,
-		Seed:         *seed,
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	var res *lrp.Result
-	var sum lrp.TraceSummary
-	if *hist {
-		var h *lrp.OpHistory
-		res, _, _, h, sum, err = lrp.RecordTraceHist(cfg, spec, f)
-		if err == nil {
-			fmt.Printf("op history      %d operations captured\n", len(h.Ops))
-		}
-	} else {
-		res, _, sum, err = lrp.RecordTrace(cfg, spec, f)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("recorded        %s under %s (threads=%d size=%d ops/thread=%d seed=%d)\n",
-		*structure, k, *threads, *size, *ops, *seed)
-	fmt.Printf("exec time       %v\n", res.ExecTime)
-	fmt.Printf("trace ops       %d (%d records)\n", sum.Ops, sum.Records)
-	fmt.Printf("trace size      %d bytes (%d raw, %.1fx compression)\n",
-		sum.WireBytes, sum.RawBytes, float64(sum.RawBytes)/float64(sum.WireBytes))
-	fmt.Printf("checksum        %08x\n", sum.Checksum)
-	fmt.Printf("written to      %s\n", *out)
-	return nil
-}
-
-func cmdReplay(args []string) error {
+func cmdReplay(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
 		mechName = fs.String("mechanism", "", "replay under this mechanism (default: as recorded)")
-		all      = fs.Bool("all", false, "replay under all five mechanisms and tabulate")
+		all      = fs.Bool("all", false, "replay under every registered mechanism and tabulate")
 		verify   = fs.Bool("verify", false, "verify the replay reproduces the embedded live window byte-for-byte")
 		out      = fs.String("o", "", "re-record the replayed execution to FILE")
 		metrics  = fs.Bool("metrics", false, "print the replay machine's metrics registry")
@@ -164,38 +81,39 @@ func cmdReplay(args []string) error {
 	}
 	path := args[0]
 	fs.Parse(args[1:])
+	mode, reads := "replay", []string{"mechanism", "verify", "o", "metrics", "json"}
+	if *all {
+		mode, reads = "replay -all", []string{"all", "verify"}
+	}
+	if err := cli.Reads(fs, mode, reads...); err != nil {
+		return err
+	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
 	if *all {
-		if *mechName != "" || *jsonOut {
-			return fmt.Errorf("replay: -all excludes -mechanism and -json")
-		}
-		return replayAll(raw, *verify)
+		return replayAll(raw, *verify, stdout)
 	}
 	// -json is the machine-readable form of -metrics and owns stdout.
-	stdout := io.Writer(os.Stdout)
+	status := stdout
 	if *jsonOut {
 		*metrics = true
-		stdout = io.Discard
+		status = io.Discard
 	}
 
-	var k lrp.Mechanism
-	set := false
-	if *mechName != "" {
-		if k, err = lrp.ParseMechanism(*mechName); err != nil {
+	o := lrp.ReplayOpts{MechanismSet: *mechName != ""}
+	if o.MechanismSet {
+		if o.Mechanism, err = lrp.ParseMechanism(*mechName); err != nil {
 			return err
 		}
-		set = true
 	}
-	o := lrp.ReplayOpts{Mechanism: k, MechanismSet: set}
 	if *metrics {
 		in, err := trace.NewReader(bytes.NewReader(raw))
 		if err != nil {
 			return err
 		}
-		o.Obs = lrp.NewObserver(in.Header().MachineConfig(k), false)
+		o.Obs = lrp.NewObserver(in.Header().MachineConfig(o.Mechanism), false)
 	}
 	var re bytes.Buffer
 	var rp *lrp.Replayed
@@ -207,14 +125,14 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "replayed        %s under %s (recorded under %s)\n",
+	fmt.Fprintf(status, "replayed        %s under %s (recorded under %s)\n",
 		rp.Header.Spec.Structure, rp.Mechanism, rp.Header.Mechanism)
-	fmt.Fprintf(stdout, "trace ops       %d (checksum %08x, verified)\n", rp.Ops, rp.Checksum)
+	fmt.Fprintf(status, "trace ops       %d (checksum %08x, verified)\n", rp.Ops, rp.Checksum)
 	if rp.Result != nil {
-		fmt.Fprintf(stdout, "exec time       %v\n", rp.Result.ExecTime)
-		fmt.Fprintf(stdout, "persists        %d (%.1f%% on the critical path)\n",
+		fmt.Fprintf(status, "exec time       %v\n", rp.Result.ExecTime)
+		fmt.Fprintf(status, "persists        %d (%.1f%% on the critical path)\n",
 			rp.Result.Sys.Persists, rp.Result.CriticalWritebackPct())
-		fmt.Fprintf(stdout, "stall cycles    %d\n", rp.Result.Sys.StallCycles)
+		fmt.Fprintf(status, "stall cycles    %d\n", rp.Result.Sys.StallCycles)
 	}
 	if *verify {
 		if rp.Mechanism != rp.Header.Mechanism {
@@ -223,20 +141,19 @@ func cmdReplay(args []string) error {
 		if err := rp.VerifyEmbedded(); err != nil {
 			return err
 		}
-		fmt.Fprintln(stdout, "verify          replay reproduces the recorded window byte-for-byte")
+		fmt.Fprintln(status, "verify          replay reproduces the recorded window byte-for-byte")
 	}
 	if *out != "" {
 		if err := os.WriteFile(*out, re.Bytes(), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "re-recorded     %s (checksum %08x, matches source)\n", *out, rp.Checksum)
+		fmt.Fprintf(status, "re-recorded     %s (checksum %08x, matches source)\n", *out, rp.Checksum)
 	}
 	if *jsonOut {
-		return lrp.WriteMetricsJSON(rp.Sys, os.Stdout)
+		return lrp.WriteMetricsJSON(rp.Sys, stdout)
 	}
 	if *metrics {
-		fmt.Println()
-		fmt.Println(lrp.MetricsSummary(rp.Sys))
+		fmt.Fprintf(stdout, "\n%s\n", lrp.MetricsSummary(rp.Sys))
 	}
 	return nil
 }
@@ -244,7 +161,7 @@ func cmdReplay(args []string) error {
 // replayAll replays one trace under every mechanism and tabulates the
 // per-mechanism execution time; each replay is re-recorded in memory and
 // its op-stream checksum asserted against the source.
-func replayAll(raw []byte, verify bool) error {
+func replayAll(raw []byte, verify bool, stdout io.Writer) error {
 	t := stats.NewTable("Replay: one trace under every mechanism",
 		"mechanism", "exec time", "vs NOP", "persists", "crit%", "stalls", "checksum")
 	var base float64
@@ -276,54 +193,51 @@ func replayAll(raw []byte, verify bool) error {
 	if verify {
 		t.AddNote("recorded-mechanism replay verified byte-for-byte against the embedded live window")
 	}
-	fmt.Println(t.Format())
+	fmt.Fprintln(stdout, t.Format())
 	return nil
 }
 
-func cmdInfo(args []string) error {
+func cmdInfo(args []string, stdout io.Writer) error {
 	if len(args) != 1 {
 		return fmt.Errorf("info: usage: lrptrace info FILE")
 	}
-	f, err := os.Open(args[0])
+	raw, err := os.ReadFile(args[0])
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	in, err := lrp.ReadTraceInfo(f)
+	in, err := lrp.ReadTraceInfo(bytes.NewReader(raw))
 	if err != nil {
 		return err
 	}
 	h := in.Header
-	fmt.Printf("format          LRPTRC v%d (header + stream checksums verified)\n", h.Version)
-	fmt.Printf("workload        %s (threads=%d size=%d ops/thread=%d readpct=%d seed=%d)\n",
+	fmt.Fprintf(stdout, "format          LRPTRC v%d (header + stream checksums verified)\n", h.Version)
+	fmt.Fprintf(stdout, "workload        %s (threads=%d size=%d ops/thread=%d readpct=%d seed=%d)\n",
 		h.Spec.Structure, h.Spec.Threads, h.Spec.InitialSize, h.Spec.OpsPerThread, h.Spec.ReadPct, h.Spec.Seed)
-	fmt.Printf("machine         %d cores, %s, NVM mode %d\n", h.Config.Cores, h.Mechanism, h.Config.NVM.Mode)
-	fmt.Printf("records         %d (%d ops, %d ticks, %d syncs, %d drains, %d marks)\n",
+	fmt.Fprintf(stdout, "machine         %d cores, %s, NVM mode %d\n", h.Config.Cores, h.Mechanism, h.Config.NVM.Mode)
+	fmt.Fprintf(stdout, "records         %d (%d ops, %d ticks, %d syncs, %d drains, %d marks)\n",
 		in.Records, in.Ops, in.Ticks, in.Syncs, in.Drains, in.Marks)
-	fmt.Printf("checksum        %08x\n", in.Checksum)
+	fmt.Fprintf(stdout, "checksum        %08x\n", in.Checksum)
 	if e := in.Embedded; e != nil {
-		fmt.Printf("live window     %d ops in %d cycles (recorded under %s)\n", e.Ops, e.ExecTime, h.Mechanism)
+		fmt.Fprintf(stdout, "live window     %d ops in %d cycles (recorded under %s)\n", e.Ops, e.ExecTime, h.Mechanism)
 	}
 	return nil
 }
 
-func cmdDiff(args []string) error {
+func cmdDiff(args []string, stdout io.Writer) error {
 	if len(args) != 2 {
 		return fmt.Errorf("diff: usage: lrptrace diff FILE1 FILE2")
 	}
-	fa, err := os.Open(args[0])
+	a, err := os.ReadFile(args[0])
 	if err != nil {
 		return err
 	}
-	defer fa.Close()
-	fb, err := os.Open(args[1])
+	b, err := os.ReadFile(args[1])
 	if err != nil {
 		return err
 	}
-	defer fb.Close()
-	if err := lrp.DiffTraces(fa, fb); err != nil {
+	if err := lrp.DiffTraces(bytes.NewReader(a), bytes.NewReader(b)); err != nil {
 		return err
 	}
-	fmt.Println("traces describe identical executions")
+	fmt.Fprintln(stdout, "traces describe identical executions")
 	return nil
 }

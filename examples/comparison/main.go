@@ -1,5 +1,5 @@
 // Comparison: a durable producer/consumer pipeline on the Michael–Scott
-// queue, across all five persistency mechanisms.
+// queue, across every registered persistency mechanism.
 //
 // The queue is the paper's most contended workload: every enqueue
 // release-CASes the shared tail. This example reports, for each

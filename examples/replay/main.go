@@ -1,5 +1,5 @@
 // Replay: record one hashmap run, then replay that single trace under
-// all five persistency mechanisms (TRACES.md).
+// every registered persistency mechanism (TRACES.md).
 //
 // This is the paper's trace-driven methodology in miniature: the
 // recorded trace pins the memory-op stream and the cross-core

@@ -137,7 +137,7 @@ func TestRecordReplaySameMechanism(t *testing.T) {
 }
 
 // TestCrossMechanismReplay is the paper's methodology: one trace
-// recorded under NOP replays under all five mechanisms from the
+// recorded under NOP replays under every registered mechanism from the
 // identical op stream — asserted by re-recording each replay and
 // checking the stream checksum is unchanged.
 func TestCrossMechanismReplay(t *testing.T) {

@@ -71,8 +71,8 @@ func TestGoldenCorpusReplays(t *testing.T) {
 	}
 }
 
-// TestGoldenCorpusCrossMechanism: each corpus trace replays under all
-// five mechanisms from the identical op stream — re-recording every
+// TestGoldenCorpusCrossMechanism: each corpus trace replays under every
+// registered mechanism from the identical op stream — re-recording every
 // replay must reproduce the source checksum whatever the mechanism.
 func TestGoldenCorpusCrossMechanism(t *testing.T) {
 	for _, path := range goldenTraces(t) {
