@@ -55,6 +55,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -93,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.IntVar(&s.Threads, "threads", 16, "worker threads")
 	cores := fs.Int("cores", 0, "with -run: simulated cores (0: max(threads, 16))")
 	fs.IntVar(&s.OpsPerThread, "ops", 100, "operations per thread in the measured window")
-	fs.IntVar(&s.InitialSize, "size", 0, "with -run: initial structure size (0: 4096)")
+	fs.IntVar(&s.InitialSize, "size", 4096, "with -run: initial structure size")
 	fs.IntVar(&s.ReadPct, "readpct", 0, "with -run: lookup percentage in the measured mix (not queue or kv)")
 	fs.IntVar(&s.OpWork, "opwork", 0, "with -run: compute cycles per operation (0: default)")
 	scale := fs.Float64("scale", 1.0, "with -experiment: size scale factor")
@@ -141,11 +142,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if r.cfg, err = cli.Config(*mechanism, s.Threads, *cores, 16, *uncached); err != nil {
 			return err
 		}
-		if s.InitialSize == 0 {
-			s.InitialSize = 4096
-		}
 		r.metrics = r.metrics || r.json
 		if s.Structure == "kv" {
+			if s.InitialSize == 0 {
+				// Its warm-up sets half of every tenant's keys.
+				return errors.New("-run kv cannot start empty: -size 0")
+			}
 			reads = append(reads, "tenants", "keys", "skew", "mix", "minval", "maxval")
 			np := kv.Normalized(s.InitialSize)
 			switch np.Skew {

@@ -10,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"lrp/internal/trace"
 )
 
 // corpusRow matches a golden-corpus row of TRACES.md's table: the trace
@@ -189,6 +191,51 @@ func TestFlagsInEveryMode(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSizeZero pins -size's default: without the flag a run starts from
+// 4096 elements, and an explicit -size 0 records a run that starts from
+// an empty structure. kv's warm-up always sets half its keys, so kv
+// rejects -size 0 and writes no file.
+func TestSizeZero(t *testing.T) {
+	dir := t.TempDir()
+	x := filepath.Join(dir, "x.lrt")
+	base := []string{"-run", "linkedlist", "-threads", "2", "-ops", "5"}
+	var stdout bytes.Buffer
+	if err := run(base, &stdout, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stdout.String(), "size            4096\n") {
+		t.Fatalf("a run without -size does not start from 4096 elements:\n%s", stdout.String())
+	}
+	stdout.Reset()
+	if err := run(append(base, "-size", "0", "-record", x), &stdout, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stdout.String(), "size            0\n") {
+		t.Fatalf("-size 0 does not start from an empty structure:\n%s", stdout.String())
+	}
+	f, err := os.Open(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := trace.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Header().Spec.InitialSize; n != 0 {
+		t.Fatalf("the trace of a -size 0 run records size %d", n)
+	}
+	f.Close()
+	os.Remove(x)
+	err = run([]string{"-run", "kv", "-threads", "2", "-ops", "5", "-size", "0", "-record", x}, io.Discard, io.Discard)
+	if want := "-run kv cannot start empty: -size 0"; err == nil || err.Error() != want {
+		t.Fatalf("-run kv -size 0: error %v, want %q", err, want)
+	}
+	if _, err := os.Stat(x); err == nil {
+		t.Fatalf("-run kv -size 0 wrote %s", x)
 	}
 }
 

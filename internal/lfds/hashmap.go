@@ -20,6 +20,7 @@ import (
 type HashMap struct {
 	buckets  isa.Addr
 	nbuckets uint64
+	walks    []searchWalk // per-thread search storage, shared by the buckets
 }
 
 // BucketStride is the byte distance between consecutive bucket cells.
@@ -35,6 +36,7 @@ func NewHashMap(sys *memsys.System, nbuckets int) *HashMap {
 	return &HashMap{
 		buckets:  sys.StaticAlloc(int(n) * isa.WordsPerLine),
 		nbuckets: n,
+		walks:    newWalks[searchWalk](sys),
 	}
 }
 
@@ -44,7 +46,7 @@ func (h *HashMap) hash(key uint64) uint64 {
 }
 
 func (h *HashMap) bucket(key uint64) sortedList {
-	return sortedList{head: h.cell(h.hash(key))}
+	return sortedList{head: h.cell(h.hash(key)), walks: h.walks}
 }
 
 // cell is the address of bucket b's head cell.

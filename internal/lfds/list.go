@@ -19,9 +19,12 @@ const (
 
 // sortedList is Harris's lock-free sorted linked list over one head cell:
 // a single simulated memory word holding the pointer to the first node.
-// The linked list *and* each hash-map bucket are instances of it.
+// The linked list *and* each hash-map bucket are instances of it. walks
+// is the owning structure's per-thread searchWalk storage, indexed by
+// thread id.
 type sortedList struct {
-	head isa.Addr
+	head  isa.Addr
+	walks []searchWalk
 }
 
 // search locates the insertion point for key: predCell is the address of
@@ -30,29 +33,80 @@ type sortedList struct {
 // Marked nodes found on the way are unlinked (Harris's helping), each
 // unlink being a release CAS.
 func (l *sortedList) search(c *memsys.Ctx, key uint64) (predCell isa.Addr, curr uint64) {
-retry:
-	for {
-		predCell = l.head
-		curr = c.LoadAcq(predCell)
-		for curr != 0 {
-			next := c.LoadAcq(addr(curr) + nodeNext)
-			if isMarked(next) {
-				// curr is logically deleted: help unlink it.
-				if _, ok := c.CAS(predCell, curr, clearPtr(next), isa.Release); !ok {
-					continue retry
-				}
-				curr = clearPtr(next)
-				continue
-			}
-			k := c.Load(addr(curr) + nodeKey)
-			if k >= key {
-				return predCell, curr
-			}
-			predCell = addr(curr) + nodeNext
-			curr = next
+	w := &l.walks[c.ThreadID()]
+	*w = searchWalk{head: l.head, key: key}
+	traverse(c, w)
+	return w.predCell, w.curr
+}
+
+// searchWalk is search's traversal as a memsys.Walker. It holds the head
+// cell's address, never the sortedList: a hash-map bucket's sortedList is
+// a value on its caller's stack.
+type searchWalk struct {
+	head isa.Addr
+	key  uint64
+	step uint8
+	// predCell and curr are the cursor and, once the walk ends, its
+	// result; next is the link word last read from curr.
+	predCell   isa.Addr
+	curr, next uint64
+}
+
+// searchWalk steps: the op the walker issued last.
+const (
+	searchStart  = iota
+	searchHead   // acquire load of the head cell
+	searchLink   // acquire load of curr's next field
+	searchUnlink // release CAS unlinking marked curr from predCell
+	searchKey    // load of curr's key
+)
+
+// Next implements memsys.Walker.
+func (w *searchWalk) Next(v uint64, ok bool) (isa.Op, bool) {
+	switch w.step {
+	case searchHead:
+		w.curr = v
+		return w.visit()
+	case searchLink:
+		w.next = v
+		if isMarked(v) {
+			// curr is logically deleted: help unlink it.
+			w.step = searchUnlink
+			return isa.CASOp(w.predCell, w.curr, clearPtr(v), isa.Release), true
 		}
-		return predCell, 0
+		w.step = searchKey
+		return isa.LoadOp(addr(w.curr) + nodeKey), true
+	case searchUnlink:
+		if !ok {
+			return w.restart()
+		}
+		w.curr = clearPtr(w.next)
+		return w.visit()
+	case searchKey:
+		if v >= w.key {
+			return isa.Op{}, false
+		}
+		w.predCell = addr(w.curr) + nodeNext
+		w.curr = w.next
+		return w.visit()
 	}
+	return w.restart() // searchStart
+}
+
+// restart begins the search again from the head cell.
+func (w *searchWalk) restart() (isa.Op, bool) {
+	w.predCell = w.head
+	w.step = searchHead
+	return isa.LoadAcq(w.head), true
+}
+
+// visit reads curr's link, or ends the walk at the list's end.
+func (w *searchWalk) visit() (isa.Op, bool) {
+	if w.curr == 0 {
+		return isa.Op{}, false
+	}
+	w.step = searchLink
+	return isa.LoadAcq(addr(w.curr) + nodeNext), true
 }
 
 // insert adds key→val; false if present.
@@ -170,7 +224,7 @@ type LinkedList struct {
 
 // NewLinkedList anchors a list; the head cell lives in the static region.
 func NewLinkedList(sys *memsys.System) *LinkedList {
-	return &LinkedList{list: sortedList{head: sys.StaticAlloc(1)}}
+	return &LinkedList{list: sortedList{head: sys.StaticAlloc(1), walks: newWalks[searchWalk](sys)}}
 }
 
 // Name implements Set.

@@ -31,11 +31,16 @@ func slNext(level int) isa.Addr { return isa.Addr(slNext0 + 8*level) }
 type SkipList struct {
 	// head is the head tower: MaxHeight pointer cells in static memory.
 	head isa.Addr
+	// finds and lookups are the per-thread findWalk and containsWalk
+	// storage, indexed by thread id.
+	finds   []findWalk
+	lookups []containsWalk
 }
 
 // NewSkipList anchors an empty skip list.
 func NewSkipList(sys *memsys.System) *SkipList {
-	return &SkipList{head: sys.StaticAlloc(MaxHeight)}
+	return &SkipList{head: sys.StaticAlloc(MaxHeight),
+		finds: newWalks[findWalk](sys), lookups: newWalks[containsWalk](sys)}
 }
 
 // Name implements Set.
@@ -47,43 +52,112 @@ func (s *SkipList) headCell(level int) isa.Addr { return s.head + isa.Addr(8*lev
 // to update at level i, succs[i] the (clean) successor. Marked nodes are
 // unlinked on the way. found reports a bottom-level unmarked match.
 func (s *SkipList) find(c *memsys.Ctx, key uint64) (preds [MaxHeight]isa.Addr, succs [MaxHeight]uint64, found bool) {
-retry:
-	for {
-		predCell := s.headCell(MaxHeight - 1)
-		for level := MaxHeight - 1; level >= 0; level-- {
-			if level != MaxHeight-1 {
-				predCell -= 8 // drop one level within the same tower
-			}
-			curr := clearPtr(loadLevel(c, predCell, level))
-			for curr != 0 {
-				next := loadLevel(c, addr(curr)+slNext(level), level)
-				for isMarked(next) {
-					// Help unlink the deleted node at this level.
-					if _, ok := c.CAS(predCell, curr, clearPtr(next), casOrder(level)); !ok {
-						continue retry
-					}
-					curr = clearPtr(next)
-					if curr == 0 {
-						break
-					}
-					next = loadLevel(c, addr(curr)+slNext(level), level)
-				}
-				if curr == 0 {
-					break
-				}
-				if c.Load(addr(curr)+slKey) >= key {
-					break
-				}
-				predCell = addr(curr) + slNext(level)
-				curr = clearPtr(next)
-			}
-			preds[level] = predCell
-			succs[level] = curr
+	w := &s.finds[c.ThreadID()]
+	*w = findWalk{head: s.head, key: key}
+	traverse(c, w)
+	return w.preds, w.succs, w.found
+}
+
+// findWalk is find's descent as a memsys.Walker. A failed unlink CAS
+// restarts it from the top of the head tower.
+type findWalk struct {
+	head isa.Addr
+	key  uint64
+	step uint8
+	// The cursor: the level being searched, the cell that points at
+	// curr, and the link word last read from curr.
+	level      int
+	predCell   isa.Addr
+	curr, next uint64
+	// The result, complete once the walk ends.
+	preds [MaxHeight]isa.Addr
+	succs [MaxHeight]uint64
+	found bool
+}
+
+// findWalk steps: the op the walker issued last.
+const (
+	findStart  = iota
+	findHead   // load of predCell, on entering a level
+	findLink   // load of curr's link at the level
+	findUnlink // CAS unlinking marked curr from predCell at the level
+	findKey    // load of curr's key
+	findBottom // load of the bottom-level successor's key
+)
+
+// Next implements memsys.Walker.
+func (w *findWalk) Next(v uint64, ok bool) (isa.Op, bool) {
+	switch w.step {
+	case findHead:
+		w.curr = clearPtr(v)
+		return w.visit()
+	case findLink:
+		w.next = v
+		if isMarked(v) {
+			// Help unlink the deleted node at this level.
+			w.step = findUnlink
+			return isa.CASOp(w.predCell, w.curr, clearPtr(v), casOrder(w.level)), true
 		}
-		bottom := succs[0]
-		found = bottom != 0 && c.Load(addr(bottom)+slKey) == key
-		return preds, succs, found
+		w.step = findKey
+		return isa.LoadOp(addr(w.curr) + slKey), true
+	case findUnlink:
+		if !ok {
+			break
+		}
+		w.curr = clearPtr(w.next)
+		return w.visit()
+	case findKey:
+		if v >= w.key {
+			return w.endLevel()
+		}
+		w.predCell = addr(w.curr) + slNext(w.level)
+		w.curr = clearPtr(w.next)
+		return w.visit()
+	case findBottom:
+		w.found = v == w.key
+		return isa.Op{}, false
 	}
+	// findStart, or a failed unlink: search from the top of the tower.
+	w.level = MaxHeight - 1
+	w.predCell = w.head + isa.Addr(8*w.level)
+	w.step = findHead
+	return levelOp(w.predCell, w.level), true
+}
+
+// visit reads curr's link at the level, or ends the level at its end.
+func (w *findWalk) visit() (isa.Op, bool) {
+	if w.curr == 0 {
+		return w.endLevel()
+	}
+	w.step = findLink
+	return levelOp(addr(w.curr)+slNext(w.level), w.level), true
+}
+
+// endLevel records the level's (pred, succ) and drops one level within
+// the same tower; below the bottom level it checks the successor's key.
+func (w *findWalk) endLevel() (isa.Op, bool) {
+	w.preds[w.level] = w.predCell
+	w.succs[w.level] = w.curr
+	if w.level == 0 {
+		if w.curr == 0 {
+			return isa.Op{}, false
+		}
+		w.step = findBottom
+		return isa.LoadOp(addr(w.curr) + slKey), true
+	}
+	w.level--
+	w.predCell -= 8 // drop one level within the same tower
+	w.step = findHead
+	return levelOp(w.predCell, w.level), true
+}
+
+// levelOp is the load of a next-pointer cell at level, as loadLevel
+// performs it.
+func levelOp(cell isa.Addr, level int) isa.Op {
+	if level == 0 {
+		return isa.LoadAcq(cell)
+	}
+	return isa.LoadOp(cell)
 }
 
 // loadLevel reads a next-pointer cell: acquire on the bottom level
@@ -203,30 +277,78 @@ func (s *SkipList) Delete(c *memsys.Ctx, key uint64) bool {
 	}
 }
 
-// Contains implements Set.
+// Contains implements Set. It descends the index read-only; only the
+// bottom level (acquire loads) decides membership.
 func (s *SkipList) Contains(c *memsys.Ctx, key uint64) bool {
-	predCell := s.headCell(MaxHeight - 1)
-	var curr uint64
-	for level := MaxHeight - 1; level >= 0; level-- {
-		if level != MaxHeight-1 {
-			predCell -= 8
-		}
-		curr = clearPtr(loadLevel(c, predCell, level))
-		for curr != 0 {
-			k := c.Load(addr(curr) + slKey)
-			next := loadLevel(c, addr(curr)+slNext(level), level)
-			if k < key {
-				predCell = addr(curr) + slNext(level)
-				curr = clearPtr(next)
-				continue
+	w := &s.lookups[c.ThreadID()]
+	*w = containsWalk{head: s.head, key: key}
+	traverse(c, w)
+	return w.found
+}
+
+// containsWalk is Contains's descent as a memsys.Walker.
+type containsWalk struct {
+	head isa.Addr
+	key  uint64
+	step uint8
+	// The cursor: the level being searched, the cell that points at
+	// curr, and curr's key.
+	level    int
+	predCell isa.Addr
+	curr, k  uint64
+	found    bool
+}
+
+// containsWalk steps: the op the walker issued last.
+const (
+	containsStart = iota
+	containsHead  // load of predCell, on entering a level
+	containsKey   // load of curr's key
+	containsLink  // load of curr's link at the level
+)
+
+// Next implements memsys.Walker.
+func (w *containsWalk) Next(v uint64, _ bool) (isa.Op, bool) {
+	switch w.step {
+	case containsStart:
+		w.level = MaxHeight - 1
+		w.predCell = w.head + isa.Addr(8*w.level)
+		w.step = containsHead
+		return levelOp(w.predCell, w.level), true
+	case containsHead:
+		w.curr = clearPtr(v)
+	case containsKey:
+		w.k = v
+		w.step = containsLink
+		return levelOp(addr(w.curr)+slNext(w.level), w.level), true
+	case containsLink:
+		if w.k >= w.key {
+			if w.level == 0 && w.k == w.key {
+				w.found = !isMarked(v)
+				return isa.Op{}, false
 			}
-			if level == 0 && k == key {
-				return !isMarked(next)
-			}
-			break
+			return w.endLevel()
 		}
+		w.predCell = addr(w.curr) + slNext(w.level)
+		w.curr = clearPtr(v)
 	}
-	return false
+	if w.curr == 0 {
+		return w.endLevel()
+	}
+	w.step = containsKey
+	return isa.LoadOp(addr(w.curr) + slKey), true
+}
+
+// endLevel drops one level within the same tower; below the bottom
+// level the key is absent.
+func (w *containsWalk) endLevel() (isa.Op, bool) {
+	if w.level == 0 {
+		return isa.Op{}, false
+	}
+	w.level--
+	w.predCell -= 8
+	w.step = containsHead
+	return levelOp(w.predCell, w.level), true
 }
 
 // Scan walks the bottom level in key order starting at the first key

@@ -94,6 +94,69 @@ func BenchmarkSchedulerGrant32(b *testing.B) {
 	b.ReportMetric(float64(grants)/float64(b.N+1), "grants/run")
 }
 
+// chaseWalk is a Walker that follows a chain of link words from head to
+// a zero link, one acquire load per node.
+type chaseWalk struct {
+	head    isa.Addr
+	started bool
+}
+
+func (w *chaseWalk) Next(v uint64, _ bool) (isa.Op, bool) {
+	if !w.started {
+		w.started = true
+		return isa.LoadAcq(w.head), true
+	}
+	if v == 0 {
+		return isa.Op{}, false
+	}
+	return isa.LoadAcq(isa.Addr(v)), true
+}
+
+// BenchmarkSchedulerWalk32 is BenchmarkSchedulerGrant32 for walks: 32
+// threads walk one shared 16-node list from synchronized clocks, so they
+// stay in step and most steps are performed by the dispatch loop for a
+// parked walk rather than by the thread. It reports host time per walk
+// step and grants per Run.
+func BenchmarkSchedulerWalk32(b *testing.B) {
+	cfg := TestConfig(32).WithMechanism(mech.NOP)
+	cfg.TrackHB = false
+	cfg.L1Size = 4 << 10 // the list stays L1-resident: every step costs the same
+	s := MustNew(cfg)
+	const nodes, walksPerRun = 16, 4
+	head := s.StaticAlloc(1)
+	s.RunOne(func(c *Ctx) {
+		cell := head
+		for i := 0; i < nodes; i++ {
+			n := s.StaticAlloc(isa.WordsPerLine)
+			c.Store(cell, uint64(n))
+			cell = n
+		}
+	})
+	progs := make([]Program, 32)
+	for i := range progs {
+		w := &chaseWalk{head: head}
+		progs[i] = func(c *Ctx) {
+			for j := 0; j < walksPerRun; j++ {
+				w.started = false
+				c.Walk(w)
+			}
+		}
+	}
+	s.Run(progs)
+	grants0, _ := s.SchedStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SyncClocks()
+		s.Run(progs)
+	}
+	b.StopTimer()
+	grants, _ := s.SchedStats()
+	steps := float64(b.N) * 32 * walksPerRun * (nodes + 1)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/steps, "ns/step")
+	b.ReportMetric(float64(grants-grants0)/float64(b.N), "grants/run")
+}
+
 // BenchmarkSchedulerRunAhead is the scheduler's best case: a single
 // thread, a tournament with no levels, every operation admitted on the
 // fast path with no switch.

@@ -27,6 +27,13 @@ type Ctx struct {
 	// itself.
 	prog  Program
 	yield func(int) bool
+
+	// walk and walkOp are the walk the thread parked in and the step it
+	// parked before: while walk is set, the dispatch loop performs the
+	// thread's steps itself and resumes the thread only when the walk
+	// ends (Ctx.Walk).
+	walk   Walker
+	walkOp isa.Op
 }
 
 // ThreadID returns the hardware thread id.
@@ -68,18 +75,53 @@ func (c *Ctx) handoff() {
 		k.runAhead++
 		return
 	}
+	c.park(next)
+}
+
+// park hands the machine to next, the winner of the thread's replay, and
+// returns once a later grant hands it back.
+func (c *Ctx) park(next int) {
+	s := c.sys
 	// The scheduler region stays open across the switch; the switches
 	// land in it, and this thread closes it once it is granted again.
 	if s.perf != nil {
 		s.perf.Start(perf.PhaseScheduler)
 	}
 	if c.yield == nil {
-		k.dispatch(next)
+		s.sched.dispatch(next)
 	} else if !c.yield(next) {
 		panic(errStopped)
 	}
 	if s.perf != nil {
 		s.perf.End()
+	}
+}
+
+// Walker is a traversal loop written as a state machine: each memory
+// operation it issues is a pure function of the value the previous one
+// returned. Next receives the outcome of the op it last returned (value
+// and CAS success; zeros on the first call) and returns the next op, or
+// false when the walk is done, its result held in the walker. Next must
+// not call any Ctx method, and a walker must not live on its caller's
+// stack: the kernel may call Next from the dispatch loop while the
+// thread that started the walk is parked.
+type Walker interface {
+	Next(v uint64, ok bool) (isa.Op, bool)
+}
+
+// Walk performs w's operations on this thread, each gated like a Ctx
+// memory operation. While the thread wins its replay, Walk performs the
+// steps itself. Once it loses, it parks with the walker and the pending
+// op, and the kernel performs the remaining steps at the thread's later
+// grants without switching to its coroutine (sched.dispatch), so a
+// traversal costs coroutine switches only at its end. The operations,
+// their global order and every clock are those of the same loop written
+// with Load, LoadAcq and CAS.
+func (c *Ctx) Walk(w Walker) {
+	if op, more := w.Next(0, false); more {
+		if next, parked := c.sys.sched.walkOn(c, w, op); parked {
+			c.park(next)
+		}
 	}
 }
 

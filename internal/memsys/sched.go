@@ -11,6 +11,7 @@ import (
 	"iter"
 
 	"lrp/internal/engine"
+	"lrp/internal/isa"
 	"lrp/internal/perf"
 )
 
@@ -31,6 +32,13 @@ import (
 // when it loses, its handoff calls the loop itself, which returns once
 // thread 0 is granted again. When a thread finishes, the loop retires its
 // leaf, and returns when every leaf is done.
+//
+// A thread that parks inside a walk (Ctx.Walk) is not resumed at its
+// grants: the loop performs its steps on its own stack, replaying the
+// thread's leaf before each step exactly as the thread would, and grants
+// the new winner when the thread loses. The thread's coroutine runs
+// again only when the walk ends, so each grant of a parked walk costs a
+// replay instead of two switches.
 type sched struct {
 	// tour holds every thread's (clock, tid) as of its last replay; the
 	// running thread is its winner.
@@ -47,11 +55,13 @@ type sched struct {
 	stop []func()
 
 	// grants counts thread grants; runAhead counts operations admitted on
-	// the fast path with no handoff at all. Host-side counters only —
-	// they exist for tests and the bench harness and never influence
-	// simulated time.
+	// the fast path with no handoff at all; served counts the grants the
+	// loop served whole, a parked walk that lost its replay again before
+	// it ended. Host-side counters only — they exist for tests and the
+	// bench harness and never influence simulated time.
 	grants   uint64
 	runAhead uint64
+	served   uint64
 }
 
 // errStopped unwinds a coroutine whose Run is being torn down: handoff
@@ -74,14 +84,22 @@ func (k *sched) ensure(s *System, n int) {
 }
 
 // dispatch is the kernel's loop. It grants tid, the tournament's winner,
-// and resumes it until it parks or finishes. A parked coroutine has
-// handed back the next grant, the winner of its replay; a finished
-// thread's leaf is retired and the new winner granted. It returns when
-// thread 0 is granted, for thread 0 to run on the caller's stack, or when
-// every thread is done.
+// performs the steps of the walk it parked in, if any, and then resumes
+// it until it parks or finishes. A parked coroutine has handed back the
+// next grant, the winner of its replay; a finished thread's leaf is
+// retired and the new winner granted. It returns when thread 0 is granted
+// with no walk pending, for thread 0 to run on the caller's stack, or
+// when every thread is done.
 func (k *sched) dispatch(tid int) {
 	for {
 		k.grants++
+		if c := k.ctxs[tid]; c.walk != nil {
+			if next, parked := k.serve(c); parked {
+				k.served++
+				tid = next
+				continue
+			}
+		}
 		if tid == 0 {
 			return
 		}
@@ -93,6 +111,38 @@ func (k *sched) dispatch(tid int) {
 			return
 		}
 	}
+}
+
+// walkOn performs thread c's walk w from op on, replaying c's leaf before
+// each step as handoff does. It returns the new winner and true when c
+// loses a replay, leaving c parked in the walk at op, or false once the
+// walk has ended.
+func (k *sched) walkOn(c *Ctx, w Walker, op isa.Op) (int, bool) {
+	s := c.sys
+	for {
+		if next := k.tour.Replay(c.tid, s.clocks[c.tid]); next != c.tid {
+			c.walk, c.walkOp = w, op
+			return next, true
+		}
+		k.runAhead++
+		var more bool
+		if op, more = w.Next(s.perform(c.tid, op)); !more {
+			return 0, false
+		}
+	}
+}
+
+// serve performs the steps of the walk c parked in, as walkOn does. The
+// grant has made c the winner, so the op it parked before needs no
+// replay.
+func (k *sched) serve(c *Ctx) (int, bool) {
+	w := c.walk
+	c.walk = nil // a panicking Next leaves no walk behind
+	op, more := w.Next(c.sys.perform(c.tid, c.walkOp))
+	if !more {
+		return 0, false
+	}
+	return k.walkOn(c, w, op)
 }
 
 // run is a coroutine thread's body: it closes the scheduler region its
@@ -118,7 +168,8 @@ func (c *Ctx) run(yield func(int) bool) {
 
 // SchedStats reports the kernel's host-side scheduling counters since the
 // machine was built: grants is the number of thread grants (each one a
-// resumption of a parked or new thread), runAhead the number of memory
+// resumption of a parked or new thread, or a turn of a parked walk that
+// the dispatch loop serves itself), runAhead the number of memory
 // operations admitted on the fast path without any handoff.
 func (s *System) SchedStats() (grants, runAhead uint64) {
 	return s.sched.grants, s.sched.runAhead
@@ -189,12 +240,15 @@ func (s *System) Run(progs []Program) engine.Time {
 	return s.Time()
 }
 
-// stopAll stops the coroutines of a Run's threads 1…n−1. After a normal
-// Run every coroutine has finished and stop is a no-op; after a panic it
-// unwinds the threads still parked.
+// stopAll stops the coroutines of a Run's threads 1…n−1 and drops the
+// walks they parked in. After a normal Run every coroutine has finished
+// and stop is a no-op; after a panic it unwinds the threads still parked.
 func (k *sched) stopAll(n int) {
 	for i := 1; i < n; i++ {
 		k.stop[i]()
+	}
+	for _, c := range k.ctxs[:n] {
+		c.walk = nil
 	}
 }
 
